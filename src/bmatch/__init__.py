@@ -1,200 +1,31 @@
-"""Exact B-matching solver for degree sets without long gaps."""
+"""Exact B-matching solver for degree sets without long gaps.
 
-from bmatch.core import (
-    EMPTY_MATCHING,
-    OBJECTIVES,
-    BadEndpoint,
-    BInstance,
-    Certificate,
-    DegreeSet,
-    EmptyDegreeSet,
-    GapTooLong,
-    Matching,
-    MultiGraph,
-    NotFeasible,
-    NotInSet,
-    ParityInterval,
-    ParseError,
-    check_certificate,
-    degree,
-    degrees,
-    format_certificate,
-    format_instance,
-    interval_of,
-    is_b_matching,
-    matching_weight,
-    parity_intervals,
-    parse_certificate,
-    parse_instance,
-    symmetric_difference,
-    validate,
-)
-from bmatch.blossom import (
-    VERIFY_LIMIT,
-    PerfectMatching,
-    SimpleWeightedGraph,
-    WeightOverflow,
-    max_weight_perfect_matching,
-)
-from bmatch.reduce import (
-    ABInstance,
-    BadSpec,
-    BoundsError,
-    GadgetEdge,
-    GadgetLayout,
-    Interval,
-    LiftMap,
-    OriginalEdge,
-    Parity,
-    UniformSpec,
-    ab_to_pm,
-    embed_ab_matching,
-    gadget_layout,
-    lift,
-    uniform_to_ab,
-)
-from bmatch.uniform import SENSES, solve_uniform, spec_of_instance
+The package root re-exports the names of the README's Python API section;
+everything else is imported from its module (`bmatch.core`,
+`bmatch.neighbourhood`, ...).
+"""
+
+from bmatch.neighbourhood import find_feasible, improvement_step, solve
 from bmatch.structure import (
-    GRANULARITIES,
-    AlternatingWalk,
-    CanonicalPath,
-    ClassifyReport,
-    MetaCycle,
-    MetaPath,
-    NotBasic,
-    apply,
-    canonical_structure,
     classify,
     decompose_symmetric_difference,
     extract_canonical_sequence,
-    is_basic,
-    is_canonical,
-    is_neighbouring_type,
-    is_same_uniform_type,
     make_basic,
-    shifts_within,
-    walk_problems,
-    weight_of,
 )
-from bmatch.neighbourhood import (
-    CandidateType,
-    SearchBudgetExceeded,
-    TypeAssignment,
-    current_type,
-    enumerate_candidates,
-    find_feasible,
-    improvement_step,
-    solve,
-)
-from bmatch.oracle import (
-    EDGE_CAP,
-    EXCHANGE_EDGE_CAP,
-    SUITE_NAMES,
-    SuiteReport,
-    TooLarge,
-    enumerate_b_matchings,
-    oracle_optimum,
-    run_verification_suite,
-    verify_canonical_decomposition,
-    verify_exchange_lemma,
-    verify_improvement_theorem,
-)
-from bmatch.gen import PROFILES, random_degree_set, random_instance
+from bmatch.oracle import oracle_optimum, run_verification_suite
+from bmatch.gen import random_instance
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABInstance",
-    "AlternatingWalk",
-    "BInstance",
-    "BadEndpoint",
-    "BadSpec",
-    "BoundsError",
-    "CandidateType",
-    "CanonicalPath",
-    "Certificate",
-    "ClassifyReport",
-    "DegreeSet",
-    "EDGE_CAP",
-    "EMPTY_MATCHING",
-    "EXCHANGE_EDGE_CAP",
-    "EmptyDegreeSet",
-    "GRANULARITIES",
-    "GadgetEdge",
-    "GadgetLayout",
-    "GapTooLong",
-    "Interval",
-    "LiftMap",
-    "Matching",
-    "MetaCycle",
-    "MetaPath",
-    "MultiGraph",
-    "NotBasic",
-    "NotFeasible",
-    "NotInSet",
-    "OBJECTIVES",
-    "OriginalEdge",
-    "PROFILES",
-    "Parity",
-    "ParityInterval",
-    "ParseError",
-    "PerfectMatching",
-    "SENSES",
-    "SUITE_NAMES",
-    "SearchBudgetExceeded",
-    "SimpleWeightedGraph",
-    "SuiteReport",
-    "TooLarge",
-    "TypeAssignment",
-    "UniformSpec",
-    "VERIFY_LIMIT",
-    "WeightOverflow",
-    "ab_to_pm",
-    "apply",
-    "canonical_structure",
-    "check_certificate",
     "classify",
-    "current_type",
     "decompose_symmetric_difference",
-    "degree",
-    "degrees",
-    "embed_ab_matching",
-    "enumerate_b_matchings",
-    "enumerate_candidates",
     "extract_canonical_sequence",
     "find_feasible",
-    "format_certificate",
-    "format_instance",
-    "gadget_layout",
     "improvement_step",
-    "interval_of",
-    "is_b_matching",
-    "is_basic",
-    "is_canonical",
-    "is_neighbouring_type",
-    "is_same_uniform_type",
-    "lift",
     "make_basic",
-    "matching_weight",
-    "max_weight_perfect_matching",
     "oracle_optimum",
-    "parity_intervals",
-    "parse_certificate",
-    "parse_instance",
-    "random_degree_set",
     "random_instance",
     "run_verification_suite",
-    "shifts_within",
     "solve",
-    "solve_uniform",
-    "spec_of_instance",
-    "symmetric_difference",
-    "uniform_to_ab",
-    "validate",
-    "verify_canonical_decomposition",
-    "verify_exchange_lemma",
-    "verify_improvement_theorem",
-    "walk_problems",
-    "weight_of",
-    "__version__",
 ]

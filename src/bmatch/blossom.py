@@ -26,11 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 
-class WeightOverflow(ArithmeticError):
-    """Reserved for checked-arithmetic backends; Python integers are exact
-    and unbounded, so the library itself never raises this."""
-
-
 @dataclass(frozen=True)
 class SimpleWeightedGraph:
     """Simple undirected graph with integer weights; no loops, no parallel edges."""
@@ -63,12 +58,13 @@ class PerfectMatching:
 
 
 # Dual verification is cheap on small graphs and priceless while debugging.
-# None means automatic: verify when the graph has at most this many vertices.
+# The duals are checked when the graph has at most this many vertices; None
+# checks every graph.
 VERIFY_LIMIT = 200
 
 
 def max_weight_perfect_matching(
-    graph: SimpleWeightedGraph, verify: Optional[bool] = None
+    graph: SimpleWeightedGraph,
 ) -> Optional[PerfectMatching]:
     """Return a maximum-weight perfect matching, or None if none exists."""
     n = graph.vertex_count

@@ -26,10 +26,10 @@ from bmatch.core import (
     MultiGraph,
     NotFeasible,
     ParseError,
+    check_certificate,
     degrees,
     format_certificate,
     format_instance,
-    is_b_matching,
     matching_weight,
     parse_certificate,
     parse_instance,
@@ -117,29 +117,10 @@ def _write(path: str | None, text: str) -> None:
         handle.write(text)
 
 
-def _load_matching(instance: BInstance, path: str) -> tuple[Matching, list[str]]:
-    """Parse a certificate and collect every validation failure."""
+def _checked_certificate(instance: BInstance, path: str) -> tuple[Matching, list[str]]:
+    """Parse a certificate file and check it against the instance."""
     cert = parse_certificate(_read(path))
-    g = instance.graph
-    problems = []
-    bad = [e for e in sorted(cert.matching.selected) if not 0 <= e < g.edge_count]
-    if bad:
-        problems.append(f"edge index {bad[0]} out of range 0..{g.edge_count - 1}")
-        return cert.matching, problems
-    if cert.size != len(cert.matching):
-        problems.append(
-            f"claimed size {cert.size} but {len(cert.matching)} edges listed"
-        )
-    real_weight = matching_weight(g, cert.matching)
-    if cert.weight != real_weight:
-        problems.append(f"claimed weight {cert.weight} but edges weigh {real_weight}")
-    if not is_b_matching(instance, cert.matching):
-        deg = degrees(g, cert.matching)
-        wrong = [v for v in range(g.vertex_count) if deg[v] not in instance.b(v)]
-        problems.append(
-            f"degree {deg[wrong[0]]} at vertex {wrong[0]} is not admissible"
-        )
-    return cert.matching, problems
+    return cert.matching, check_certificate(instance, cert)
 
 
 def _trace_fn(enabled: bool):
@@ -155,7 +136,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.input), args.objective)
     stats: dict = {}
     started = time.perf_counter()
-    matching = solve(instance, jobs=args.jobs, trace=_trace_fn(args.trace), stats=stats)
+    matching = solve(instance, trace=_trace_fn(args.trace), stats=stats)
     elapsed_ms = round((time.perf_counter() - started) * 1000)
     g = instance.graph
     if matching is None:
@@ -192,13 +173,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.input), args.objective)
-    matching, problems = _load_matching(instance, args.certificate)
+    matching, problems = _checked_certificate(instance, args.certificate)
     g = instance.graph
     payload: dict = {
         "valid": not problems,
         "problems": problems,
         "size": len(matching),
-        "weight": matching_weight(g, matching),
+        # in-range edges only: an out-of-range index is reported as a problem
+        "weight": sum(w for e, (_u, _v, w) in enumerate(g.edges) if e in matching),
     }
     if not problems and args.assert_optimal:
         payload["optimal"] = improvement_step(instance, matching) is None
@@ -273,8 +255,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.input), args.objective)
-    m_a, problems_a = _load_matching(instance, args.matching_a)
-    m_b, problems_b = _load_matching(instance, args.matching_b)
+    m_a, problems_a = _checked_certificate(instance, args.matching_a)
+    m_b, problems_b = _checked_certificate(instance, args.matching_b)
     for label, problems in (("a", problems_a), ("b", problems_b)):
         if problems:
             print(f"matching-{label} invalid: {problems[0]}", file=sys.stderr)
@@ -433,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="instance file")
     _common_flags(p, output=True)
     p.add_argument("--trace", action="store_true", help="progress trace on stderr")
-    p.add_argument("--jobs", type=int, default=1, help="parallel candidate solves")
     p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("check", help="validate a matching certificate")

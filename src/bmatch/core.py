@@ -458,23 +458,27 @@ def format_certificate(graph: MultiGraph, matching: Matching) -> str:
 
 
 def check_certificate(instance: BInstance, cert: Certificate) -> list[str]:
-    """Verify a certificate against an instance; empty list means valid."""
-    problems: list[str] = []
+    """Verify a certificate against an instance; empty list means valid.
+
+    An out-of-range edge index is reported alone (the smallest one), since
+    nothing else can be computed past it.  Otherwise each false claim is
+    reported, then the first vertex whose degree is not admissible.
+    """
     g = instance.graph
-    for e in cert.matching.selected:
-        if not 0 <= e < g.edge_count:
-            problems.append(f"edge index {e} out of range")
-    if problems:
-        return problems
+    bad = [e for e in sorted(cert.matching.selected) if not 0 <= e < g.edge_count]
+    if bad:
+        return [f"edge index {bad[0]} out of range 0..{g.edge_count - 1}"]
+    problems: list[str] = []
     if cert.size != len(cert.matching):
-        problems.append(f"declared size {cert.size} != {len(cert.matching)} edges listed")
-    w = matching_weight(g, cert.matching)
-    if cert.weight != w:
-        problems.append(f"declared weight {cert.weight} != computed {w}")
-    degs = degrees(g, cert.matching)
-    for v in range(g.vertex_count):
-        if degs[v] not in instance.b(v):
-            problems.append(
-                f"vertex {v} has degree {degs[v]} outside {instance.b(v).values}"
-            )
+        problems.append(
+            f"claimed size {cert.size} but {len(cert.matching)} edges listed"
+        )
+    weight = matching_weight(g, cert.matching)
+    if cert.weight != weight:
+        problems.append(f"claimed weight {cert.weight} but edges weigh {weight}")
+    deg = degrees(g, cert.matching)
+    wrong = [v for v in range(g.vertex_count) if deg[v] not in instance.b(v)]
+    if wrong:
+        v = wrong[0]
+        problems.append(f"degree {deg[v]} at vertex {v} is not admissible")
     return problems

@@ -10,7 +10,6 @@ type admits a better matching.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import ceil
 from typing import Callable
@@ -155,18 +154,12 @@ def _cardinality_bound(spec: UniformSpec, direction: str) -> int:
     return ceil(sum(s.degrees()[0] for s in spec.per_vertex) / 2)
 
 
-def _solve_candidate(args: tuple[BInstance, UniformSpec, str]) -> Matching | None:
-    instance, spec, direction = args
-    return solve_uniform(instance, spec, direction)
-
-
 def improvement_step(
     instance: BInstance,
     matching: Matching,
     sense: str | None = None,
     *,
     cache: dict | None = None,
-    jobs: int = 1,
     trace: TraceFn | None = None,
     stats: dict | None = None,
 ) -> Matching | None:
@@ -174,10 +167,13 @@ def improvement_step(
 
     None certifies that `matching` is optimal for the instance.  Ties go to
     the earliest candidate in enumeration order, then to the solver's own
-    determinism.  A shared `cache` (keyed by spec and direction) makes
-    repeated sweeps cheap: consecutive matchings differ in type at no more
-    than two vertices, so almost all candidate specs recur.  A caller-owned
-    `stats` dict accumulates 'solved', 'cached' and 'pruned' counts.
+    determinism.  A shared `cache` (keyed by spec and direction) answers a
+    candidate whose spec an earlier sweep already solved.  Every spec holds
+    the moved vertices of its step, so only some recur: on seeded planted
+    walks the cache answered 41% of lookups for dense weight objectives and
+    5% for sparse cardinality ones, and none on fixtures/scale60.bm.  A
+    caller-owned `stats` dict accumulates 'solved', 'cached' and 'pruned'
+    counts.
     """
     if sense is None:
         sense = instance.objective
@@ -198,59 +194,21 @@ def improvement_step(
         stats.setdefault(key, 0)
     seen_before = tuple(stats[key] for key in ("solved", "cached", "pruned"))
 
-    def bound_cannot_beat(cand: CandidateType, target: int) -> bool:
-        if not cardinality:
-            return False
-        bound = _cardinality_bound(cand.spec, direction)
-        return not better(bound, target)
-
-    if jobs > 1:
-        # Static pruning against the incumbent value keeps the work list
-        # independent of completion order; the reduction below is in
-        # candidate order, so the winner matches the sequential one.
-        todo = [c for c in candidates if not bound_cannot_beat(c, best_value)]
-        stats["pruned"] += len(candidates) - len(todo)
-        results: dict[int, Matching | None] = {}
-        misses = []
-        for i, cand in enumerate(todo):
-            key = (cand.spec, direction, cardinality)
-            if cache is not None and key in cache:
-                results[i] = cache[key]
-                stats["cached"] += 1
-            else:
-                misses.append(i)
-        if misses:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                solved = pool.map(
-                    _solve_candidate,
-                    [(work, todo[i].spec, direction) for i in misses],
-                )
-                for i, res in zip(misses, solved):
-                    results[i] = res
-                    stats["solved"] += 1
-                    if cache is not None:
-                        cache[(todo[i].spec, direction, cardinality)] = res
-        scan = enumerate(todo)
-        lookup = lambda i, cand: results[i]
-    else:
-        scan = enumerate(candidates)
-
-        def lookup(i: int, cand: CandidateType) -> Matching | None:
-            if bound_cannot_beat(cand, best_value):
-                stats["pruned"] += 1
-                return None
-            key = (cand.spec, direction, cardinality)
-            if cache is not None and key in cache:
-                stats["cached"] += 1
-                return cache[key]
-            res = solve_uniform(work, cand.spec, direction)
+    for cand in candidates:
+        if cardinality and not better(
+            _cardinality_bound(cand.spec, direction), best_value
+        ):
+            stats["pruned"] += 1
+            continue
+        key = (cand.spec, direction, cardinality)
+        if cache is not None and key in cache:
+            stats["cached"] += 1
+            result = cache[key]
+        else:
+            result = solve_uniform(work, cand.spec, direction)
             stats["solved"] += 1
             if cache is not None:
-                cache[key] = res
-            return res
-
-    for i, cand in scan:
-        result = lookup(i, cand)
+                cache[key] = result
         if result is None:
             continue
         val = _value(instance, result, cardinality)
@@ -372,7 +330,6 @@ def find_feasible(
 def solve(
     instance: BInstance,
     *,
-    jobs: int = 1,
     trace: TraceFn | None = None,
     node_budget: int = 1_000_000,
     stats: dict | None = None,
@@ -407,7 +364,6 @@ def solve(
             matching,
             instance.objective,
             cache=cache,
-            jobs=jobs,
             trace=trace,
             stats=stats,
         )

@@ -617,9 +617,6 @@ def _structure_from(
     )
 
 
-_structure_cache: dict = {}
-
-
 def canonical_structure(
     instance: BInstance, matching: Matching, component
 ) -> CanonicalPath | None:
@@ -631,15 +628,6 @@ def canonical_structure(
     endpoints plus a connecting meta-path.
     """
     edges = _edges_of(component)
-    key = (instance, matching.selected, edges)
-    if key in _structure_cache:
-        return _structure_cache[key]
-    result = _canonical_structure_uncached(instance, matching, edges)
-    _structure_cache[key] = result
-    return result
-
-
-def _canonical_structure_uncached(instance, matching, edges):
     if not edges:
         return None
     after = apply(matching, edges)
@@ -857,7 +845,9 @@ def extract_canonical_sequence(
                     for v in set(ends)
                     if any(v in w.endpoints for w in pool)
                 )
-            assert wrong, "candidate is not canonical and cannot grow"
+            if not wrong:
+                # raised, not asserted: under -O the loop would never end
+                raise AssertionError("candidate is not canonical and cannot grow")
             grown = False
             for v1 in wrong:
                 at_v1 = [w for w in pool if v1 in w.endpoints]
@@ -879,7 +869,8 @@ def extract_canonical_sequence(
                         instance, m_cur, h, w_new, far
                     )
                 break
-            assert grown, "no pool walk ends at a wrong endpoint"
+            if not grown:
+                raise AssertionError("no pool walk ends at a wrong endpoint")
 
         seq.append(emitted)
         m_cur = apply(m_cur, emitted.edge_set)

@@ -147,6 +147,90 @@ def test_check_structured(capsys):
     assert payload == {"valid": True, "problems": [], "size": 7, "weight": 7}
 
 
+# The exact check reports, pinned so that they stay byte-identical.  A liar
+# about size and weight (true size 7, weight 7), and a matching whose
+# degrees fail at vertices 1, 3, 4, ... (only the first is named).
+LIAR = "s 8 9\nm 0 2 4 5 9 11 14\n"
+SEVERAL_BAD = "s 8 9\nm 0 1\n"
+
+
+def check_file(capsys, tmp_path, text, *flags):
+    cert = tmp_path / "pinned.cert"
+    cert.write_text(text)
+    return run(capsys, "check", "--input", FIG2, "--certificate", str(cert), *flags)
+
+
+@pytest.mark.parametrize(
+    "text, fmt, expected",
+    [
+        (
+            LIAR,
+            "text",
+            "valid false\n"
+            "problem claimed size 8 but 7 edges listed\n"
+            "problem claimed weight 9 but edges weigh 7\n"
+            "size 7\n"
+            "weight 7\n",
+        ),
+        (
+            LIAR,
+            "structured",
+            '{"problems": ["claimed size 8 but 7 edges listed", '
+            '"claimed weight 9 but edges weigh 7"], '
+            '"size": 7, "valid": false, "weight": 7}\n',
+        ),
+        (
+            SEVERAL_BAD,
+            "text",
+            "valid false\n"
+            "problem claimed size 8 but 2 edges listed\n"
+            "problem claimed weight 9 but edges weigh 2\n"
+            "problem degree 2 at vertex 1 is not admissible\n"
+            "size 2\n"
+            "weight 2\n",
+        ),
+        (
+            SEVERAL_BAD,
+            "structured",
+            '{"problems": ["claimed size 8 but 2 edges listed", '
+            '"claimed weight 9 but edges weigh 2", '
+            '"degree 2 at vertex 1 is not admissible"], '
+            '"size": 2, "valid": false, "weight": 2}\n',
+        ),
+    ],
+    ids=["liar-text", "liar-structured", "inadmissible-text", "inadmissible-structured"],
+)
+def test_check_pins_report(capsys, tmp_path, text, fmt, expected):
+    code, out, _err = check_file(capsys, tmp_path, text, "--format", fmt)
+    assert code == 2
+    assert out == expected
+
+
+def test_check_out_of_range_edge_is_a_problem(capsys, tmp_path):
+    code, out, err = check_file(capsys, tmp_path, "s 1 1\nm 99 98\n")
+    assert code == 2
+    assert err == ""
+    assert out == (
+        "valid false\n"
+        "problem edge index 98 out of range 0..15\n"
+        "size 2\n"
+        "weight 0\n"
+    )
+
+
+def test_check_out_of_range_weight_counts_in_range_edges(capsys, tmp_path):
+    code, out, _err = check_file(
+        capsys, tmp_path, "s 2 1\nm 3 16\n", "--format", "structured"
+    )
+    assert code == 2
+    assert json.loads(out) == {
+        "valid": False,
+        "problems": ["edge index 16 out of range 0..15"],
+        "size": 2,
+        "weight": 1,
+    }
+
+
 # -- oracle -----------------------------------------------------------------------
 
 
@@ -229,6 +313,16 @@ def test_decompose_rejects_invalid_certificate(capsys, tmp_path):
                           "--matching-a", str(bad), "--matching-b", FIG2_M7)
     assert code == 2
     assert "matching-a invalid" in err
+
+
+def test_decompose_pins_invalid_certificate_line(capsys, tmp_path):
+    bad = tmp_path / "bad.cert"
+    bad.write_text(SEVERAL_BAD)
+    code, out, err = run(capsys, "decompose", "--input", FIG2,
+                         "--matching-a", str(bad), "--matching-b", FIG2_M7)
+    assert code == 2
+    assert out == ""
+    assert err == "matching-a invalid: claimed size 8 but 2 edges listed\n"
 
 
 # -- gadget ------------------------------------------------------------------------

@@ -125,12 +125,6 @@ def test_improvement_step_respects_sense(fig2, fig2_m7):
     assert worse is not None and len(worse) < 7
 
 
-def test_improvement_step_jobs_agree(fig2, fig2_m7):
-    serial = improvement_step(fig2, fig2_m7)
-    parallel = improvement_step(fig2, fig2_m7, jobs=2)
-    assert serial == parallel
-
-
 def test_stats_accumulate_across_calls(fig2, fig2_m7):
     stats = {}
     improvement_step(fig2, fig2_m7, stats=stats)

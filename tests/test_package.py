@@ -1,0 +1,31 @@
+"""The package root exports exactly what the README's Python API shows."""
+
+import re
+
+import bmatch
+
+from conftest import FIXTURES
+
+README = FIXTURES.parent / "README.md"
+
+
+def api_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split("## Python API", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_python_snippet_runs():
+    snippet = re.search(r"```python\n(.*?)```", api_section(), re.S).group(1)
+    exec(compile(snippet, str(README), "exec"), {})
+
+
+def test_every_exported_name_resolves():
+    for name in bmatch.__all__:
+        assert getattr(bmatch, name) is not None, name
+
+
+def test_exports_match_the_readme():
+    section = api_section()
+    imported = re.search(r"from bmatch import ([\w, ]+)", section).group(1)
+    named = set(re.findall(r"`(\w+)[`(]", section)) - {"None"}
+    assert set(bmatch.__all__) == named | set(imported.replace(" ", "").split(","))

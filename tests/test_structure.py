@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from bmatch.core import (
@@ -291,3 +296,25 @@ def test_granularity_name_checked(fig2, fig2_m7):
     s = canonical_structure(fig2, fig2_m7, frozenset({0, 1, 2, 3, 4, 5, 6}))
     with pytest.raises(ValueError):
         is_basic(fig2, fig2_m7, s, granularity="bogus")
+
+
+def test_stuck_extraction_raises_under_optimize():
+    # Seed 628708120 reaches a candidate that can neither be emitted nor
+    # grown.  The growth loop must stop there with python -O as well.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    code = (
+        "from bmatch.oracle import run_verification_suite\n"
+        "run_verification_suite('lemma2', 628708120, 100)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert (
+        "AssertionError: candidate is not canonical and cannot grow"
+        in proc.stderr.splitlines()[-1]
+    )
