@@ -9,21 +9,23 @@ All arithmetic is exact.  Vertex duals are stored doubled (P[v] = 2*y_v) so
 that every dual update is integral for integer edge weights; the only halved
 quantity is the slack of an edge between two S-blossoms, which is always even
 (all duals start from one shared value and stay parity-synchronised through
-tight edges).  Both facts are asserted at runtime.
+tight edges).  Both facts are asserted at runtime.  Every perfect matching
+returned has passed `_check_optimum`, a complementary-slackness check on the
+final duals that raises instead of asserting, so it also runs under -O.
 
 The implementation favours simple invariants over asymptotic records: dual
 updates rescan all edges, and expanding a blossom mid-stage rebuilds the
 alternating forest from scratch instead of surgically relabelling.  Solves
 are deterministic for a fixed input edge order; scans and minimum searches
-run in edge-index order, so ties fall to the smallest edge index.
+run in edge-index order, so ties fall to the smallest edge index.  Nested
+blossoms are expanded and rematched on an explicit stack, not by recursion.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -57,19 +59,11 @@ class PerfectMatching:
     weight: int
 
 
-# Dual verification is cheap on small graphs and priceless while debugging.
-# The duals are checked when the graph has at most this many vertices; None
-# checks every graph.
-VERIFY_LIMIT = 200
-
-
 def max_weight_perfect_matching(
     graph: SimpleWeightedGraph,
 ) -> Optional[PerfectMatching]:
     """Return a maximum-weight perfect matching, or None if none exists."""
     n = graph.vertex_count
-    if n == 0:
-        return PerfectMatching(frozenset(), 0)
     if n % 2 == 1:
         return None
     mate = _solve(graph)
@@ -140,16 +134,18 @@ def _solve(graph: SimpleWeightedGraph) -> Optional[list[int]]:
         return out
 
     def assign_label(w: int, t: int, p: int) -> None:
-        b = inblossom[w]
-        assert label[w] == 0 and label[b] == 0
-        label[w] = label[b] = t
-        labelend[w] = labelend[b] = p
-        if t == 1:
-            queue.extend(blossom_leaves(b))
-        else:
+        """Label w's blossom t via endpoint p; a T label passes S to its base's mate."""
+        while True:
+            b = inblossom[w]
+            assert label[w] == 0 and label[b] == 0
+            label[w] = label[b] = t
+            labelend[w] = labelend[b] = p
+            if t == 1:
+                queue.extend(blossom_leaves(b))
+                return
             base = blossombase[b]
             assert mate[base] >= 0
-            assign_label(endpoint[mate[base]], 1, mate[base] ^ 1)
+            w, t, p = endpoint[mate[base]], 1, mate[base] ^ 1
 
     def scan_blossom(v: int, w: int) -> int:
         """Trace back from both ends of a tight S-S edge; return the common
@@ -228,7 +224,7 @@ def _solve(graph: SimpleWeightedGraph) -> Optional[list[int]]:
                 queue.append(leaf)
             inblossom[leaf] = b
 
-    def expand_blossom(b: int, endstage: bool) -> None:
+    def expand_blossom(b: int, endstage: bool) -> Iterator[tuple[int, bool]]:
         """Dissolve blossom b (its dual is zero).  Mid-stage the caller
         rebuilds the whole forest afterwards, so no relabelling here."""
         for s in blossomchilds[b]:  # type: ignore[union-attr]
@@ -236,7 +232,7 @@ def _solve(graph: SimpleWeightedGraph) -> Optional[list[int]]:
             if s < n:
                 inblossom[s] = s
             elif endstage and dual[s] == 0:
-                expand_blossom(s, endstage)
+                yield s, endstage
             else:
                 for leaf in blossom_leaves(s):
                     inblossom[leaf] = s
@@ -247,13 +243,13 @@ def _solve(graph: SimpleWeightedGraph) -> Optional[list[int]]:
         blossombase[b] = -1
         unusedblossoms.append(b)
 
-    def augment_blossom(b: int, v: int) -> None:
+    def augment_blossom(b: int, v: int) -> Iterator[tuple[int, int]]:
         """Rematch the interior of blossom b so that vertex v becomes the base."""
         t = v
         while blossomparent[t] != b:
             t = blossomparent[t]
         if t >= n:
-            augment_blossom(t, v)
+            yield t, v
         i = j = blossomchilds[b].index(t)  # type: ignore[union-attr]
         childs = blossomchilds[b]
         endps = blossomendps[b]
@@ -268,17 +264,27 @@ def _solve(graph: SimpleWeightedGraph) -> Optional[list[int]]:
             t = childs[j]  # type: ignore[index]
             p = endps[j] if jstep == 1 else endps[j - 1] ^ 1  # type: ignore[index]
             if t >= n:
-                augment_blossom(t, endpoint[p])
+                yield t, endpoint[p]
             j += jstep
             t = childs[j]  # type: ignore[index]
             if t >= n:
-                augment_blossom(t, endpoint[p ^ 1])
+                yield t, endpoint[p ^ 1]
             mate[endpoint[p]] = p ^ 1
             mate[endpoint[p ^ 1]] = p
         blossomchilds[b] = childs[i:] + childs[:i]  # type: ignore[index]
         blossomendps[b] = endps[i:] + endps[:i]  # type: ignore[index]
         blossombase[b] = blossombase[blossomchilds[b][0]]  # type: ignore[index]
         assert blossombase[b] == v
+
+    def nested(frames: Callable[..., Iterator[tuple]], *args: object) -> None:
+        """Run expand/augment_blossom, and the nested calls it yields, on a stack."""
+        stack = [frames(*args)]
+        while stack:
+            for inner in stack[-1]:
+                stack.append(frames(*inner))
+                break
+            else:
+                stack.pop()
 
     def augment_matching(k: int) -> None:
         """Flip the matching along the augmenting path through tight edge k."""
@@ -289,7 +295,7 @@ def _solve(graph: SimpleWeightedGraph) -> Optional[list[int]]:
                 assert label[bs] == 1
                 assert labelend[bs] == mate[blossombase[bs]]
                 if bs >= n:
-                    augment_blossom(bs, s)
+                    nested(augment_blossom, bs, s)
                 mate[s] = p
                 if labelend[bs] == -1:
                     break  # root of the tree
@@ -301,7 +307,7 @@ def _solve(graph: SimpleWeightedGraph) -> Optional[list[int]]:
                 j = endpoint[labelend[bt] ^ 1]
                 assert blossombase[bt] == t
                 if bt >= n:
-                    augment_blossom(bt, j)
+                    nested(augment_blossom, bt, j)
                 mate[j] = labelend[bt]
                 p = labelend[bt] ^ 1
 
@@ -314,187 +320,174 @@ def _solve(graph: SimpleWeightedGraph) -> Optional[list[int]]:
             if mate[v] == -1 and label[inblossom[v]] == 0:
                 assign_label(v, 1, -1)
 
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4 * n + 100))
-    try:
+    while True:
+        if all(x >= 0 for x in mate):
+            break  # perfect; optimal by the dual stopping rule below
+
+        for k in range(m):
+            allowedge[k] = False
+        start_forest()
+
+        augmented = False
         while True:
-            if all(x >= 0 for x in mate):
-                break  # perfect; optimal by the dual stopping rule below
-
-            for k in range(m):
-                allowedge[k] = False
-            start_forest()
-
-            augmented = False
-            while True:
-                # Scan: grow trees, shrink blossoms, stop on an augmenting path.
-                while queue and not augmented:
-                    v = queue.popleft()
-                    if label[inblossom[v]] != 1:
-                        continue  # stale entry
-                    for p in neighbend[v]:
-                        k = p // 2
-                        w = endpoint[p]
-                        if inblossom[v] == inblossom[w]:
-                            continue
-                        if not allowedge[k]:
-                            if slack(k) == 0:
-                                allowedge[k] = True
-                        if allowedge[k]:
-                            bw = inblossom[w]
-                            if label[bw] == 0:
-                                assign_label(w, 2, p ^ 1)
-                            elif label[bw] == 1:
-                                base = scan_blossom(v, w)
-                                if base >= 0:
-                                    add_blossom(base, k)
-                                else:
-                                    augment_matching(k)
-                                    augmented = True
-                                    break
-                            elif label[w] == 0:
-                                # Vertex inside a T-blossom, seen from outside.
-                                assert label[bw] == 2
-                                label[w] = 2
-                                labelend[w] = p ^ 1
-                if augmented:
-                    break
-
-                # Dual update: minimum over the three delta kinds.
-                delta = -1
-                delta_type = 0
-                delta_extra = -1
-                for k in range(m):
-                    u, v, _wt = edges[k]
-                    bu = inblossom[u]
-                    bv = inblossom[v]
-                    if bu == bv:
+            # Scan: grow trees, shrink blossoms, stop on an augmenting path.
+            while queue and not augmented:
+                v = queue.popleft()
+                if label[inblossom[v]] != 1:
+                    continue  # stale entry
+                for p in neighbend[v]:
+                    k = p // 2
+                    w = endpoint[p]
+                    if inblossom[v] == inblossom[w]:
                         continue
-                    lu = label[bu]
-                    lv = label[bv]
-                    if lu == 1 and lv == 1:
-                        sl = slack(k)
-                        assert sl % 2 == 0, "S-S slack lost parity"
-                        d = sl // 2
-                        if delta == -1 or d < delta:
-                            delta, delta_type, delta_extra = d, 3, k
-                    elif (lu == 1 and lv == 0) or (lu == 0 and lv == 1):
-                        d = slack(k)
-                        if delta == -1 or d < delta:
-                            delta, delta_type, delta_extra = d, 2, k
-                for b in range(n, 2 * n):
-                    if blossomparent[b] == -1 and blossomchilds[b] is not None:
-                        if label[b] == 2:
-                            d = dual[b]
-                            if delta == -1 or d < delta:
-                                delta, delta_type, delta_extra = d, 4, b
-                if delta_type == 0:
-                    return None  # dual unbounded: no perfect matching
-                # A zero delta only happens for a zero-dual blossom that got
-                # relabelled T after a forest rebuild; expanding it is progress.
-                assert delta > 0 or delta_type == 4, "scan left a tight edge unprocessed"
+                    if not allowedge[k]:
+                        if slack(k) == 0:
+                            allowedge[k] = True
+                    if allowedge[k]:
+                        bw = inblossom[w]
+                        if label[bw] == 0:
+                            assign_label(w, 2, p ^ 1)
+                        elif label[bw] == 1:
+                            base = scan_blossom(v, w)
+                            if base >= 0:
+                                add_blossom(base, k)
+                            else:
+                                augment_matching(k)
+                                augmented = True
+                                break
+                        elif label[w] == 0:
+                            # Vertex inside a T-blossom, seen from outside.
+                            assert label[bw] == 2
+                            label[w] = 2
+                            labelend[w] = p ^ 1
+            if augmented:
+                break
 
-                for v in range(n):
-                    lb = label[inblossom[v]]
-                    if lb == 1:
-                        dual[v] -= delta
-                    elif lb == 2:
-                        dual[v] += delta
-                for b in range(n, 2 * n):
-                    if blossomparent[b] == -1 and blossomchilds[b] is not None:
-                        if label[b] == 1:
-                            dual[b] += delta
-                        elif label[b] == 2:
-                            dual[b] -= delta
-
-                if delta_type == 4:
-                    # A T-blossom dual hit zero: dissolve it and rebuild the
-                    # forest; labels are derived state, so this is safe.
-                    expand_blossom(delta_extra, False)
-                    start_forest()
-                else:
-                    # A new tight edge appeared; resume scanning from every
-                    # S-leaf so it gets picked up wherever it is.
-                    for v in range(n):
-                        if label[inblossom[v]] == 1:
-                            queue.append(v)
-
-            # Stage end: discard exhausted S-blossoms, keep paid-for ones.
+            # Dual update: minimum over the three delta kinds.
+            delta = -1
+            delta_type = 0
+            delta_extra = -1
+            for k in range(m):
+                u, v, _wt = edges[k]
+                bu = inblossom[u]
+                bv = inblossom[v]
+                if bu == bv:
+                    continue
+                lu = label[bu]
+                lv = label[bv]
+                if lu == 1 and lv == 1:
+                    sl = slack(k)
+                    assert sl % 2 == 0, "S-S slack lost parity"
+                    d = sl // 2
+                    if delta == -1 or d < delta:
+                        delta, delta_type, delta_extra = d, 3, k
+                elif (lu == 1 and lv == 0) or (lu == 0 and lv == 1):
+                    d = slack(k)
+                    if delta == -1 or d < delta:
+                        delta, delta_type, delta_extra = d, 2, k
             for b in range(n, 2 * n):
-                if (
-                    blossomchilds[b] is not None
-                    and blossomparent[b] == -1
-                    and label[b] == 1
-                    and dual[b] == 0
-                ):
-                    expand_blossom(b, True)
-    finally:
-        sys.setrecursionlimit(limit)
+                if blossomparent[b] == -1 and blossomchilds[b] is not None:
+                    if label[b] == 2:
+                        d = dual[b]
+                        if delta == -1 or d < delta:
+                            delta, delta_type, delta_extra = d, 4, b
+            if delta_type == 0:
+                return None  # dual unbounded: no perfect matching
+            # A zero delta only happens for a zero-dual blossom that got
+            # relabelled T after a forest rebuild; expanding it is progress.
+            assert delta > 0 or delta_type == 4, "scan left a tight edge unprocessed"
 
-    _check_mate_consistency(graph, mate)
-    do_verify = VERIFY_LIMIT is None or n <= VERIFY_LIMIT
-    if do_verify:
-        _verify_optimum(graph, mate, dual, blossomparent, blossomchilds, n)
+            for v in range(n):
+                lb = label[inblossom[v]]
+                if lb == 1:
+                    dual[v] -= delta
+                elif lb == 2:
+                    dual[v] += delta
+            for b in range(n, 2 * n):
+                if blossomparent[b] == -1 and blossomchilds[b] is not None:
+                    if label[b] == 1:
+                        dual[b] += delta
+                    elif label[b] == 2:
+                        dual[b] -= delta
+
+            if delta_type == 4:
+                # A T-blossom dual hit zero: dissolve it and rebuild the
+                # forest; labels are derived state, so this is safe.
+                nested(expand_blossom, delta_extra, False)
+                start_forest()
+            else:
+                # A new tight edge appeared; resume scanning from every
+                # S-leaf so it gets picked up wherever it is.
+                for v in range(n):
+                    if label[inblossom[v]] == 1:
+                        queue.append(v)
+
+        # Stage end: discard exhausted S-blossoms, keep paid-for ones.
+        for b in range(n, 2 * n):
+            if (
+                blossomchilds[b] is not None
+                and blossomparent[b] == -1
+                and label[b] == 1
+                and dual[b] == 0
+            ):
+                nested(expand_blossom, b, True)
+
+    _check_optimum(graph, mate, dual, blossomparent)
     return mate
 
 
-def _check_mate_consistency(graph: SimpleWeightedGraph, mate: list[int]) -> None:
-    for v, p in enumerate(mate):
-        assert p >= 0
-        u, w, _ = graph.edges[p // 2]
-        assert v in (u, w)
-        other = w if v == u else u
-        assert mate[other] == (p ^ 1)
-
-
-def _verify_optimum(
-    graph: SimpleWeightedGraph,
-    mate: list[int],
-    dual: list[int],
-    blossomparent: list[int],
-    blossomchilds: list[Optional[list[int]]],
-    n: int,
+def _check_optimum(
+    graph: SimpleWeightedGraph, mate: list[int], dual: list[int], parent: list[int]
 ) -> None:
-    """Complementary slackness check with exact integers.
+    """Raise AssertionError unless the duals prove `mate` (remote endpoint per
+    vertex) a maximum-weight perfect matching, by complementary slackness.
 
-    For every edge: P[u] + P[v] + 2*sum of duals of blossoms containing both
-    endpoints - 2w >= 0, with equality on matched edges.  Every blossom with
-    positive dual must be full (floor(size/2) matched edges inside).
+    Blossom b >= n, with dual z = dual[b], holds the vertices whose `parent`
+    chain passes through it.  Every blossom is odd with z >= 0; every edge
+    has P[u] + P[v] + 2 * (z of the blossoms holding both ends) - 2w >= 0,
+    with equality when matched; every blossom with z > 0 is full.  Those
+    blossoms are the common prefix of the ends' top-down chains, so the
+    check costs O(m * blossom depth).
     """
-    # vertex -> chain of enclosing blossoms
-    chains: list[list[int]] = [[] for _ in range(n)]
-    leaves: dict[int, list[int]] = {}
-    for b in range(n, 2 * n):
-        if blossomchilds[b] is None:
-            continue
-        members: list[int] = []
-        stack = list(blossomchilds[b])  # type: ignore[arg-type]
-        while stack:
-            t = stack.pop()
-            if t < n:
-                members.append(t)
-            else:
-                stack.extend(blossomchilds[t])  # type: ignore[arg-type]
-        leaves[b] = members
-        for v in members:
-            chains[v].append(b)
-    for b in range(n, 2 * n):
-        if blossomchilds[b] is not None:
-            assert dual[b] >= 0, "negative blossom dual"
-    matched_edges = set()
+    n = graph.vertex_count
+    edges = graph.edges
     for v, p in enumerate(mate):
-        matched_edges.add(p // 2)
-    for k, (u, v, w) in enumerate(graph.edges):
-        common = set(chains[u]) & set(chains[v])
-        sl = dual[u] + dual[v] - 2 * w + 2 * sum(dual[b] for b in common)
-        assert sl >= 0, f"edge {k} has negative slack {sl}"
-        if k in matched_edges:
-            assert sl == 0, f"matched edge {k} is not tight (slack {sl})"
-    for b, members in leaves.items():
-        if dual[b] > 0:
-            inside = sum(
-                1
-                for k in matched_edges
-                if graph.edges[k][0] in members and graph.edges[k][1] in members
-            )
-            assert inside == (len(members) - 1) // 2, "paid blossom is not full"
+        if not (
+            0 <= p < 2 * len(edges)
+            and edges[p >> 1][1 - (p & 1)] == v
+            and mate[edges[p >> 1][p & 1]] == p ^ 1
+        ):
+            raise AssertionError(f"vertex {v} has inconsistent mate {p}")
+    size = [0] * (2 * n)
+    chains: list[list[int]] = []
+    for v in range(n):
+        chain = []
+        b = parent[v]
+        while b != -1:
+            chain.append(b)
+            size[b] += 1
+            b = parent[b]
+        chains.append(chain[::-1])
+    inside = [0] * (2 * n)
+    for k, (u, v, w) in enumerate(edges):
+        sl = dual[u] + dual[v] - 2 * w
+        common = 0
+        for a, b in zip(chains[u], chains[v]):
+            if a != b:
+                break
+            sl += 2 * dual[a]
+            common += 1
+        if sl < 0:
+            raise AssertionError(f"edge {k} has negative slack {sl}")
+        if mate[u] == 2 * k + 1:
+            if sl != 0:
+                raise AssertionError(f"matched edge {k} is not tight (slack {sl})")
+            for b in chains[u][:common]:
+                inside[b] += 1
+    for b in range(n, 2 * n):
+        if not size[b]:
+            continue
+        if dual[b] < 0 or size[b] % 2 == 0:
+            raise AssertionError(f"blossom {b} has dual {dual[b]} and size {size[b]}")
+        if dual[b] > 0 and 2 * inside[b] != size[b] - 1:
+            raise AssertionError(f"blossom {b} has a positive dual but is not full")

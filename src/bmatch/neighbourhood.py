@@ -240,7 +240,8 @@ def find_feasible(
     branching (which cannot change the lexicographic answer).  Exact but
     exponential in the worst case; `node_budget` caps the branch count and
     overrunning it raises SearchBudgetExceeded, which is not an
-    infeasibility verdict.
+    infeasibility verdict.  The search path lives on an explicit stack, so
+    its depth (up to |E|) is not bounded by the recursion limit.
     """
     g = instance.graph
     n = g.vertex_count
@@ -254,7 +255,6 @@ def find_feasible(
         incident[u].append(e)
         if v != u:
             incident[v].append(e)
-    nodes = 0
 
     def ends(e: int) -> tuple[int, ...]:
         u, v, _w = g.edges[e]
@@ -301,37 +301,39 @@ def find_feasible(
                     queue.extend(set_edge(e, forced))
         return True
 
-    def step(start: int) -> Matching | None:
-        nonlocal nodes
-        e = start
+    if not propagate(list(range(n))):
+        return None
+    branches: list[tuple[int, int, bool]] = []  # (edge, trail mark, include)
+    e, include = 0, False
+    nodes = 0
+    while True:
         while e < g.edge_count and decided[e] is not None:
             e += 1
         if e == g.edge_count:
             return Matching(frozenset(i for i, d in enumerate(decided) if d))
-        for include in (False, True):
-            nodes += 1
-            if nodes > node_budget:
-                raise SearchBudgetExceeded(
-                    f"feasibility search passed {node_budget} nodes"
-                )
-            mark = len(trail)
-            if propagate(list(set_edge(e, include))):
-                found = step(e + 1)
-                if found is not None:
-                    return found
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchBudgetExceeded(
+                f"feasibility search passed {node_budget} nodes"
+            )
+        mark = len(trail)
+        if propagate(list(set_edge(e, include))):
+            branches.append((e, mark, include))
+            e, include = e + 1, False
+            continue
+        undo_to(mark)
+        while include:
+            if not branches:
+                return None
+            e, mark, include = branches.pop()
             undo_to(mark)
-        return None
-
-    if not propagate(list(range(n))):
-        return None
-    return step(0)
+        include = True
 
 
 def solve(
     instance: BInstance,
     *,
     trace: TraceFn | None = None,
-    node_budget: int = 1_000_000,
     stats: dict | None = None,
 ) -> Matching | None:
     """Find a feasible matching, then improve until no candidate type helps.
@@ -345,7 +347,7 @@ def solve(
     if stats is None:
         stats = {}
     stats.setdefault("iterations", 0)
-    matching = find_feasible(instance, node_budget=node_budget)
+    matching = find_feasible(instance)
     if matching is None:
         if trace is not None:
             trace("solve: infeasible")

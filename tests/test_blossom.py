@@ -1,4 +1,9 @@
+import hashlib
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -6,6 +11,7 @@ import pytest
 from bmatch.blossom import (
     PerfectMatching,
     SimpleWeightedGraph,
+    _check_optimum,
     max_weight_perfect_matching,
 )
 
@@ -48,6 +54,11 @@ def test_triangle_has_no_perfect_matching():
     assert max_weight_perfect_matching(g) is None
 
 
+def test_empty_graph_has_the_empty_matching():
+    got = max_weight_perfect_matching(SimpleWeightedGraph(0, ()))
+    assert got == PerfectMatching(frozenset(), 0)
+
+
 def test_single_edge():
     got = max_weight_perfect_matching(SimpleWeightedGraph(2, ((0, 1, 7),)))
     assert got == PerfectMatching(frozenset({0}), 7)
@@ -84,10 +95,13 @@ def test_negative_weights_still_perfect():
     assert got == PerfectMatching(frozenset({0, 1}), -12)
 
 
-def test_matches_brute_force_on_seeded_graphs():
+def seeded_graphs() -> list[SimpleWeightedGraph]:
     rng = random.Random(20240901)
-    for _ in range(120):
-        g = random_simple_graph(rng, rng.randint(2, 8))
+    return [random_simple_graph(rng, rng.randint(2, 8)) for _ in range(120)]
+
+
+def test_matches_brute_force_on_seeded_graphs():
+    for g in seeded_graphs():
         got = max_weight_perfect_matching(g)
         want = brute_force_pm(g)
         if want is None:
@@ -102,3 +116,114 @@ def test_deterministic_for_fixed_input():
     first = max_weight_perfect_matching(g)
     again = max_weight_perfect_matching(g)
     assert first == again
+
+
+def test_tie_breaks_are_pinned():
+    # 0/1 weights make many optima tie; the digest pins which one is chosen.
+    rng = random.Random(20261018)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        n = 2 * rng.randint(1, 12)
+        pairs = list(combinations(range(n), 2))
+        rng.shuffle(pairs)
+        keep = pairs[: rng.randint(n // 2, len(pairs))]
+        g = SimpleWeightedGraph(n, tuple((u, v, rng.randint(0, 1)) for u, v in keep))
+        got = max_weight_perfect_matching(g)
+        digest.update(repr(None if got is None else sorted(got.selected)).encode())
+    assert digest.hexdigest() == (
+        "9335d8da71657cec62e50678dbacf64bac482409f5755f2aea9781122a18b0f6"
+    )
+
+
+def test_solving_leaves_the_recursion_limit_alone(monkeypatch):
+    def refuse(_limit):
+        raise AssertionError("the solver changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    for g in seeded_graphs():
+        got = max_weight_perfect_matching(g)
+        want = brute_force_pm(g)
+        assert (got is None) == (want is None)
+        assert got is None or got.weight == want.weight
+
+
+# -- the optimality check -----------------------------------------------------------
+# State is (graph, mate, dual, blossomparent) as the solver leaves it: mate[v]
+# is the remote endpoint (2k or 2k+1) of v's matched edge k, duals 0..n-1 are
+# doubled vertex duals, and ids n..2n-1 are blossoms.
+
+
+def triangle_with_tail():
+    """Triangle 0-1-2 (weight 2) plus edge 2-3 (weight 1), matched {01, 23},
+    with the triangle shrunk into blossom 4 of dual 1: every edge is tight."""
+    g = SimpleWeightedGraph(4, ((0, 1, 2), (1, 2, 2), (0, 2, 2), (2, 3, 1)))
+    mate = [1, 0, 7, 6]
+    dual = [1, 1, 1, 1, 1, 0, 0, 0]
+    blossomparent = [4, 4, 4, -1, -1, -1, -1, -1]
+    return g, mate, dual, blossomparent
+
+
+def test_check_accepts_a_certified_optimum():
+    _check_optimum(*triangle_with_tail())
+
+
+def test_check_rejects_matched_edge_that_is_not_tight():
+    g, mate, dual, parent = triangle_with_tail()
+    dual[3] = 3
+    with pytest.raises(AssertionError, match="matched edge 3 is not tight"):
+        _check_optimum(g, mate, dual, parent)
+
+
+def test_check_rejects_negative_slack():
+    g, mate, dual, parent = triangle_with_tail()
+    dual[2], dual[3] = 0, 2
+    with pytest.raises(AssertionError, match="edge 1 has negative slack -1"):
+        _check_optimum(g, mate, dual, parent)
+
+
+def test_check_rejects_positive_dual_blossom_that_is_not_full():
+    # Triangle 0-1-2 with pendants 3, 4, 5, matched to the pendants: the
+    # blossom {0, 1, 2} holds no matched edge but has dual 1.
+    g = SimpleWeightedGraph(
+        6, ((0, 1, 0), (1, 2, 0), (0, 2, 0), (0, 3, 0), (1, 4, 0), (2, 5, 0))
+    )
+    mate = [7, 9, 11, 6, 8, 10]
+    dual = [0] * 12
+    dual[6] = 1
+    parent = [6, 6, 6] + [-1] * 9
+    with pytest.raises(AssertionError, match="blossom 6 has a positive dual"):
+        _check_optimum(g, mate, dual, parent)
+
+
+def test_check_rejects_inconsistent_mate():
+    g, mate, dual, parent = triangle_with_tail()
+    mate[3] = -1
+    with pytest.raises(AssertionError, match="vertex 2 has inconsistent mate 7"):
+        _check_optimum(g, mate, dual, parent)
+
+
+def test_check_rejects_even_blossom():
+    g = SimpleWeightedGraph(2, ((0, 1, 0),))
+    with pytest.raises(AssertionError, match="blossom 2 has dual 0 and size 2"):
+        _check_optimum(g, [1, 0], [0, 0, 0, 0], [2, 2, -1, -1])
+
+
+def test_check_raises_under_optimize():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    code = (
+        "from bmatch.blossom import SimpleWeightedGraph, _check_optimum\n"
+        "g = SimpleWeightedGraph(2, ((0, 1, 3),))\n"
+        "_check_optimum(g, [1, 0], [4, 4, 0, 0], [-1, -1, -1, -1])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert (
+        "AssertionError: matched edge 0 is not tight (slack 2)"
+        in proc.stderr.splitlines()[-1]
+    )

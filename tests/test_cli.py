@@ -75,6 +75,31 @@ def test_solve_is_deterministic_up_to_wall_time(capsys):
     assert normalize(first) == normalize(second)
 
 
+SCALE60_REPORT = [
+    "status optimal",
+    "size 88",
+    "weight 88",
+    "edges "
+    "0 1 2 4 5 6 7 8 9 11 12 13 14 17 20 23 26 27 28 29 "
+    "30 31 32 33 34 35 37 38 40 43 44 46 49 52 53 57 58 59 61 62 "
+    "63 64 66 68 69 70 71 72 73 75 85 90 91 92 94 95 96 97 100 101 "
+    "104 105 106 107 108 111 113 114 115 117 118 120 124 125 129 130 132 133 135 136 "
+    "137 138 141 142 143 144 146 147",
+    "degrees "
+    "3 1 0 4 1 4 9 1 5 1 3 1 1 2 1 7 3 2 1 1 3 1 1 6 3 1 5 0 4 2 "
+    "4 0 6 6 3 5 5 5 1 1 1 1 4 1 7 3 2 1 6 5 6 2 2 1 1 5 5 1 5 4",
+    "iterations 7",
+    "candidates_solved 139",
+    "wall_time_ms T",
+]
+
+
+def test_solve_pins_scale60_report(capsys):
+    code, out, _err = run(capsys, "solve", "--input", str(FIXTURES / "scale60.bm"))
+    assert code == 0
+    assert normalize(out).splitlines() == SCALE60_REPORT
+
+
 def test_solve_writes_certificate_that_check_accepts(capsys, tmp_path):
     cert = tmp_path / "out.cert"
     code, _out, _err = run(capsys, "solve", "--input", FIG2, "--output", str(cert))

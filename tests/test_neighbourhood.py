@@ -19,6 +19,7 @@ from bmatch.neighbourhood import (
     improvement_step,
     solve,
 )
+from bmatch.gen import random_instance
 from bmatch.structure import is_neighbouring_type, is_same_uniform_type
 from bmatch.uniform import solve_uniform
 
@@ -73,6 +74,14 @@ def test_find_feasible_detects_forced_contradiction():
     g = MultiGraph(3, ((0, 1, 1), (1, 2, 1)))
     inst = BInstance(g, (DegreeSet((0,)), DegreeSet((1, 2)), DegreeSet((0,))), "max-card")
     assert find_feasible(inst, node_budget=5) is None
+
+
+def test_find_feasible_deep_search_needs_no_recursion():
+    # 1500 edges, each a branch level: the search must not grow the stack.
+    g = random_instance(0, 300, 1500, profile="interval").graph
+    sets = tuple(DegreeSet(tuple(range(g.degree(v) + 1))) for v in range(300))
+    got = find_feasible(BInstance(g, sets, "min-card"))
+    assert got == Matching(frozenset())
 
 
 # -- candidate types ---------------------------------------------------------------
