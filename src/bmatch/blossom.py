@@ -1,9 +1,19 @@
 """Exact maximum-weight perfect matching on simple weighted graphs.
 
-Primal-dual blossom algorithm specialised to perfect matchings: vertex duals
-are unconstrained in sign, so there is no "dual hits zero" stopping rule;
-either every vertex gets matched or some dual update is unbounded, which
-proves that no perfect matching exists.
+A solve has two steps.  First Edmonds' cardinality search decides whether a
+perfect matching exists: it completes a given start matching (extended
+greedily in edge order) by one alternating-tree search per exposed vertex.
+A tree that gets stuck yields a Tutte barrier, its odd vertices X, and the
+solver returns None only after `_check_barrier` has counted more than |X|
+odd components in G - X.  A start that is close to perfect, such as the
+embedding of the current matching of a type walk, leaves few roots.
+
+Only graphs that have a perfect matching reach the second step, the
+primal-dual blossom algorithm specialised to perfect matchings: vertex
+duals are unconstrained in sign, so there is no "dual hits zero" stopping
+rule and every stage ends in an augmentation.  A dual update without bound
+would mean no perfect matching exists, which the first step has ruled out,
+so it raises as an internal-consistency error.
 
 All arithmetic is exact.  Vertex duals are stored doubled (P[v] = 2*y_v) so
 that every dual update is integral for integer edge weights; the only halved
@@ -11,21 +21,24 @@ quantity is the slack of an edge between two S-blossoms, which is always even
 (all duals start from one shared value and stay parity-synchronised through
 tight edges).  Both facts are asserted at runtime.  Every perfect matching
 returned has passed `_check_optimum`, a complementary-slackness check on the
-final duals that raises instead of asserting, so it also runs under -O.
+final duals that raises instead of asserting, so it also runs under -O; the
+barrier check raises the same way.
 
 The implementation favours simple invariants over asymptotic records: dual
 updates rescan all edges, and expanding a blossom mid-stage rebuilds the
 alternating forest from scratch instead of surgically relabelling.  Solves
 are deterministic for a fixed input edge order; scans and minimum searches
-run in edge-index order, so ties fall to the smallest edge index.  Nested
-blossoms are expanded and rematched on an explicit stack, not by recursion.
+run in edge-index order, so ties fall to the smallest edge index.  The
+weighted step starts cold, whatever the start matching, so its answer
+depends on the graph alone.  Nested blossoms are expanded and rematched on
+an explicit stack, not by recursion.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -60,35 +73,169 @@ class PerfectMatching:
 
 
 def max_weight_perfect_matching(
-    graph: SimpleWeightedGraph,
+    graph: SimpleWeightedGraph, start: Iterable[int] = ()
 ) -> Optional[PerfectMatching]:
-    """Return a maximum-weight perfect matching, or None if none exists."""
-    n = graph.vertex_count
-    if n % 2 == 1:
-        return None
-    mate = _solve(graph)
-    if mate is None:
-        return None
-    selected = frozenset(p // 2 for p in mate)
-    weight = sum(graph.edges[e][2] for e in selected)
-    return PerfectMatching(selected, weight)
+    """Return a maximum-weight perfect matching, or None if none exists.
 
-
-def _solve(graph: SimpleWeightedGraph) -> Optional[list[int]]:
+    `start` is a matching of `graph` given by edge indices; the existence
+    search grows it into a perfect matching, so a start close to perfect
+    makes a "no" cheap.  The optimum found does not depend on `start`.
+    """
     n = graph.vertex_count
-    m = len(graph.edges)
     edges = graph.edges
-
     # Endpoint encoding: edge k owns endpoints 2k (at u) and 2k+1 (at v).
-    endpoint = [0] * (2 * m)
+    # neighbend[v] lists the remote endpoints of edges at v, in edge order.
+    endpoint = [0] * (2 * len(edges))
+    neighbend: list[list[int]] = [[] for _ in range(n)]
     for k, (u, v, _w) in enumerate(edges):
         endpoint[2 * k] = u
         endpoint[2 * k + 1] = v
-    # neighbend[v] lists the remote endpoints of edges at v, in edge order.
-    neighbend: list[list[int]] = [[] for _ in range(n)]
-    for k, (u, v, _w) in enumerate(edges):
         neighbend[u].append(2 * k + 1)
         neighbend[v].append(2 * k)
+    partner = [-1] * n
+    for k in start:
+        u, v, _w = edges[k]
+        if partner[u] != -1 or partner[v] != -1:
+            raise ValueError(f"start edge {k} shares an end with another start edge")
+        partner[u], partner[v] = v, u
+    for u, v, _w in edges:
+        if partner[u] == -1 and partner[v] == -1:
+            partner[u], partner[v] = v, u
+    barrier = _complete_or_barrier(endpoint, neighbend, partner)
+    if barrier is not None:
+        _check_barrier(graph, barrier)
+        return None
+    mate = _solve(graph, endpoint, neighbend)
+    selected = frozenset(p // 2 for p in mate)
+    weight = sum(edges[e][2] for e in selected)
+    return PerfectMatching(selected, weight)
+
+
+def _complete_or_barrier(
+    endpoint: list[int], neighbend: list[list[int]], partner: list[int]
+) -> Optional[list[int]]:
+    """Grow `partner` (matched vertex per vertex, or -1) into a perfect
+    matching by Edmonds' augmenting-path search, one alternating tree per
+    exposed vertex.  Return None once every vertex is matched, or else the
+    odd vertices of the first tree that gets stuck: a Tutte barrier.
+
+    Within a tree, base[x] is the base of x's shrunken blossom and even[x]
+    marks the even vertices.  parent[x] is the vertex an odd x was reached
+    from; shrinking a cycle also sets it at the cycle's even vertices, to
+    their cycle neighbour other than their partner, so that a path can be
+    traced through the blossom by alternating parent and partner steps.
+    Arrays are reset only at the vertices a tree touched.
+    """
+    n = len(neighbend)
+    parent = [-1] * n
+    base = list(range(n))
+    even = [False] * n
+
+    def common_base(v: int, w: int) -> int:
+        path = set()
+        while True:
+            v = base[v]
+            path.add(v)
+            if partner[v] == -1:
+                break  # the root
+            v = parent[partner[v]]
+        while base[w] not in path:
+            w = parent[partner[base[w]]]
+        return base[w]
+
+    def link_path(v: int, b: int, child: int, shrunk: set[int]) -> None:
+        while base[v] != b:
+            shrunk.add(base[v])
+            shrunk.add(base[partner[v]])
+            parent[v] = child
+            child = partner[v]
+            v = parent[child]
+
+    for root in range(n):
+        if partner[root] != -1:
+            continue
+        even[root] = True
+        tree = [root]
+        queue = deque(tree)
+        end = -1
+        while queue and end == -1:
+            v = queue.popleft()
+            for p in neighbend[v]:
+                w = endpoint[p]
+                if base[v] == base[w] or partner[v] == w:
+                    continue
+                if w == root or (partner[w] != -1 and parent[partner[w]] != -1):
+                    # Even-even edge: shrink the cycle through it.
+                    b = common_base(v, w)
+                    shrunk: set[int] = set()
+                    link_path(v, b, w, shrunk)
+                    link_path(w, b, v, shrunk)
+                    for x in tree:
+                        if base[x] in shrunk:
+                            base[x] = b
+                            if not even[x]:
+                                even[x] = True
+                                queue.append(x)
+                elif parent[w] == -1:
+                    parent[w] = v
+                    tree.append(w)
+                    if partner[w] == -1:
+                        end = w
+                        break
+                    x = partner[w]
+                    even[x] = True
+                    tree.append(x)
+                    queue.append(x)
+        if end == -1:
+            return [x for x in tree if not even[x]]
+        while end != -1:
+            v = parent[end]
+            nxt = partner[v]
+            partner[end], partner[v] = v, end
+            end = nxt
+        for x in tree:
+            parent[x], base[x], even[x] = -1, x, False
+    return None
+
+
+def _check_barrier(graph: SimpleWeightedGraph, barrier: Iterable[int]) -> None:
+    """Raise AssertionError unless deleting the vertex set `barrier` leaves
+    more odd components than it has vertices, which by Tutte's theorem
+    proves that `graph` has no perfect matching.  Costs O(n + m)."""
+    n = graph.vertex_count
+    removed = [False] * n
+    for x in barrier:
+        removed[x] = True
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for u, v, _w in graph.edges:
+        if not (removed[u] or removed[v]):
+            root[find(u)] = find(v)
+    size = [0] * n
+    for v in range(n):
+        if not removed[v]:
+            size[find(v)] += 1
+    odd = sum(s % 2 for s in size)
+    if odd <= sum(removed):
+        raise AssertionError(
+            f"barrier of {sum(removed)} vertices leaves only {odd} odd components"
+        )
+
+
+def _solve(
+    graph: SimpleWeightedGraph, endpoint: list[int], neighbend: list[list[int]]
+) -> list[int]:
+    """Maximum-weight perfect matching of a graph that has one, as the
+    matched remote endpoint of every vertex."""
+    n = graph.vertex_count
+    m = len(graph.edges)
+    edges = graph.edges
 
     # P[v] = 2 * vertex dual; all equal at the start so that parities stay
     # synchronised (makes every S-S slack even).
@@ -115,10 +262,6 @@ def _solve(graph: SimpleWeightedGraph) -> Optional[list[int]]:
     unusedblossoms = list(range(2 * n - 1, n - 1, -1))  # pop() gives n first
     allowedge = [False] * m
     queue: deque[int] = deque()
-
-    def slack(k: int) -> int:
-        u, v, w = edges[k]
-        return dual[u] + dual[v] - 2 * w
 
     def blossom_leaves(b: int) -> list[int]:
         if b < n:
@@ -341,7 +484,8 @@ def _solve(graph: SimpleWeightedGraph) -> Optional[list[int]]:
                     if inblossom[v] == inblossom[w]:
                         continue
                     if not allowedge[k]:
-                        if slack(k) == 0:
+                        eu, ev, ew = edges[k]
+                        if dual[eu] + dual[ev] - 2 * ew == 0:
                             allowedge[k] = True
                     if allowedge[k]:
                         bw = inblossom[w]
@@ -368,7 +512,7 @@ def _solve(graph: SimpleWeightedGraph) -> Optional[list[int]]:
             delta_type = 0
             delta_extra = -1
             for k in range(m):
-                u, v, _wt = edges[k]
+                u, v, wt = edges[k]
                 bu = inblossom[u]
                 bv = inblossom[v]
                 if bu == bv:
@@ -376,13 +520,13 @@ def _solve(graph: SimpleWeightedGraph) -> Optional[list[int]]:
                 lu = label[bu]
                 lv = label[bv]
                 if lu == 1 and lv == 1:
-                    sl = slack(k)
+                    sl = dual[u] + dual[v] - 2 * wt
                     assert sl % 2 == 0, "S-S slack lost parity"
                     d = sl // 2
                     if delta == -1 or d < delta:
                         delta, delta_type, delta_extra = d, 3, k
                 elif (lu == 1 and lv == 0) or (lu == 0 and lv == 1):
-                    d = slack(k)
+                    d = dual[u] + dual[v] - 2 * wt
                     if delta == -1 or d < delta:
                         delta, delta_type, delta_extra = d, 2, k
             for b in range(n, 2 * n):
@@ -392,7 +536,9 @@ def _solve(graph: SimpleWeightedGraph) -> Optional[list[int]]:
                         if delta == -1 or d < delta:
                             delta, delta_type, delta_extra = d, 4, b
             if delta_type == 0:
-                return None  # dual unbounded: no perfect matching
+                raise AssertionError(
+                    "dual update is unbounded although a perfect matching exists"
+                )
             # A zero delta only happens for a zero-dual blossom that got
             # relabelled T after a forest rebuild; expanding it is progress.
             assert delta > 0 or delta_type == 4, "scan left a tight edge unprocessed"

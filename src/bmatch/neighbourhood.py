@@ -10,8 +10,7 @@ type admits a better matching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import ceil
+from dataclasses import dataclass, field
 from typing import Callable
 
 from bmatch.core import (
@@ -45,25 +44,33 @@ class TypeAssignment:
         object.__setattr__(self, "indices", tuple(self.indices))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateType:
     """A type the next matching is allowed to have.
 
     moves lists (vertex, interval offset) for the deviating vertices W:
     empty for the same-type candidate, one (w, ±2) move, or two (w, ±1)
-    moves.  spec pins every vertex to one parity interval of its B(v), the
-    current one outside W.
+    moves; pins holds the parity interval each of them moves to.  base pins
+    every vertex to its current interval and is shared by all candidates of
+    one step, so a candidate costs O(1) memory until its spec is built.
     """
 
     moves: tuple[tuple[int, int], ...]
-    spec: UniformSpec
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "moves", tuple(self.moves))
+    pins: tuple[Parity, ...]
+    base: tuple[Parity, ...] = field(repr=False)
 
     @property
     def deviating(self) -> frozenset[int]:
         return frozenset(v for v, _off in self.moves)
+
+    @property
+    def spec(self) -> UniformSpec:
+        """Per vertex one parity interval of its B(v): the current one
+        outside W.  Built anew on every access."""
+        per_vertex = list(self.base)
+        for (v, _off), pin in zip(self.moves, self.pins):
+            per_vertex[v] = pin
+        return UniformSpec(tuple(per_vertex))
 
 
 def _instance_intervals(instance: BInstance) -> list[list[ParityInterval]]:
@@ -100,31 +107,24 @@ def enumerate_candidates(
     """
     n = instance.graph.vertex_count
     t = current_type(instance, matching).indices
-    intervals = _instance_intervals(instance)
-
-    def pin(v: int, index: int) -> Parity:
-        iv = intervals[v][index]
-        return Parity(iv.lo, iv.hi)
-
-    base = tuple(pin(v, t[v]) for v in range(n))
-    out = [CandidateType((), UniformSpec(base))]
+    pins = [
+        tuple(Parity(iv.lo, iv.hi) for iv in intervals)
+        for intervals in _instance_intervals(instance)
+    ]
+    base = tuple(pins[v][t[v]] for v in range(n))
+    out = [CandidateType((), (), base)]
     for v in range(n):
         for off in (-2, 2):
             j = t[v] + off
-            if 0 <= j < len(intervals[v]):
-                spec = base[:v] + (pin(v, j),) + base[v + 1 :]
-                out.append(CandidateType(((v, off),), UniformSpec(spec)))
+            if 0 <= j < len(pins[v]):
+                out.append(CandidateType(((v, off),), (pins[v][j],), base))
     for u in range(n):
         for v in range(u + 1, n):
             for du, dv in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
                 ju, jv = t[u] + du, t[v] + dv
-                if 0 <= ju < len(intervals[u]) and 0 <= jv < len(intervals[v]):
-                    spec = list(base)
-                    spec[u] = pin(u, ju)
-                    spec[v] = pin(v, jv)
-                    out.append(
-                        CandidateType(((u, du), (v, dv)), UniformSpec(tuple(spec)))
-                    )
+                if 0 <= ju < len(pins[u]) and 0 <= jv < len(pins[v]):
+                    moves = ((u, du), (v, dv))
+                    out.append(CandidateType(moves, (pins[u][ju], pins[v][jv]), base))
     return tuple(out)
 
 
@@ -147,11 +147,17 @@ def _value(instance: BInstance, matching: Matching, cardinality: bool) -> int:
     return len(matching) if cardinality else matching_weight(instance.graph, matching)
 
 
-def _cardinality_bound(spec: UniformSpec, direction: str) -> int:
-    """Largest (max) or smallest (min) conceivable |F| under spec."""
-    if direction == "max":
-        return sum(s.degrees()[-1] for s in spec.per_vertex) // 2
-    return ceil(sum(s.degrees()[0] for s in spec.per_vertex) / 2)
+def _degree_sum(pins: tuple[Parity, ...], direction: str) -> int:
+    """Sum of the largest (max) or smallest (min) degree each pin allows."""
+    return sum(p.hi if direction == "max" else p.lo for p in pins)
+
+
+def _cardinality_bound(cand: CandidateType, base_sum: int, direction: str) -> int:
+    """Largest (max) or smallest (min) conceivable |F| under cand's spec,
+    from base_sum = _degree_sum(cand.base, direction) and the moved pins."""
+    moved = [cand.base[v] for v, _off in cand.moves]
+    total = base_sum + _degree_sum(cand.pins, direction) - _degree_sum(moved, direction)
+    return total // 2 if direction == "max" else (total + 1) // 2
 
 
 def improvement_step(
@@ -167,8 +173,11 @@ def improvement_step(
 
     None certifies that `matching` is optimal for the instance.  Ties go to
     the earliest candidate in enumeration order, then to the solver's own
-    determinism.  A shared `cache` (keyed by spec and direction) answers a
-    candidate whose spec an earlier sweep already solved.  Every spec holds
+    determinism.  For cardinality objectives a candidate whose degree bound
+    cannot beat the current value is pruned before its spec is built.
+    `matching` starts the existence search of every solved candidate.  A
+    shared `cache` (keyed by spec and direction) answers a candidate whose
+    spec an earlier sweep already solved.  Every spec holds
     the moved vertices of its step, so only some recur: on seeded planted
     walks the cache answered 41% of lookups for dense weight objectives and
     5% for sparse cardinality ones, and none on fixtures/scale60.bm.  A
@@ -180,11 +189,7 @@ def improvement_step(
     cardinality, direction = _objective_parts(sense)
     work = _work_instance(instance, cardinality)
     candidates = enumerate_candidates(instance, matching)
-    if __debug__:
-        for cand in candidates:
-            for v, _off in cand.moves:
-                allowed = instance.b(v)
-                assert all(d in allowed for d in cand.spec.per_vertex[v].degrees())
+    base_sum = _degree_sum(candidates[0].base, direction)
     best: Matching | None = None
     best_value = _value(instance, matching, cardinality)
     better = (lambda a, b: a > b) if direction == "max" else (lambda a, b: a < b)
@@ -196,16 +201,21 @@ def improvement_step(
 
     for cand in candidates:
         if cardinality and not better(
-            _cardinality_bound(cand.spec, direction), best_value
+            _cardinality_bound(cand, base_sum, direction), best_value
         ):
             stats["pruned"] += 1
             continue
-        key = (cand.spec, direction, cardinality)
+        spec = cand.spec
+        if __debug__:
+            for v, _off in cand.moves:
+                allowed = instance.b(v)
+                assert all(d in allowed for d in spec.per_vertex[v].degrees())
+        key = (spec, direction, cardinality)
         if cache is not None and key in cache:
             stats["cached"] += 1
             result = cache[key]
         else:
-            result = solve_uniform(work, cand.spec, direction)
+            result = solve_uniform(work, spec, direction, matching)
             stats["solved"] += 1
             if cache is not None:
                 cache[key] = result

@@ -218,15 +218,20 @@ def gadget_layout(ab: ABInstance) -> GadgetLayout:
     )
 
 
-def ab_to_pm(ab: ABInstance) -> tuple[SimpleWeightedGraph, LiftMap]:
+def ab_to_pm(
+    ab: ABInstance, layout: GadgetLayout | None = None
+) -> tuple[SimpleWeightedGraph, LiftMap]:
     """Vertex gadget from (a,b)-matching to maximum-weight perfect matching.
 
     Reduced edge order: one edge per source edge first (same index, carrying
-    the weight), then the vertex gadgets in vertex order, then pool spokes,
-    then the pool clique.  The reduced graph is always simple; a source loop
-    contributes two distinct external nodes at its vertex.
+    the weight), then the vertex gadgets in vertex order (internal-major),
+    then pool spokes (pool-connected-major), then the pool clique in
+    lexicographic pair order.  The reduced graph is always simple; a source
+    loop contributes two distinct external nodes at its vertex.  `layout`,
+    if given, must be `gadget_layout(ab)`.
     """
-    layout = gadget_layout(ab)
+    if layout is None:
+        layout = gadget_layout(ab)
     g = ab.graph
     edges: list[tuple[int, int, int]] = []
     prov: list[EdgeProvenance] = []
@@ -251,49 +256,56 @@ def ab_to_pm(ab: ABInstance) -> tuple[SimpleWeightedGraph, LiftMap]:
     return graph, LiftMap(tuple(prov))
 
 
-def embed_ab_matching(ab: ABInstance, matching: Matching) -> frozenset[int]:
-    """Build a perfect matching of the gadget realising a given (a,b)-matching.
+def embed_ab_matching(
+    ab: ABInstance, matching: Matching, layout: GadgetLayout | None = None
+) -> frozenset[int]:
+    """Map an edge subset of the (a,b)-instance onto a matching of
+    ab_to_pm's graph, leaving exposed only the nodes where it misses the
+    bounds.
 
-    Used to check the correspondence in the other direction: the result is a
-    valid perfect matching of ab_to_pm's graph whose lift is `matching`.
-    Raises ValueError if the matching does not respect the (a,b) bounds.
+    A vertex below a(v) first takes unselected loops while its degree d
+    stays within b(v).  Then a(v) - d externals stay exposed at a vertex
+    below its bounds, d - b(v) internals at one above them, and one pool
+    node if the pool nodes left over are odd in number.  So a feasible
+    (a,b)-matching maps onto a perfect matching whose lift is `matching`,
+    and any other subset onto a start for the perfect-matching solver's
+    existence search.  `layout`, if given, must be `gadget_layout(ab)`;
+    edge indices follow ab_to_pm's order.
     """
-    layout = gadget_layout(ab)
+    if layout is None:
+        layout = gadget_layout(ab)
     g = ab.graph
-    pairs: list[tuple[int, int]] = []
-    free_externals: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    n = g.vertex_count
+    selected = set(matching.selected)
+    deg = [0] * n
+    for e in selected:
+        u, v, _w = g.edges[e]
+        deg[u] += 1
+        deg[v] += 1
     for e, (u, v, _w) in enumerate(g.edges):
-        if e in matching.selected:
-            pairs.append((2 * e, 2 * e + 1))
-        else:
-            free_externals[u].append(2 * e)
-            free_externals[v].append(2 * e + 1)
-    free_pool = list(layout.pool)
-    for v in range(g.vertex_count):
-        ext = free_externals[v]
-        ints = list(layout.internals_at[v])
-        deg = g.degree(v) - len(ext)
-        if not ab.a[v] <= deg <= ab.b[v]:
-            raise ValueError(f"degree {deg} at vertex {v} violates its bounds")
-        # deg - a(v) internals escape to the pool; they must be pool-connected.
-        escapees = ints[: deg - ab.a[v]]
-        stay = ints[deg - ab.a[v] :]
-        if len(stay) != len(ext):
-            raise AssertionError("internal/external mismatch in embedding")
-        pairs.extend(zip(stay, ext))
-        for i in escapees:
-            pairs.append((i, free_pool.pop()))
-    # Remaining pool nodes pair up inside the clique; their count is even.
-    if len(free_pool) % 2 != 0:
-        raise AssertionError("pool parity broke in embedding")
-    while free_pool:
-        x = free_pool.pop()
-        y = free_pool.pop()
-        pairs.append((x, y))
-    # Translate vertex pairs to reduced edge indices.
-    graph, _ = ab_to_pm(ab)
-    index = {}
-    for k, (x, y, _w) in enumerate(graph.edges):
-        index[(x, y)] = k
-        index[(y, x)] = k
-    return frozenset(index[p] for p in pairs)
+        if u == v and e not in selected and deg[v] < min(ab.a[v], ab.b[v] - 1):
+            selected.add(e)
+            deg[v] += 2
+    out = sorted(selected)  # source edge e is reduced edge e
+    block = g.edge_count  # first edge of vertex v's gadget
+    connected = 0  # position of v's first internal in layout.pool_connected
+    escapes: list[int] = []  # pool_connected positions that escape, in order
+    for v in range(n):
+        externals = layout.externals_at[v]
+        free = [j for j, x in enumerate(externals) if x >> 1 not in selected]
+        # The first deg - a(v) internals, all pool-connected, escape to the
+        # pool; the others absorb the free externals in order.
+        up = min(max(deg[v] - ab.a[v], 0), ab.b[v] - ab.a[v])
+        escapes.extend(range(connected, connected + up))
+        staying = range(up, len(layout.internals_at[v]))
+        out.extend(block + i * len(externals) + j for i, j in zip(staying, free))
+        block += len(layout.internals_at[v]) * len(externals)
+        connected += ab.b[v] - ab.a[v]
+    pool = len(layout.pool)
+    # Escapee t takes pool node t; the remaining pool nodes pair up in the
+    # clique, whose pair (i, i+1) has index i * (2 * pool - i - 1) // 2.
+    out.extend(block + c * pool + t for t, c in enumerate(escapes))
+    clique = block + connected * pool
+    left = range(len(escapes), pool - 1, 2)
+    out.extend(clique + i * (2 * pool - i - 1) // 2 for i in left)
+    return frozenset(out)

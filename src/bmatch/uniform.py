@@ -1,5 +1,14 @@
 """Exact uniform B-matching solver: compose the two reductions and the
-perfect-matching solver.  Minimization is maximization on negated weights."""
+perfect-matching solver.  Minimization is maximization on negated weights.
+
+Existence and optimality are decided apart.  Given a start matching, its
+image in the gadget (`embed_ab_matching`) leaves exposed only the nodes
+where the start misses the spec, and the perfect-matching solver's
+augmenting-path search from there decides whether the spec admits any
+matching, certifying a "no" by a Tutte barrier.  Only a spec that admits
+one goes on to the weighted blossom solve, whose duals certify the
+optimum.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +20,8 @@ from bmatch.reduce import (
     Parity,
     UniformSpec,
     ab_to_pm,
+    embed_ab_matching,
+    gadget_layout,
     lift,
     uniform_to_ab,
 )
@@ -43,10 +54,15 @@ def spec_of_instance(instance: BInstance) -> UniformSpec:
 
 
 def solve_uniform(
-    instance: BInstance, spec: UniformSpec, sense: str = "max"
+    instance: BInstance,
+    spec: UniformSpec,
+    sense: str = "max",
+    start: Matching | None = None,
 ) -> Matching | None:
     """Optimum-weight matching with d_F(v) in spec(v) for every v, or None.
 
+    `start`, any matching of the instance, only speeds up the verdict: the
+    closer its degrees lie to the spec, the shorter the existence search.
     Deterministic: ties are broken by the perfect-matching solver's fixed
     edge scan order, which the reductions preserve (source edges keep their
     indices in both reduced graphs).
@@ -59,14 +75,17 @@ def solve_uniform(
         flipped = MultiGraph(g.vertex_count, tuple((u, v, -w) for u, v, w in g.edges))
         work = BInstance(flipped, instance.degree_sets, instance.objective)
     ab, from_loops = uniform_to_ab(work, spec)
-    reduced, from_gadget = ab_to_pm(ab)
-    pm = max_weight_perfect_matching(reduced)
+    layout = gadget_layout(ab)
+    reduced, from_gadget = ab_to_pm(ab, layout)
+    warm = () if start is None else embed_ab_matching(ab, start, layout)
+    pm = max_weight_perfect_matching(reduced, warm)
     if pm is None:
         return None
     result = lift(from_loops, lift(from_gadget, pm))
     deg = degrees(g, result)
     for v in range(g.vertex_count):
-        assert deg[v] in spec.per_vertex[v].degrees(), (
-            f"lifted matching has degree {deg[v]} at vertex {v}, outside its spec"
-        )
+        if deg[v] not in spec.per_vertex[v].degrees():
+            raise AssertionError(
+                f"lifted matching has degree {deg[v]} at vertex {v}, outside its spec"
+            )
     return result

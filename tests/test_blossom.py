@@ -8,9 +8,11 @@ from itertools import combinations
 
 import pytest
 
+import bmatch.blossom as blossom
 from bmatch.blossom import (
     PerfectMatching,
     SimpleWeightedGraph,
+    _check_barrier,
     _check_optimum,
     max_weight_perfect_matching,
 )
@@ -147,6 +149,99 @@ def test_solving_leaves_the_recursion_limit_alone(monkeypatch):
         assert got is None or got.weight == want.weight
 
 
+def random_matching(rng: random.Random, g: SimpleWeightedGraph) -> list[int]:
+    used: set[int] = set()
+    out = []
+    for k, (u, v, _w) in enumerate(g.edges):
+        if u not in used and v not in used and rng.random() < 0.5:
+            used.update((u, v))
+            out.append(k)
+    return out
+
+
+def test_start_matching_does_not_change_the_answer():
+    rng = random.Random(99)
+    for g in seeded_graphs():
+        assert max_weight_perfect_matching(
+            g, random_matching(rng, g)
+        ) == max_weight_perfect_matching(g)
+
+
+def test_start_must_be_a_matching():
+    g = SimpleWeightedGraph(3, ((0, 1, 1), (1, 2, 1)))
+    with pytest.raises(ValueError, match="start edge 1 shares an end"):
+        max_weight_perfect_matching(g, (0, 1))
+
+
+def test_every_none_has_a_checked_barrier(monkeypatch):
+    checked = []
+
+    def recording(graph, barrier):
+        barrier = list(barrier)
+        _check_barrier(graph, barrier)
+        checked.append((graph, barrier))
+
+    monkeypatch.setattr(blossom, "_check_barrier", recording)
+    nones = [g for g in seeded_graphs() if max_weight_perfect_matching(g) is None]
+    assert len(nones) > 20
+    assert [g for g, _barrier in checked] == nones
+
+
+def test_weighted_solve_raises_if_the_search_was_wrong(monkeypatch):
+    # Pretend the existence search completed a perfect matching of a graph
+    # that has none: the weighted step must not answer None on its own.
+    monkeypatch.setattr(blossom, "_complete_or_barrier", lambda *_args: None)
+    g = SimpleWeightedGraph(4, ((0, 1, 1), (1, 2, 1), (0, 2, 1)))
+    with pytest.raises(AssertionError, match="dual update is unbounded"):
+        max_weight_perfect_matching(g)
+
+
+# -- the barrier check --------------------------------------------------------------
+
+
+def star_with_three_leaves() -> SimpleWeightedGraph:
+    return SimpleWeightedGraph(4, ((0, 1, 0), (0, 2, 0), (0, 3, 0)))
+
+
+def test_barrier_check_accepts_a_tutte_barrier():
+    # Deleting the centre leaves three odd components, more than one.
+    _check_barrier(star_with_three_leaves(), [0])
+    # An odd vertex count is its own certificate: the empty barrier.
+    _check_barrier(SimpleWeightedGraph(3, ((0, 1, 0), (1, 2, 0))), [])
+
+
+def test_barrier_check_rejects_a_false_barrier():
+    with pytest.raises(AssertionError, match="barrier of 1 vertices leaves only 1 odd"):
+        _check_barrier(star_with_three_leaves(), [1])
+    g = SimpleWeightedGraph(4, ((0, 1, 0), (1, 2, 0), (2, 3, 0)))
+    with pytest.raises(AssertionError, match="barrier of 0 vertices leaves only 0 odd"):
+        _check_barrier(g, [])
+
+
+def run_optimized(code: str) -> subprocess.CompletedProcess:
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_barrier_check_raises_under_optimize():
+    proc = run_optimized(
+        "from bmatch.blossom import SimpleWeightedGraph, _check_barrier\n"
+        "g = SimpleWeightedGraph(4, ((0, 1, 0), (0, 2, 0), (0, 3, 0)))\n"
+        "_check_barrier(g, [1])\n"
+    )
+    assert proc.returncode == 1
+    assert (
+        "AssertionError: barrier of 1 vertices leaves only 1 odd components"
+        in proc.stderr.splitlines()[-1]
+    )
+
+
 # -- the optimality check -----------------------------------------------------------
 # State is (graph, mate, dual, blossomparent) as the solver leaves it: mate[v]
 # is the remote endpoint (2k or 2k+1) of v's matched edge k, duals 0..n-1 are
@@ -209,18 +304,10 @@ def test_check_rejects_even_blossom():
 
 
 def test_check_raises_under_optimize():
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    ))
-    code = (
+    proc = run_optimized(
         "from bmatch.blossom import SimpleWeightedGraph, _check_optimum\n"
         "g = SimpleWeightedGraph(2, ((0, 1, 3),))\n"
         "_check_optimum(g, [1, 0], [4, 4, 0, 0], [-1, -1, -1, -1])\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 1
     assert (

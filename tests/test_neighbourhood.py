@@ -1,6 +1,9 @@
 import dataclasses
+import random
 
 import pytest
+
+import bmatch.neighbourhood as neighbourhood
 
 from bmatch.core import (
     BInstance,
@@ -13,6 +16,10 @@ from bmatch.core import (
 )
 from bmatch.neighbourhood import (
     SearchBudgetExceeded,
+    _cardinality_bound,
+    _degree_sum,
+    _objective_parts,
+    _work_instance,
     current_type,
     enumerate_candidates,
     find_feasible,
@@ -20,6 +27,13 @@ from bmatch.neighbourhood import (
     solve,
 )
 from bmatch.gen import random_instance
+from bmatch.reduce import (
+    UniformSpec,
+    ab_to_pm,
+    embed_ab_matching,
+    gadget_layout,
+    uniform_to_ab,
+)
 from bmatch.structure import is_neighbouring_type, is_same_uniform_type
 from bmatch.uniform import solve_uniform
 
@@ -105,6 +119,36 @@ def test_candidate_enumeration_is_deterministic(fig2, fig2_m7):
     again = enumerate_candidates(fig2, fig2_m7)
     assert [c.moves for c in first] == [c.moves for c in again]
     assert [c.spec for c in first] == [c.spec for c in again]
+
+
+def test_incremental_bound_matches_the_full_sum(fig2, fig2_m7):
+    for direction in ("max", "min"):
+        cands = enumerate_candidates(fig2, fig2_m7)
+        base_sum = _degree_sum(cands[0].base, direction)
+        for cand in cands:
+            full = _degree_sum(cand.spec.per_vertex, direction)
+            want = full // 2 if direction == "max" else -(-full // 2)
+            assert _cardinality_bound(cand, base_sum, direction) == want
+
+
+def test_pruned_candidates_build_no_spec(monkeypatch):
+    built = []
+
+    def counting(per_vertex):
+        built.append(per_vertex)
+        return UniformSpec(per_vertex)
+
+    monkeypatch.setattr(neighbourhood, "UniformSpec", counting)
+    # Every B(v) holds 0, so the empty matching is optimal for min-card and
+    # every candidate is pruned.
+    g = random_instance(0, 40, 100, profile="interval").graph
+    sets = tuple(DegreeSet(tuple(range(g.degree(v) + 1))) for v in range(40))
+    stats = {}
+    assert improvement_step(
+        BInstance(g, sets, "min-card"), Matching(frozenset()), stats=stats
+    ) is None
+    assert stats["pruned"] > 700 and stats["solved"] == 0
+    assert built == []
 
 
 # -- improvement step ---------------------------------------------------------------
@@ -195,3 +239,107 @@ def test_every_intermediate_is_feasible(fig2):
         m = nxt
         seen += 1
     assert len(m) == 9 and seen >= 1
+
+
+# -- existence search from the current matching --------------------------------------
+
+
+def planted(seed: int, n: int, m: int, objective: str) -> tuple[BInstance, Matching]:
+    """A random multigraph whose degree sets are grown around a random edge
+    subset, which is therefore a feasible start."""
+    rng = random.Random(seed)
+    edges = tuple(
+        (rng.randrange(n), rng.randrange(n), rng.randint(1, 5)) for _ in range(m)
+    )
+    g = MultiGraph(n, edges)
+    plant = Matching(frozenset(e for e in range(m) if rng.random() < 0.5))
+    deg = degrees(g, plant)
+    sets = []
+    for v in range(n):
+        values = [deg[v]]
+        while values[0] >= 2 and rng.random() < 0.55:
+            values.insert(0, values[0] - rng.choice((1, 2)))
+        while values[-1] + 2 <= g.degree(v) and rng.random() < 0.55:
+            values.append(values[-1] + rng.choice((1, 2)))
+        sets.append(DegreeSet(tuple(values)))
+    return BInstance(g, tuple(sets), objective), plant
+
+
+# Verdicts of the cold weighted blossom solve, which decided existence before
+# the augmenting-path search did, for every candidate of every step of each
+# walk in enumeration order (1: some matching has the candidate's type).
+COLD_VERDICTS = {
+    "fig2 max-card": "1111",
+    "fig2 min-card": "11",
+    "fig2 max-weight": "1111",
+    "fig2 min-weight": "11",
+    0: "1111111",
+    1: "100100",
+    2: "11",
+    3: "110101011111111110111011",
+    4: "11000011100001",
+    5: "10111011",
+    6: "1",
+    7: "1111",
+    8: "11111111111111",
+    9: "1111111111111111",
+    10: "111111",
+    11: "1111111111",
+    12: "111011010111110110101111110110101",
+    13: "11",
+    14: "1111",
+    15: "110",
+    16: "1110101110",
+    17: "1111",
+    18: "11110001110000",
+    19: "11111111",
+    20: "110110",
+    21: "1111",
+    22: "1",
+    23: "10001011000110",
+}
+
+
+def test_warm_search_matches_cold_verdicts(fig2):
+    walks = []
+    for objective in ("max-card", "min-card", "max-weight", "min-weight"):
+        inst = dataclasses.replace(fig2, objective=objective)
+        walks.append((f"fig2 {objective}", inst, find_feasible(inst)))
+    for seed in range(24):
+        objective = ("max-card", "min-card", "max-weight")[seed % 3]
+        walks.append((seed, *planted(seed, 10, 16, objective)))
+    most_exposed = 0
+    for name, inst, matching in walks:
+        cardinality, direction = _objective_parts(inst.objective)
+        work = _work_instance(inst, cardinality)
+        verdicts = ""
+        while matching is not None:
+            deg = degrees(inst.graph, matching)
+            for cand in enumerate_candidates(inst, matching):
+                spec = cand.spec
+                # The start misses the gadget's perfect matchings only at the
+                # moved vertices, by at most the distance of their degrees
+                # from the new intervals (less where it can take a source
+                # loop), plus a pool node to make the count even.
+                missed = sum(
+                    min(abs(deg[v] - d) for d in spec.per_vertex[v].degrees())
+                    for v in range(inst.graph.vertex_count)
+                )
+                assert missed == sum(
+                    min(abs(deg[v] - d) for d in spec.per_vertex[v].degrees())
+                    for v in cand.deviating
+                )
+                ab, _lift_map = uniform_to_ab(work, spec)
+                layout = gadget_layout(ab)
+                reduced, _lift_map = ab_to_pm(ab, layout)
+                warm = embed_ab_matching(ab, matching, layout)
+                exposed = reduced.vertex_count - 2 * len(warm)
+                assert exposed <= missed + missed % 2
+                most_exposed = max(most_exposed, exposed)
+                found = solve_uniform(work, spec, direction, matching)
+                verdicts += "0" if found is None else "1"
+            matching = improvement_step(inst, matching)
+        assert verdicts == COLD_VERDICTS[name], name
+    # Two exposed nodes when every moved degree sits at the end of its
+    # interval next to the move; more when it lies deeper inside.
+    assert most_exposed > 2

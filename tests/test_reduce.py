@@ -188,6 +188,41 @@ def test_embed_then_lift_roundtrip():
             assert lift(lift_map, embedded) == matching
 
 
+def test_tolerant_embedding_exposes_only_what_the_bounds_force():
+    rng = random.Random(17)
+    for _ in range(200):
+        ab = random_ab(rng, rng.randint(1, 5), rng.randint(0, 7))
+        g = ab.graph
+        reduced, lift_map = ab_to_pm(ab)
+        layout = gadget_layout(ab)
+        for _ in range(5):
+            matching = Matching(
+                frozenset(e for e in range(g.edge_count) if rng.random() < 0.5)
+            )
+            embedded = embed_ab_matching(ab, matching, layout)
+            ends = [0] * reduced.vertex_count
+            for e in embedded:
+                u, v, _w = reduced.edges[e]
+                ends[u] += 1
+                ends[v] += 1
+            assert max(ends, default=0) <= 1, "must be a matching of the gadget"
+            lifted = lift(lift_map, embedded)
+            assert matching.selected <= lifted.selected
+            for e in lifted.selected - matching.selected:
+                assert g.edges[e][0] == g.edges[e][1], "only loops are added"
+            # One exposed node per unit of bound violation, plus a pool node
+            # to make the count even.
+            deg = [0] * g.vertex_count
+            for e in lifted.selected:
+                u, v, _w = g.edges[e]
+                deg[u] += 1
+                deg[v] += 1
+            missed = sum(
+                max(ab.a[v] - d, d - ab.b[v], 0) for v, d in enumerate(deg)
+            )
+            assert ends.count(0) == missed + missed % 2
+
+
 def test_reduced_optimum_matches_ab_brute_force():
     rng = random.Random(31)
     for _ in range(60):

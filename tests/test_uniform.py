@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 from bmatch.core import BInstance, DegreeSet, Matching, MultiGraph, matching_weight
@@ -102,3 +106,42 @@ def test_matches_brute_force_both_senses():
             want = max(weights) if sense == "max" else min(weights)
             assert got is not None
             assert matching_weight(inst.graph, got) == want
+
+
+def test_start_matching_does_not_change_the_answer():
+    rng = random.Random(7)
+    for _ in range(80):
+        inst, spec = random_uniform(rng, rng.randint(1, 5), rng.randint(0, 7))
+        g = inst.graph
+        for sense in ("max", "min"):
+            start = Matching(
+                frozenset(e for e in range(g.edge_count) if rng.random() < 0.5)
+            )
+            assert solve_uniform(inst, spec, sense, start) == solve_uniform(
+                inst, spec, sense
+            )
+
+
+def test_lifted_degree_check_raises_under_optimize():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    code = (
+        "import bmatch.uniform as uniform\n"
+        "from bmatch.core import BInstance, DegreeSet, Matching, MultiGraph\n"
+        "from bmatch.reduce import Interval, UniformSpec\n"
+        "uniform.lift = lambda *_args: Matching(frozenset())\n"
+        "g = MultiGraph(2, ((0, 1, 1),))\n"
+        "inst = BInstance(g, (DegreeSet((1,)), DegreeSet((1,))), 'max-card')\n"
+        "uniform.solve_uniform(inst, UniformSpec((Interval(1, 1), Interval(1, 1))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert (
+        "AssertionError: lifted matching has degree 0 at vertex 0, outside its spec"
+        in proc.stderr.splitlines()[-1]
+    )
