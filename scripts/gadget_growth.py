@@ -12,7 +12,7 @@ import statistics
 from dataclasses import dataclass
 
 from bmatch.gen import PROFILES, random_instance
-from bmatch.reduce import UniformSpec, ab_to_pm, gadget_layout, uniform_to_ab
+from bmatch.reduce import UniformSpec, ab_to_pm, uniform_to_ab
 from bmatch.uniform import spec_of_instance
 
 
@@ -33,12 +33,11 @@ def measure(config: GrowthConfig, n: int, m: int) -> dict:
         spec: UniformSpec = spec_of_instance(instance)
         ab, _lift = uniform_to_ab(instance, spec)
         reduced, _lift2 = ab_to_pm(ab)
-        layout = gadget_layout(ab)
         rows.append(
             {
                 "vertices": reduced.vertex_count,
                 "edges": len(reduced.edges),
-                "pool": len(layout.pool),
+                "pool": len(ab.layout.pool),
                 "ratio": len(reduced.edges) / max(1, m),
             }
         )

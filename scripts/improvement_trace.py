@@ -46,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
     stats: dict = {}
     step = 0
     while True:
-        indices = current_type(instance, matching).indices
+        indices = current_type(instance, matching)
         print(
             f"step {step:>3}  size {len(matching):>3}  "
             f"weight {matching_weight(instance.graph, matching):>4}  "

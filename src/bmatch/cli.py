@@ -46,7 +46,7 @@ from bmatch.oracle import (
 from bmatch.reduce import (
     BadSpec,
     Interval,
-    OriginalEdge,
+    LiftMap,
     ab_to_pm,
     uniform_to_ab,
 )
@@ -311,6 +311,13 @@ def _range_set(lo: int, hi: int) -> DegreeSet:
     return DegreeSet(tuple(range(lo, hi + 1)))
 
 
+def _origin_comments(edge_count: int, lift_map: LiftMap) -> list[str]:
+    return [
+        f"edge {e} <- original {e}" if e < lift_map.source_edges else f"edge {e} <- gadget"
+        for e in range(edge_count)
+    ]
+
+
 def cmd_gadget(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.input), args.objective)
     spec = spec_of_instance(instance)
@@ -325,12 +332,7 @@ def cmd_gadget(args: argparse.Namespace) -> int:
         return EXIT_OK
     ab, lift_ab = uniform_to_ab(instance, spec)
     if args.stage == "ab":
-        comments = ["stage ab"]
-        for e, prov in enumerate(lift_ab.provenance):
-            if isinstance(prov, OriginalEdge):
-                comments.append(f"edge {e} <- original {prov.index}")
-            else:
-                comments.append(f"edge {e} <- gadget")
+        comments = ["stage ab", *_origin_comments(ab.graph.edge_count, lift_ab)]
         dumped = BInstance(
             ab.graph,
             tuple(_range_set(ab.a[v], ab.b[v]) for v in range(ab.graph.vertex_count)),
@@ -339,12 +341,11 @@ def cmd_gadget(args: argparse.Namespace) -> int:
         _write(args.output, format_instance(dumped, comments))
         return EXIT_OK
     reduced, lift_pm = ab_to_pm(ab)
-    comments = ["stage pm", "'original' indices refer to the ab stage"]
-    for e, prov in enumerate(lift_pm.provenance):
-        if isinstance(prov, OriginalEdge):
-            comments.append(f"edge {e} <- original {prov.index}")
-        else:
-            comments.append(f"edge {e} <- gadget")
+    comments = [
+        "stage pm",
+        "'original' indices refer to the ab stage",
+        *_origin_comments(len(reduced.edges), lift_pm),
+    ]
     dumped = BInstance(
         MultiGraph(reduced.vertex_count, reduced.edges),
         tuple(DegreeSet((1,)) for _ in range(reduced.vertex_count)),

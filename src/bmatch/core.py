@@ -58,17 +58,6 @@ class MultiGraph:
             if u < 0 or v < 0:
                 raise ValueError(f"edge {e!r} has a negative endpoint")
 
-    @staticmethod
-    def build(vertex_count: int, edges: Iterable[tuple]) -> "MultiGraph":
-        """Build from (u, v) or (u, v, w) tuples; omitted weights default to 1."""
-        norm = []
-        for e in edges:
-            if len(e) == 2:
-                norm.append((e[0], e[1], 1))
-            else:
-                norm.append((e[0], e[1], e[2]))
-        return MultiGraph(vertex_count, tuple(norm))
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)

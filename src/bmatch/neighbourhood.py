@@ -34,16 +34,6 @@ class SearchBudgetExceeded(RuntimeError):
     """The feasibility search hit its node cap before reaching a verdict."""
 
 
-@dataclass(frozen=True)
-class TypeAssignment:
-    """Per vertex, the index of the parity interval of B(v) holding d_M(v)."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(self.indices))
-
-
 @dataclass(frozen=True, slots=True)
 class CandidateType:
     """A type the next matching is allowed to have.
@@ -79,8 +69,8 @@ def _instance_intervals(instance: BInstance) -> list[list[ParityInterval]]:
     ]
 
 
-def current_type(instance: BInstance, matching: Matching) -> TypeAssignment:
-    """Interval index of d_M(v) in B(v) for every vertex."""
+def current_type(instance: BInstance, matching: Matching) -> tuple[int, ...]:
+    """Per vertex, the index of the parity interval of B(v) holding d_M(v)."""
     deg = degrees(instance.graph, matching)
     out = []
     for v, intervals in enumerate(_instance_intervals(instance)):
@@ -92,7 +82,7 @@ def current_type(instance: BInstance, matching: Matching) -> TypeAssignment:
             raise NotFeasible(
                 f"degree {deg[v]} at vertex {v} is outside its degree set"
             )
-    return TypeAssignment(tuple(out))
+    return tuple(out)
 
 
 def enumerate_candidates(
@@ -106,7 +96,7 @@ def enumerate_candidates(
     interval list are skipped.  The count is O(n^2).
     """
     n = instance.graph.vertex_count
-    t = current_type(instance, matching).indices
+    t = current_type(instance, matching)
     pins = [
         tuple(Parity(iv.lo, iv.hi) for iv in intervals)
         for intervals in _instance_intervals(instance)
@@ -255,39 +245,40 @@ def find_feasible(
     """
     g = instance.graph
     n = g.vertex_count
+    m = g.edge_count
     sets = [instance.b(v) for v in range(n)]
     cur = [0] * n
     undecided = [g.degree(v) for v in range(n)]
-    decided: list[bool | None] = [None] * g.edge_count
+    decided: list[bool | None] = [None] * m
     trail: list[int] = []
+    # Per edge, its distinct ends and what it adds to each end's degree.
+    ends: list[tuple[int, ...]] = []
+    unit: list[int] = []
     incident: list[list[int]] = [[] for _ in range(n)]
     for e, (u, v, _w) in enumerate(g.edges):
-        incident[u].append(e)
-        if v != u:
-            incident[v].append(e)
-
-    def ends(e: int) -> tuple[int, ...]:
-        u, v, _w = g.edges[e]
-        return (u,) if u == v else (u, v)
+        ends.append((u,) if u == v else (u, v))
+        unit.append(2 if u == v else 1)
+        for x in ends[e]:
+            incident[x].append(e)
 
     def set_edge(e: int, include: bool) -> tuple[int, ...]:
         decided[e] = include
         trail.append(e)
-        unit = 2 if len(ends(e)) == 1 else 1
-        for x in ends(e):
-            undecided[x] -= unit
+        k = unit[e]
+        for x in ends[e]:
+            undecided[x] -= k
             if include:
-                cur[x] += unit
-        return ends(e)
+                cur[x] += k
+        return ends[e]
 
     def undo_to(mark: int) -> None:
         while len(trail) > mark:
             e = trail.pop()
-            unit = 2 if len(ends(e)) == 1 else 1
-            for x in ends(e):
-                undecided[x] += unit
+            k = unit[e]
+            for x in ends[e]:
+                undecided[x] += k
                 if decided[e]:
-                    cur[x] -= unit
+                    cur[x] -= k
             decided[e] = None
 
     def propagate(queue: list[int]) -> bool:
@@ -317,9 +308,9 @@ def find_feasible(
     e, include = 0, False
     nodes = 0
     while True:
-        while e < g.edge_count and decided[e] is not None:
+        while e < m and decided[e] is not None:
             e += 1
-        if e == g.edge_count:
+        if e == m:
             return Matching(frozenset(i for i, d in enumerate(decided) if d))
         nodes += 1
         if nodes > node_budget:

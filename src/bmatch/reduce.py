@@ -1,5 +1,5 @@
 """Gadget reductions: uniform degree specs to (a,b)-matching, and (a,b)-matching
-to perfect matching on a simple graph, both with invertible lift maps.
+to perfect matching on a simple graph.
 
 The first stage turns a parity-constrained degree spec {lo, lo+2, ..., hi}
 into plain bounds by attaching (hi-lo)/2 weight-0 loops at the vertex and
@@ -14,6 +14,11 @@ a(v) ends stay on original edges.  b(v) - a(v) of the internals may instead
 escape into a global pool (a weight-0 clique), letting the degree rise up to
 b(v).  The pool absorbs global slack; its size is padded by one node when
 sum(b) is odd so a perfect matching can exist at all.
+
+Both stages list the source edges first, each at its own index, and append
+only edges they invent.  That order is the lift: a reduced solution
+restricted to the indices below the source edge count is the source
+solution.
 """
 
 from __future__ import annotations
@@ -82,6 +87,17 @@ class UniformSpec:
 
 
 @dataclass(frozen=True)
+class GadgetLayout:
+    """Node ids of each role in the perfect-matching gadget."""
+
+    externals_at: tuple[tuple[int, ...], ...]  # per source vertex
+    internals_at: tuple[tuple[int, ...], ...]
+    pool_connected: tuple[int, ...]
+    pool: tuple[int, ...]
+    node_count: int
+
+
+@dataclass(frozen=True)
 class ABInstance:
     """Multigraph with per-vertex degree bounds a(v) <= d_F(v) <= b(v)."""
 
@@ -92,45 +108,54 @@ class ABInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", tuple(self.a))
         object.__setattr__(self, "b", tuple(self.b))
-        n = self.graph.vertex_count
+        g = self.graph
+        n = g.vertex_count
         if len(self.a) != n or len(self.b) != n:
             raise ValueError("need one (a, b) pair per vertex")
         for v in range(n):
             if not 0 <= self.a[v] <= self.b[v]:
                 raise ValueError(f"bad bounds a={self.a[v]}, b={self.b[v]} at vertex {v}")
+            if self.b[v] > g.degree(v):
+                raise BoundsError(
+                    f"upper bound {self.b[v]} exceeds degree {g.degree(v)} at vertex {v}"
+                )
 
-
-@dataclass(frozen=True)
-class OriginalEdge:
-    """Reduced edge that carries over a source edge."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class GadgetEdge:
-    """Reduced edge invented by a reduction; weight 0, lifts to nothing."""
-
-
-EdgeProvenance = OriginalEdge | GadgetEdge
+    @cached_property
+    def layout(self) -> GadgetLayout:
+        """Node ids of ab_to_pm's gadget, built once per instance."""
+        g = self.graph
+        n = g.vertex_count
+        # Externals: ids 2e and 2e+1 for edge e; grouped per vertex for the gadget.
+        externals: list[list[int]] = [[] for _ in range(n)]
+        for e, (u, v, _w) in enumerate(g.edges):
+            externals[u].append(2 * e)
+            externals[v].append(2 * e + 1)
+        next_id = 2 * g.edge_count
+        internals: list[list[int]] = [[] for _ in range(n)]
+        pool_connected: list[int] = []
+        for v in range(n):
+            count = g.degree(v) - self.a[v]
+            internals[v] = list(range(next_id, next_id + count))
+            next_id += count
+            pool_connected.extend(internals[v][: self.b[v] - self.a[v]])
+        pool_size = sum(self.b[v] - self.a[v] for v in range(n)) + (sum(self.b) % 2)
+        pool = list(range(next_id, next_id + pool_size))
+        next_id += pool_size
+        return GadgetLayout(
+            externals_at=tuple(tuple(x) for x in externals),
+            internals_at=tuple(tuple(x) for x in internals),
+            pool_connected=tuple(pool_connected),
+            pool=tuple(pool),
+            node_count=next_id,
+        )
 
 
 @dataclass(frozen=True)
 class LiftMap:
-    """Provenance of every reduced-graph edge, in reduced edge order."""
+    """Reduced edges 0 .. source_edges-1 are the source edges, index for
+    index; the edges after them were invented by the reduction."""
 
-    provenance: tuple[EdgeProvenance, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "provenance", tuple(self.provenance))
-
-    @cached_property
-    def original_of(self) -> dict[int, int]:
-        return {
-            e: p.index
-            for e, p in enumerate(self.provenance)
-            if isinstance(p, OriginalEdge)
-        }
+    source_edges: int
 
 
 def lift(lift_map: LiftMap, solution) -> Matching:
@@ -141,8 +166,8 @@ def lift(lift_map: LiftMap, solution) -> Matching:
     """
     if hasattr(solution, "selected"):
         solution = solution.selected
-    table = lift_map.original_of
-    return Matching(frozenset(table[e] for e in solution if e in table))
+    m = lift_map.source_edges
+    return Matching(frozenset(e for e in solution if e < m))
 
 
 def uniform_to_ab(instance: BInstance, spec: UniformSpec) -> tuple[ABInstance, LiftMap]:
@@ -168,97 +193,38 @@ def uniform_to_ab(instance: BInstance, spec: UniformSpec) -> tuple[ABInstance, L
                 loops.append((v, v, 0))
             a[v] = b[v] = s.hi
     reduced = MultiGraph(n, g.edges + tuple(loops))
-    prov: list[EdgeProvenance] = [OriginalEdge(i) for i in range(g.edge_count)]
-    prov.extend(GadgetEdge() for _ in loops)
-    return ABInstance(reduced, tuple(a), tuple(b)), LiftMap(tuple(prov))
+    return ABInstance(reduced, tuple(a), tuple(b)), LiftMap(g.edge_count)
 
 
-@dataclass(frozen=True)
-class GadgetLayout:
-    """Node roles inside the perfect-matching gadget (for checks and dumps)."""
-
-    externals_at: tuple[tuple[int, ...], ...]  # per source vertex
-    internals_at: tuple[tuple[int, ...], ...]
-    pool_connected: tuple[int, ...]
-    pool: tuple[int, ...]
-    node_count: int
-
-
-def gadget_layout(ab: ABInstance) -> GadgetLayout:
-    g = ab.graph
-    n = g.vertex_count
-    m = g.edge_count
-    for v in range(n):
-        if ab.b[v] > g.degree(v):
-            raise BoundsError(
-                f"upper bound {ab.b[v]} exceeds degree {g.degree(v)} at vertex {v}"
-            )
-    # Externals: ids 2e and 2e+1 for edge e; grouped per vertex for the gadget.
-    externals: list[list[int]] = [[] for _ in range(n)]
-    for e, (u, v, _w) in enumerate(g.edges):
-        externals[u].append(2 * e)
-        externals[v].append(2 * e + 1)
-    next_id = 2 * m
-    internals: list[list[int]] = [[] for _ in range(n)]
-    pool_connected: list[int] = []
-    for v in range(n):
-        count = g.degree(v) - ab.a[v]
-        internals[v] = list(range(next_id, next_id + count))
-        next_id += count
-        pool_connected.extend(internals[v][: ab.b[v] - ab.a[v]])
-    pool_size = sum(ab.b[v] - ab.a[v] for v in range(n)) + (sum(ab.b) % 2)
-    pool = list(range(next_id, next_id + pool_size))
-    next_id += pool_size
-    return GadgetLayout(
-        externals_at=tuple(tuple(x) for x in externals),
-        internals_at=tuple(tuple(x) for x in internals),
-        pool_connected=tuple(pool_connected),
-        pool=tuple(pool),
-        node_count=next_id,
-    )
-
-
-def ab_to_pm(
-    ab: ABInstance, layout: GadgetLayout | None = None
-) -> tuple[SimpleWeightedGraph, LiftMap]:
+def ab_to_pm(ab: ABInstance) -> tuple[SimpleWeightedGraph, LiftMap]:
     """Vertex gadget from (a,b)-matching to maximum-weight perfect matching.
 
     Reduced edge order: one edge per source edge first (same index, carrying
     the weight), then the vertex gadgets in vertex order (internal-major),
     then pool spokes (pool-connected-major), then the pool clique in
     lexicographic pair order.  The reduced graph is always simple; a source
-    loop contributes two distinct external nodes at its vertex.  `layout`,
-    if given, must be `gadget_layout(ab)`.
+    loop contributes two distinct external nodes at its vertex.  Node ids
+    follow `ab.layout`.
     """
-    if layout is None:
-        layout = gadget_layout(ab)
+    layout = ab.layout
     g = ab.graph
-    edges: list[tuple[int, int, int]] = []
-    prov: list[EdgeProvenance] = []
-    for e, (_u, _v, w) in enumerate(g.edges):
-        edges.append((2 * e, 2 * e + 1, w))
-        prov.append(OriginalEdge(e))
+    edges = [(2 * e, 2 * e + 1, w) for e, (_u, _v, w) in enumerate(g.edges)]
     for v in range(g.vertex_count):
         for i in layout.internals_at[v]:
             for x in layout.externals_at[v]:
                 edges.append((i, x, 0))
-                prov.append(GadgetEdge())
     for i in layout.pool_connected:
         for q in layout.pool:
             edges.append((i, q, 0))
-            prov.append(GadgetEdge())
     pool = layout.pool
     for i in range(len(pool)):
         for j in range(i + 1, len(pool)):
             edges.append((pool[i], pool[j], 0))
-            prov.append(GadgetEdge())
     graph = SimpleWeightedGraph(layout.node_count, tuple(edges))
-    return graph, LiftMap(tuple(prov))
+    return graph, LiftMap(g.edge_count)
 
 
-def embed_ab_matching(
-    ab: ABInstance, matching: Matching, layout: GadgetLayout | None = None
-) -> frozenset[int]:
+def embed_ab_matching(ab: ABInstance, matching: Matching) -> frozenset[int]:
     """Map an edge subset of the (a,b)-instance onto a matching of
     ab_to_pm's graph, leaving exposed only the nodes where it misses the
     bounds.
@@ -269,11 +235,9 @@ def embed_ab_matching(
     node if the pool nodes left over are odd in number.  So a feasible
     (a,b)-matching maps onto a perfect matching whose lift is `matching`,
     and any other subset onto a start for the perfect-matching solver's
-    existence search.  `layout`, if given, must be `gadget_layout(ab)`;
-    edge indices follow ab_to_pm's order.
+    existence search.  Edge indices follow ab_to_pm's order.
     """
-    if layout is None:
-        layout = gadget_layout(ab)
+    layout = ab.layout
     g = ab.graph
     n = g.vertex_count
     selected = set(matching.selected)

@@ -21,7 +21,6 @@ from bmatch.reduce import (
     UniformSpec,
     ab_to_pm,
     embed_ab_matching,
-    gadget_layout,
     lift,
     uniform_to_ab,
 )
@@ -75,9 +74,8 @@ def solve_uniform(
         flipped = MultiGraph(g.vertex_count, tuple((u, v, -w) for u, v, w in g.edges))
         work = BInstance(flipped, instance.degree_sets, instance.objective)
     ab, from_loops = uniform_to_ab(work, spec)
-    layout = gadget_layout(ab)
-    reduced, from_gadget = ab_to_pm(ab, layout)
-    warm = () if start is None else embed_ab_matching(ab, start, layout)
+    reduced, from_gadget = ab_to_pm(ab)
+    warm = () if start is None else embed_ab_matching(ab, start)
     pm = max_weight_perfect_matching(reduced, warm)
     if pm is None:
         return None

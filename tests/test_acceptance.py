@@ -44,7 +44,6 @@ from bmatch.reduce import (
     Parity,
     UniformSpec,
     ab_to_pm,
-    gadget_layout,
     lift,
     uniform_to_ab,
 )
@@ -257,8 +256,7 @@ def test_criterion_04_gadget_soundness_and_pool_parity_on_200():
         best = max(matching_weight(ab.graph, f) for f in feasible)
         assert pm.weight == best
         assert lift(lift_map, pm.selected) in feasible
-        layout = gadget_layout(ab)
-        pool = set(layout.pool)
+        pool = set(ab.layout.pool)
         pms_to_check = [pm.selected]
         if reduced.vertex_count <= 18:
             found, complete = perfect_matchings(reduced)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -394,6 +395,37 @@ def test_gadget_output_is_byte_identical(capsys, uniform_file, tmp_path):
         run(capsys, "gadget", "--input", uniform_file, "--stage", stage, "--output", str(a))
         run(capsys, "gadget", "--input", uniform_file, "--stage", stage, "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+GADGET_SHA256 = {
+    ("parity", 1, 4, 7): (
+        "8729c088895c05f09ef324cf5c673195577a6af3c765921acde4d76425428661",
+        "bc7a59fb3fdfafcfb5f09a3cdb7ea2aaae2fdb799e027277b1bbb8da8a301660",
+    ),
+    ("parity", 3, 6, 12): (
+        "b161130f66d4381417aa61c6ccb14876b930aa6d66a5cd697336f8b891cbe51b",
+        "ac9d501ff45a83d31e98cd9fbe468abcc2f53624e37d2b9194912e6084140458",
+    ),
+    ("interval", 2, 5, 9): (
+        "7fe87253ec19c260e0b350ba563d5ff2503dbf8cddb54a0bcd8503d2d8262c3e",
+        "e27306c25e1fbe385d6aa8ce161524d8f60e1ca00a2abd4991b91494d250ef3e",
+    ),
+    ("interval", 4, 8, 20): (
+        "d4f84a69aa283b8836a9394567ecb3c2b937859cea4d9cd864a16ab8747d3683",
+        "b32e8b629b11067530afe130b7b76b6a8fc08d3593143fa0dd59928d848d4752",
+    ),
+}
+
+
+@pytest.mark.parametrize("profile, seed, n, m", list(GADGET_SHA256))
+def test_gadget_ab_and_pm_output_is_pinned(capsys, tmp_path, profile, seed, n, m):
+    path = tmp_path / "in.bm"
+    run(capsys, "gen", "--seed", str(seed), "--n", str(n), "--m", str(m),
+        "--profile", profile, "--max-weight", "5", "--output", str(path))
+    for stage, expected in zip(("ab", "pm"), GADGET_SHA256[profile, seed, n, m]):
+        code, out, _err = run(capsys, "gadget", "--input", str(path), "--stage", stage)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, stage
 
 
 # -- gen ---------------------------------------------------------------------------

@@ -9,14 +9,12 @@ from bmatch.reduce import (
     ABInstance,
     BadSpec,
     BoundsError,
-    GadgetEdge,
     Interval,
-    OriginalEdge,
+    LiftMap,
     Parity,
     UniformSpec,
     ab_to_pm,
     embed_ab_matching,
-    gadget_layout,
     lift,
     uniform_to_ab,
 )
@@ -111,7 +109,7 @@ def test_uniform_to_ab_interval_is_identity():
     ab, lift_map = uniform_to_ab(inst, UniformSpec((Interval(0, 1), Interval(1, 1))))
     assert ab.graph.edges == g.edges
     assert ab.a == (0, 1) and ab.b == (1, 1)
-    assert lift_map.provenance == (OriginalEdge(0),)
+    assert lift_map == LiftMap(1)
 
 
 def test_uniform_to_ab_parity_pins_to_hi_with_loops():
@@ -120,7 +118,7 @@ def test_uniform_to_ab_parity_pins_to_hi_with_loops():
     ab, lift_map = uniform_to_ab(inst, UniformSpec((Parity(0, 4),)))
     assert ab.a == (4,) and ab.b == (4,)
     assert ab.graph.edge_count == 4  # two originals + (4 - 0) / 2 gadget loops
-    gadgets = [e for e, p in enumerate(lift_map.provenance) if isinstance(p, GadgetEdge)]
+    gadgets = range(lift_map.source_edges, ab.graph.edge_count)
     assert len(gadgets) == 2
     assert all(ab.graph.edges[e] == (0, 0, 0) for e in gadgets)
 
@@ -159,8 +157,8 @@ def test_source_edges_keep_their_indices():
     g = MultiGraph(3, ((0, 1, 4), (1, 2, -2), (0, 2, 1)))
     ab = ABInstance(g, (0, 0, 0), (1, 2, 1))
     reduced, lift_map = ab_to_pm(ab)
+    assert lift_map == LiftMap(g.edge_count)
     for e in range(g.edge_count):
-        assert lift_map.provenance[e] == OriginalEdge(e)
         u2, v2, w = reduced.edges[e]
         assert (u2, v2) == (2 * e, 2 * e + 1)
         assert w == g.edges[e][2]
@@ -169,7 +167,7 @@ def test_source_edges_keep_their_indices():
 def test_gadget_layout_bounds_check():
     g = MultiGraph(2, ((0, 1, 1),))
     with pytest.raises(BoundsError):
-        gadget_layout(ABInstance(g, (0, 0), (2, 1)))
+        ABInstance(g, (0, 0), (2, 1))
 
 
 def test_embed_then_lift_roundtrip():
@@ -194,12 +192,11 @@ def test_tolerant_embedding_exposes_only_what_the_bounds_force():
         ab = random_ab(rng, rng.randint(1, 5), rng.randint(0, 7))
         g = ab.graph
         reduced, lift_map = ab_to_pm(ab)
-        layout = gadget_layout(ab)
         for _ in range(5):
             matching = Matching(
                 frozenset(e for e in range(g.edge_count) if rng.random() < 0.5)
             )
-            embedded = embed_ab_matching(ab, matching, layout)
+            embedded = embed_ab_matching(ab, matching)
             ends = [0] * reduced.vertex_count
             for e in embedded:
                 u, v, _w = reduced.edges[e]
@@ -248,9 +245,8 @@ def test_pool_parity_invariant_exhaustive():
         reduced, _lift_map = ab_to_pm(ab)
         if reduced.vertex_count > 14:
             continue
-        layout = gadget_layout(ab)
-        pool = set(layout.pool)
-        internals = {x for group in layout.internals_at for x in group}
+        pool = set(ab.layout.pool)
+        internals = {x for group in ab.layout.internals_at for x in group}
         pms = list(all_perfect_matchings(reduced))
         if not pms:
             continue
