@@ -22,6 +22,7 @@ from bmatch.core import (
     OBJECTIVES,
     BInstance,
     DegreeSet,
+    GapTooLong,
     Matching,
     MultiGraph,
     NotFeasible,
@@ -33,6 +34,7 @@ from bmatch.core import (
     matching_weight,
     parse_certificate,
     parse_instance,
+    validate,
 )
 from bmatch.gen import PROFILES, random_instance
 from bmatch.neighbourhood import improvement_step, solve
@@ -117,6 +119,13 @@ def _write(path: str | None, text: str) -> None:
         handle.write(text)
 
 
+def _reject_long_gaps(instance: BInstance) -> None:
+    """The solver needs gaps of at most 1; an empty effective set is only infeasible."""
+    for flaw in validate(instance):
+        if isinstance(flaw, GapTooLong):
+            raise UsageError(f"degree set of vertex {flaw.vertex} has a gap longer than 1")
+
+
 def _checked_certificate(instance: BInstance, path: str) -> tuple[Matching, list[str]]:
     """Parse a certificate file and check it against the instance."""
     cert = parse_certificate(_read(path))
@@ -134,6 +143,7 @@ def _trace_fn(enabled: bool):
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.input), args.objective)
+    _reject_long_gaps(instance)
     stats: dict = {}
     started = time.perf_counter()
     matching = solve(instance, trace=_trace_fn(args.trace), stats=stats)
@@ -173,6 +183,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.input), args.objective)
+    if args.assert_optimal:
+        _reject_long_gaps(instance)
     matching, problems = _checked_certificate(instance, args.certificate)
     g = instance.graph
     payload: dict = {
@@ -255,6 +267,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.input), args.objective)
+    _reject_long_gaps(instance)
     m_a, problems_a = _checked_certificate(instance, args.matching_a)
     m_b, problems_b = _checked_certificate(instance, args.matching_b)
     for label, problems in (("a", problems_a), ("b", problems_b)):
@@ -363,15 +376,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise UsageError("--n and --m must be nonnegative")
     if args.min_weight > args.max_weight:
         raise UsageError("--min-weight must not exceed --max-weight")
-    instance = random_instance(
-        args.seed,
-        args.n,
-        args.m,
-        profile=args.profile,
-        weights=(args.min_weight, args.max_weight),
-        loops=not args.no_loops,
-        objective=args.objective,
-    )
+    try:
+        instance = random_instance(
+            args.seed,
+            args.n,
+            args.m,
+            profile=args.profile,
+            weights=(args.min_weight, args.max_weight),
+            loops=not args.no_loops,
+            objective=args.objective,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     comment = (
         f"generated: seed={args.seed} n={args.n} m={args.m} "
         f"profile={args.profile} weights={args.min_weight}..{args.max_weight} "

@@ -74,23 +74,6 @@ class MultiGraph:
         """Number of edge ends at v; a loop counts twice."""
         return self._degrees[v]
 
-    @cached_property
-    def _incident(self) -> tuple[tuple[int, ...], ...]:
-        inc: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for i, (u, v, _w) in enumerate(self.edges):
-            inc[u].append(i)
-            if v != u:
-                inc[v].append(i)
-        return tuple(tuple(x) for x in inc)
-
-    def incident(self, v: int) -> tuple[int, ...]:
-        """Edge indices touching v, in index order; a loop appears once."""
-        return self._incident[v]
-
-    def is_loop(self, e: int) -> bool:
-        u, v, _w = self.edges[e]
-        return u == v
-
 
 @dataclass(frozen=True)
 class DegreeSet:
@@ -135,9 +118,6 @@ class ParityInterval:
 
     def __contains__(self, k: int) -> bool:
         return self.lo <= k <= self.hi and (k - self.lo) % 2 == 0
-
-    def members(self) -> range:
-        return range(self.lo, self.hi + 1, 2)
 
 
 @dataclass(frozen=True)
@@ -275,15 +255,6 @@ def interval_of(b: DegreeSet, k: int) -> ParityInterval:
 # -- matching arithmetic -------------------------------------------------------
 
 
-def degree(graph: MultiGraph, matching: Matching, v: int) -> int:
-    """Number of selected edge ends at v; a selected loop counts twice."""
-    d = 0
-    for e in graph.incident(v):
-        if e in matching.selected:
-            d += 2 if graph.is_loop(e) else 1
-    return d
-
-
 def degrees(graph: MultiGraph, matching: Matching) -> list[int]:
     d = [0] * graph.vertex_count
     for e in matching.selected:
@@ -296,10 +267,6 @@ def degrees(graph: MultiGraph, matching: Matching) -> list[int]:
 def is_b_matching(instance: BInstance, matching: Matching) -> bool:
     degs = degrees(instance.graph, matching)
     return all(degs[v] in instance.b(v) for v in range(instance.graph.vertex_count))
-
-
-def symmetric_difference(m: Matching, n: Matching) -> Matching:
-    return Matching(m.selected ^ n.selected)
 
 
 def matching_weight(graph: MultiGraph, matching: Matching) -> int:

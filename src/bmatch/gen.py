@@ -52,7 +52,12 @@ def random_instance(
     loops: bool = True,
     objective: str = "max-card",
 ) -> BInstance:
-    """A reproducible random instance: same arguments, same instance."""
+    """A reproducible random instance: same arguments, same instance.
+
+    Raises ValueError when m > 0 edges have no two (or, with loops, one) vertices.
+    """
+    if m > 0 and n < (1 if loops else 2):
+        raise ValueError(f"cannot place {m} edges with n={n}{'' if loops else ' and no loops'}")
     rng = random.Random(seed)
     edges = []
     for _ in range(m):

@@ -15,19 +15,23 @@ two matchings disagree, on the majority side.  Canonical paths are built
 from such walks: meta-cycles attached at one or two endpoint vertices plus a
 connecting meta-path, whose joint application lands on a matching of
 neighbouring type.
+
+Recognising a canonical path is one arrangement step, run either over
+every pairing of edge ends (canonical_structure) or over a fixed set of
+walks (the sequence extraction keeps walks whole).  Shrinking to a basic
+path is one loop over the best disqualifying subset, built either way.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from bmatch.core import (
     BInstance,
     Matching,
     NotFeasible,
-    degree,
     degrees,
     interval_of,
     is_b_matching,
@@ -94,8 +98,16 @@ def walk_problems(instance: BInstance, matching: Matching, walk: AlternatingWalk
     return out
 
 
+class _WalkUnion:
+    """Edge set of a structure made of alternating walks."""
+
+    @property
+    def edge_set(self) -> frozenset[int]:
+        return frozenset(e for w in self.walks for e in w.edges)
+
+
 @dataclass(frozen=True)
-class MetaCycle:
+class MetaCycle(_WalkUnion):
     """Walks P(v1,v2), ..., P(vk,v1) with pairwise distinct junctions."""
 
     walks: tuple[AlternatingWalk, ...]
@@ -107,13 +119,9 @@ class MetaCycle:
         if len(set(self.junctions)) != len(self.junctions):
             raise ValueError("meta-cycle junctions must be pairwise distinct")
 
-    @property
-    def edge_set(self) -> frozenset[int]:
-        return frozenset(e for w in self.walks for e in w.edges)
-
 
 @dataclass(frozen=True)
-class MetaPath:
+class MetaPath(_WalkUnion):
     """Walks P(v1,v2), ..., P(vk,vk+1) with pairwise distinct junctions."""
 
     walks: tuple[AlternatingWalk, ...]
@@ -125,13 +133,9 @@ class MetaPath:
         if len(set(self.junctions)) != len(self.junctions):
             raise ValueError("meta-path junctions must be pairwise distinct")
 
-    @property
-    def edge_set(self) -> frozenset[int]:
-        return frozenset(e for w in self.walks for e in w.edges)
-
 
 @dataclass(frozen=True)
-class CanonicalPath:
+class CanonicalPath(_WalkUnion):
     """Meta-cycles at the two endpoints plus a meta-path between them.
 
     The meta-path is absent exactly when the endpoints coincide.
@@ -168,10 +172,6 @@ class CanonicalPath:
         if self.meta_path is not None:
             out.extend(self.meta_path.walks)
         return tuple(out)
-
-    @property
-    def edge_set(self) -> frozenset[int]:
-        return frozenset(e for w in self.walks for e in w.edges)
 
 
 def _edges_of(obj) -> frozenset[int]:
@@ -225,6 +225,41 @@ def shifts_within(
 # -- maximal decomposition -----------------------------------------------------
 
 
+def _ends_at(g, edges) -> dict[int, list[tuple[int, int]]]:
+    """Per vertex, the end slots of the edges in ascending edge order.
+
+    Edge e has slot (e, 0) at its first endpoint and (e, 1) at its second,
+    so the vertex of a slot (e, s) is g.edges[e][s].
+    """
+    at: dict[int, list[tuple[int, int]]] = {}
+    for e in sorted(edges):
+        u, v, _w = g.edges[e]
+        at.setdefault(u, []).append((e, 0))
+        at.setdefault(v, []).append((e, 1))
+    return at
+
+
+def _follow(g, link: dict, start: tuple[int, int], used: set[int]) -> AlternatingWalk:
+    """The walk that enters through slot `start` and follows the links.
+
+    It is a path when it leaves through an unlinked slot and a cycle when
+    the links lead back to `start`.  Every traversed edge is added to used.
+    """
+    edges: list[int] = []
+    verts = [g.edges[start[0]][start[1]]]
+    slot = start
+    while True:
+        e, s = slot
+        used.add(e)
+        edges.append(e)
+        verts.append(g.edges[e][1 - s])
+        slot = link.get((e, 1 - s))
+        if slot is None:
+            return AlternatingWalk("path", tuple(edges), tuple(verts))
+        if slot == start:
+            return AlternatingWalk("cycle", tuple(edges), tuple(verts))
+
+
 def decompose_symmetric_difference(
     instance: BInstance, m_one: Matching, m_two: Matching
 ) -> tuple[tuple[AlternatingWalk, ...], tuple[AlternatingWalk, ...]]:
@@ -242,56 +277,20 @@ def decompose_symmetric_difference(
             raise NotFeasible("decomposition requires feasible B-matchings")
     g = instance.graph
     diff = sorted(m_one.selected ^ m_two.selected)
-    in_m = lambda e: e in m_one
-    # Edge e has slot 0 at its first endpoint and slot 1 at its second.
-    at: dict[int, list[tuple[int, int]]] = {}
-    for e in diff:
-        u, v, _w = g.edges[e]
-        at.setdefault(u, []).append((e, 0))
-        at.setdefault(v, []).append((e, 1))
+    at = _ends_at(g, diff)
     link: dict[tuple[int, int], tuple[int, int]] = {}
-    free: list[tuple[int, int]] = []
-    for v in sorted(at):
-        matched = [s for s in sorted(at[v]) if in_m(s[0])]
-        unmatched = [s for s in sorted(at[v]) if not in_m(s[0])]
+    for slots in at.values():
+        matched = [s for s in slots if s[0] in m_one]
+        unmatched = [s for s in slots if s[0] not in m_one]
         for a, b in zip(matched, unmatched):
             link[a] = b
             link[b] = a
-        free.extend(matched[len(unmatched):])
-        free.extend(unmatched[len(matched):])
-
-    def vertex_at(slot: tuple[int, int]) -> int:
-        e, s = slot
-        u, v, _w = g.edges[e]
-        return u if s == 0 else v
-
     used: set[int] = set()
-
-    def traverse(start: tuple[int, int], stop_slot=None) -> AlternatingWalk | None:
-        edges: list[int] = []
-        verts = [vertex_at(start)]
-        slot = start
-        while True:
-            e, s = slot
-            used.add(e)
-            edges.append(e)
-            exit_slot = (e, 1 - s)
-            verts.append(vertex_at(exit_slot))
-            nxt = link.get(exit_slot)
-            if nxt is None:
-                return AlternatingWalk("path", tuple(edges), tuple(verts))
-            if nxt == stop_slot:
-                return AlternatingWalk("cycle", tuple(edges), tuple(verts))
-            slot = nxt
-
-    paths = []
-    for slot in sorted(free):
-        if slot[0] not in used:
-            paths.append(traverse(slot))
-    cycles = []
-    for e in diff:
-        if e not in used and in_m(e):
-            cycles.append(traverse((e, 0), stop_slot=(e, 0)))
+    free = sorted(s for slots in at.values() for s in slots if s not in link)
+    paths = [_follow(g, link, s, used) for s in free if s[0] not in used]
+    cycles = [
+        _follow(g, link, (e, 0), used) for e in diff if e not in used and e in m_one
+    ]
     assert all(e in used for e in diff)
     if __debug__:
         for w in paths + cycles:
@@ -318,7 +317,7 @@ def is_same_uniform_type(instance: BInstance, m: Matching, n: Matching) -> bool:
     deg_n = degrees(instance.graph, n)
     for v in range(instance.graph.vertex_count):
         iv = interval_of(instance.b(v), deg_m[v])
-        if deg_n[v] not in iv.members():
+        if deg_n[v] not in iv:
             return False
     return True
 
@@ -336,7 +335,7 @@ def is_neighbouring_type(instance: BInstance, m: Matching, n: Matching) -> bool:
     deviating: list[tuple] = []
     for v in range(instance.graph.vertex_count):
         b_m = interval_of(instance.b(v), deg_m[v])
-        if deg_n[v] in b_m.members():
+        if deg_n[v] in b_m:
             continue
         b_n = interval_of(instance.b(v), deg_n[v])
         deviating.append((v, b_m, b_n))
@@ -404,18 +403,9 @@ def _end_profile(
 
 def _pairings(ms: tuple, ns: tuple):
     """All ways to pair every element of the shorter tuple across the two."""
-    if not ms or not ns:
-        yield ()
-        return
-    if len(ms) < len(ns):
-        for pairing in _pairings(ns, ms):
-            yield tuple((b, a) for a, b in pairing)
-        return
-    # |ms| >= |ns|: every element of ns pairs; choose a partner for ns[0]
-    n0 = ns[0]
-    for i, m0 in enumerate(ms):
-        for rest in _pairings(ms[:i] + ms[i + 1 :], ns[1:]):
-            yield ((m0, n0),) + rest
+    if len(ms) >= len(ns):
+        return (tuple(zip(p, ns)) for p in permutations(ms, len(ns)))
+    return (tuple(zip(ms, p)) for p in permutations(ns, len(ms)))
 
 
 def _walk_decompositions(instance: BInstance, m: Matching, edges: frozenset[int]):
@@ -429,43 +419,15 @@ def _walk_decompositions(instance: BInstance, m: Matching, edges: frozenset[int]
     AlternatingWalk.
     """
     g = instance.graph
-    at: dict[int, list[tuple[int, int]]] = {}
-    for e in sorted(edges):
-        u, v, _w = g.edges[e]
-        at.setdefault(u, []).append((e, 0))
-        at.setdefault(v, []).append((e, 1))
-
-    def vertex_at(slot):
-        e, s = slot
-        u, v, _w = g.edges[e]
-        return u if s == 0 else v
-
+    at = _ends_at(g, edges)
     verts = sorted(at)
     seen = set()
 
     def rec(i: int, link: dict):
         if i == len(verts):
-            used = set()
-            walks = []
-            free = [s for v in verts for s in at[v] if s not in link]
-            for slot in sorted(free):
-                if slot[0] in used:
-                    continue
-                walk_edges = []
-                walk_verts = [vertex_at(slot)]
-                cur = slot
-                while True:
-                    e, s = cur
-                    used.add(e)
-                    walk_edges.append(e)
-                    walk_verts.append(vertex_at((e, 1 - s)))
-                    nxt = link.get((e, 1 - s))
-                    if nxt is None:
-                        break
-                    cur = nxt
-                walks.append(
-                    AlternatingWalk("path", tuple(walk_edges), tuple(walk_verts))
-                )
+            used: set[int] = set()
+            free = sorted(s for v in verts for s in at[v] if s not in link)
+            walks = [_follow(g, link, s, used) for s in free if s[0] not in used]
             if len(used) != len(edges):
                 return  # a closed trail remained
             key = tuple(sorted(tuple(sorted(w.endpoints)) for w in walks))
@@ -617,17 +579,15 @@ def _structure_from(
     )
 
 
-def canonical_structure(
-    instance: BInstance, matching: Matching, component
+def _arrange(
+    instance: BInstance, matching: Matching, edges: frozenset[int], decompositions
 ) -> CanonicalPath | None:
-    """A canonical-path structure over the edge set, or None.
-
-    None means the edge set is not a canonical path w.r.t. the matching:
-    its application is infeasible or not of neighbouring type, or no
-    decomposition into open alternating walks arranges as meta-cycles at the
-    endpoints plus a connecting meta-path.
+    """Arrange the first fitting decomposition of the edge set into a
+    canonical path: meta-cycles at the endpoints plus a connecting
+    meta-path, or None when the edge set is empty, its application is
+    infeasible or not of neighbouring type, it has more than two odd walk
+    ends, or no decomposition (an iterable of walk tuples) arranges.
     """
-    edges = _edges_of(component)
     if not edges:
         return None
     after = apply(matching, edges)
@@ -645,13 +605,29 @@ def canonical_structure(
         anchors = [(odd[0], odd[1])]
     else:
         anchors = [(v, v) for v in sorted(profile)]
-    for walks in _walk_decompositions(instance, matching, edges):
+    for walks in decompositions:
         pairs = tuple(w.endpoints for w in walks)
         for v_first, v_last in anchors:
             partition = _shape_partition(pairs, v_first, v_last)
             if partition is not None:
                 return _structure_from(walks, v_first, v_last, partition)
     return None
+
+
+def canonical_structure(
+    instance: BInstance, matching: Matching, component
+) -> CanonicalPath | None:
+    """A canonical-path structure over the edge set, or None.
+
+    None means the edge set is not a canonical path w.r.t. the matching:
+    its application is infeasible or not of neighbouring type, or no
+    decomposition into open alternating walks arranges as meta-cycles at the
+    endpoints plus a connecting meta-path.
+    """
+    edges = _edges_of(component)
+    return _arrange(
+        instance, matching, edges, _walk_decompositions(instance, matching, edges)
+    )
 
 
 def is_canonical(instance: BInstance, matching: Matching, component) -> bool:
@@ -684,32 +660,9 @@ def _pool_witness(instance, matching, walks) -> CanonicalPath | None:
     kept whole, which the sequence extraction relies on to keep the unused
     remainder of a maximal decomposition maximal.
     """
+    walks = tuple(walks)
     edges = frozenset(e for w in walks for e in w.edges)
-    if not edges:
-        return None
-    after = apply(matching, edges)
-    if not is_b_matching(instance, after):
-        return None
-    if not is_neighbouring_type(instance, matching, after):
-        return None
-    counts: Counter = Counter()
-    for w in walks:
-        a, b = w.endpoints
-        counts[a] += 1
-        counts[b] += 1
-    odd = sorted(v for v, k in counts.items() if k % 2)
-    if len(odd) > 2:
-        return None
-    if len(odd) == 2:
-        anchors = [(odd[0], odd[1])]
-    else:
-        anchors = [(v, v) for v in sorted(counts)]
-    pairs = tuple(w.endpoints for w in walks)
-    for v_first, v_last in anchors:
-        partition = _shape_partition(pairs, v_first, v_last)
-        if partition is not None:
-            return _structure_from(tuple(walks), v_first, v_last, partition)
-    return None
+    return _arrange(instance, matching, edges, [walks])
 
 
 def _meta_options(s: CanonicalPath) -> list[tuple[frozenset[int], ...]]:
@@ -757,27 +710,16 @@ def _meta_subsets(s: CanonicalPath) -> list[frozenset[int]]:
 
 
 def _pool_basic(instance, matching, witness: CanonicalPath) -> CanonicalPath:
-    """Meta-granularity basic subset, keeping whole constituent walks."""
-    walks = list(witness.walks)
-    while True:
-        w_s = weight_of(instance, matching, witness.edge_set)
-        best = None
-        for edges in _meta_subsets(witness):
-            sub = [w for w in walks if w.edge_set <= edges]
-            if frozenset(e for w in sub for e in w.edges) != edges:
-                continue
-            rebuilt = _pool_witness(instance, matching, sub)
-            if rebuilt is None:
-                continue
-            wt = weight_of(instance, matching, edges)
-            if wt >= w_s or wt > 0:
-                key = (wt, -len(edges), tuple(sorted(edges)))
-                if best is None or key > best[0]:
-                    best = (key, rebuilt)
-        if best is None:
-            return witness
-        witness = best[1]
-        walks = list(witness.walks)
+    """Meta-granularity basic subset, rebuilt from whole constituent walks
+    (every meta subset is a union of whole walks of the structure)."""
+
+    def step(s: CanonicalPath) -> CanonicalPath | None:
+        def build(edges):
+            return _pool_witness(instance, matching, [w for w in s.walks if w.edge_set <= edges])
+
+        return _best_subset(instance, matching, s, _meta_subsets(s), build)
+
+    return _shrink(witness, step)
 
 
 def extract_canonical_sequence(
@@ -807,10 +749,8 @@ def extract_canonical_sequence(
         seed = min(pool, key=lambda w: min(w.edges))
         pool.remove(seed)
         h = [seed]
-        counts: Counter = Counter()
+        counts = Counter(seed.endpoints)
         a, b = seed.endpoints
-        counts[a] += 1
-        counts[b] += 1
         pin = a if a == b else None
 
         def endpoints_of() -> tuple[int, int]:
@@ -859,8 +799,7 @@ def extract_canonical_sequence(
                 wa, wb = w_new.endpoints
                 far = wb if wa == v1 else wa
                 prev_far = counts[far]
-                counts[wa] += 1
-                counts[wb] += 1
+                counts.update(w_new.endpoints)
                 if not any(k % 2 for k in counts.values()):
                     pin = far
                 grown = True
@@ -899,7 +838,7 @@ def _try_cycle_escape(instance, m_cur, h, w_new, far):
         return None
     end_edge = _end_edge_at(w_new, far)
     sigma = -1 if end_edge in m_cur else 1
-    if degree(g, m_cur, far) + 2 * sigma not in instance.b(far):
+    if degrees(g, m_cur)[far] + 2 * sigma not in instance.b(far):
         return None
     pairs = tuple(w.endpoints for w in h)
     idx_new = len(h) - 1
@@ -921,6 +860,12 @@ _EDGE_SEARCH_LIMIT = 12
 
 
 def _subset_pool(instance, m: Matching, s: CanonicalPath, granularity: str):
+    """Proper nonempty subsets of s to search at the granularity.
+
+    At edge granularity a subset only counts when its degree shifts stay
+    within the shifts of s itself; meta subsets are unions of whole walks
+    of s and satisfy that by construction.
+    """
     if granularity == "meta":
         return _meta_subsets(s)
     if granularity == "edges":
@@ -930,34 +875,47 @@ def _subset_pool(instance, m: Matching, s: CanonicalPath, granularity: str):
                 f"edge-granularity subset search handles at most "
                 f"{_EDGE_SEARCH_LIMIT} edges, got {len(full)}"
             )
-        out = []
-        for r in range(1, len(full)):
-            out.extend(frozenset(c) for c in combinations(full, r))
-        return out
+        target = apply(m, s.edge_set)
+        subsets = (frozenset(c) for r in range(1, len(full)) for c in combinations(full, r))
+        return [e for e in subsets if shifts_within(instance, m, target, e)]
     raise ValueError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
 
 
-def _disqualifier(instance, m: Matching, s: CanonicalPath, granularity: str):
-    """Best proper nonempty canonical subset with weight >= w(S) or > 0.
+def _best_subset(instance, m: Matching, s: CanonicalPath, subsets, build):
+    """Structure of the best disqualifying subset of s, or None.
 
-    At edge granularity a subset only counts when its degree shifts stay
-    within the shifts of s itself; meta subsets are unions of whole walks
-    of s and satisfy that by construction.
+    A subset disqualifies s when its weight is >= w(s) or positive and
+    build(subset) gives it a structure; the best has the largest key
+    (weight, -size, sorted edges), so only a subset that would beat the
+    best so far is built.
     """
     w_s = weight_of(instance, m, s.edge_set)
-    target = apply(m, s.edge_set)
     best = None
-    for edges in _subset_pool(instance, m, s, granularity):
-        if granularity == "edges" and not shifts_within(instance, m, target, edges):
-            continue
-        if canonical_structure(instance, m, edges) is None:
-            continue
+    for edges in subsets:
         wt = weight_of(instance, m, edges)
-        if wt >= w_s or wt > 0:
-            key = (wt, -len(edges), tuple(sorted(edges)))
-            if best is None or key > best[0]:
-                best = (key, edges)
+        key = (wt, -len(edges), tuple(sorted(edges)))
+        if (wt >= w_s or wt > 0) and (best is None or key > best[0]):
+            rebuilt = build(edges)
+            if rebuilt is not None:
+                best = (key, rebuilt)
     return None if best is None else best[1]
+
+
+def _shrink(s: CanonicalPath, step) -> CanonicalPath:
+    """Replace s by step(s) until that is None; terminates because every
+    replacement is a proper subset."""
+    while (smaller := step(s)) is not None:
+        s = smaller
+    return s
+
+
+def _disqualifier(instance, m: Matching, s: CanonicalPath, granularity: str):
+    """Best proper nonempty canonical subset with weight >= w(S) or > 0."""
+
+    def build(edges):
+        return canonical_structure(instance, m, edges)
+
+    return _best_subset(instance, m, s, _subset_pool(instance, m, s, granularity), build)
 
 
 def is_basic(
@@ -972,15 +930,8 @@ def make_basic(
     instance: BInstance, m: Matching, s: CanonicalPath, granularity: str = "meta"
 ) -> CanonicalPath:
     """Shrink a canonical path to a basic one by repeatedly replacing it
-    with its best disqualifying subset; terminates because every
-    replacement is a proper subset."""
-    while True:
-        edges = _disqualifier(instance, m, s, granularity)
-        if edges is None:
-            return s
-        rebuilt = canonical_structure(instance, m, edges)
-        assert rebuilt is not None, "disqualifying subset lost its structure"
-        s = rebuilt
+    with its best disqualifying subset."""
+    return _shrink(s, lambda s: _disqualifier(instance, m, s, granularity))
 
 
 # -- classification of basic canonical paths -------------------------------------

@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import pytest
@@ -5,6 +6,14 @@ import pytest
 from bmatch.core import parse_certificate, parse_instance
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def src_env() -> dict:
+    """Environment for a subprocess that imports bmatch from this checkout."""
+    src = str(FIXTURES.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
 
 
 @pytest.fixture(scope="session")

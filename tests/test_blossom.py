@@ -1,6 +1,4 @@
 import hashlib
-import os
-import pathlib
 import random
 import subprocess
 import sys
@@ -16,6 +14,8 @@ from bmatch.blossom import (
     _check_optimum,
     max_weight_perfect_matching,
 )
+
+from conftest import src_env
 
 
 def brute_force_pm(g: SimpleWeightedGraph) -> PerfectMatching | None:
@@ -219,13 +219,9 @@ def test_barrier_check_rejects_a_false_barrier():
 
 
 def run_optimized(code: str) -> subprocess.CompletedProcess:
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    ))
     return subprocess.run(
         [sys.executable, "-O", "-c", code],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=src_env(), timeout=60,
     )
 
 

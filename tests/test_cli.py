@@ -9,7 +9,7 @@ import pytest
 from bmatch.cli import main
 from bmatch.core import parse_instance, validate
 
-from conftest import FIXTURES
+from conftest import FIXTURES, src_env
 
 FIG2 = str(FIXTURES / "fig2.bm")
 FIG2_M7 = str(FIXTURES / "fig2_m7.cert")
@@ -351,6 +351,53 @@ def test_decompose_pins_invalid_certificate_line(capsys, tmp_path):
     assert err == "matching-a invalid: claimed size 8 but 2 edges listed\n"
 
 
+# -- degree sets with a long gap ------------------------------------------------------
+
+# B(0) = {0, 3} skips 1 and 2: parse_instance takes it and the oracle answers
+# it, but the solver and the decomposition assume gaps of at most one.
+LONG_GAP_STAR = """p bm 4 3
+e 0 1
+e 0 2
+e 0 3
+b 0 0 3
+b 1 0 1
+b 2 0 1
+b 3 0 1
+"""
+LONG_GAP_ERROR = "error: degree set of vertex 0 has a gap longer than 1\n"
+
+
+@pytest.fixture()
+def long_gap(tmp_path):
+    (tmp_path / "star.bm").write_text(LONG_GAP_STAR)
+    (tmp_path / "empty.cert").write_text("s 0 0\nm\n")
+    (tmp_path / "full.cert").write_text("s 3 3\nm 0 1 2\n")
+    return lambda name: str(tmp_path / name)
+
+
+def test_solve_rejects_long_gap(capsys, long_gap):
+    code, out, err = run(capsys, "solve", "--input", long_gap("star.bm"))
+    assert (code, out, err) == (1, "", LONG_GAP_ERROR)
+
+
+def test_check_assert_optimal_rejects_long_gap(capsys, long_gap):
+    argv = ("check", "--input", long_gap("star.bm"), "--certificate", long_gap("empty.cert"))
+    code, out, err = run(capsys, *argv, "--assert-optimal")
+    assert (code, out, err) == (1, "", LONG_GAP_ERROR)
+    # plain checking and the oracle still take the instance
+    code, out, _err = run(capsys, *argv)
+    assert code == 0 and out.startswith("valid true\n")
+    code, out, _err = run(capsys, "oracle", "--input", long_gap("star.bm"))
+    assert code == 0 and "value 3\n" in out
+
+
+def test_decompose_rejects_long_gap(capsys, long_gap):
+    code, out, err = run(capsys, "decompose", "--input", long_gap("star.bm"),
+                         "--matching-a", long_gap("empty.cert"),
+                         "--matching-b", long_gap("full.cert"))
+    assert (code, out, err) == (1, "", LONG_GAP_ERROR)
+
+
 # -- gadget ------------------------------------------------------------------------
 
 
@@ -451,6 +498,20 @@ def test_gen_rejects_bad_ranges(capsys):
     code, _out, err = run(capsys, "gen", "--seed", "1", "--n", "2", "--m", "2",
                           "--min-weight", "5", "--max-weight", "1")
     assert code == 1 and "min-weight" in err
+
+
+def test_gen_rejects_sizes_with_no_room_for_edges():
+    # in a subprocess with a timeout: redrawing a loop-free endpoint on one
+    # vertex would never end
+    for sizes, message in (
+        (("--n", "1", "--m", "2", "--no-loops"), "cannot place 2 edges with n=1 and no loops"),
+        (("--n", "0", "--m", "3"), "cannot place 3 edges with n=0"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bmatch.cli", "gen", "--seed", "1", *sizes],
+            capture_output=True, text=True, env=src_env(), timeout=30,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 
 # -- errors and entry point ---------------------------------------------------------

@@ -14,7 +14,6 @@ from bmatch.core import (
     ParityInterval,
     ParseError,
     check_certificate,
-    degree,
     degrees,
     format_certificate,
     format_instance,
@@ -24,7 +23,6 @@ from bmatch.core import (
     parity_intervals,
     parse_certificate,
     parse_instance,
-    symmetric_difference,
     validate,
 )
 from bmatch.core import NotInSet
@@ -110,14 +108,7 @@ def test_loop_counts_two_toward_degree():
     g = MultiGraph(2, ((0, 0, 1), (0, 1, 1)))
     m = Matching(frozenset({0, 1}))
     assert degrees(g, m) == [3, 1]
-    assert degree(g, m, 0) == 3
     assert degrees(g, EMPTY_MATCHING) == [0, 0]
-
-
-def test_symmetric_difference():
-    a = Matching(frozenset({0, 1}))
-    b = Matching(frozenset({1, 2}))
-    assert symmetric_difference(a, b) == Matching(frozenset({0, 2}))
 
 
 def test_is_b_matching_and_weight():

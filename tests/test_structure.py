@@ -1,5 +1,5 @@
-import os
-import pathlib
+import hashlib
+import random
 import subprocess
 import sys
 
@@ -7,6 +7,7 @@ import pytest
 
 from bmatch.core import (
     EMPTY_MATCHING,
+    OBJECTIVES,
     BInstance,
     DegreeSet,
     Matching,
@@ -14,6 +15,8 @@ from bmatch.core import (
     degrees,
     is_b_matching,
 )
+from bmatch.gen import random_instance
+from bmatch.oracle import _sample_pair, run_verification_suite
 from bmatch.structure import (
     AlternatingWalk,
     NotBasic,
@@ -31,6 +34,8 @@ from bmatch.structure import (
     walk_problems,
     weight_of,
 )
+
+from conftest import src_env
 
 M9 = Matching(frozenset({1, 3, 6, 7, 8, 10, 12, 13, 15}))
 FULL = frozenset(range(16))
@@ -301,20 +306,93 @@ def test_granularity_name_checked(fig2, fig2_m7):
 def test_stuck_extraction_raises_under_optimize():
     # Seed 628708120 reaches a candidate that can neither be emitted nor
     # grown.  The growth loop must stop there with python -O as well.
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    ))
     code = (
         "from bmatch.oracle import run_verification_suite\n"
         "run_verification_suite('lemma2', 628708120, 100)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=src_env(), timeout=60,
     )
     assert proc.returncode == 1
     assert (
         "AssertionError: candidate is not canonical and cannot grow"
         in proc.stderr.splitlines()[-1]
     )
+
+
+# -- pinned outputs ---------------------------------------------------------------
+
+
+def pinned_pairs():
+    """About 140 seeded feasible pairs, drawn as the verification suites draw
+    them but on instances large enough to need meta-cycle arcs and
+    subset shrinking, plus the cycle-escape instance."""
+    profiles = ("mixed", "parity", "interval")
+    count = 50
+    for seed in range(3):
+        rng = random.Random(seed)
+        for index in range(count):
+            for attempt in range(6):
+                instance = random_instance(
+                    seed * 10_007 + index + (count + 1) * attempt,
+                    n=4 + index % 4,
+                    m=10 + index % 7,
+                    profile=profiles[index % len(profiles)],
+                    weights=(-5, 5),
+                    objective=OBJECTIVES[index % len(OBJECTIVES)],
+                )
+                pair = _sample_pair(instance, rng)
+                if pair is not None:
+                    yield instance, pair
+                    break
+    yield escape_instance(), (EMPTY_MATCHING, Matching(frozenset({0, 1, 2, 3})))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (AssertionError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def structure_outputs():
+    for instance, (m, n) in pinned_pairs():
+        yield decompose_symmetric_difference(instance, m, n)
+        extracted = outcome(extract_canonical_sequence, instance, m, n)
+        yield extracted
+        if isinstance(extracted, str):
+            continue
+        cycles, steps = extracted
+        running = m
+        for c in cycles:
+            running = apply(running, c.edge_set)
+        for s in steps:
+            yield canonical_structure(instance, running, s.edge_set)
+            small = len(s.edge_set) <= 12
+            for granularity in ("meta", "edges") if small else ("meta",):
+                yield is_basic(instance, running, s, granularity)
+                basic = make_basic(instance, running, s, granularity)
+                yield basic
+                yield outcome(classify, instance, running, basic)
+            yield outcome(classify, instance, running, s)
+            running = apply(running, s.edge_set)
+
+
+def test_structure_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for out in structure_outputs():
+        digest.update(repr(out).encode() + b"\n")
+    assert digest.hexdigest() == STRUCTURE_SHA256
+
+
+def test_verification_suite_reports_are_pinned():
+    digest = hashlib.sha256()
+    for name in ("theorem", "exchange", "lemma2"):
+        for seed in range(4):
+            digest.update(repr(run_verification_suite(name, seed, 60)).encode() + b"\n")
+    assert digest.hexdigest() == SUITES_SHA256
+
+
+STRUCTURE_SHA256 = "5da983dc686939c24f9aad3a94b8a8a6877cc9d6d7c67dc55b6721c85e089037"
+SUITES_SHA256 = "14df3785480b9edadd87c7b990ffdc453f3d1b2999a3ea8ce0999e6458401a7e"
