@@ -10,9 +10,9 @@ so the walk through neighbouring types is visible directly.
 
 import argparse
 
-from bmatch.core import matching_weight, parse_instance
+from bmatch.core import current_type, matching_weight, parse_instance
 from bmatch.gen import PROFILES, random_instance
-from bmatch.neighbourhood import current_type, find_feasible, improvement_step
+from bmatch.neighbourhood import find_feasible, improvement_step
 
 
 def type_label(indices: tuple[int, ...]) -> str:

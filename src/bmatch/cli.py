@@ -218,6 +218,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if (args.input is None) == (args.verify is None):
         raise UsageError("oracle needs exactly one of --input or --verify")
     if args.verify is not None:
+        if args.count < 0:
+            raise UsageError("--count must be nonnegative")
         report = run_verification_suite(args.verify, args.seed, args.count)
         if args.format == "structured":
             payload = {

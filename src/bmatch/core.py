@@ -1,15 +1,18 @@
-"""Instance model: multigraphs, degree sets, parity intervals, matchings, file I/O.
+"""Instance model: multigraphs, degree sets, parity intervals, matchings and
+their types, file I/O.
 
 Degree sets are arbitrary sets of admissible vertex degrees subject to one
 structural restriction: they contain no gap longer than 1 (between two
 consecutive admissible values the difference is at most 2).  Such a set
-splits into maximal runs of same-parity values, the parity intervals, and
-all higher layers of the solver reason in terms of those intervals.
+splits into maximal runs of same-parity values, the parity intervals.  The
+instance caches them, and a matching's type (the interval index holding its
+degree at each vertex) is located here only; all higher layers of the
+solver reason in terms of those intervals and types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -23,10 +26,6 @@ class ParseError(ValueError):
         self.line_no = line_no
         self.message = message
         super().__init__(f"line {line_no}: {message}")
-
-
-class NotInSet(ValueError):
-    """Raised when a degree is looked up in a degree set that lacks it."""
 
 
 class NotFeasible(ValueError):
@@ -141,9 +140,18 @@ class BInstance:
             ds.restrict(self.graph.degree(v)) for v, ds in enumerate(self.degree_sets)
         )
 
+    @cached_property
+    def _intervals(self) -> tuple[tuple[ParityInterval, ...], ...]:
+        return tuple(parity_intervals(b) for b in self._effective)
+
     def b(self, v: int) -> DegreeSet:
         """Degree set of v intersected with the attainable range [0, d_G(v)]."""
         return self._effective[v]
+
+    def intervals(self, v: int) -> tuple[ParityInterval, ...]:
+        """Parity intervals of b(v) in increasing order; raises ValueError
+        when b(v) has a gap longer than 1."""
+        return self._intervals[v]
 
 
 @dataclass(frozen=True)
@@ -242,14 +250,20 @@ def parity_intervals(b: DegreeSet) -> tuple[ParityInterval, ...]:
     return tuple(out)
 
 
-def interval_of(b: DegreeSet, k: int) -> ParityInterval:
-    """The unique parity interval of b containing k."""
-    if k not in b:
-        raise NotInSet(f"{k} is not in the degree set {b.values}")
-    for iv in parity_intervals(b):
-        if k in iv:
-            return iv
-    raise AssertionError("parity intervals failed to cover a member")
+def current_type(instance: BInstance, matching: Matching) -> tuple[int, ...]:
+    """The matching's type: per vertex, the index of the parity interval of
+    B(v) holding d_M(v).  Raises NotFeasible when some d_M(v) is not in B(v).
+    """
+    deg = degrees(instance.graph, matching)
+    out = []
+    for v, d in enumerate(deg):
+        for i, iv in enumerate(instance.intervals(v)):
+            if d in iv:
+                out.append(i)
+                break
+        else:
+            raise NotFeasible(f"degree {d} at vertex {v} is outside its degree set")
+    return tuple(out)
 
 
 # -- matching arithmetic -------------------------------------------------------

@@ -17,14 +17,11 @@ from bmatch.core import (
     BInstance,
     Matching,
     MultiGraph,
-    NotFeasible,
-    OBJECTIVES,
     ParityInterval,
-    degrees,
+    current_type,
     matching_weight,
-    parity_intervals,
 )
-from bmatch.reduce import Parity, UniformSpec
+from bmatch.reduce import UniformSpec
 from bmatch.uniform import solve_uniform
 
 TraceFn = Callable[[str], None]
@@ -46,8 +43,8 @@ class CandidateType:
     """
 
     moves: tuple[tuple[int, int], ...]
-    pins: tuple[Parity, ...]
-    base: tuple[Parity, ...] = field(repr=False)
+    pins: tuple[ParityInterval, ...]
+    base: tuple[ParityInterval, ...] = field(repr=False)
 
     @property
     def deviating(self) -> frozenset[int]:
@@ -63,28 +60,6 @@ class CandidateType:
         return UniformSpec(tuple(per_vertex))
 
 
-def _instance_intervals(instance: BInstance) -> list[list[ParityInterval]]:
-    return [
-        parity_intervals(instance.b(v)) for v in range(instance.graph.vertex_count)
-    ]
-
-
-def current_type(instance: BInstance, matching: Matching) -> tuple[int, ...]:
-    """Per vertex, the index of the parity interval of B(v) holding d_M(v)."""
-    deg = degrees(instance.graph, matching)
-    out = []
-    for v, intervals in enumerate(_instance_intervals(instance)):
-        for i, iv in enumerate(intervals):
-            if deg[v] in iv:
-                out.append(i)
-                break
-        else:
-            raise NotFeasible(
-                f"degree {deg[v]} at vertex {v} is outside its degree set"
-            )
-    return tuple(out)
-
-
 def enumerate_candidates(
     instance: BInstance, matching: Matching
 ) -> tuple[CandidateType, ...]:
@@ -97,10 +72,7 @@ def enumerate_candidates(
     """
     n = instance.graph.vertex_count
     t = current_type(instance, matching)
-    pins = [
-        tuple(Parity(iv.lo, iv.hi) for iv in intervals)
-        for intervals in _instance_intervals(instance)
-    ]
+    pins = [instance.intervals(v) for v in range(n)]
     base = tuple(pins[v][t[v]] for v in range(n))
     out = [CandidateType((), (), base)]
     for v in range(n):
@@ -118,10 +90,9 @@ def enumerate_candidates(
     return tuple(out)
 
 
-def _objective_parts(sense: str) -> tuple[bool, str]:
-    if sense not in OBJECTIVES:
-        raise ValueError(f"sense must be one of {OBJECTIVES}, got {sense!r}")
-    kind, direction = sense.split("-")[1], sense.split("-")[0]
+def _objective_parts(objective: str) -> tuple[bool, str]:
+    """(cardinality?, "max" or "min") of one of core.OBJECTIVES."""
+    direction, kind = objective.split("-")
     return kind == "card", direction
 
 
@@ -137,7 +108,7 @@ def _value(instance: BInstance, matching: Matching, cardinality: bool) -> int:
     return len(matching) if cardinality else matching_weight(instance.graph, matching)
 
 
-def _degree_sum(pins: tuple[Parity, ...], direction: str) -> int:
+def _degree_sum(pins: tuple[ParityInterval, ...], direction: str) -> int:
     """Sum of the largest (max) or smallest (min) degree each pin allows."""
     return sum(p.hi if direction == "max" else p.lo for p in pins)
 
@@ -153,7 +124,6 @@ def _cardinality_bound(cand: CandidateType, base_sum: int, direction: str) -> in
 def improvement_step(
     instance: BInstance,
     matching: Matching,
-    sense: str | None = None,
     *,
     cache: dict | None = None,
     trace: TraceFn | None = None,
@@ -161,9 +131,9 @@ def improvement_step(
 ) -> Matching | None:
     """Best strictly-improving matching over all candidate types, or None.
 
-    None certifies that `matching` is optimal for the instance.  Ties go to
-    the earliest candidate in enumeration order, then to the solver's own
-    determinism.  For cardinality objectives a candidate whose degree bound
+    None certifies that `matching` is optimal for instance.objective.  Ties
+    go to the earliest candidate in enumeration order, then to the solver's
+    own determinism.  For cardinality objectives a candidate whose degree bound
     cannot beat the current value is pruned before its spec is built.
     `matching` starts the existence search of every solved candidate.  A
     shared `cache` (keyed by spec and direction) answers a candidate whose
@@ -174,9 +144,7 @@ def improvement_step(
     caller-owned `stats` dict accumulates 'solved', 'cached' and 'pruned'
     counts.
     """
-    if sense is None:
-        sense = instance.objective
-    cardinality, direction = _objective_parts(sense)
+    cardinality, direction = _objective_parts(instance.objective)
     work = _work_instance(instance, cardinality)
     candidates = enumerate_candidates(instance, matching)
     base_sum = _degree_sum(candidates[0].base, direction)
@@ -196,10 +164,6 @@ def improvement_step(
             stats["pruned"] += 1
             continue
         spec = cand.spec
-        if __debug__:
-            for v, _off in cand.moves:
-                allowed = instance.b(v)
-                assert all(d in allowed for d in spec.per_vertex[v].degrees())
         key = (spec, direction, cardinality)
         if cache is not None and key in cache:
             stats["cached"] += 1
@@ -363,12 +327,7 @@ def solve(
                 f"{_value(instance, matching, cardinality)}"
             )
         improved = improvement_step(
-            instance,
-            matching,
-            instance.objective,
-            cache=cache,
-            trace=trace,
-            stats=stats,
+            instance, matching, cache=cache, trace=trace, stats=stats
         )
         if improved is None:
             return matching

@@ -342,10 +342,13 @@ def run_verification_suite(name: str, seed: int, count: int) -> SuiteReport:
     'theorem' checks the one-step improvement property on random instances
     cycling through all objectives; 'exchange' and 'lemma2' check random
     feasible pairs.  Instances whose sampling yields nothing usable are
-    counted as skipped.
+    counted as skipped.  An unknown name or a negative count raises
+    ValueError.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"suite must be one of {SUITE_NAMES}, got {name!r}")
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     rng = random.Random(seed)
     checked = skipped = 0
     failures: list[str] = []

@@ -1,10 +1,12 @@
 """Gadget reductions: uniform degree specs to (a,b)-matching, and (a,b)-matching
 to perfect matching on a simple graph.
 
-The first stage turns a parity-constrained degree spec {lo, lo+2, ..., hi}
-into plain bounds by attaching (hi-lo)/2 weight-0 loops at the vertex and
-pinning its degree to hi; selecting k loops lowers the effective original
-degree by 2k, which walks the parity class.
+A uniform spec gives each vertex either a dense Interval {a, ..., b} or a
+core.ParityInterval {lo, lo+2, ..., hi}; both answer `d in entry`.  The
+first stage turns a parity interval into plain bounds by attaching
+(hi-lo)/2 weight-0 loops at the vertex and pinning its degree to hi;
+selecting k loops lowers the effective original degree by 2k, which walks
+the parity class.
 
 The second stage is a vertex gadget.  Every edge end becomes an external
 node and each edge joins its two externals, carrying the original weight.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from bmatch.blossom import SimpleWeightedGraph
-from bmatch.core import BInstance, Matching, MultiGraph
+from bmatch.core import BInstance, Matching, MultiGraph, ParityInterval
 
 
 class BadSpec(ValueError):
@@ -49,33 +51,16 @@ class Interval:
         if not 0 <= self.a <= self.b:
             raise BadSpec(f"bad interval bounds [{self.a}, {self.b}]")
 
-    def degrees(self) -> range:
-        return range(self.a, self.b + 1)
+    def __contains__(self, d: int) -> bool:
+        return self.a <= d <= self.b
 
 
-@dataclass(frozen=True)
-class Parity:
-    """Admissible degrees {lo, lo+2, ..., hi}."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.lo <= self.hi:
-            raise BadSpec(f"bad parity bounds [{self.lo}, {self.hi}]")
-        if (self.hi - self.lo) % 2 != 0:
-            raise BadSpec(f"parity bounds {self.lo}, {self.hi} differ in parity")
-
-    def degrees(self) -> range:
-        return range(self.lo, self.hi + 1, 2)
-
-
-VertexSpec = Interval | Parity
+VertexSpec = Interval | ParityInterval
 
 
 @dataclass(frozen=True)
 class UniformSpec:
-    """One Interval or Parity constraint per vertex."""
+    """One Interval or ParityInterval constraint per vertex."""
 
     per_vertex: tuple[VertexSpec, ...]
 
@@ -83,7 +68,7 @@ class UniformSpec:
         object.__setattr__(self, "per_vertex", tuple(self.per_vertex))
 
     def allows(self, v: int, d: int) -> bool:
-        return d in self.per_vertex[v].degrees()
+        return d in self.per_vertex[v]
 
 
 @dataclass(frozen=True)
@@ -171,8 +156,8 @@ def lift(lift_map: LiftMap, solution) -> Matching:
 
 
 def uniform_to_ab(instance: BInstance, spec: UniformSpec) -> tuple[ABInstance, LiftMap]:
-    """Loop construction: parity specs become degree-pinned vertices with
-    weight-0 loops; interval specs turn into bounds directly."""
+    """Loop construction: parity intervals become degree-pinned vertices
+    with weight-0 loops; dense intervals turn into bounds directly."""
     g = instance.graph
     n = g.vertex_count
     if len(spec.per_vertex) != n:

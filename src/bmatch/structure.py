@@ -32,10 +32,9 @@ from bmatch.core import (
     BInstance,
     Matching,
     NotFeasible,
+    current_type,
     degrees,
-    interval_of,
     is_b_matching,
-    parity_intervals,
 )
 
 
@@ -311,49 +310,29 @@ def decompose_symmetric_difference(
 # -- type predicates -----------------------------------------------------------
 
 
+def _index_moves(instance: BInstance, m: Matching, n: Matching) -> list[int] | None:
+    """Sorted nonzero interval-index differences from M's type to N's, or
+    None when N is infeasible.  M must be feasible."""
+    if not is_b_matching(instance, n):
+        return None
+    pairs = zip(current_type(instance, m), current_type(instance, n))
+    return sorted(abs(i - j) for i, j in pairs if i != j)
+
+
 def is_same_uniform_type(instance: BInstance, m: Matching, n: Matching) -> bool:
     """Does every d_N(v) stay in the interval of B(v) holding d_M(v)?"""
-    deg_m = degrees(instance.graph, m)
-    deg_n = degrees(instance.graph, n)
-    for v in range(instance.graph.vertex_count):
-        iv = interval_of(instance.b(v), deg_m[v])
-        if deg_n[v] not in iv:
-            return False
-    return True
-
-
-def _adjacent(lower, upper) -> bool:
-    return lower.hi + 1 == upper.lo
+    return _index_moves(instance, m, n) == []
 
 
 def is_neighbouring_type(instance: BInstance, m: Matching, n: Matching) -> bool:
-    """The |W| <= 2 deviation test from the neighbouring-type definition."""
-    if not is_b_matching(instance, n):
-        return False
-    deg_m = degrees(instance.graph, m)
-    deg_n = degrees(instance.graph, n)
-    deviating: list[tuple] = []
-    for v in range(instance.graph.vertex_count):
-        b_m = interval_of(instance.b(v), deg_m[v])
-        if deg_n[v] in b_m:
-            continue
-        b_n = interval_of(instance.b(v), deg_n[v])
-        deviating.append((v, b_m, b_n))
-        if len(deviating) > 2:
-            return False
-    if not deviating:
-        return True
-    if len(deviating) == 2:
-        return all(
-            _adjacent(b_m, b_n) or _adjacent(b_n, b_m) for _v, b_m, b_n in deviating
-        )
-    ((w, b_m, b_n),) = deviating
-    for middle in parity_intervals(instance.b(w)):
-        if (_adjacent(b_m, middle) or _adjacent(middle, b_m)) and (
-            _adjacent(b_n, middle) or _adjacent(middle, b_n)
-        ):
-            return True
-    return False
+    """Is N feasible with W = its deviating vertices either empty, one
+    vertex two intervals over, or two vertices one interval over each?
+
+    Comparing indices is exact: consecutive parity intervals of a set with
+    no gap longer than 1 satisfy hi + 1 == next lo, so "adjacent" means
+    "index one apart".
+    """
+    return _index_moves(instance, m, n) in ([], [2], [1, 1])
 
 
 # -- canonical-path recognition ------------------------------------------------
@@ -591,8 +570,6 @@ def _arrange(
     if not edges:
         return None
     after = apply(matching, edges)
-    if not is_b_matching(instance, after):
-        return None
     if not is_neighbouring_type(instance, matching, after):
         return None
     profile = _end_profile(instance, matching, edges)
@@ -763,20 +740,14 @@ def extract_canonical_sequence(
 
         emitted = None
         while emitted is None:
-            e_h = frozenset(e for w in h for e in w.edges)
-            after = apply(m_cur, e_h)
             witness = _pool_witness(instance, m_cur, h)
-            if witness is None and is_b_matching(instance, after):
-                witness = canonical_structure(instance, m_cur, e_h)
             if witness is not None:
-                if all(w in h for w in witness.walks):
-                    emitted = _pool_basic(instance, m_cur, witness)
-                else:
-                    emitted = witness
+                emitted = _pool_basic(instance, m_cur, witness)
                 break
 
             ends = endpoints_of()
-            deg_after = degrees(g, after)
+            e_h = frozenset(e for w in h for e in w.edges)
+            deg_after = degrees(g, apply(m_cur, e_h))
             wrong = sorted(v for v in set(ends) if deg_after[v] not in instance.b(v))
             if not wrong:
                 # endpoints fine yet no structure: push on wherever possible

@@ -13,12 +13,12 @@ optimum.
 from __future__ import annotations
 
 from bmatch.blossom import max_weight_perfect_matching
-from bmatch.core import BInstance, Matching, MultiGraph, degrees
+from bmatch.core import BInstance, Matching, MultiGraph, ParityInterval, degrees
 from bmatch.reduce import (
     BadSpec,
     Interval,
-    Parity,
     UniformSpec,
+    VertexSpec,
     ab_to_pm,
     embed_ab_matching,
     lift,
@@ -34,7 +34,7 @@ def spec_of_instance(instance: BInstance) -> UniformSpec:
     Raises BadSpec when a vertex fits neither shape; such instances need the
     full neighbouring-type solver rather than a single reduction pass.
     """
-    per_vertex: list[Interval | Parity] = []
+    per_vertex: list[VertexSpec] = []
     for v in range(instance.graph.vertex_count):
         values = instance.b(v).values
         if not values:
@@ -43,7 +43,7 @@ def spec_of_instance(instance: BInstance) -> UniformSpec:
         if gaps <= {1}:
             per_vertex.append(Interval(values[0], values[-1]))
         elif gaps == {2}:
-            per_vertex.append(Parity(values[0], values[-1]))
+            per_vertex.append(ParityInterval(values[0], values[-1]))
         else:
             raise BadSpec(
                 f"vertex {v} has degree set {values}, which is neither a "
@@ -82,7 +82,7 @@ def solve_uniform(
     result = lift(from_loops, lift(from_gadget, pm))
     deg = degrees(g, result)
     for v in range(g.vertex_count):
-        if deg[v] not in spec.per_vertex[v].degrees():
+        if not spec.allows(v, deg[v]):
             raise AssertionError(
                 f"lifted matching has degree {deg[v]} at vertex {v}, outside its spec"
             )

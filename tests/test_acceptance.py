@@ -18,6 +18,7 @@ from bmatch.core import (
     DegreeSet,
     Matching,
     MultiGraph,
+    ParityInterval,
     check_certificate,
     degrees,
     is_b_matching,
@@ -41,7 +42,6 @@ from bmatch.oracle import (
 from bmatch.reduce import (
     ABInstance,
     Interval,
-    Parity,
     UniformSpec,
     ab_to_pm,
     lift,
@@ -74,12 +74,15 @@ def random_uniform_instance(rng: random.Random, n: int, m: int):
             lo = rng.randint(0, d)
             hi = rng.randrange(lo, d + 1)
             hi -= (hi - lo) % 2
-            per_vertex.append(Parity(lo, hi))
+            per_vertex.append(ParityInterval(lo, hi))
     return graph, UniformSpec(tuple(per_vertex))
 
 
 def as_b_instance(graph: MultiGraph, spec: UniformSpec) -> BInstance:
-    sets = tuple(DegreeSet(tuple(s.degrees())) for s in spec.per_vertex)
+    sets = tuple(
+        DegreeSet(tuple(d for d in range(graph.degree(v) + 1) if d in s))
+        for v, s in enumerate(spec.per_vertex)
+    )
     return BInstance(graph, sets, "max-weight")
 
 

@@ -298,6 +298,12 @@ def test_oracle_verify_structured(capsys):
     assert payload["suite"] == "lemma2" and payload["failures"] == []
 
 
+def test_oracle_negative_count_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "oracle", "--verify", "lemma2", "--count", "-3")
+    assert code == 1 and out == ""
+    assert err == "error: --count must be nonnegative\n"
+
+
 def test_oracle_limit_exceeded_is_an_error(capsys):
     code, _out, err = run(capsys, "oracle", "--input", FIG2, "--oracle-limit", "10")
     assert code == 1
@@ -523,6 +529,15 @@ def test_parse_error_exits_one(capsys, tmp_path):
     code, _out, err = run(capsys, "solve", "--input", str(path))
     assert code == 1
     assert "error: line 1" in err
+
+
+def test_missing_degree_set_exits_one(capsys, tmp_path):
+    # Every vertex needs a b line; there is no "any degree" default.
+    path = tmp_path / "unconstrained.bm"
+    path.write_text("p bm 2 1\ne 0 1\nb 0 0 1\n")
+    code, out, err = run(capsys, "solve", "--input", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: line 3: missing degree set for vertex 1\n"
 
 
 def test_missing_file_exits_one(capsys):

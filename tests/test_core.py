@@ -11,13 +11,14 @@ from bmatch.core import (
     GapTooLong,
     Matching,
     MultiGraph,
+    NotFeasible,
     ParityInterval,
     ParseError,
     check_certificate,
+    current_type,
     degrees,
     format_certificate,
     format_instance,
-    interval_of,
     is_b_matching,
     matching_weight,
     parity_intervals,
@@ -25,7 +26,6 @@ from bmatch.core import (
     parse_instance,
     validate,
 )
-from bmatch.core import NotInSet
 
 
 # -- degree sets ---------------------------------------------------------------
@@ -89,16 +89,27 @@ def test_parity_intervals_partition(b):
         assert left.hi + 1 == right.lo
 
 
+def star_pair(b: DegreeSet) -> BInstance:
+    """Vertex 0 with degree set b, joined to an unconstrained vertex 1 by
+    max(b) parallel edges, so taking the first k edges gives d(0) = k."""
+    top = b.values[-1]
+    g = MultiGraph(2, tuple((0, 1, 1) for _ in range(top)))
+    return BInstance(g, (b, DegreeSet(tuple(range(top + 1)))))
+
+
 @given(gap_free_sets())
-def test_interval_of_members(b):
+def test_current_type_indexes_every_member(b):
+    instance = star_pair(b)
+    assert instance.intervals(0) == parity_intervals(b)
     for k in b.values:
-        r = interval_of(b, k)
-        assert r.lo <= k <= r.hi and (k - r.lo) % 2 == 0
+        (i, _j) = current_type(instance, Matching(frozenset(range(k))))
+        iv = parity_intervals(b)[i]
+        assert iv.lo <= k <= iv.hi and (k - iv.lo) % 2 == 0
 
 
-def test_interval_of_rejects_non_member():
-    with pytest.raises(NotInSet):
-        interval_of(DegreeSet((0, 1, 3)), 2)
+def test_current_type_rejects_non_member():
+    with pytest.raises(NotFeasible):
+        current_type(star_pair(DegreeSet((0, 1, 3))), Matching(frozenset({0, 1})))
 
 
 # -- graphs and matchings --------------------------------------------------------

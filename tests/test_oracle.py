@@ -193,3 +193,9 @@ def test_suites_pass_safely(name):
 def test_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
         run_verification_suite("nonsense", seed=0, count=1)
+
+
+def test_suite_rejects_negative_count():
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        run_verification_suite("lemma2", seed=0, count=-3)
+    assert run_verification_suite("lemma2", seed=0, count=0).checked == 0

@@ -4,14 +4,20 @@ from itertools import combinations
 import pytest
 
 from bmatch.blossom import max_weight_perfect_matching
-from bmatch.core import BInstance, DegreeSet, Matching, MultiGraph, matching_weight
+from bmatch.core import (
+    BInstance,
+    DegreeSet,
+    Matching,
+    MultiGraph,
+    ParityInterval,
+    matching_weight,
+)
 from bmatch.reduce import (
     ABInstance,
     BadSpec,
     BoundsError,
     Interval,
     LiftMap,
-    Parity,
     UniformSpec,
     ab_to_pm,
     embed_ab_matching,
@@ -84,12 +90,12 @@ def test_spec_constructors_reject_bad_bounds():
         Interval(3, 2)
     with pytest.raises(BadSpec):
         Interval(-1, 2)
-    with pytest.raises(BadSpec):
-        Parity(2, 5)
-    with pytest.raises(BadSpec):
-        Parity(4, 2)
-    assert list(Parity(1, 5).degrees()) == [1, 3, 5]
-    assert list(Interval(0, 2).degrees()) == [0, 1, 2]
+    with pytest.raises(ValueError):
+        ParityInterval(2, 5)
+    with pytest.raises(ValueError):
+        ParityInterval(4, 2)
+    assert [d for d in range(7) if d in ParityInterval(1, 5)] == [1, 3, 5]
+    assert [d for d in range(7) if d in Interval(0, 2)] == [0, 1, 2]
 
 
 def test_uniform_to_ab_rejects_mismatched_spec():
@@ -100,7 +106,7 @@ def test_uniform_to_ab_rejects_mismatched_spec():
     with pytest.raises(BadSpec):
         uniform_to_ab(inst, UniformSpec((Interval(0, 2), Interval(0, 1))))
     with pytest.raises(BadSpec):
-        uniform_to_ab(inst, UniformSpec((Parity(0, 2), Interval(0, 1))))
+        uniform_to_ab(inst, UniformSpec((ParityInterval(0, 2), Interval(0, 1))))
 
 
 def test_uniform_to_ab_interval_is_identity():
@@ -115,7 +121,7 @@ def test_uniform_to_ab_interval_is_identity():
 def test_uniform_to_ab_parity_pins_to_hi_with_loops():
     g = MultiGraph(1, ((0, 0, 5), (0, 0, 2)))
     inst = BInstance(g, (DegreeSet((0, 2, 4)),), "max-card")
-    ab, lift_map = uniform_to_ab(inst, UniformSpec((Parity(0, 4),)))
+    ab, lift_map = uniform_to_ab(inst, UniformSpec((ParityInterval(0, 4),)))
     assert ab.a == (4,) and ab.b == (4,)
     assert ab.graph.edge_count == 4  # two originals + (4 - 0) / 2 gadget loops
     gadgets = range(lift_map.source_edges, ab.graph.edge_count)
@@ -126,7 +132,7 @@ def test_uniform_to_ab_parity_pins_to_hi_with_loops():
 def test_lift_drops_gadget_edges():
     g = MultiGraph(1, ((0, 0, 5),))
     inst = BInstance(g, (DegreeSet((0, 2)),), "max-card")
-    ab, lift_map = uniform_to_ab(inst, UniformSpec((Parity(0, 2),)))
+    ab, lift_map = uniform_to_ab(inst, UniformSpec((ParityInterval(0, 2),)))
     # selecting the original loop and no gadget loop lifts to {0}
     for sel in all_ab_matchings(ab):
         lifted = lift(lift_map, sel)

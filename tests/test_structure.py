@@ -2,6 +2,7 @@ import hashlib
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,7 @@ from bmatch.core import (
     is_b_matching,
 )
 from bmatch.gen import random_instance
-from bmatch.oracle import _sample_pair, run_verification_suite
+from bmatch.oracle import _sample_pair, enumerate_b_matchings, run_verification_suite
 from bmatch.structure import (
     AlternatingWalk,
     NotBasic,
@@ -250,6 +251,38 @@ def test_neighbouring_type_rejects_three_deviators():
     n = Matching(frozenset({0, 1, 2}))
     assert not is_neighbouring_type(inst, m, n)
     assert is_neighbouring_type(inst, m, Matching(frozenset({0})))
+
+
+def type_pairs():
+    """Seeded (instance, M, N) triples: three feasible M per instance, each
+    against up to 20 feasible N and 5 random edge subsets, which are
+    mostly infeasible."""
+    profiles = ("mixed", "parity", "interval")
+    for seed in range(150):
+        instance = random_instance(
+            seed, n=4 + seed % 4, m=6 + seed % 7, profile=profiles[seed % 3]
+        )
+        feasible = list(enumerate_b_matchings(instance))
+        rng = random.Random(seed)
+        edges = range(instance.graph.edge_count)
+        for m in rng.sample(feasible, min(3, len(feasible))):
+            drawn = [
+                Matching(frozenset(e for e in edges if rng.random() < 0.5))
+                for _ in range(5)
+            ]
+            for n in rng.sample(feasible, min(20, len(feasible))) + drawn:
+                yield instance, m, n
+
+
+def test_type_predicate_verdicts_are_pinned():
+    verdicts = [
+        (is_same_uniform_type(inst, m, n), is_neighbouring_type(inst, m, n))
+        for inst, m, n in type_pairs()
+    ]
+    # 717 of the 1870 pairs have an infeasible N.
+    assert Counter(verdicts) == {(False, False): 847, (True, True): 635, (False, True): 388}
+    digest = hashlib.sha256(repr(verdicts).encode()).hexdigest()
+    assert digest == "dfb4c65ddc6a02a4a4ec83005d3057f25864e363ea839bc9e0fbf5ccfe077bff"
 
 
 # -- basic paths and classification ---------------------------------------------------

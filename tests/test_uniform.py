@@ -5,8 +5,15 @@ import subprocess
 import sys
 from itertools import combinations
 
-from bmatch.core import BInstance, DegreeSet, Matching, MultiGraph, matching_weight
-from bmatch.reduce import Interval, Parity, UniformSpec
+from bmatch.core import (
+    BInstance,
+    DegreeSet,
+    Matching,
+    MultiGraph,
+    ParityInterval,
+    matching_weight,
+)
+from bmatch.reduce import Interval, UniformSpec
 from bmatch.uniform import solve_uniform
 
 
@@ -22,8 +29,8 @@ def spec_matchings(graph: MultiGraph, spec: UniformSpec):
                 yield Matching(frozenset(combo))
 
 
-def degree_set_for(s) -> DegreeSet:
-    return DegreeSet(tuple(s.degrees()))
+def degree_set_for(s, max_degree: int) -> DegreeSet:
+    return DegreeSet(tuple(d for d in range(max_degree + 1) if d in s))
 
 
 def random_uniform(rng: random.Random, n: int, m: int):
@@ -41,9 +48,9 @@ def random_uniform(rng: random.Random, n: int, m: int):
             lo = rng.randint(0, d)
             hi = rng.randrange(lo, d + 1)
             hi -= (hi - lo) % 2
-            per_vertex.append(Parity(lo, hi))
+            per_vertex.append(ParityInterval(lo, hi))
     spec = UniformSpec(tuple(per_vertex))
-    sets = tuple(degree_set_for(s) for s in per_vertex)
+    sets = tuple(degree_set_for(s, graph.degree(v)) for v, s in enumerate(per_vertex))
     return BInstance(graph, sets, "max-weight"), spec
 
 
@@ -67,7 +74,7 @@ def test_square_perfect_matching_weights():
 def test_parity_spec_walks_the_class():
     g = MultiGraph(2, ((0, 1, 3), (0, 1, 4), (0, 1, -2)))
     inst = BInstance(g, (DegreeSet((0, 2)), DegreeSet((0, 2))), "max-weight")
-    spec = UniformSpec((Parity(0, 2), Parity(0, 2)))
+    spec = UniformSpec((ParityInterval(0, 2), ParityInterval(0, 2)))
     best = solve_uniform(inst, spec, "max")
     assert matching_weight(g, best) == 7
     assert len(best) == 2
