@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
 import bmatch.neighbourhood as neighbourhood
 
 from bmatch.core import (
+    OBJECTIVES,
     BInstance,
     DegreeSet,
     Matching,
@@ -18,9 +20,10 @@ from bmatch.core import (
 )
 from bmatch.neighbourhood import (
     SearchBudgetExceeded,
-    _cardinality_bound,
-    _degree_sum,
+    _bound,
     _objective_parts,
+    _pin_values,
+    _value,
     _work_instance,
     enumerate_candidates,
     find_feasible,
@@ -140,14 +143,88 @@ def test_candidate_enumeration_is_deterministic(fig2, fig2_m7):
     assert [c.spec for c in first] == [c.spec for c in again]
 
 
-def test_incremental_bound_matches_the_full_sum(fig2, fig2_m7):
-    for direction in ("max", "min"):
-        cands = enumerate_candidates(fig2, fig2_m7)
-        base_sum = _degree_sum(cands[0].base, direction)
-        for cand in cands:
-            full = _degree_sum(cand.spec.per_vertex, direction)
+def _step_bound(inst: BInstance, matching: Matching):
+    """The bound of improvement_step's step from `matching`, as a function
+    of the candidate."""
+    cardinality, direction = _objective_parts(inst.objective)
+    t = current_type(inst, matching)
+    values = _pin_values(_work_instance(inst, cardinality), direction)
+    base_total = sum(values[v][i] for v, i in enumerate(t))
+    return lambda cand: _bound(cand, t, values, base_total, direction)
+
+
+def test_incremental_bound_matches_the_full_sum():
+    # Seed 3 draws a loop and negative weights.
+    inst, plant = planted(3, 6, 12, "max-card", weights=(-4, 6))
+    assert any(u == v for u, v, _w in inst.graph.edges)
+    assert any(w < 0 for _u, _v, w in inst.graph.edges)
+    for objective in OBJECTIVES:
+        inst = dataclasses.replace(inst, objective=objective)
+        cardinality, direction = _objective_parts(objective)
+        work = _work_instance(inst, cardinality).graph
+        pick = max if direction == "max" else min
+        pin_value = {}  # (v, pin) -> best end-weight sum over subsets of its size
+        bound = _step_bound(inst, plant)
+        for cand in enumerate_candidates(inst, plant):
+            full = 0
+            for v, pin in enumerate(cand.spec.per_vertex):
+                if (v, pin) not in pin_value:
+                    ends = [w for a, b, w in work.edges for x in (a, b) if x == v]
+                    pin_value[v, pin] = pick(
+                        sum(chosen)
+                        for d in range(len(ends) + 1)
+                        if d in pin
+                        for chosen in combinations(ends, d)
+                    )
+                full += pin_value[v, pin]
             want = full // 2 if direction == "max" else -(-full // 2)
-            assert _cardinality_bound(cand, base_sum, direction) == want
+            assert bound(cand) == want, (objective, cand.moves)
+
+
+def test_bound_holds_every_candidate_optimum():
+    # At every step of every walk, each candidate's optimum lies within its
+    # bound.  Top-hi (max) and bottom-lo (min) sums would not: with negative
+    # weights a lower degree can carry more weight.
+    solved = 0
+    for seed in range(80):
+        objective = OBJECTIVES[seed % 4]
+        n = 4 + seed % 5
+        inst, matching = planted(seed, n, n + seed % 13, objective, weights=(-4, 6))
+        cardinality, direction = _objective_parts(objective)
+        work = _work_instance(inst, cardinality)
+        while matching is not None:
+            bound = _step_bound(inst, matching)
+            for cand in enumerate_candidates(inst, matching):
+                found = solve_uniform(work, cand.spec, direction, matching)
+                if found is None:
+                    continue
+                solved += 1
+                value = _value(inst, found, cardinality)
+                if direction == "max":
+                    assert value <= bound(cand), (seed, cand.moves)
+                else:
+                    assert value >= bound(cand), (seed, cand.moves)
+            matching = improvement_step(inst, matching)
+    assert solved == 461
+
+
+def test_solve_answers_are_pinned():
+    # solve's answers on 400 planted instances with weights -4..6 and loops,
+    # all four objectives, hashed as recorded before weight objectives were
+    # pruned; the card walks pin their solved/cached/pruned counters too.
+    answers = []
+    for seed in range(400):
+        objective = OBJECTIVES[seed % 4]
+        n = 4 + seed % 5
+        inst, _plant = planted(seed, n, n + seed % 13, objective, weights=(-4, 6))
+        stats = {}
+        got = solve(inst, stats=stats)
+        line = "none" if got is None else " ".join(map(str, sorted(got.selected)))
+        if objective.endswith("card"):
+            line += f" / {stats['solved']} {stats['cached']} {stats['pruned']}"
+        answers.append(line)
+    digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
+    assert digest == "7038e2a02be90a109c17d7e0753120139beff68f4720c362d20c8f23eedea829"
 
 
 def test_pruned_candidates_build_no_spec(monkeypatch):
@@ -167,6 +244,26 @@ def test_pruned_candidates_build_no_spec(monkeypatch):
         BInstance(g, sets, "min-card"), Matching(frozenset()), stats=stats
     ) is None
     assert stats["pruned"] > 700 and stats["solved"] == 0
+    assert built == []
+
+
+def test_pruned_weight_candidates_build_no_spec(monkeypatch):
+    built = []
+
+    def counting(per_vertex):
+        built.append(per_vertex)
+        return UniformSpec(per_vertex)
+
+    monkeypatch.setattr(neighbourhood, "UniformSpec", counting)
+    # Positive weights and 0 in every B(v): the empty matching is optimal for
+    # min-weight, and every candidate's bound is at least its value 0.
+    g = random_instance(0, 40, 100, profile="interval", weights=(1, 9)).graph
+    sets = tuple(DegreeSet(tuple(range(g.degree(v) + 1))) for v in range(40))
+    stats = {}
+    assert improvement_step(
+        BInstance(g, sets, "min-weight"), Matching(frozenset()), stats=stats
+    ) is None
+    assert stats["pruned"] > 700 and stats["solved"] == stats["cached"] == 0
     assert built == []
 
 
@@ -263,12 +360,15 @@ def test_every_intermediate_is_feasible(fig2):
 # -- existence search from the current matching --------------------------------------
 
 
-def planted(seed: int, n: int, m: int, objective: str) -> tuple[BInstance, Matching]:
-    """A random multigraph whose degree sets are grown around a random edge
-    subset, which is therefore a feasible start."""
+def planted(
+    seed: int, n: int, m: int, objective: str, weights: tuple[int, int] = (1, 5)
+) -> tuple[BInstance, Matching]:
+    """A random multigraph (loops and parallel edges allowed) whose degree
+    sets are grown around a random edge subset, which is therefore a
+    feasible start."""
     rng = random.Random(seed)
     edges = tuple(
-        (rng.randrange(n), rng.randrange(n), rng.randint(1, 5)) for _ in range(m)
+        (rng.randrange(n), rng.randrange(n), rng.randint(*weights)) for _ in range(m)
     )
     g = MultiGraph(n, edges)
     plant = Matching(frozenset(e for e in range(m) if rng.random() < 0.5))
