@@ -42,7 +42,7 @@ def main(argv: list[str] | None = None) -> int:
         print("instance is infeasible")
         return 2
 
-    cache: dict = {}
+    seen: set = set()
     stats: dict = {}
     step = 0
     while True:
@@ -52,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
             f"weight {matching_weight(instance.graph, matching):>4}  "
             f"type {type_label(indices)}"
         )
-        better = improvement_step(instance, matching, cache=cache, stats=stats)
+        better = improvement_step(instance, matching, seen=seen, stats=stats)
         if better is None:
             break
         matching = better

@@ -6,6 +6,10 @@ type).  A single improvement step may move at most two vertices to an
 adjacent interval, or one vertex two intervals over; all other degrees stay
 inside their current intervals.  Optimality is certified when no candidate
 type admits a better matching.
+
+All four objectives run as one max-weight problem: each edge weighs its
+objective value (1 or w), negated for the min objectives.  A walk skips the
+specs it solved at earlier steps, whose optima cannot beat where it stands.
 """
 
 from __future__ import annotations
@@ -91,43 +95,35 @@ def enumerate_candidates(
     return tuple(out)
 
 
-def _objective_parts(objective: str) -> tuple[bool, str]:
-    """(cardinality?, "max" or "min") of one of core.OBJECTIVES."""
-    direction, kind = objective.split("-")
-    return kind == "card", direction
-
-
-def _work_instance(instance: BInstance, cardinality: bool) -> BInstance:
-    if not cardinality:
-        return instance
+def _as_max_weight(instance: BInstance) -> tuple[BInstance, int]:
+    """(work, sign): the instance with each edge weighing sign times its
+    objective value (1 for cardinality, w for weight), sign -1 for the min
+    objectives.  Every objective is then one max-weight problem on work."""
+    direction, kind = instance.objective.split("-")
+    sign = -1 if direction == "min" else 1
     g = instance.graph
-    unit = MultiGraph(g.vertex_count, tuple((u, v, 1) for u, v, _w in g.edges))
-    return BInstance(unit, instance.degree_sets, instance.objective)
+    edges = tuple((u, v, sign * (1 if kind == "card" else w)) for u, v, w in g.edges)
+    work = MultiGraph(g.vertex_count, edges)
+    return BInstance(work, instance.degree_sets, "max-weight"), sign
 
 
-def _value(instance: BInstance, matching: Matching, cardinality: bool) -> int:
-    return len(matching) if cardinality else matching_weight(instance.graph, matching)
-
-
-def _pin_values(work: BInstance, direction: str) -> list[list[int]]:
-    """Per vertex v and parity interval of b(v), the best sum of d edge-end
-    weights at v over the degrees d the interval holds: the largest top-d
-    prefix sum of v's end weights (max) or the smallest bottom-d one (min).
-    A loop counts at both of its ends.  Every matching counts each of its
-    edges at two ends, so half the sum of one value per vertex bounds the
-    value of every matching whose degrees lie in those intervals.  With unit
-    weights the values are the intervals' hi (max) or lo (min)."""
+def _pin_values(work: BInstance) -> list[list[int]]:
+    """Per vertex v and parity interval of b(v), the largest sum of d
+    edge-end weights at v over the degrees d the interval holds: the best
+    top-d prefix sum of v's end weights.  A loop counts at both of its ends.
+    Every matching counts each of its edges at two ends, so half the sum of
+    one value per vertex bounds the weight of every matching whose degrees
+    lie in those intervals."""
     g = work.graph
     ends: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for u, v, w in g.edges:
         ends[u].append(w)
         ends[v].append(w)
-    best = max if direction == "max" else min
     out = []
     for v, weights in enumerate(ends):
-        weights.sort(reverse=direction == "max")
+        weights.sort(reverse=True)
         prefix = list(accumulate(weights, initial=0))
-        out.append([best(prefix[p.lo : p.hi + 1 : 2]) for p in work.intervals(v)])
+        out.append([max(prefix[p.lo : p.hi + 1 : 2]) for p in work.intervals(v)])
     return out
 
 
@@ -136,86 +132,72 @@ def _bound(
     t: tuple[int, ...],
     values: list[list[int]],
     base_total: int,
-    direction: str,
 ) -> int:
-    """Best value any matching of cand's type can reach: half the pin-value
-    sum, from base_total (one value per vertex at its current type t) and
-    the change at the moved vertices.  Rounded down (max) or up (min), as
-    the value is an integer."""
+    """Largest weight any matching of cand's type can reach: half the
+    pin-value sum, from base_total (one value per vertex at its current
+    type t) and the change at the moved vertices, rounded down."""
     total = base_total
     for v, off in cand.moves:
         total += values[v][t[v] + off] - values[v][t[v]]
-    return total // 2 if direction == "max" else (total + 1) // 2
+    return total // 2
 
 
 def improvement_step(
     instance: BInstance,
     matching: Matching,
     *,
-    cache: dict | None = None,
-    trace: TraceFn | None = None,
+    seen: set[UniformSpec] | None = None,
     stats: dict | None = None,
 ) -> Matching | None:
     """Best strictly-improving matching over all candidate types, or None.
 
-    None certifies that `matching` is optimal for instance.objective.  Ties
-    go to the earliest candidate in enumeration order, then to the solver's
+    None certifies that `matching` is optimal for instance.objective.  The
+    step runs as max-weight on `_as_max_weight`'s signed weights.  Ties go
+    to the earliest candidate in enumeration order, then to the solver's
     own determinism.  A candidate whose `_bound` cannot strictly beat the
-    best value so far is pruned before its spec is built; its value could
+    best weight so far is pruned before its spec is built; its weight could
     not either, so pruning changes no answer.  `matching` starts the
-    existence search of every solved candidate.  A shared `cache` (keyed by
-    spec and direction) answers a candidate whose spec an earlier sweep
-    already solved.  Every spec holds the moved vertices of its step, so
-    only some recur: on seeded planted walks the cache answered 28% of the
-    lookups that survived pruning for dense weight objectives (79 cached to
-    205 solved, 626 pruned) and 5% for sparse cardinality ones, and none on
-    fixtures/scale60.bm.  A caller-owned `stats` dict accumulates 'solved',
-    'cached' and 'pruned' counts.
+    existence search of every solved candidate.
+
+    Each solved spec is added to `seen`, and a spec already in it counts as
+    cached and is skipped unsolved.  That is exact when one set is passed
+    to every step of a walk that always moves to the returned matching, as
+    `solve` does: a spec solved at an earlier step has an optimum of at
+    most the weight that step reached, the walk's current matching weighs
+    at least that much, and only a strictly heavier matching is taken.
+    With the default None, nothing is skipped.  A caller-owned `stats`
+    dict accumulates 'solved', 'cached' and 'pruned' counts; every
+    candidate adds to exactly one of them.
     """
-    cardinality, direction = _objective_parts(instance.objective)
-    work = _work_instance(instance, cardinality)
-    candidates = enumerate_candidates(instance, matching)
+    work, _sign = _as_max_weight(instance)
     t = current_type(instance, matching)
-    values = _pin_values(work, direction)
+    values = _pin_values(work)
     base_total = sum(values[v][i] for v, i in enumerate(t))
     best: Matching | None = None
-    best_value = _value(instance, matching, cardinality)
-    better = (lambda a, b: a > b) if direction == "max" else (lambda a, b: a < b)
+    best_value = matching_weight(work.graph, matching)
+    if seen is None:
+        seen = set()
     if stats is None:
         stats = {}
     for key in ("solved", "cached", "pruned"):
         stats.setdefault(key, 0)
-    seen_before = tuple(stats[key] for key in ("solved", "cached", "pruned"))
 
-    for cand in candidates:
-        if not better(_bound(cand, t, values, base_total, direction), best_value):
+    for cand in enumerate_candidates(instance, matching):
+        if _bound(cand, t, values, base_total) <= best_value:
             stats["pruned"] += 1
             continue
         spec = cand.spec
-        key = (spec, direction, cardinality)
-        if cache is not None and key in cache:
+        if spec in seen:
             stats["cached"] += 1
-            result = cache[key]
-        else:
-            result = solve_uniform(work, spec, direction, matching)
-            stats["solved"] += 1
-            if cache is not None:
-                cache[key] = result
+            continue
+        seen.add(spec)
+        result = solve_uniform(work, spec, "max", matching)
+        stats["solved"] += 1
         if result is None:
             continue
-        val = _value(instance, result, cardinality)
-        if better(val, best_value):
-            best, best_value = result, val
-    if trace is not None:
-        solved, cached, pruned = (
-            stats[key] - old
-            for key, old in zip(("solved", "cached", "pruned"), seen_before)
-        )
-        trace(
-            f"improvement_step: {len(candidates)} candidates, "
-            f"{solved} solved, {cached} cached, "
-            f"{pruned} pruned, best value {best_value}"
-        )
+        value = matching_weight(work.graph, result)
+        if value > best_value:
+            best, best_value = result, value
     return best
 
 
@@ -345,24 +327,27 @@ def solve(
         if trace is not None:
             trace("solve: infeasible")
         return None
-    cardinality, direction = _objective_parts(instance.objective)
-    cache: dict = {}
+    work, sign = _as_max_weight(instance)
+    seen: set[UniformSpec] = set()
+    counts = ("solved", "cached", "pruned")
     iteration = 0
     while True:
+        value = matching_weight(work.graph, matching)
         if trace is not None:
+            trace(f"solve: iteration {iteration}, value {sign * value}")
+        before = [stats.get(key, 0) for key in counts]
+        improved = improvement_step(instance, matching, seen=seen, stats=stats)
+        if trace is not None:
+            solved, cached, pruned = (stats[k] - b for k, b in zip(counts, before))
+            best = value if improved is None else matching_weight(work.graph, improved)
             trace(
-                f"solve: iteration {iteration}, value "
-                f"{_value(instance, matching, cardinality)}"
+                f"improvement_step: {solved + cached + pruned} candidates, "
+                f"{solved} solved, {cached} cached, "
+                f"{pruned} pruned, best value {sign * best}"
             )
-        improved = improvement_step(
-            instance, matching, cache=cache, trace=trace, stats=stats
-        )
         if improved is None:
             return matching
-        if __debug__:
-            old = _value(instance, matching, cardinality)
-            new = _value(instance, improved, cardinality)
-            assert (new > old) if direction == "max" else (new < old)
+        assert matching_weight(work.graph, improved) > value
         matching = improved
         iteration += 1
         stats["iterations"] = iteration

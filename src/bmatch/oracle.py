@@ -106,7 +106,7 @@ def _sense_value(instance: BInstance, matching: Matching, sense: str) -> int:
     return matching_weight(instance.graph, matching)
 
 
-def _better(instance: BInstance, a: int, b: int, sense: str) -> bool:
+def _better(a: int, b: int, sense: str) -> bool:
     return a > b if sense.startswith("max") else a < b
 
 
@@ -123,7 +123,7 @@ def oracle_optimum(
     best: tuple[int, Matching] | None = None
     for m in enumerate_b_matchings(instance, limit):
         value = _sense_value(instance, m, sense)
-        if best is None or _better(instance, value, best[0], sense):
+        if best is None or _better(value, best[0], sense):
             best = (value, m)
     return best
 
@@ -145,7 +145,7 @@ def verify_improvement_theorem(
         improved = False
         near = False
         for n2, value2 in zip(all_ms, values):
-            if not _better(instance, value2, value, sense):
+            if not _better(value2, value, sense):
                 continue
             improved = True
             if is_same_uniform_type(instance, m, n2) or is_neighbouring_type(

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from bmatch.cli import main
-from bmatch.core import parse_instance, validate
+from bmatch.core import OBJECTIVES, parse_instance, validate
 
 from conftest import FIXTURES, src_env
 
@@ -124,6 +124,22 @@ def test_solve_trace_goes_to_stderr(capsys):
     assert code == 0
     assert "improvement_step:" in err
     assert "improvement_step:" not in out
+
+
+def test_solve_trace_is_pinned(capsys):
+    # The --trace lines of fig2 under every objective and of scale60 under
+    # both cardinality objectives, hashed as recorded before the walk ran
+    # every objective as max-weight on signed weights.
+    runs = [("fig2.bm", objective) for objective in OBJECTIVES]
+    runs += [("scale60.bm", "max-card"), ("scale60.bm", "min-card")]
+    traces = []
+    for name, objective in runs:
+        code, _out, err = run(capsys, "solve", "--input", str(FIXTURES / name),
+                              "--objective", objective, "--trace")
+        assert code == 0
+        traces.append(err)
+    digest = hashlib.sha256("\n".join(traces).encode()).hexdigest()
+    assert digest == "9206baea2a86d5ef1f6ae2a1f077aef180acf4c615b8b030262371cb8a20c528"
 
 
 def test_solve_min_card(capsys):

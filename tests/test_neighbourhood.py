@@ -20,11 +20,9 @@ from bmatch.core import (
 )
 from bmatch.neighbourhood import (
     SearchBudgetExceeded,
+    _as_max_weight,
     _bound,
-    _objective_parts,
     _pin_values,
-    _value,
-    _work_instance,
     enumerate_candidates,
     find_feasible,
     improvement_step,
@@ -146,11 +144,10 @@ def test_candidate_enumeration_is_deterministic(fig2, fig2_m7):
 def _step_bound(inst: BInstance, matching: Matching):
     """The bound of improvement_step's step from `matching`, as a function
     of the candidate."""
-    cardinality, direction = _objective_parts(inst.objective)
     t = current_type(inst, matching)
-    values = _pin_values(_work_instance(inst, cardinality), direction)
+    values = _pin_values(_as_max_weight(inst)[0])
     base_total = sum(values[v][i] for v, i in enumerate(t))
-    return lambda cand: _bound(cand, t, values, base_total, direction)
+    return lambda cand: _bound(cand, t, values, base_total)
 
 
 def test_incremental_bound_matches_the_full_sum():
@@ -160,9 +157,7 @@ def test_incremental_bound_matches_the_full_sum():
     assert any(w < 0 for _u, _v, w in inst.graph.edges)
     for objective in OBJECTIVES:
         inst = dataclasses.replace(inst, objective=objective)
-        cardinality, direction = _objective_parts(objective)
-        work = _work_instance(inst, cardinality).graph
-        pick = max if direction == "max" else min
+        work = _as_max_weight(inst)[0].graph
         pin_value = {}  # (v, pin) -> best end-weight sum over subsets of its size
         bound = _step_bound(inst, plant)
         for cand in enumerate_candidates(inst, plant):
@@ -170,40 +165,35 @@ def test_incremental_bound_matches_the_full_sum():
             for v, pin in enumerate(cand.spec.per_vertex):
                 if (v, pin) not in pin_value:
                     ends = [w for a, b, w in work.edges for x in (a, b) if x == v]
-                    pin_value[v, pin] = pick(
+                    pin_value[v, pin] = max(
                         sum(chosen)
                         for d in range(len(ends) + 1)
                         if d in pin
                         for chosen in combinations(ends, d)
                     )
                 full += pin_value[v, pin]
-            want = full // 2 if direction == "max" else -(-full // 2)
-            assert bound(cand) == want, (objective, cand.moves)
+            assert bound(cand) == full // 2, (objective, cand.moves)
 
 
 def test_bound_holds_every_candidate_optimum():
     # At every step of every walk, each candidate's optimum lies within its
-    # bound.  Top-hi (max) and bottom-lo (min) sums would not: with negative
-    # weights a lower degree can carry more weight.
+    # bound.  Top-hi sums would not: with negative (or, for the min
+    # objectives, negated) weights a lower degree can carry more weight.
     solved = 0
     for seed in range(80):
         objective = OBJECTIVES[seed % 4]
         n = 4 + seed % 5
         inst, matching = planted(seed, n, n + seed % 13, objective, weights=(-4, 6))
-        cardinality, direction = _objective_parts(objective)
-        work = _work_instance(inst, cardinality)
+        work, _sign = _as_max_weight(inst)
         while matching is not None:
             bound = _step_bound(inst, matching)
             for cand in enumerate_candidates(inst, matching):
-                found = solve_uniform(work, cand.spec, direction, matching)
+                found = solve_uniform(work, cand.spec, "max", matching)
                 if found is None:
                     continue
                 solved += 1
-                value = _value(inst, found, cardinality)
-                if direction == "max":
-                    assert value <= bound(cand), (seed, cand.moves)
-                else:
-                    assert value >= bound(cand), (seed, cand.moves)
+                value = matching_weight(work.graph, found)
+                assert value <= bound(cand), (seed, cand.moves)
             matching = improvement_step(inst, matching)
     assert solved == 461
 
@@ -225,6 +215,32 @@ def test_solve_answers_are_pinned():
         answers.append(line)
     digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
     assert digest == "7038e2a02be90a109c17d7e0753120139beff68f4720c362d20c8f23eedea829"
+
+
+def test_seen_specs_cannot_beat_the_walk():
+    # A walk that passes one seen set to every step skips the specs it
+    # solved at earlier steps.  Each of their optima weighs no more than the
+    # matching the walk stands on, so skipping them changes no answer; and
+    # every candidate is counted exactly once as solved, cached or pruned.
+    cached = 0
+    for seed in range(400):
+        objective = OBJECTIVES[seed % 4]
+        n = 4 + seed % 5
+        inst, matching = planted(seed, n, n + seed % 13, objective, weights=(-4, 6))
+        work, _sign = _as_max_weight(inst)
+        seen = set()
+        stats = {}
+        while matching is not None:
+            here = matching_weight(work.graph, matching)
+            for spec in seen:
+                found = solve_uniform(work, spec, "max", matching)
+                assert found is None or matching_weight(work.graph, found) <= here, seed
+            counted = sum(stats.values())
+            candidates = len(enumerate_candidates(inst, matching))
+            matching = improvement_step(inst, matching, seen=seen, stats=stats)
+            assert sum(stats.values()) - counted == candidates, seed
+        cached += stats["cached"]
+    assert cached == 355
 
 
 def test_pruned_candidates_build_no_spec(monkeypatch):
@@ -429,8 +445,7 @@ def test_warm_search_matches_cold_verdicts(fig2):
         walks.append((seed, *planted(seed, 10, 16, objective)))
     most_exposed = 0
     for name, inst, matching in walks:
-        cardinality, direction = _objective_parts(inst.objective)
-        work = _work_instance(inst, cardinality)
+        work, _sign = _as_max_weight(inst)
         verdicts = ""
         while matching is not None:
             deg = degrees(inst.graph, matching)
@@ -452,7 +467,7 @@ def test_warm_search_matches_cold_verdicts(fig2):
                 exposed = reduced.vertex_count - 2 * len(warm)
                 assert exposed <= missed + missed % 2
                 most_exposed = max(most_exposed, exposed)
-                found = solve_uniform(work, spec, direction, matching)
+                found = solve_uniform(work, spec, "max", matching)
                 verdicts += "0" if found is None else "1"
             matching = improvement_step(inst, matching)
         assert verdicts == COLD_VERDICTS[name], name
