@@ -5,7 +5,7 @@ Each line shows the parity-interval index per vertex (the matching's type),
 so the walk through neighbouring types is visible directly.
 
     python3 scripts/improvement_trace.py --input fixtures/fig2.bm
-    python3 scripts/improvement_trace.py --seed 169 --n 12 --m 30
+    python3 scripts/improvement_trace.py --profile interval --seed 4 --n 12 --m 30
 """
 
 import argparse
@@ -23,10 +23,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--input", help="instance file; omit to generate one")
     parser.add_argument("--objective", default="max-card")
-    parser.add_argument("--seed", type=int, default=169)
+    parser.add_argument("--seed", type=int, default=4)
     parser.add_argument("--n", type=int, default=12)
     parser.add_argument("--m", type=int, default=30)
-    parser.add_argument("--profile", choices=PROFILES, default="mixed")
+    parser.add_argument("--profile", choices=PROFILES, default="interval")
     args = parser.parse_args(argv)
 
     if args.input is not None:

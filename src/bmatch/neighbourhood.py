@@ -1,5 +1,6 @@
-"""The improvement algorithm: enumerate candidate types, solve each as a
-uniform instance, keep the best strict improvement, repeat.
+"""The improvement algorithm: enumerate candidate types, solve them as
+uniform instances in order of their bound until no bound can win, keep the
+best strict improvement, repeat.
 
 A feasible matching M induces one parity interval of B(v) per vertex (its
 type).  A single improvement step may move at most two vertices to an
@@ -152,12 +153,17 @@ def improvement_step(
     """Best strictly-improving matching over all candidate types, or None.
 
     None certifies that `matching` is optimal for instance.objective.  The
-    step runs as max-weight on `_as_max_weight`'s signed weights.  Ties go
-    to the earliest candidate in enumeration order, then to the solver's
-    own determinism.  A candidate whose `_bound` cannot strictly beat the
-    best weight so far is pruned before its spec is built; its weight could
-    not either, so pruning changes no answer.  `matching` starts the
-    existence search of every solved candidate.
+    step runs as max-weight on `_as_max_weight`'s signed weights, and the
+    best candidate is the one with the largest optimum, ties going to the
+    earliest in enumeration order, then to the solver's own determinism.
+    Candidates are tried in order of their `_bound`, largest first and
+    ties by enumeration index.  The step stops, unsolved, at the first
+    candidate that cannot beat the best so far: a bound below the best
+    weight (at first, the current matching's), or equal to it at a later
+    index.  No candidate from there on can either, since its optimum is at
+    most its bound, so the order changes no answer.  Only the visited
+    candidates build a spec.  `matching` starts the existence search of
+    every solved candidate.
 
     Each solved spec is added to `seen`, and a spec already in it counts as
     cached and is skipped unsolved.  That is exact when one set is passed
@@ -167,14 +173,12 @@ def improvement_step(
     at least that much, and only a strictly heavier matching is taken.
     With the default None, nothing is skipped.  A caller-owned `stats`
     dict accumulates 'solved', 'cached' and 'pruned' counts; every
-    candidate adds to exactly one of them.
+    candidate adds to exactly one of them, the unvisited ones to 'pruned'.
     """
     work, _sign = _as_max_weight(instance)
     t = current_type(instance, matching)
     values = _pin_values(work)
     base_total = sum(values[v][i] for v, i in enumerate(t))
-    best: Matching | None = None
-    best_value = matching_weight(work.graph, matching)
     if seen is None:
         seen = set()
     if stats is None:
@@ -182,11 +186,23 @@ def improvement_step(
     for key in ("solved", "cached", "pruned"):
         stats.setdefault(key, 0)
 
-    for cand in enumerate_candidates(instance, matching):
-        if _bound(cand, t, values, base_total) <= best_value:
-            stats["pruned"] += 1
-            continue
-        spec = cand.spec
+    # Keys (weight, -index) order results as the tie rule ranks them, and
+    # a candidate's cap (bound, -index) is at least the key of any result
+    # it can give.  The start key (weight, 1) ranks above every result of
+    # the current weight, so only a strictly heavier matching is taken.
+    candidates = enumerate_candidates(instance, matching)
+    caps = sorted(
+        ((_bound(c, t, values, base_total), -i) for i, c in enumerate(candidates)),
+        reverse=True,
+    )
+    best: Matching | None = None
+    best_key = (matching_weight(work.graph, matching), 1)
+    visited = 0
+    for cap in caps:
+        if cap <= best_key:
+            break
+        visited += 1
+        spec = candidates[-cap[1]].spec
         if spec in seen:
             stats["cached"] += 1
             continue
@@ -195,9 +211,10 @@ def improvement_step(
         stats["solved"] += 1
         if result is None:
             continue
-        value = matching_weight(work.graph, result)
-        if value > best_value:
-            best, best_value = result, value
+        found = (matching_weight(work.graph, result), cap[1])
+        if found > best_key:
+            best, best_key = result, found
+    stats["pruned"] += len(candidates) - visited
     return best
 
 

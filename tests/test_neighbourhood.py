@@ -198,11 +198,10 @@ def test_bound_holds_every_candidate_optimum():
     assert solved == 461
 
 
-def test_solve_answers_are_pinned():
-    # solve's answers on 400 planted instances with weights -4..6 and loops,
-    # all four objectives, hashed as recorded before weight objectives were
-    # pruned; the card walks pin their solved/cached/pruned counters too.
-    answers = []
+def _pinned_walks() -> tuple[list[str], list[str]]:
+    """solve's answers and its counters on 400 planted instances with
+    weights -4..6 and loops, all four objectives."""
+    answers, counters = [], []
     for seed in range(400):
         objective = OBJECTIVES[seed % 4]
         n = 4 + seed % 5
@@ -210,11 +209,27 @@ def test_solve_answers_are_pinned():
         stats = {}
         got = solve(inst, stats=stats)
         line = "none" if got is None else " ".join(map(str, sorted(got.selected)))
-        if objective.endswith("card"):
-            line += f" / {stats['solved']} {stats['cached']} {stats['pruned']}"
         answers.append(line)
+        counters.append(
+            f"{stats['iterations']} {stats.get('solved', 0)} "
+            f"{stats.get('cached', 0)} {stats.get('pruned', 0)}"
+        )
+    return answers, counters
+
+
+def test_solve_answers_are_pinned():
+    # Hashed as recorded before weight objectives were pruned, and again
+    # before candidates were tried in bound order.
+    answers, _counters = _pinned_walks()
     digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
-    assert digest == "7038e2a02be90a109c17d7e0753120139beff68f4720c362d20c8f23eedea829"
+    assert digest == "d924e2dc3d1b0b09e62f18514d055e13abbede9e545f827dfe9cef54777f9f9b"
+
+
+def test_solve_counters_are_pinned():
+    # Iterations, solved, cached and pruned per walk of the same instances.
+    _answers, counters = _pinned_walks()
+    digest = hashlib.sha256("\n".join(counters).encode()).hexdigest()
+    assert digest == "ac92f3a1a581c8e1647b69119bb30b5e03f2e35565aff5e72181f37ea8184340"
 
 
 def test_seen_specs_cannot_beat_the_walk():
@@ -240,7 +255,56 @@ def test_seen_specs_cannot_beat_the_walk():
             matching = improvement_step(inst, matching, seen=seen, stats=stats)
             assert sum(stats.values()) - counted == candidates, seed
         cached += stats["cached"]
-    assert cached == 355
+    assert cached == 351
+
+
+def _enumeration_order_step(inst: BInstance, matching: Matching):
+    """improvement_step before it tried candidates in bound order, without
+    the seen set: candidates in enumeration order, each pruned when its
+    bound cannot strictly beat the best weight so far and solved otherwise,
+    keeping the first strictly heavier result.  Returns that result and
+    (index, bound, weight) for each solve that found a matching."""
+    work, _sign = _as_max_weight(inst)
+    bound = _step_bound(inst, matching)
+    best, best_value = None, matching_weight(work.graph, matching)
+    found = []
+    for i, cand in enumerate(enumerate_candidates(inst, matching)):
+        cap = bound(cand)
+        if cap <= best_value:
+            continue
+        result = solve_uniform(work, cand.spec, "max", matching)
+        if result is None:
+            continue
+        value = matching_weight(work.graph, result)
+        found.append((i, cap, value))
+        if value > best_value:
+            best, best_value = result, value
+    return best, found
+
+
+def test_bound_order_keeps_the_enumeration_order_answer():
+    # Where a later candidate reaches the best weight with a larger bound,
+    # bound order finds it first, and the earlier winner must replace it.
+    tie_replacements = 0
+    for seed in range(400):
+        objective = OBJECTIVES[seed % 4]
+        n = 4 + seed % 5
+        inst, matching = planted(seed, n, n + seed % 13, objective, weights=(-4, 6))
+        while matching is not None:
+            expected, found = _enumeration_order_step(inst, matching)
+            stats = {}
+            got = improvement_step(inst, matching, stats=stats)
+            assert got == expected, seed
+            candidates = len(enumerate_candidates(inst, matching))
+            assert sum(stats.values()) == candidates, seed
+            if expected is not None:
+                best = max(value for _i, _cap, value in found)
+                winner, cap = next((i, c) for i, c, value in found if value == best)
+                tie_replacements += any(
+                    value == best and c > cap for i, c, value in found if i > winner
+                )
+            matching = expected
+    assert tie_replacements > 0
 
 
 def test_pruned_candidates_build_no_spec(monkeypatch):
