@@ -49,13 +49,7 @@ class SimpleWeightedGraph:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        edges = tuple(map(tuple, self.edges))
-        object.__setattr__(self, "edges", edges)
-        if not _is_simple(self.vertex_count, edges):
-            self._raise_on_first_bad_edge()
-
-    def _raise_on_first_bad_edge(self) -> None:
-        """The checks of `_is_simple`, one edge at a time in edge order."""
+        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
         seen: set[tuple[int, int]] = set()
         for u, v, w in self.edges:
             if u == v:
@@ -68,27 +62,6 @@ class SimpleWeightedGraph:
             if key in seen:
                 raise ValueError(f"parallel edge between {u} and {v}")
             seen.add(key)
-
-
-def _is_simple(n: int, edges: tuple[tuple, ...]) -> bool:
-    """True when every edge is a (u, v, w) triple with u != v, both in
-    range(n), w of type int, and no two edges join the same two vertices.
-
-    One pass keys each such edge by its pair, u * n + v with u < v, and
-    every other edge by -1 or not at all, so a bad edge puts -1 in the key
-    set or leaves it smaller than the edge list.  False hands the edges to
-    the per-edge loop, which raises for the first bad one (or accepts an
-    int subclass weight).
-    """
-    try:
-        keys = {
-            u * n + v if 0 <= u < v < n else v * n + u if 0 <= v < u < n else -1
-            for u, v, w in edges
-            if type(w) is int
-        }
-    except (TypeError, ValueError):
-        return False
-    return len(keys) == len(edges) and -1 not in keys
 
 
 @dataclass(frozen=True)

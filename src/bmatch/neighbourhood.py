@@ -189,14 +189,14 @@ def improvement_step(
     # Keys (weight, -index) order results as the tie rule ranks them, and
     # a candidate's cap (bound, -index) is at least the key of any result
     # it can give.  The start key (weight, 1) ranks above every result of
-    # the current weight, so only a strictly heavier matching is taken.
+    # the current weight, so only a strictly heavier matching is taken,
+    # and a bound at most the current weight is dropped before the sort.
+    current = matching_weight(work.graph, matching)
     candidates = enumerate_candidates(instance, matching)
-    caps = sorted(
-        ((_bound(c, t, values, base_total), -i) for i, c in enumerate(candidates)),
-        reverse=True,
-    )
+    bounds = (_bound(c, t, values, base_total) for c in candidates)
+    caps = sorted(((b, -i) for i, b in enumerate(bounds) if b > current), reverse=True)
     best: Matching | None = None
-    best_key = (matching_weight(work.graph, matching), 1)
+    best_key = (current, 1)
     visited = 0
     for cap in caps:
         if cap <= best_key:

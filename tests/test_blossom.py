@@ -68,28 +68,6 @@ def test_names_the_first_bad_edge(edges, message):
     assert str(err.value) == message
 
 
-def test_bulk_check_agrees_with_the_per_edge_loop():
-    rng = random.Random(0)
-    rejected = 0
-    for _ in range(2000):
-        n = rng.randrange(5)
-        edges = tuple(
-            (rng.randint(-1, n), rng.randint(-1, n), rng.choice((1, -3, 0.5)))
-            for _ in range(rng.randrange(5))
-        )
-        try:
-            SimpleWeightedGraph(n, edges)._raise_on_first_bad_edge()
-            simple = True
-        except ValueError:
-            simple = False
-        rejected += not simple
-        assert blossom._is_simple(n, edges) == simple, (n, edges)
-    assert 0 < rejected < 2000
-    # An int subclass passes only the per-edge loop's isinstance check.
-    assert not blossom._is_simple(2, ((0, 1, True),))
-    assert SimpleWeightedGraph(2, ((0, 1, True),)).edges == ((0, 1, True),)
-
-
 def test_triangle_has_no_perfect_matching():
     g = SimpleWeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 1)))
     assert max_weight_perfect_matching(g) is None
