@@ -1,5 +1,9 @@
-"""Narrate one solver run: the type walk from a first feasible matching to
-the optimum, one line per improvement step.
+"""Narrate the type walk from a first feasible matching to the optimum, one
+line per improvement step.
+
+`solve` runs this walk only when the answer of its uniform relaxation is
+not a B-matching (and then stops it once the relaxation's weight is
+reached); this script always walks, so every instance shows its steps.
 
 Each line shows the parity-interval index per vertex (the matching's type),
 so the walk through neighbouring types is visible directly.

@@ -11,6 +11,10 @@ type admits a better matching.
 All four objectives run as one max-weight problem: each edge weighs its
 objective value (1 or w), negated for the min objectives.  A walk skips the
 specs it solved at earlier steps, whose optima cannot beat where it stands.
+
+`solve` walks only when it must.  One uniform relaxation of the instance,
+whose degree sets contain every B(v), is solved first: when its answer is a
+B-matching it is the optimum, and otherwise its weight bounds the walk.
 """
 
 from __future__ import annotations
@@ -25,10 +29,11 @@ from bmatch.core import (
     MultiGraph,
     ParityInterval,
     current_type,
+    is_b_matching,
     matching_weight,
 )
-from bmatch.reduce import UniformSpec
-from bmatch.uniform import solve_uniform
+from bmatch.reduce import Interval, UniformSpec
+from bmatch.uniform import shape_of, solve_uniform
 
 TraceFn = Callable[[str], None]
 
@@ -322,37 +327,81 @@ def find_feasible(
         include = True
 
 
+def _relaxation(instance: BInstance) -> UniformSpec:
+    """U: per vertex, b(v) itself when it is one dense interval or one
+    parity run, else its dense hull [min b(v), max b(v)].  b(v) lies in
+    U(v), so U's optimum weighs at least as much as every B-matching.
+    Every b(v) must be nonempty."""
+    per_vertex = []
+    for v in range(instance.graph.vertex_count):
+        values = instance.b(v).values
+        shape = shape_of(values)
+        per_vertex.append(Interval(values[0], values[-1]) if shape is None else shape)
+    return UniformSpec(tuple(per_vertex))
+
+
 def solve(
     instance: BInstance,
     *,
     trace: TraceFn | None = None,
     stats: dict | None = None,
 ) -> Matching | None:
-    """Find a feasible matching, then improve until no candidate type helps.
+    """An optimal B-matching for instance.objective, or None if none exists.
 
-    The final matching is optimal for instance.objective.  For cardinality
-    objectives the loop runs at most |E| iterations; for weight objectives
-    the count is only bounded by the weight gap (pseudo-polynomial).  A
-    caller-owned `stats` dict receives 'iterations' plus the accumulated
-    improvement_step counters.
+    After `find_feasible` gives a start M, the first certificate that holds
+    ends the run:
+    - M reaches the degree-sum bound of every B-matching (`_pin_values`);
+    - one solve of the relaxation `_relaxation` gives a B-matching, optimal
+      by the relaxation's checked blossom duals;
+    - otherwise the relaxation's weight UB bounds the optimum, and the walk
+      improves M step by step until its value reaches UB or a step finds
+      no improving candidate type.
+    The walk's answers do not depend on the UB stop: at UB, the step it
+    skips would find nothing.  For cardinality objectives the walk runs at
+    most |E| iterations; for weight objectives the count is only bounded by
+    the weight gap (pseudo-polynomial).  A caller-owned `stats` dict
+    receives 'iterations' plus the 'solved', 'cached' and 'pruned'
+    counters; the relaxation counts as one solved candidate.
     """
     if stats is None:
         stats = {}
-    stats.setdefault("iterations", 0)
+    counts = ("solved", "cached", "pruned")
+    for key in ("iterations", *counts):
+        stats.setdefault(key, 0)
     matching = find_feasible(instance)
     if matching is None:
         if trace is not None:
             trace("solve: infeasible")
         return None
     work, sign = _as_max_weight(instance)
+    value = matching_weight(work.graph, matching)
+    if value == sum(max(vals) for vals in _pin_values(work)) // 2:
+        if trace is not None:
+            trace(f"solve: optimal, value {sign * value} reached the degree-sum bound")
+        return matching
+    relaxed = solve_uniform(work, _relaxation(instance), "max", matching)
+    stats["solved"] += 1
+    if relaxed is None:
+        raise AssertionError("the relaxation has no solution, yet a B-matching exists")
+    bound = matching_weight(work.graph, relaxed)
+    if is_b_matching(instance, relaxed):
+        if trace is not None:
+            trace(
+                f"solve: optimal, value {sign * bound} by the relaxation's duals, "
+                f"its answer is a B-matching"
+            )
+        return relaxed
     seen: set[UniformSpec] = set()
-    counts = ("solved", "cached", "pruned")
     iteration = 0
     while True:
         value = matching_weight(work.graph, matching)
         if trace is not None:
             trace(f"solve: iteration {iteration}, value {sign * value}")
-        before = [stats.get(key, 0) for key in counts]
+        if value == bound:
+            if trace is not None:
+                trace(f"solve: optimal, value reached the relaxation bound {sign * bound}")
+            return matching
+        before = [stats[key] for key in counts]
         improved = improvement_step(instance, matching, seen=seen, stats=stats)
         if trace is not None:
             solved, cached, pruned = (stats[k] - b for k, b in zip(counts, before))
@@ -363,6 +412,11 @@ def solve(
                 f"{pruned} pruned, best value {sign * best}"
             )
         if improved is None:
+            if trace is not None:
+                trace(
+                    f"solve: optimal, final step found nothing "
+                    f"(relaxation bound {sign * bound})"
+                )
             return matching
         assert matching_weight(work.graph, improved) > value
         matching = improved

@@ -28,6 +28,17 @@ from bmatch.reduce import (
 SENSES = ("max", "min")
 
 
+def shape_of(values: tuple[int, ...]) -> VertexSpec | None:
+    """A nonempty increasing degree list as one dense Interval or one
+    ParityInterval, or None when it is neither."""
+    gaps = {b - a for a, b in zip(values, values[1:])}
+    if gaps <= {1}:
+        return Interval(values[0], values[-1])
+    if gaps == {2}:
+        return ParityInterval(values[0], values[-1])
+    return None
+
+
 def spec_of_instance(instance: BInstance) -> UniformSpec:
     """Read each effective degree set as one dense interval or one parity run.
 
@@ -39,16 +50,13 @@ def spec_of_instance(instance: BInstance) -> UniformSpec:
         values = instance.b(v).values
         if not values:
             raise BadSpec(f"vertex {v} has an empty effective degree set")
-        gaps = {b - a for a, b in zip(values, values[1:])}
-        if gaps <= {1}:
-            per_vertex.append(Interval(values[0], values[-1]))
-        elif gaps == {2}:
-            per_vertex.append(ParityInterval(values[0], values[-1]))
-        else:
+        shape = shape_of(values)
+        if shape is None:
             raise BadSpec(
                 f"vertex {v} has degree set {values}, which is neither a "
                 f"dense interval nor a single parity run"
             )
+        per_vertex.append(shape)
     return UniformSpec(tuple(per_vertex))
 
 

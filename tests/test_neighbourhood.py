@@ -198,14 +198,20 @@ def test_bound_holds_every_candidate_optimum():
     assert solved == 461
 
 
-def _pinned_walks() -> tuple[list[str], list[str]]:
-    """solve's answers and its counters on 400 planted instances with
-    weights -4..6 and loops, all four objectives."""
-    answers, counters = [], []
+def _pinned_instances():
+    """400 planted instances with weights -4..6 and loops, all four
+    objectives."""
     for seed in range(400):
         objective = OBJECTIVES[seed % 4]
         n = 4 + seed % 5
-        inst, _plant = planted(seed, n, n + seed % 13, objective, weights=(-4, 6))
+        yield seed, planted(seed, n, n + seed % 13, objective, weights=(-4, 6))[0]
+
+
+def _pinned_walks() -> tuple[list[str], list[str], list[str]]:
+    """solve's answers, its counters and its objective values on the
+    pinned instances."""
+    answers, counters, values = [], [], []
+    for _seed, inst in _pinned_instances():
         stats = {}
         got = solve(inst, stats=stats)
         line = "none" if got is None else " ".join(map(str, sorted(got.selected)))
@@ -214,22 +220,88 @@ def _pinned_walks() -> tuple[list[str], list[str]]:
             f"{stats['iterations']} {stats.get('solved', 0)} "
             f"{stats.get('cached', 0)} {stats.get('pruned', 0)}"
         )
-    return answers, counters
+        if got is None:
+            values.append("none")
+        elif inst.objective.endswith("card"):
+            values.append(str(len(got)))
+        else:
+            values.append(str(matching_weight(inst.graph, got)))
+    return answers, counters, values
 
 
 def test_solve_answers_are_pinned():
-    # Hashed as recorded before weight objectives were pruned, and again
-    # before candidates were tried in bound order.
-    answers, _counters = _pinned_walks()
+    # Hashed as recorded before weight objectives were pruned, before
+    # candidates were tried in bound order, and again before solve answered
+    # from the relaxation, which may pick another optimum among ties.
+    answers, _counters, _values = _pinned_walks()
     digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
-    assert digest == "d924e2dc3d1b0b09e62f18514d055e13abbede9e545f827dfe9cef54777f9f9b"
+    assert digest == "8d5d6e27c740db4264b5a6f5ab00d323ca3494ad7263d329324a5092c388b71a"
 
 
 def test_solve_counters_are_pinned():
-    # Iterations, solved, cached and pruned per walk of the same instances.
-    _answers, counters = _pinned_walks()
+    # Iterations, solved, cached and pruned per run of the same instances;
+    # the relaxation counts as one solve.
+    _answers, counters, _values = _pinned_walks()
     digest = hashlib.sha256("\n".join(counters).encode()).hexdigest()
-    assert digest == "ac92f3a1a581c8e1647b69119bb30b5e03f2e35565aff5e72181f37ea8184340"
+    assert digest == "f2fe296014b06ef7b52ca1733ade80ae64d476da03bcb9f932c58c363fcc9412"
+
+
+def test_solve_values_are_pinned():
+    # The optimum values alone, recorded before solve answered from the
+    # relaxation: which certificate ends a run must not move them.
+    _answers, _counters, values = _pinned_walks()
+    digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
+    assert digest == "e70d96029def4e0e27a6d46e1277d605f68c2069a7d2d3c0ae9bb0825ca52279"
+
+
+def _certified(inst: BInstance) -> tuple[Matching | None, str]:
+    """solve's answer and the trace line of the certificate that ended it."""
+    lines = []
+    got = solve(inst, trace=lines.append)
+    return got, lines[-1]
+
+
+def _full_walk(inst: BInstance) -> Matching | None:
+    """The type walk with no bound exit, no relaxation and no stop at its
+    bound: from the first feasible matching until a step finds nothing."""
+    matching = find_feasible(inst)
+    seen = set()
+    while matching is not None:
+        improved = improvement_step(inst, matching, seen=seen)
+        if improved is None:
+            return matching
+        matching = improved
+    return None
+
+
+def test_relaxation_answers_are_optimal():
+    # An answer taken straight from the relaxation lets no candidate type
+    # improve on it: the walk's own certificate holds for it too.
+    direct = dict.fromkeys(OBJECTIVES, 0)
+    for seed, inst in _pinned_instances():
+        got, certificate = _certified(inst)
+        if "relaxation's duals" in certificate:
+            assert is_b_matching(inst, got), seed
+            assert improvement_step(inst, got) is None, seed
+            direct[inst.objective] += 1
+    assert min(direct.values()) > 0, direct
+
+
+def test_walk_answers_match_the_full_walk():
+    # Where the relaxation's answer is not a B-matching, or the start
+    # already reaches the degree-sum bound, solve returns edge for edge
+    # what the walk without those stops returns.
+    endings = set()
+    for seed, inst in _pinned_instances():
+        got, certificate = _certified(inst)
+        if "relaxation's duals" in certificate:
+            continue
+        assert got == _full_walk(inst), seed
+        for ending in ("reached the degree-sum bound", "reached the relaxation bound",
+                       "found nothing"):
+            if ending in certificate:
+                endings.add((inst.objective, ending))
+    assert len(endings) == 3 * len(OBJECTIVES), endings
 
 
 def test_seen_specs_cannot_beat_the_walk():
@@ -408,6 +480,21 @@ def test_solve_weight_senses():
     lo = solve(BInstance(g, sets, "min-weight"))
     assert matching_weight(g, hi) == 5
     assert matching_weight(g, lo) == -3
+
+
+def test_solve_stops_at_the_degree_sum_bound_before_the_relaxation(monkeypatch):
+    # B(v) = [0, d(v)]: the empty matching is feasible and reaches the bound
+    # 0 of min-card.  The relaxation's gadget would have a pool of 2m = 3000
+    # nodes and millions of edges.
+    def refuse(*_args):
+        raise AssertionError("solve_uniform ran")
+
+    monkeypatch.setattr(neighbourhood, "solve_uniform", refuse)
+    g = random_instance(0, 300, 1500, profile="interval").graph
+    sets = tuple(DegreeSet(tuple(range(g.degree(v) + 1))) for v in range(300))
+    stats = {}
+    assert solve(BInstance(g, sets, "min-card"), stats=stats) == Matching(frozenset())
+    assert stats == {"iterations": 0, "solved": 0, "cached": 0, "pruned": 0}
 
 
 def test_solve_infeasible_returns_none():
