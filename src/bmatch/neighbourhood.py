@@ -13,8 +13,13 @@ objective value (1 or w), negated for the min objectives.  A walk skips the
 specs it solved at earlier steps, whose optima cannot beat where it stands.
 
 `solve` walks only when it must.  One uniform relaxation of the instance,
-whose degree sets contain every B(v), is solved first: when its answer is a
-B-matching it is the optimum, and otherwise its weight bounds the walk.
+whose degree sets contain every B(v), is solved before any walk: when its
+answer is a B-matching it is the optimum, and otherwise its weight bounds
+the walk.  The feasibility search, exponential in the worst case, first
+gets only the 2|E| branch nodes of a search that never backtracks.  Past
+them the relaxation is solved before the search goes on: no solution
+means no B-matching, proved by the relaxation's checked Tutte barrier, and
+a B-matching answer is the optimum.
 """
 
 from __future__ import annotations
@@ -236,8 +241,11 @@ def find_feasible(
     branching (which cannot change the lexicographic answer).  Exact but
     exponential in the worst case; `node_budget` caps the branch count and
     overrunning it raises SearchBudgetExceeded, which is not an
-    infeasibility verdict.  The search path lives on an explicit stack, so
-    its depth (up to |E|) is not bounded by the recursion limit.
+    infeasibility verdict.  A search that never backtracks branches at most
+    twice per edge, so `solve` first runs it with a budget of 2|E| and asks
+    the uniform relaxation before searching further.  The search path
+    lives on an explicit stack, so its depth (up to |E|) is not bounded by
+    the recursion limit.
     """
     g = instance.graph
     n = g.vertex_count
@@ -348,14 +356,22 @@ def solve(
 ) -> Matching | None:
     """An optimal B-matching for instance.objective, or None if none exists.
 
-    After `find_feasible` gives a start M, the first certificate that holds
-    ends the run:
+    `find_feasible` first runs with a budget of 2|E| branch nodes, the most
+    a search that never backtracks can use: every edge is tried excluded,
+    then at most once included.  Inside that budget it gives a start M or
+    a "no", and the first certificate that holds ends the run:
     - M reaches the degree-sum bound of every B-matching (`_pin_values`);
     - one solve of the relaxation `_relaxation` gives a B-matching, optimal
       by the relaxation's checked blossom duals;
     - otherwise the relaxation's weight UB bounds the optimum, and the walk
       improves M step by step until its value reaches UB or a step finds
       no improving candidate type.
+    A search that overruns the budget has begun to backtrack, and the
+    relaxation is solved before it goes on.  No solution means no
+    B-matching, certified by the blossom solver's checked Tutte barrier;
+    a B-matching is the optimum as above.  Only otherwise does
+    `find_feasible` run in full, with its own budget, and the walk start
+    from its answer.
     The walk's answers do not depend on the UB stop: at UB, the step it
     skips would find nothing.  For cardinality objectives the walk runs at
     most |E| iterations; for weight objectives the count is only bounded by
@@ -368,21 +384,30 @@ def solve(
     counts = ("solved", "cached", "pruned")
     for key in ("iterations", *counts):
         stats.setdefault(key, 0)
-    matching = find_feasible(instance)
-    if matching is None:
+    try:
+        matching = find_feasible(instance, node_budget=2 * instance.graph.edge_count)
+        in_budget = True
+    except SearchBudgetExceeded:
+        matching, in_budget = None, False
+    if in_budget and matching is None:
         if trace is not None:
             trace("solve: infeasible")
         return None
     work, sign = _as_max_weight(instance)
-    value = matching_weight(work.graph, matching)
-    if value == sum(max(vals) for vals in _pin_values(work)) // 2:
-        if trace is not None:
-            trace(f"solve: optimal, value {sign * value} reached the degree-sum bound")
-        return matching
+    if in_budget:
+        value = matching_weight(work.graph, matching)
+        if value == sum(max(vals) for vals in _pin_values(work)) // 2:
+            if trace is not None:
+                trace(f"solve: optimal, value {sign * value} reached the degree-sum bound")
+            return matching
     relaxed = solve_uniform(work, _relaxation(instance), "max", matching)
     stats["solved"] += 1
     if relaxed is None:
-        raise AssertionError("the relaxation has no solution, yet a B-matching exists")
+        if in_budget:
+            raise AssertionError("the relaxation has no solution, yet a B-matching exists")
+        if trace is not None:
+            trace("solve: infeasible, the relaxation has a Tutte barrier")
+        return None
     bound = matching_weight(work.graph, relaxed)
     if is_b_matching(instance, relaxed):
         if trace is not None:
@@ -391,6 +416,12 @@ def solve(
                 f"its answer is a B-matching"
             )
         return relaxed
+    if not in_budget:
+        matching = find_feasible(instance)
+        if matching is None:
+            if trace is not None:
+                trace("solve: infeasible")
+            return None
     seen: set[UniformSpec] = set()
     iteration = 0
     while True:

@@ -121,6 +121,19 @@ def test_solve_infeasible_exits_two(capsys, tmp_path):
     assert out.splitlines()[0] == "status infeasible"
 
 
+def test_solve_trace_names_the_relaxation_barrier(capsys, tmp_path):
+    # Seed 256 overran the feasibility search's 1M-node budget; the
+    # relaxation's Tutte barrier decides it, and counts as one solve.
+    path = tmp_path / "parity256.bm"
+    assert main(["gen", "--seed", "256", "--n", "40", "--m", "100",
+                 "--profile", "parity", "--output", str(path)]) == 0
+    code, out, err = run(capsys, "solve", "--input", str(path), "--trace")
+    assert code == 2
+    assert out.splitlines()[0] == "status infeasible"
+    assert "candidates_solved 1" in out.splitlines()
+    assert err.splitlines()[-1] == "solve: infeasible, the relaxation has a Tutte barrier"
+
+
 def test_solve_trace_goes_to_stderr(capsys):
     code, out, err = run(capsys, "solve", "--input", FIG2, "--trace")
     assert code == 0

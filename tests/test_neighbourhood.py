@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -37,6 +39,8 @@ from bmatch.reduce import (
 )
 from bmatch.structure import is_neighbouring_type, is_same_uniform_type
 from bmatch.uniform import solve_uniform
+
+from conftest import src_env
 
 
 def triangle(degree_values) -> BInstance:
@@ -231,19 +235,21 @@ def _pinned_walks() -> tuple[list[str], list[str], list[str]]:
 
 def test_solve_answers_are_pinned():
     # Hashed as recorded before weight objectives were pruned, before
-    # candidates were tried in bound order, and again before solve answered
-    # from the relaxation, which may pick another optimum among ties.
+    # candidates were tried in bound order, before solve answered from the
+    # relaxation, which may pick another optimum among ties, and again
+    # before a search that overruns 2|E| nodes asked the relaxation first.
     answers, _counters, _values = _pinned_walks()
     digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
-    assert digest == "8d5d6e27c740db4264b5a6f5ab00d323ca3494ad7263d329324a5092c388b71a"
+    assert digest == "9e5c8b1838a6578813c89904df07bd1a4199ae5a42094ade3706f100f41040b5"
 
 
 def test_solve_counters_are_pinned():
     # Iterations, solved, cached and pruned per run of the same instances;
-    # the relaxation counts as one solve.
+    # the relaxation counts as one solve, also where it runs because the
+    # search overran 2|E| nodes.
     _answers, counters, _values = _pinned_walks()
     digest = hashlib.sha256("\n".join(counters).encode()).hexdigest()
-    assert digest == "f2fe296014b06ef7b52ca1733ade80ae64d476da03bcb9f932c58c363fcc9412"
+    assert digest == "31dd017b563d84707b47b13ddb3f089d6e677cfe1258c3646fdfa07afaab6f6e"
 
 
 def test_solve_values_are_pinned():
@@ -499,6 +505,88 @@ def test_solve_stops_at_the_degree_sum_bound_before_the_relaxation(monkeypatch):
 
 def test_solve_infeasible_returns_none():
     assert solve(triangle((1,))) is None
+
+
+def _spy_on_searches(monkeypatch, *, overrun: bool = False) -> list[int | None]:
+    """Route solve's feasibility searches through a spy; the list it
+    returns receives each call's node_budget, None for the default.  With
+    overrun, every budgeted search raises SearchBudgetExceeded, so solve
+    asks the relaxation first; unbudgeted searches run as usual."""
+    budgets = []
+    real = neighbourhood.find_feasible
+
+    def spy(instance, **kwargs):
+        budgets.append(kwargs.get("node_budget"))
+        if overrun and "node_budget" in kwargs:
+            raise SearchBudgetExceeded("forced")
+        return real(instance, **kwargs)
+
+    monkeypatch.setattr(neighbourhood, "find_feasible", spy)
+    return budgets
+
+
+@pytest.mark.parametrize("seed,n,m", [(256, 40, 100), (939575606, 20, 50), (939575602, 20, 50)])
+def test_relaxation_refutes_once_the_search_backtracks(monkeypatch, seed, n, m):
+    # Seed 256 overran the default 1M-node search; the two n=20 instances
+    # took 18k and 105k nodes.  Each stops at the 2|E| prefix and the
+    # relaxation's barrier decides it.
+    budgets = _spy_on_searches(monkeypatch)
+    inst = random_instance(seed, n, m, profile="parity")
+    stats, lines = {}, []
+    assert solve(inst, trace=lines.append, stats=stats) is None
+    assert lines[-1] == "solve: infeasible, the relaxation has a Tutte barrier"
+    assert budgets == [2 * m]
+    assert stats == {"iterations": 0, "solved": 1, "cached": 0, "pruned": 0}
+
+
+def test_relaxation_barrier_is_checked_under_optimize():
+    # With asserts off, the seed-256 "no" still passes through the barrier
+    # check, and a barrier that proves nothing still raises.
+    code = (
+        "import bmatch.blossom as blossom\n"
+        "from bmatch.gen import random_instance\n"
+        "from bmatch.neighbourhood import solve\n"
+        "inst = random_instance(256, 40, 100, profile='parity')\n"
+        "checked = []\n"
+        "real = blossom._check_barrier\n"
+        "blossom._check_barrier = lambda g, x: checked.append(real(g, x))\n"
+        "print(solve(inst), len(checked))\n"
+        "blossom._check_barrier = real\n"
+        "blossom._complete_or_barrier = lambda _e, neighbend, _p: list(range(len(neighbend)))\n"
+        "solve(inst)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=src_env(), timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == "None 1\n"
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("AssertionError: barrier of ")
+    assert last.endswith(" vertices leaves only 0 odd components")
+
+
+def test_relaxation_first_keeps_the_values(monkeypatch):
+    # With every prefix search overrun, each pinned instance takes the path
+    # that solves the relaxation first; the optimum values stay those of
+    # test_solve_values_are_pinned.
+    budgets = _spy_on_searches(monkeypatch, overrun=True)
+    _answers, _counters, values = _pinned_walks()
+    digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
+    assert digest == "e70d96029def4e0e27a6d46e1277d605f68c2069a7d2d3c0ae9bb0825ca52279"
+    assert budgets.count(None) > 0
+
+
+def test_relaxation_without_b_matching_falls_back_to_the_full_search(monkeypatch):
+    # U(u) = [0, 3] admits the single edge that B(u) = {0, 2, 3} does not,
+    # so the relaxation has a solution and only the full search says no.
+    budgets = _spy_on_searches(monkeypatch, overrun=True)
+    g = MultiGraph(2, ((0, 1, 1), (0, 1, 1), (0, 1, 1)))
+    inst = BInstance(g, (DegreeSet((0, 2, 3)), DegreeSet((1,))), "max-card")
+    lines = []
+    assert solve(inst, trace=lines.append) is None
+    assert lines == ["solve: infeasible"]
+    assert budgets == [6, None]
 
 
 def test_solve_records_stats(fig2):
