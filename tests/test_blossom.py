@@ -14,8 +14,11 @@ from bmatch.blossom import (
     _check_optimum,
     max_weight_perfect_matching,
 )
+from bmatch.gen import PROFILES, random_instance
+from bmatch.neighbourhood import _relaxation
+from bmatch.reduce import ab_to_pm, uniform_to_ab
 
-from conftest import src_env
+from conftest import FIXTURES, src_env
 
 
 def brute_force_pm(g: SimpleWeightedGraph) -> PerfectMatching | None:
@@ -137,21 +140,66 @@ def test_deterministic_for_fixed_input():
     assert first == again
 
 
-def test_tie_breaks_are_pinned():
-    # 0/1 weights make many optima tie; the digest pins which one is chosen.
-    rng = random.Random(20261018)
+def selection_digest(graphs) -> str:
     digest = hashlib.sha256()
+    for g in graphs:
+        got = max_weight_perfect_matching(g)
+        digest.update(repr(None if got is None else sorted(got.selected)).encode())
+    return digest.hexdigest()
+
+
+def zero_one_graphs():
+    # 0/1 weights make many optima tie.
+    rng = random.Random(20261018)
     for _ in range(200):
         n = 2 * rng.randint(1, 12)
         pairs = list(combinations(range(n), 2))
         rng.shuffle(pairs)
         keep = pairs[: rng.randint(n // 2, len(pairs))]
-        g = SimpleWeightedGraph(n, tuple((u, v, rng.randint(0, 1)) for u, v in keep))
-        got = max_weight_perfect_matching(g)
-        digest.update(repr(None if got is None else sorted(got.selected)).encode())
-    assert digest.hexdigest() == (
-        "9335d8da71657cec62e50678dbacf64bac482409f5755f2aea9781122a18b0f6"
+        yield SimpleWeightedGraph(n, tuple((u, v, rng.randint(0, 1)) for u, v in keep))
+
+
+def relaxation_gadgets():
+    # The gadgets `solve` builds for a relaxation, in both senses: weights
+    # -3..9 on the source edges, many weight-0 gadget edges.  Among the 156
+    # that have a perfect matching, the solves shrink 1232 blossoms around
+    # an inner blossom and expand 216 T-blossoms mid-stage.
+    for seed in range(200):
+        n = 4 + seed % 9
+        inst = random_instance(
+            seed, n, n + seed % 11, profile=PROFILES[seed % 3], weights=(-3, 9)
+        )
+        graph, _lift = ab_to_pm(uniform_to_ab(inst, _relaxation(inst))[0])
+        yield graph
+        yield SimpleWeightedGraph(
+            graph.vertex_count, tuple((u, v, -w) for u, v, w in graph.edges)
+        )
+
+
+ZERO_ONE_DIGEST = "9335d8da71657cec62e50678dbacf64bac482409f5755f2aea9781122a18b0f6"
+GADGET_DIGEST = "ced70ed35733275eabb74be3b5ff5d0b36bf62d6bdfaac5f50d0a9369b250164"
+
+
+def test_tie_breaks_are_pinned():
+    # The digest pins which of the tied optima is chosen.
+    assert selection_digest(zero_one_graphs()) == ZERO_ONE_DIGEST
+
+
+def test_gadget_tie_breaks_are_pinned():
+    assert selection_digest(relaxation_gadgets()) == GADGET_DIGEST
+
+
+def test_tie_breaks_hold_under_optimize():
+    # No solver bookkeeping may live inside an assert.
+    proc = run_optimized(
+        f"import sys\n"
+        f"sys.path.insert(0, {str(FIXTURES.parent / 'tests')!r})\n"
+        f"from test_blossom import *\n"
+        f"print(selection_digest(zero_one_graphs()))\n"
+        f"print(selection_digest(relaxation_gadgets()))\n"
     )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [ZERO_ONE_DIGEST, GADGET_DIGEST]
 
 
 def test_solving_leaves_the_recursion_limit_alone(monkeypatch):
