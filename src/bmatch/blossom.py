@@ -24,14 +24,22 @@ returned has passed `_check_optimum`, a complementary-slackness check on the
 final duals that raises instead of asserting, so it also runs under -O; the
 barrier check raises the same way.
 
-The implementation favours simple invariants over asymptotic records: dual
-updates rescan all edges, and expanding a blossom mid-stage rebuilds the
-alternating forest from scratch instead of surgically relabelling.  Solves
-are deterministic for a fixed input edge order; scans and minimum searches
-run in edge-index order, so ties fall to the smallest edge index.  The
-weighted step starts cold, whatever the start matching, so its answer
-depends on the graph alone.  Nested blossoms are expanded and rematched on
-an explicit stack, not by recursion.
+The implementation favours simple invariants over asymptotic records: each
+dual update rescans all m edges (and every vertex and blossom id), and
+expanding a blossom mid-stage rebuilds the alternating forest instead of
+surgically relabelling.  A stage restart, though, costs only what the stage
+touched.  The edges it marked allowed, the ids it labelled and the blossoms
+whose dual may be 0 are listed, and the next stage start, a rebuild and the
+stage end visit only those lists.  Tree roots come from a sorted list of
+exposed vertices and are labelled S lazily: when the scan takes them, in
+vertex order and before any vertex a growing tree queued, or when a tight
+edge first reaches one.  That is the scan order of labelling every root up
+front, so the lazy roots change no answer.  Solves are deterministic for a
+fixed input edge order; scans and minimum searches run in edge-index order,
+so ties fall to the smallest edge index.  The weighted step starts cold,
+whatever the start matching, so its answer depends on the graph alone.
+Nested blossoms are expanded and rematched on an explicit stack, not by
+recursion.
 """
 
 from __future__ import annotations
@@ -250,6 +258,7 @@ def _solve(
         if mate[u] == -1 and mate[v] == -1 and dual[u] + dual[v] - 2 * w == 0:
             mate[u] = 2 * k + 1
             mate[v] = 2 * k
+    exposed = [v for v in range(n) if mate[v] == -1]  # the tree roots, sorted
 
     # Blossom bookkeeping, ids n..2n-1.
     label = [0] * (2 * n)  # 0 free, 1 S, 2 T (plus 5 as a scan breadcrumb)
@@ -261,6 +270,17 @@ def _solve(
     blossomendps: list[Optional[list[int]]] = [None] * (2 * n)
     unusedblossoms = list(range(2 * n - 1, n - 1, -1))  # pop() gives n first
     allowedge = [False] * m
+    # What a stage touched, so that the next one resets only that: the
+    # edges marked allowed and the ids labelled.  zero_dual holds every
+    # blossom whose dual may be 0: each new one and each T-blossom whose
+    # dual fell to 0; the stage end keeps those still at 0.
+    allowed: list[int] = []
+    labelled: list[int] = []
+    zero_dual: list[int] = []
+    # Scan order: the leaves of each root's blossom, roots taken lazily in
+    # vertex order, then `queue`, as if every root had been queued first.
+    rootq: deque[int] = deque()
+    next_root = 0
     queue: deque[int] = deque()
 
     def blossom_leaves(b: int) -> list[int]:
@@ -283,8 +303,10 @@ def _solve(
             assert label[w] == 0 and label[b] == 0
             label[w] = label[b] = t
             labelend[w] = labelend[b] = p
+            labelled.append(w)
+            labelled.append(b)
             if t == 1:
-                queue.extend(blossom_leaves(b))
+                (rootq if p == -1 else queue).extend(blossom_leaves(b))
                 return
             base = blossombase[b]
             assert mate[base] >= 0
@@ -360,7 +382,9 @@ def _solve(
         assert label[bb] == 1
         label[b] = 1
         labelend[b] = labelend[bb]
+        labelled.append(b)
         dual[b] = 0
+        zero_dual.append(b)
         for leaf in blossom_leaves(b):
             if label[inblossom[leaf]] == 2:
                 # Former T-vertex turned S; it still has to be scanned.
@@ -437,6 +461,8 @@ def _solve(
                 bs = inblossom[s]
                 assert label[bs] == 1
                 assert labelend[bs] == mate[blossombase[bs]]
+                if labelend[bs] == -1:
+                    exposed.remove(blossombase[bs])
                 if bs >= n:
                     nested(augment_blossom, bs, s)
                 mate[s] = p
@@ -455,27 +481,35 @@ def _solve(
                 p = labelend[bt] ^ 1
 
     def start_forest() -> None:
-        for i in range(2 * n):
+        nonlocal next_root
+        for i in labelled:
             label[i] = 0
             labelend[i] = -1
+        labelled.clear()
+        rootq.clear()
         queue.clear()
-        for v in range(n):
-            if mate[v] == -1 and label[inblossom[v]] == 0:
-                assign_label(v, 1, -1)
+        next_root = 0
 
-    while True:
-        if all(x >= 0 for x in mate):
-            break  # perfect; optimal by the dual stopping rule below
-
-        for k in range(m):
+    while exposed:  # once empty, the matching is optimal by the dual rule
+        for k in allowed:
             allowedge[k] = False
+        allowed.clear()
         start_forest()
 
         augmented = False
         while True:
             # Scan: grow trees, shrink blossoms, stop on an augmenting path.
-            while queue and not augmented:
-                v = queue.popleft()
+            while not augmented:
+                if rootq:
+                    v = rootq.popleft()
+                elif next_root < len(exposed):
+                    assign_label(exposed[next_root], 1, -1)  # fills rootq
+                    next_root += 1
+                    continue
+                elif queue:
+                    v = queue.popleft()
+                else:
+                    break
                 if label[inblossom[v]] != 1:
                     continue  # stale entry
                 for p in neighbend[v]:
@@ -487,8 +521,12 @@ def _solve(
                         eu, ev, ew = edges[k]
                         if dual[eu] + dual[ev] - 2 * ew == 0:
                             allowedge[k] = True
+                            allowed.append(k)
                     if allowedge[k]:
                         bw = inblossom[w]
+                        if label[bw] == 0 and mate[blossombase[bw]] == -1:
+                            # A root not taken yet: it is S already.
+                            assign_label(blossombase[bw], 1, -1)
                         if label[bw] == 0:
                             assign_label(w, 2, p ^ 1)
                         elif label[bw] == 1:
@@ -504,6 +542,7 @@ def _solve(
                             assert label[bw] == 2
                             label[w] = 2
                             labelend[w] = p ^ 1
+                            labelled.append(w)
             if augmented:
                 break
 
@@ -555,6 +594,8 @@ def _solve(
                         dual[b] += delta
                     elif label[b] == 2:
                         dual[b] -= delta
+                        if dual[b] == 0:
+                            zero_dual.append(b)
 
             if delta_type == 4:
                 # A T-blossom dual hit zero: dissolve it and rebuild the
@@ -568,15 +609,20 @@ def _solve(
                     if label[inblossom[v]] == 1:
                         queue.append(v)
 
-        # Stage end: discard exhausted S-blossoms, keep paid-for ones.
-        for b in range(n, 2 * n):
+        # Stage end: discard exhausted S-blossoms, keep paid-for ones.  A
+        # root not taken yet counts as S.
+        zero_dual[:] = sorted(set(zero_dual))
+        for b in zero_dual:
             if (
                 blossomchilds[b] is not None
                 and blossomparent[b] == -1
-                and label[b] == 1
+                and (label[b] == 1 or mate[blossombase[b]] == -1)
                 and dual[b] == 0
             ):
                 nested(expand_blossom, b, True)
+        zero_dual[:] = [
+            b for b in zero_dual if blossomchilds[b] is not None and dual[b] == 0
+        ]
 
     _check_optimum(graph, mate, dual, blossomparent)
     return mate

@@ -310,29 +310,31 @@ def decompose_symmetric_difference(
 # -- type predicates -----------------------------------------------------------
 
 
-def _index_moves(instance: BInstance, m: Matching, n: Matching) -> list[int] | None:
-    """Sorted nonzero interval-index differences from M's type to N's, or
-    None when N is infeasible.  M must be feasible."""
-    if not is_b_matching(instance, n):
-        return None
-    pairs = zip(current_type(instance, m), current_type(instance, n))
-    return sorted(abs(i - j) for i, j in pairs if i != j)
-
-
-def is_same_uniform_type(instance: BInstance, m: Matching, n: Matching) -> bool:
-    """Does every d_N(v) stay in the interval of B(v) holding d_M(v)?"""
-    return _index_moves(instance, m, n) == []
-
-
-def is_neighbouring_type(instance: BInstance, m: Matching, n: Matching) -> bool:
-    """Is N feasible with W = its deviating vertices either empty, one
-    vertex two intervals over, or two vertices one interval over each?
+def neighbouring_types(t: tuple[int, ...], u: tuple[int, ...]) -> bool:
+    """Do types t and u differ at W = no vertex, one vertex by two interval
+    indices, or two vertices by one index each?
 
     Comparing indices is exact: consecutive parity intervals of a set with
     no gap longer than 1 satisfy hi + 1 == next lo, so "adjacent" means
     "index one apart".
     """
-    return _index_moves(instance, m, n) in ([], [2], [1, 1])
+    return sorted(abs(i - j) for i, j in zip(t, u) if i != j) in ([], [2], [1, 1])
+
+
+def is_same_uniform_type(instance: BInstance, m: Matching, n: Matching) -> bool:
+    """Does every d_N(v) stay in the interval of B(v) holding d_M(v)?
+    M must be feasible."""
+    if not is_b_matching(instance, n):
+        return False
+    return current_type(instance, m) == current_type(instance, n)
+
+
+def is_neighbouring_type(instance: BInstance, m: Matching, n: Matching) -> bool:
+    """Is N feasible and of a type neighbouring M's (`neighbouring_types`)?
+    M must be feasible."""
+    if not is_b_matching(instance, n):
+        return False
+    return neighbouring_types(current_type(instance, m), current_type(instance, n))
 
 
 # -- canonical-path recognition ------------------------------------------------

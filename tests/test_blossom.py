@@ -189,6 +189,19 @@ def test_gadget_tie_breaks_are_pinned():
     assert selection_digest(relaxation_gadgets()) == GADGET_DIGEST
 
 
+def test_untaken_roots_count_as_s_at_stage_end():
+    # Roots are labelled lazily.  In this gadget a stage augments after a
+    # mid-stage rebuild, before it takes a root whose blossom has dual 0;
+    # discarding that blossom at the stage end keeps the pinned answer.
+    inst = random_instance(323176420, 11, 31, profile="interval", weights=(-2, 3))
+    graph, _lift = ab_to_pm(uniform_to_ab(inst, _relaxation(inst))[0])
+    got = max_weight_perfect_matching(graph)
+    assert got is not None and got.weight == 17
+    assert hashlib.sha256(repr(sorted(got.selected)).encode()).hexdigest() == (
+        "87b61060c411f0ca744f207d8c04f71966f784a8bbe5beb091b5c68b2de68444"
+    )
+
+
 def test_tie_breaks_hold_under_optimize():
     # No solver bookkeeping may live inside an assert.
     proc = run_optimized(
