@@ -189,17 +189,29 @@ def test_gadget_tie_breaks_are_pinned():
     assert selection_digest(relaxation_gadgets()) == GADGET_DIGEST
 
 
-def test_untaken_roots_count_as_s_at_stage_end():
-    # Roots are labelled lazily.  In this gadget a stage augments after a
-    # mid-stage rebuild, before it takes a root whose blossom has dual 0;
-    # discarding that blossom at the stage end keeps the pinned answer.
-    inst = random_instance(323176420, 11, 31, profile="interval", weights=(-2, 3))
+@pytest.mark.parametrize(
+    "seed, n, m, profile, weights, sign, weight, digest",
+    [
+        # A stage augments after a mid-stage rebuild, before it takes a
+        # root whose blossom has dual 0: that root counts as S.
+        (323176420, 11, 31, "interval", (-2, 3), 1, 17,
+         "87b61060c411f0ca744f207d8c04f71966f784a8bbe5beb091b5c68b2de68444"),
+        # A zero-dual S-blossom made in an earlier stage.
+        (4514, 9, 20, "mixed", (-3, 9), -1, -43,
+         "5af52d3b8388c990efce0233c41f458397bf4fc63fa2e9395bcf35570b02d0a3"),
+    ],
+)
+def test_stage_end_discards_every_zero_dual_s_blossom(
+    seed, n, m, profile, weights, sign, weight, digest
+):
+    inst = random_instance(seed, n, m, profile=profile, weights=weights)
     graph, _lift = ab_to_pm(uniform_to_ab(inst, _relaxation(inst))[0])
-    got = max_weight_perfect_matching(graph)
-    assert got is not None and got.weight == 17
-    assert hashlib.sha256(repr(sorted(got.selected)).encode()).hexdigest() == (
-        "87b61060c411f0ca744f207d8c04f71966f784a8bbe5beb091b5c68b2de68444"
+    graph = SimpleWeightedGraph(
+        graph.vertex_count, tuple((u, v, sign * w) for u, v, w in graph.edges)
     )
+    got = max_weight_perfect_matching(graph)
+    assert got is not None and got.weight == weight
+    assert hashlib.sha256(repr(sorted(got.selected)).encode()).hexdigest() == digest
 
 
 def test_tie_breaks_hold_under_optimize():
