@@ -490,7 +490,7 @@ def _solve(
         queue.clear()
         next_root = 0
 
-    while exposed:  # once empty, the matching is optimal by the dual rule
+    while exposed:  # none left: perfect, and optimal by the dual rule
         for k in allowed:
             allowedge[k] = False
         allowed.clear()
@@ -525,7 +525,7 @@ def _solve(
                     if allowedge[k]:
                         bw = inblossom[w]
                         if label[bw] == 0 and mate[blossombase[bw]] == -1:
-                            # A root not taken yet: it is S already.
+                            # A root not taken yet counts as S: label it now.
                             assign_label(blossombase[bw], 1, -1)
                         if label[bw] == 0:
                             assign_label(w, 2, p ^ 1)
