@@ -1,19 +1,23 @@
 """Exact maximum-weight perfect matching on simple weighted graphs.
 
-A solve has two steps.  First Edmonds' cardinality search decides whether a
-perfect matching exists: it completes a given start matching (extended
-greedily in edge order) by one alternating-tree search per exposed vertex.
-A tree that gets stuck yields a Tutte barrier, its odd vertices X, and the
-solver returns None only after `_check_barrier` has counted more than |X|
-odd components in G - X.  A start that is close to perfect, such as the
-embedding of the current matching of a type walk, leaves few roots.
+There is one blossom search, `_solve`: the primal-dual blossom algorithm
+specialised to perfect matchings.  Vertex duals are unconstrained in sign,
+so there is no "dual hits zero" stopping rule and every stage ends in an
+augmentation; a dual update without bound yields a Tutte barrier instead,
+its T-vertices X.  A solve runs the search twice.
 
-Only graphs that have a perfect matching reach the second step, the
-primal-dual blossom algorithm specialised to perfect matchings: vertex
-duals are unconstrained in sign, so there is no "dual hits zero" stopping
-rule and every stage ends in an augmentation.  A dual update without bound
-would mean no perfect matching exists, which the first step has ruled out,
-so it raises as an internal-consistency error.
+First it runs on zero weights from the given start matching, extended
+greedily in edge order.  Every edge is then tight, so any start is a valid
+one and the search is Edmonds' cardinality search.  A start that is close
+to perfect, such as the embedding of the current matching of a type walk,
+leaves few roots.  If this run ends in a barrier, the solver returns None
+only after `_check_barrier` has counted more than |X| odd components in
+G - X.
+
+Then it runs on the real weights from the empty matching.  That is a cold
+start whatever the start matching, so the answer depends on the graph
+alone.  A barrier here would contradict the first run, so it raises as an
+internal-consistency error.
 
 All arithmetic is exact.  Vertex duals are stored doubled (P[v] = 2*y_v) so
 that every dual update is integral for integer edge weights; the only halved
@@ -36,10 +40,8 @@ vertex order and before any vertex a growing tree queued, or when a tight
 edge first reaches one.  That is the scan order of labelling every root up
 front, so the lazy roots change no answer.  Solves are deterministic for a
 fixed input edge order; scans and minimum searches run in edge-index order,
-so ties fall to the smallest edge index.  The weighted step starts cold,
-whatever the start matching, so its answer depends on the graph alone.
-Nested blossoms are expanded and rematched on an explicit stack, not by
-recursion.
+so ties fall to the smallest edge index.  Nested blossoms are expanded and
+rematched on an explicit stack, not by recursion.
 """
 
 from __future__ import annotations
@@ -100,110 +102,27 @@ def max_weight_perfect_matching(
         endpoint[2 * k + 1] = v
         neighbend[u].append(2 * k + 1)
         neighbend[v].append(2 * k)
-    partner = [-1] * n
+    mate = [-1] * n
     for k in start:
         u, v, _w = edges[k]
-        if partner[u] != -1 or partner[v] != -1:
+        if mate[u] != -1 or mate[v] != -1:
             raise ValueError(f"start edge {k} shares an end with another start edge")
-        partner[u], partner[v] = v, u
-    for u, v, _w in edges:
-        if partner[u] == -1 and partner[v] == -1:
-            partner[u], partner[v] = v, u
-    barrier = _complete_or_barrier(endpoint, neighbend, partner)
-    if barrier is not None:
-        _check_barrier(graph, barrier)
+        mate[u], mate[v] = 2 * k + 1, 2 * k
+    # Existence first: on zero weights every edge is tight, so any start is valid.
+    found = _solve([0] * len(edges), endpoint, neighbend, mate)
+    if isinstance(found, list):
+        _check_barrier(graph, found)
         return None
-    mate = _solve(graph, endpoint, neighbend)
+    found = _solve([w for _u, _v, w in edges], endpoint, neighbend, [-1] * n)
+    if isinstance(found, list):
+        raise AssertionError(
+            "dual update is unbounded although a perfect matching exists"
+        )
+    mate, dual, blossomparent = found
+    _check_optimum(graph, mate, dual, blossomparent)
     selected = frozenset(p // 2 for p in mate)
     weight = sum(edges[e][2] for e in selected)
     return PerfectMatching(selected, weight)
-
-
-def _complete_or_barrier(
-    endpoint: list[int], neighbend: list[list[int]], partner: list[int]
-) -> Optional[list[int]]:
-    """Grow `partner` (matched vertex per vertex, or -1) into a perfect
-    matching by Edmonds' augmenting-path search, one alternating tree per
-    exposed vertex.  Return None once every vertex is matched, or else the
-    odd vertices of the first tree that gets stuck: a Tutte barrier.
-
-    Within a tree, base[x] is the base of x's shrunken blossom and even[x]
-    marks the even vertices.  parent[x] is the vertex an odd x was reached
-    from; shrinking a cycle also sets it at the cycle's even vertices, to
-    their cycle neighbour other than their partner, so that a path can be
-    traced through the blossom by alternating parent and partner steps.
-    Arrays are reset only at the vertices a tree touched.
-    """
-    n = len(neighbend)
-    parent = [-1] * n
-    base = list(range(n))
-    even = [False] * n
-
-    def common_base(v: int, w: int) -> int:
-        path = set()
-        while True:
-            v = base[v]
-            path.add(v)
-            if partner[v] == -1:
-                break  # the root
-            v = parent[partner[v]]
-        while base[w] not in path:
-            w = parent[partner[base[w]]]
-        return base[w]
-
-    def link_path(v: int, b: int, child: int, shrunk: set[int]) -> None:
-        while base[v] != b:
-            shrunk.add(base[v])
-            shrunk.add(base[partner[v]])
-            parent[v] = child
-            child = partner[v]
-            v = parent[child]
-
-    for root in range(n):
-        if partner[root] != -1:
-            continue
-        even[root] = True
-        tree = [root]
-        queue = deque(tree)
-        end = -1
-        while queue and end == -1:
-            v = queue.popleft()
-            for p in neighbend[v]:
-                w = endpoint[p]
-                if base[v] == base[w] or partner[v] == w:
-                    continue
-                if w == root or (partner[w] != -1 and parent[partner[w]] != -1):
-                    # Even-even edge: shrink the cycle through it.
-                    b = common_base(v, w)
-                    shrunk: set[int] = set()
-                    link_path(v, b, w, shrunk)
-                    link_path(w, b, v, shrunk)
-                    for x in tree:
-                        if base[x] in shrunk:
-                            base[x] = b
-                            if not even[x]:
-                                even[x] = True
-                                queue.append(x)
-                elif parent[w] == -1:
-                    parent[w] = v
-                    tree.append(w)
-                    if partner[w] == -1:
-                        end = w
-                        break
-                    x = partner[w]
-                    even[x] = True
-                    tree.append(x)
-                    queue.append(x)
-        if end == -1:
-            return [x for x in tree if not even[x]]
-        while end != -1:
-            v = parent[end]
-            nxt = partner[v]
-            partner[end], partner[v] = v, end
-            end = nxt
-        for x in tree:
-            parent[x], base[x], even[x] = -1, x, False
-    return None
 
 
 def _check_barrier(graph: SimpleWeightedGraph, barrier: Iterable[int]) -> None:
@@ -237,25 +156,36 @@ def _check_barrier(graph: SimpleWeightedGraph, barrier: Iterable[int]) -> None:
 
 
 def _solve(
-    graph: SimpleWeightedGraph, endpoint: list[int], neighbend: list[list[int]]
-) -> list[int]:
-    """Maximum-weight perfect matching of a graph that has one, as the
-    matched remote endpoint of every vertex."""
-    n = graph.vertex_count
-    m = len(graph.edges)
-    edges = graph.edges
+    weight: list[int],
+    endpoint: list[int],
+    neighbend: list[list[int]],
+    mate: list[int],
+) -> tuple[list[int], list[int], list[int]] | list[int]:
+    """Grow the matching `mate` (matched remote endpoint per vertex, or -1),
+    whose edges must be tight for the starting duals, into a maximum-weight
+    perfect matching for the edge weights `weight`.  Return (mate, dual,
+    blossomparent), the certificate `_check_optimum` reads, or a Tutte
+    barrier if there is no perfect matching.
+
+    The barrier is the set X of vertices whose top-level blossom is labelled
+    T when a dual update has no bound.  There is then no S-free edge, no edge
+    between two S-blossoms and no top-level T-blossom, since each would give
+    a delta.  So each S-blossom is closed except towards T-vertices, and is
+    an odd component of G - X.  Each tree has one more S-blossom than
+    T-vertices, so X leaves more than |X| odd components.
+    """
+    n = len(neighbend)
+    m = len(weight)
 
     # P[v] = 2 * vertex dual; all equal at the start so that parities stay
     # synchronised (makes every S-S slack even).
-    max_w = max((w for _u, _v, w in edges), default=0)
+    max_w = max(weight, default=0)
     dual = [max_w] * n + [0] * n  # slots n..2n-1 hold blossom duals Z
     # slack(k) = P[u] + P[v] - 2*w(k); tight edges have slack 0.
 
-    mate = [-1] * n  # matched remote endpoint per vertex, or -1
-
     # Greedy start: match tight edges while both ends are free (edge order).
-    for k, (u, v, w) in enumerate(edges):
-        if mate[u] == -1 and mate[v] == -1 and dual[u] + dual[v] - 2 * w == 0:
+    for k, u, v in zip(range(m), endpoint[::2], endpoint[1::2]):
+        if mate[u] == -1 and mate[v] == -1 and weight[k] == max_w:
             mate[u] = 2 * k + 1
             mate[v] = 2 * k
     exposed = [v for v in range(n) if mate[v] == -1]  # the tree roots, sorted
@@ -284,8 +214,6 @@ def _solve(
     queue: deque[int] = deque()
 
     def blossom_leaves(b: int) -> list[int]:
-        if b < n:
-            return [b]
         out: list[int] = []
         stack = [b]
         while stack:
@@ -306,7 +234,11 @@ def _solve(
             labelled.append(w)
             labelled.append(b)
             if t == 1:
-                (rootq if p == -1 else queue).extend(blossom_leaves(b))
+                scan = rootq if p == -1 else queue
+                if b < n:
+                    scan.append(b)
+                else:
+                    scan.extend(blossom_leaves(b))
                 return
             base = blossombase[b]
             assert mate[base] >= 0
@@ -343,7 +275,8 @@ def _solve(
     def add_blossom(base: int, k: int) -> None:
         """Shrink the circuit through the tight S-S edge k and base into a
         fresh S-blossom."""
-        v, w, _wt = edges[k]
+        v = endpoint[2 * k]
+        w = endpoint[2 * k + 1]
         bb = inblossom[base]
         bv = inblossom[v]
         bw = inblossom[w]
@@ -455,8 +388,7 @@ def _solve(
 
     def augment_matching(k: int) -> None:
         """Flip the matching along the augmenting path through tight edge k."""
-        v, w, _wt = edges[k]
-        for s, p in ((v, 2 * k + 1), (w, 2 * k)):
+        for s, p in ((endpoint[2 * k], 2 * k + 1), (endpoint[2 * k + 1], 2 * k)):
             while True:
                 bs = inblossom[s]
                 assert label[bs] == 1
@@ -490,7 +422,7 @@ def _solve(
         queue.clear()
         next_root = 0
 
-    while exposed:  # none left: perfect, and optimal by the dual rule
+    while exposed:
         for k in allowed:
             allowedge[k] = False
         allowed.clear()
@@ -518,8 +450,7 @@ def _solve(
                     if inblossom[v] == inblossom[w]:
                         continue
                     if not allowedge[k]:
-                        eu, ev, ew = edges[k]
-                        if dual[eu] + dual[ev] - 2 * ew == 0:
+                        if dual[v] + dual[w] == 2 * weight[k]:
                             allowedge[k] = True
                             allowed.append(k)
                     if allowedge[k]:
@@ -550,8 +481,7 @@ def _solve(
             delta = -1
             delta_type = 0
             delta_extra = -1
-            for k in range(m):
-                u, v, wt = edges[k]
+            for k, u, v in zip(range(m), endpoint[::2], endpoint[1::2]):
                 bu = inblossom[u]
                 bv = inblossom[v]
                 if bu == bv:
@@ -559,13 +489,13 @@ def _solve(
                 lu = label[bu]
                 lv = label[bv]
                 if lu == 1 and lv == 1:
-                    sl = dual[u] + dual[v] - 2 * wt
+                    sl = dual[u] + dual[v] - 2 * weight[k]
                     assert sl % 2 == 0, "S-S slack lost parity"
                     d = sl // 2
                     if delta == -1 or d < delta:
                         delta, delta_type, delta_extra = d, 3, k
                 elif (lu == 1 and lv == 0) or (lu == 0 and lv == 1):
-                    d = dual[u] + dual[v] - 2 * wt
+                    d = dual[u] + dual[v] - 2 * weight[k]
                     if delta == -1 or d < delta:
                         delta, delta_type, delta_extra = d, 2, k
             for b in range(n, 2 * n):
@@ -575,9 +505,7 @@ def _solve(
                         if delta == -1 or d < delta:
                             delta, delta_type, delta_extra = d, 4, b
             if delta_type == 0:
-                raise AssertionError(
-                    "dual update is unbounded although a perfect matching exists"
-                )
+                return [v for v in range(n) if label[inblossom[v]] == 2]
             # A zero delta only happens for a zero-dual blossom that got
             # relabelled T after a forest rebuild; expanding it is progress.
             assert delta > 0 or delta_type == 4, "scan left a tight edge unprocessed"
@@ -609,6 +537,8 @@ def _solve(
                     if label[inblossom[v]] == 1:
                         queue.append(v)
 
+        if not exposed:
+            break  # perfect, and optimal by the dual rule; no stage follows
         # Stage end: discard exhausted S-blossoms, keep paid-for ones.  A
         # root not taken yet counts as S.
         zero_dual[:] = sorted(set(zero_dual))
@@ -624,8 +554,7 @@ def _solve(
             b for b in zero_dual if blossomchilds[b] is not None and dual[b] == 0
         ]
 
-    _check_optimum(graph, mate, dual, blossomparent)
-    return mate
+    return mate, dual, blossomparent
 
 
 def _check_optimum(

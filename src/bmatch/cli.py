@@ -48,7 +48,6 @@ from bmatch.oracle import (
 from bmatch.reduce import (
     BadSpec,
     Interval,
-    LiftMap,
     ab_to_pm,
     uniform_to_ab,
 )
@@ -326,9 +325,9 @@ def _range_set(lo: int, hi: int) -> DegreeSet:
     return DegreeSet(tuple(range(lo, hi + 1)))
 
 
-def _origin_comments(edge_count: int, lift_map: LiftMap) -> list[str]:
+def _origin_comments(edge_count: int, source_edges: int) -> list[str]:
     return [
-        f"edge {e} <- original {e}" if e < lift_map.source_edges else f"edge {e} <- gadget"
+        f"edge {e} <- original {e}" if e < source_edges else f"edge {e} <- gadget"
         for e in range(edge_count)
     ]
 
@@ -345,9 +344,9 @@ def cmd_gadget(args: argparse.Namespace) -> int:
                 comments.append(f"vertex {v} parity {s.lo}..{s.hi}")
         _write(args.output, format_instance(instance, comments))
         return EXIT_OK
-    ab, lift_ab = uniform_to_ab(instance, spec)
+    ab, source_edges = uniform_to_ab(instance, spec)
     if args.stage == "ab":
-        comments = ["stage ab", *_origin_comments(ab.graph.edge_count, lift_ab)]
+        comments = ["stage ab", *_origin_comments(ab.graph.edge_count, source_edges)]
         dumped = BInstance(
             ab.graph,
             tuple(_range_set(ab.a[v], ab.b[v]) for v in range(ab.graph.vertex_count)),
@@ -355,11 +354,11 @@ def cmd_gadget(args: argparse.Namespace) -> int:
         )
         _write(args.output, format_instance(dumped, comments))
         return EXIT_OK
-    reduced, lift_pm = ab_to_pm(ab)
+    reduced, ab_edges = ab_to_pm(ab)
     comments = [
         "stage pm",
         "'original' indices refer to the ab stage",
-        *_origin_comments(len(reduced.edges), lift_pm),
+        *_origin_comments(len(reduced.edges), ab_edges),
     ]
     dumped = BInstance(
         MultiGraph(reduced.vertex_count, reduced.edges),

@@ -135,27 +135,19 @@ class ABInstance:
         )
 
 
-@dataclass(frozen=True)
-class LiftMap:
-    """Reduced edges 0 .. source_edges-1 are the source edges, index for
-    index; the edges after them were invented by the reduction."""
-
-    source_edges: int
-
-
-def lift(lift_map: LiftMap, solution) -> Matching:
-    """Restrict a reduced solution to the edges that carry source edges.
+def lift(source_edges: int, solution) -> Matching:
+    """Restrict a reduced solution to the edges that carry source edges: the
+    first `source_edges` reduced edges, index for index.
 
     Accepts anything iterable over reduced edge indices (a Matching, a set,
     or a PerfectMatching's selected set).
     """
     if hasattr(solution, "selected"):
         solution = solution.selected
-    m = lift_map.source_edges
-    return Matching(frozenset(e for e in solution if e < m))
+    return Matching(frozenset(e for e in solution if e < source_edges))
 
 
-def uniform_to_ab(instance: BInstance, spec: UniformSpec) -> tuple[ABInstance, LiftMap]:
+def uniform_to_ab(instance: BInstance, spec: UniformSpec) -> tuple[ABInstance, int]:
     """Loop construction: parity intervals become degree-pinned vertices
     with weight-0 loops; dense intervals turn into bounds directly."""
     g = instance.graph
@@ -178,10 +170,10 @@ def uniform_to_ab(instance: BInstance, spec: UniformSpec) -> tuple[ABInstance, L
                 loops.append((v, v, 0))
             a[v] = b[v] = s.hi
     reduced = MultiGraph(n, g.edges + tuple(loops))
-    return ABInstance(reduced, tuple(a), tuple(b)), LiftMap(g.edge_count)
+    return ABInstance(reduced, tuple(a), tuple(b)), g.edge_count
 
 
-def ab_to_pm(ab: ABInstance) -> tuple[SimpleWeightedGraph, LiftMap]:
+def ab_to_pm(ab: ABInstance) -> tuple[SimpleWeightedGraph, int]:
     """Vertex gadget from (a,b)-matching to maximum-weight perfect matching.
 
     Reduced edge order: one edge per source edge first (same index, carrying
@@ -206,7 +198,7 @@ def ab_to_pm(ab: ABInstance) -> tuple[SimpleWeightedGraph, LiftMap]:
         for j in range(i + 1, len(pool)):
             edges.append((pool[i], pool[j], 0))
     graph = SimpleWeightedGraph(layout.node_count, tuple(edges))
-    return graph, LiftMap(g.edge_count)
+    return graph, g.edge_count
 
 
 def embed_ab_matching(ab: ABInstance, matching: Matching) -> frozenset[int]:

@@ -81,13 +81,13 @@ def solve_uniform(
     if sense == "min":
         flipped = MultiGraph(g.vertex_count, tuple((u, v, -w) for u, v, w in g.edges))
         work = BInstance(flipped, instance.degree_sets, instance.objective)
-    ab, from_loops = uniform_to_ab(work, spec)
-    reduced, from_gadget = ab_to_pm(ab)
+    ab, source_edges = uniform_to_ab(work, spec)
+    reduced, ab_edges = ab_to_pm(ab)
     warm = () if start is None else embed_ab_matching(ab, start)
     pm = max_weight_perfect_matching(reduced, warm)
     if pm is None:
         return None
-    result = lift(from_loops, lift(from_gadget, pm))
+    result = lift(source_edges, lift(ab_edges, pm))
     deg = degrees(g, result)
     for v in range(g.vertex_count):
         if not spec.allows(v, deg[v]):

@@ -249,7 +249,7 @@ def test_criterion_04_gadget_soundness_and_pool_parity_on_200():
     exhaustive = 0
     for i in range(200):
         ab = random_ab_instance(rng, 1 + i % 6, i % 9)
-        reduced, lift_map = ab_to_pm(ab)
+        reduced, source_edges = ab_to_pm(ab)
         pm = max_weight_perfect_matching(reduced)
         feasible = list(all_ab_matchings(ab))
         if not feasible:
@@ -258,7 +258,7 @@ def test_criterion_04_gadget_soundness_and_pool_parity_on_200():
         assert pm is not None
         best = max(matching_weight(ab.graph, f) for f in feasible)
         assert pm.weight == best
-        assert lift(lift_map, pm.selected) in feasible
+        assert lift(source_edges, pm.selected) in feasible
         pool = set(ab.layout.pool)
         pms_to_check = [pm.selected]
         if reduced.vertex_count <= 18:

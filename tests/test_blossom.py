@@ -132,6 +132,45 @@ def test_matches_brute_force_on_seeded_graphs():
             assert got is not None and got.weight == want.weight
 
 
+def networkx_cases():
+    # Beyond brute force: even n from 10 to 40, average degree about 5, and a
+    # random start matching for each graph.
+    rng = random.Random(20261019)
+    for _ in range(300):
+        n = 2 * rng.randint(5, 20)
+        edges = tuple(
+            (u, v, rng.randint(-4, 9))
+            for u, v in combinations(range(n), 2)
+            if rng.random() < 5 / n
+        )
+        used: set[int] = set()
+        start = []
+        for k in rng.sample(range(len(edges)), len(edges)):
+            u, v, _w = edges[k]
+            if u not in used and v not in used and rng.random() < 0.5:
+                used.update((u, v))
+                start.append(k)
+        yield SimpleWeightedGraph(n, edges), start
+
+
+def test_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    without = 0
+    for g, start in networkx_cases():
+        G = nx.Graph()
+        G.add_nodes_from(range(g.vertex_count))
+        G.add_weighted_edges_from(g.edges)
+        want = nx.max_weight_matching(G, maxcardinality=True)
+        got = max_weight_perfect_matching(g, start)
+        if 2 * len(want) < g.vertex_count:
+            assert got is None
+            without += 1
+        else:
+            assert got is not None
+            assert got.weight == sum(G[u][v]["weight"] for u, v in want)
+    assert without > 20
+
+
 def test_deterministic_for_fixed_input():
     rng = random.Random(5)
     g = random_simple_graph(rng, 8)
@@ -278,9 +317,16 @@ def test_every_none_has_a_checked_barrier(monkeypatch):
 
 
 def test_weighted_solve_raises_if_the_search_was_wrong(monkeypatch):
-    # Pretend the existence search completed a perfect matching of a graph
-    # that has none: the weighted step must not answer None on its own.
-    monkeypatch.setattr(blossom, "_complete_or_barrier", lambda *_args: None)
+    # Pretend the zero-weight search completed a perfect matching of a graph
+    # that has none: the weighted search must not answer None on its own.
+    real = blossom._solve
+
+    def existence_says_yes(weight, endpoint, neighbend, mate):
+        if any(weight):
+            return real(weight, endpoint, neighbend, mate)
+        return mate, [], []
+
+    monkeypatch.setattr(blossom, "_solve", existence_says_yes)
     g = SimpleWeightedGraph(4, ((0, 1, 1), (1, 2, 1), (0, 2, 1)))
     with pytest.raises(AssertionError, match="dual update is unbounded"):
         max_weight_perfect_matching(g)

@@ -552,7 +552,12 @@ def test_relaxation_barrier_is_checked_under_optimize():
         "blossom._check_barrier = lambda g, x: checked.append(real(g, x))\n"
         "print(solve(inst), len(checked))\n"
         "blossom._check_barrier = real\n"
-        "blossom._complete_or_barrier = lambda _e, neighbend, _p: list(range(len(neighbend)))\n"
+        "real_solve = blossom._solve\n"
+        "def false_barrier(weight, endpoint, neighbend, mate):\n"
+        "    if any(weight):\n"
+        "        return real_solve(weight, endpoint, neighbend, mate)\n"
+        "    return list(range(len(neighbend)))\n"
+        "blossom._solve = false_barrier\n"
         "solve(inst)\n"
     )
     proc = subprocess.run(
@@ -700,8 +705,8 @@ def test_warm_search_matches_cold_verdicts(fig2):
                 ]
                 missed = sum(distance)
                 assert missed == sum(distance[v] for v in cand.deviating)
-                ab, _lift_map = uniform_to_ab(work, spec)
-                reduced, _lift_map = ab_to_pm(ab)
+                ab, _source_edges = uniform_to_ab(work, spec)
+                reduced, _source_edges = ab_to_pm(ab)
                 warm = embed_ab_matching(ab, matching)
                 exposed = reduced.vertex_count - 2 * len(warm)
                 assert exposed <= missed + missed % 2

@@ -17,7 +17,6 @@ from bmatch.reduce import (
     BadSpec,
     BoundsError,
     Interval,
-    LiftMap,
     UniformSpec,
     ab_to_pm,
     embed_ab_matching,
@@ -112,19 +111,19 @@ def test_uniform_to_ab_rejects_mismatched_spec():
 def test_uniform_to_ab_interval_is_identity():
     g = MultiGraph(2, ((0, 1, 3),))
     inst = BInstance(g, (DegreeSet((0, 1)), DegreeSet((0, 1))), "max-card")
-    ab, lift_map = uniform_to_ab(inst, UniformSpec((Interval(0, 1), Interval(1, 1))))
+    ab, source_edges = uniform_to_ab(inst, UniformSpec((Interval(0, 1), Interval(1, 1))))
     assert ab.graph.edges == g.edges
     assert ab.a == (0, 1) and ab.b == (1, 1)
-    assert lift_map == LiftMap(1)
+    assert source_edges == 1
 
 
 def test_uniform_to_ab_parity_pins_to_hi_with_loops():
     g = MultiGraph(1, ((0, 0, 5), (0, 0, 2)))
     inst = BInstance(g, (DegreeSet((0, 2, 4)),), "max-card")
-    ab, lift_map = uniform_to_ab(inst, UniformSpec((ParityInterval(0, 4),)))
+    ab, source_edges = uniform_to_ab(inst, UniformSpec((ParityInterval(0, 4),)))
     assert ab.a == (4,) and ab.b == (4,)
     assert ab.graph.edge_count == 4  # two originals + (4 - 0) / 2 gadget loops
-    gadgets = range(lift_map.source_edges, ab.graph.edge_count)
+    gadgets = range(source_edges, ab.graph.edge_count)
     assert len(gadgets) == 2
     assert all(ab.graph.edges[e] == (0, 0, 0) for e in gadgets)
 
@@ -132,10 +131,10 @@ def test_uniform_to_ab_parity_pins_to_hi_with_loops():
 def test_lift_drops_gadget_edges():
     g = MultiGraph(1, ((0, 0, 5),))
     inst = BInstance(g, (DegreeSet((0, 2)),), "max-card")
-    ab, lift_map = uniform_to_ab(inst, UniformSpec((ParityInterval(0, 2),)))
+    ab, source_edges = uniform_to_ab(inst, UniformSpec((ParityInterval(0, 2),)))
     # selecting the original loop and no gadget loop lifts to {0}
     for sel in all_ab_matchings(ab):
-        lifted = lift(lift_map, sel)
+        lifted = lift(source_edges, sel)
         assert lifted.selected <= {0}
 
 
@@ -146,24 +145,24 @@ def test_path_with_exact_degree_one_everywhere_is_infeasible():
     g = MultiGraph(3, ((0, 1, 1), (1, 2, 1)))
     ab = ABInstance(g, (1, 1, 1), (1, 1, 1))
     assert list(all_ab_matchings(ab)) == []
-    reduced, _lift_map = ab_to_pm(ab)
+    reduced, _source_edges = ab_to_pm(ab)
     assert max_weight_perfect_matching(reduced) is None
 
 
 def test_single_edge_exact_matching():
     g = MultiGraph(2, ((0, 1, 9),))
     ab = ABInstance(g, (1, 1), (1, 1))
-    reduced, lift_map = ab_to_pm(ab)
+    reduced, source_edges = ab_to_pm(ab)
     pm = max_weight_perfect_matching(reduced)
     assert pm is not None
-    assert lift(lift_map, pm.selected) == Matching(frozenset({0}))
+    assert lift(source_edges, pm.selected) == Matching(frozenset({0}))
 
 
 def test_source_edges_keep_their_indices():
     g = MultiGraph(3, ((0, 1, 4), (1, 2, -2), (0, 2, 1)))
     ab = ABInstance(g, (0, 0, 0), (1, 2, 1))
-    reduced, lift_map = ab_to_pm(ab)
-    assert lift_map == LiftMap(g.edge_count)
+    reduced, source_edges = ab_to_pm(ab)
+    assert source_edges == g.edge_count
     for e in range(g.edge_count):
         u2, v2, w = reduced.edges[e]
         assert (u2, v2) == (2 * e, 2 * e + 1)
@@ -182,14 +181,14 @@ def test_embed_then_lift_roundtrip():
         ab = random_ab(rng, rng.randint(1, 4), rng.randint(0, 5))
         for matching in all_ab_matchings(ab):
             embedded = embed_ab_matching(ab, matching)
-            reduced, lift_map = ab_to_pm(ab)
+            reduced, source_edges = ab_to_pm(ab)
             ends = [0] * reduced.vertex_count
             for e in embedded:
                 u, v, _w = reduced.edges[e]
                 ends[u] += 1
                 ends[v] += 1
             assert all(c == 1 for c in ends), "embedding must be a perfect matching"
-            assert lift(lift_map, embedded) == matching
+            assert lift(source_edges, embedded) == matching
 
 
 def test_tolerant_embedding_exposes_only_what_the_bounds_force():
@@ -197,7 +196,7 @@ def test_tolerant_embedding_exposes_only_what_the_bounds_force():
     for _ in range(200):
         ab = random_ab(rng, rng.randint(1, 5), rng.randint(0, 7))
         g = ab.graph
-        reduced, lift_map = ab_to_pm(ab)
+        reduced, source_edges = ab_to_pm(ab)
         for _ in range(5):
             matching = Matching(
                 frozenset(e for e in range(g.edge_count) if rng.random() < 0.5)
@@ -209,7 +208,7 @@ def test_tolerant_embedding_exposes_only_what_the_bounds_force():
                 ends[u] += 1
                 ends[v] += 1
             assert max(ends, default=0) <= 1, "must be a matching of the gadget"
-            lifted = lift(lift_map, embedded)
+            lifted = lift(source_edges, embedded)
             assert matching.selected <= lifted.selected
             for e in lifted.selected - matching.selected:
                 assert g.edges[e][0] == g.edges[e][1], "only loops are added"
@@ -230,7 +229,7 @@ def test_reduced_optimum_matches_ab_brute_force():
     rng = random.Random(31)
     for _ in range(60):
         ab = random_ab(rng, rng.randint(1, 4), rng.randint(0, 5))
-        reduced, lift_map = ab_to_pm(ab)
+        reduced, source_edges = ab_to_pm(ab)
         pm = max_weight_perfect_matching(reduced)
         feasible = list(all_ab_matchings(ab))
         if not feasible:
@@ -238,7 +237,7 @@ def test_reduced_optimum_matches_ab_brute_force():
             continue
         assert pm is not None
         best = max(matching_weight(ab.graph, f) for f in feasible)
-        lifted = lift(lift_map, pm.selected)
+        lifted = lift(source_edges, pm.selected)
         assert lifted in feasible
         assert matching_weight(ab.graph, lifted) == best == pm.weight
 
@@ -248,7 +247,7 @@ def test_pool_parity_invariant_exhaustive():
     done = 0
     while done < 12:
         ab = random_ab(rng, rng.randint(1, 3), rng.randint(1, 3))
-        reduced, _lift_map = ab_to_pm(ab)
+        reduced, _source_edges = ab_to_pm(ab)
         if reduced.vertex_count > 14:
             continue
         pool = set(ab.layout.pool)
@@ -272,6 +271,6 @@ def test_lifted_matchings_partition_perfect_matchings():
     # feasible matching is the lift of at least one PM
     g = MultiGraph(2, ((0, 1, 1), (0, 1, 1)))
     ab = ABInstance(g, (0, 0), (1, 1))
-    reduced, lift_map = ab_to_pm(ab)
-    lifted = {lift(lift_map, pm) for pm in all_perfect_matchings(reduced)}
+    reduced, source_edges = ab_to_pm(ab)
+    lifted = {lift(source_edges, pm) for pm in all_perfect_matchings(reduced)}
     assert lifted == set(all_ab_matchings(ab))

@@ -3,14 +3,27 @@ import importlib.util
 from conftest import FIXTURES
 
 
-def test_improvement_trace_default_walks_to_the_optimum(capsys):
-    path = FIXTURES.parent / "scripts" / "improvement_trace.py"
-    spec = importlib.util.spec_from_file_location("improvement_trace", path)
+def load_script(name: str):
+    path = FIXTURES.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.main([]) == 0
+    return script
+
+
+def test_improvement_trace_default_walks_to_the_optimum(capsys):
+    assert load_script("improvement_trace").main([]) == 0
     out = capsys.readouterr().out
     assert "optimal after 4 steps" in out
     assert [line.split()[:2] for line in out.splitlines()[:-1]] == [
         ["step", str(k)] for k in range(5)
     ]
+
+
+def test_gadget_growth_prints_its_table(capsys):
+    script = load_script("gadget_growth")
+    assert script.main(["--sizes", "6:12", "--per-size", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["n", "m", "pm", "vertices", "pm", "edges", "pool", "edge", "ratio"]
+    assert lines[2].split()[:2] == ["6", "12"]
+    assert len(lines) == 3
