@@ -2,9 +2,11 @@
 
 Sweeps seeded random instances, runs the two reduction stages, and tabulates
 source size against the reduced graph and its pool, plus the blow-up ratio
-of edges.  Useful for judging when the reduction is still worth it.
+of edges.  Useful for judging when the reduction is still worth it.  The
+default `parity` profile pins every degree, so its pool has at most one
+node; `interval` shows the pool's spokes and path grow.
 
-    python3 scripts/gadget_growth.py --sizes 6:12 12:30 24:60 --per-size 10
+    python3 scripts/gadget_growth.py --profile interval --sizes 6:12 12:30 24:60
 """
 
 import argparse
@@ -31,8 +33,8 @@ def measure(config: GrowthConfig, n: int, m: int) -> dict:
             config.seed + offset, n, m, profile=config.profile
         )
         spec: UniformSpec = spec_of_instance(instance)
-        ab, _lift = uniform_to_ab(instance, spec)
-        reduced, _lift2 = ab_to_pm(ab)
+        ab, _source_edges = uniform_to_ab(instance, spec)
+        reduced, _ab_edges = ab_to_pm(ab)
         rows.append(
             {
                 "vertices": reduced.vertex_count,

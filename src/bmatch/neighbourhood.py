@@ -217,7 +217,7 @@ def improvement_step(
             stats["cached"] += 1
             continue
         seen.add(spec)
-        result = solve_uniform(work, spec, "max", matching)
+        result = solve_uniform(work, spec, matching)
         stats["solved"] += 1
         if result is None:
             continue
@@ -400,7 +400,7 @@ def solve(
             if trace is not None:
                 trace(f"solve: optimal, value {sign * value} reached the degree-sum bound")
             return matching
-    relaxed = solve_uniform(work, _relaxation(instance), "max", matching)
+    relaxed = solve_uniform(work, _relaxation(instance), matching)
     stats["solved"] += 1
     if relaxed is None:
         if in_budget:

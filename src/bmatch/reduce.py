@@ -13,9 +13,12 @@ node and each edge joins its two externals, carrying the original weight.
 A vertex v of degree d contributes d - a(v) internal nodes joined to all of
 its externals: unselected ends must be absorbed by internals, so at least
 a(v) ends stay on original edges.  b(v) - a(v) of the internals may instead
-escape into a global pool (a weight-0 clique), letting the degree rise up to
-b(v).  The pool absorbs global slack; its size is padded by one node when
-sum(b) is odd so a perfect matching can exist at all.
+escape into a global pool, letting the degree rise up to b(v).  The pool
+absorbs global slack; its size is padded by one node when sum(b) is odd so
+a perfect matching can exist at all.  Its nodes form a weight-0 path
+q1 - q2 - ... - qP: every escaping internal has a spoke to every pool node,
+so k escapees can always take q1..qk, and the pool nodes left over pair
+along the path.
 
 Both stages list the source edges first, each at its own index, and append
 only edges they invent.  That order is the lift: a reduced solution
@@ -25,6 +28,7 @@ solution.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -135,15 +139,11 @@ class ABInstance:
         )
 
 
-def lift(source_edges: int, solution) -> Matching:
-    """Restrict a reduced solution to the edges that carry source edges: the
-    first `source_edges` reduced edges, index for index.
-
-    Accepts anything iterable over reduced edge indices (a Matching, a set,
-    or a PerfectMatching's selected set).
+def lift(source_edges: int, solution: Iterable[int]) -> Matching:
+    """Restrict a reduced solution, given by its edge indices, to the edges
+    that carry source edges: the first `source_edges` reduced edges, index
+    for index.  Both reductions keep that prefix, so one lift undoes both.
     """
-    if hasattr(solution, "selected"):
-        solution = solution.selected
     return Matching(frozenset(e for e in solution if e < source_edges))
 
 
@@ -178,10 +178,10 @@ def ab_to_pm(ab: ABInstance) -> tuple[SimpleWeightedGraph, int]:
 
     Reduced edge order: one edge per source edge first (same index, carrying
     the weight), then the vertex gadgets in vertex order (internal-major),
-    then pool spokes (pool-connected-major), then the pool clique in
-    lexicographic pair order.  The reduced graph is always simple; a source
-    loop contributes two distinct external nodes at its vertex.  Node ids
-    follow `ab.layout`.
+    then pool spokes (pool-connected-major), then the pool path, whose
+    edge i joins pool nodes i and i+1.  The reduced graph is always simple;
+    a source loop contributes two distinct external nodes at its vertex.
+    Node ids follow `ab.layout`.
     """
     layout = ab.layout
     g = ab.graph
@@ -194,9 +194,7 @@ def ab_to_pm(ab: ABInstance) -> tuple[SimpleWeightedGraph, int]:
         for q in layout.pool:
             edges.append((i, q, 0))
     pool = layout.pool
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            edges.append((pool[i], pool[j], 0))
+    edges.extend((p, q, 0) for p, q in zip(pool, pool[1:]))
     graph = SimpleWeightedGraph(layout.node_count, tuple(edges))
     return graph, g.edge_count
 
@@ -243,10 +241,9 @@ def embed_ab_matching(ab: ABInstance, matching: Matching) -> frozenset[int]:
         block += len(layout.internals_at[v]) * len(externals)
         connected += ab.b[v] - ab.a[v]
     pool = len(layout.pool)
-    # Escapee t takes pool node t; the remaining pool nodes pair up in the
-    # clique, whose pair (i, i+1) has index i * (2 * pool - i - 1) // 2.
+    # Escapee t takes pool node t; the remaining pool nodes pair up along
+    # the path, whose edge (i, i+1) has index path + i.
     out.extend(block + c * pool + t for t, c in enumerate(escapes))
-    clique = block + connected * pool
-    left = range(len(escapes), pool - 1, 2)
-    out.extend(clique + i * (2 * pool - i - 1) // 2 for i in left)
+    path = block + connected * pool
+    out.extend(path + i for i in range(len(escapes), pool - 1, 2))
     return frozenset(out)

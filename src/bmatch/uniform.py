@@ -1,5 +1,6 @@
 """Exact uniform B-matching solver: compose the two reductions and the
-perfect-matching solver.  Minimization is maximization on negated weights.
+perfect-matching solver.  It maximizes weight; a caller that minimizes
+negates the weights first.
 
 Existence and optimality are decided apart.  Given a start matching, its
 image in the gadget (`embed_ab_matching`) leaves exposed only the nodes
@@ -13,7 +14,7 @@ optimum.
 from __future__ import annotations
 
 from bmatch.blossom import max_weight_perfect_matching
-from bmatch.core import BInstance, Matching, MultiGraph, ParityInterval, degrees
+from bmatch.core import BInstance, Matching, ParityInterval, degrees
 from bmatch.reduce import (
     BadSpec,
     Interval,
@@ -24,8 +25,6 @@ from bmatch.reduce import (
     lift,
     uniform_to_ab,
 )
-
-SENSES = ("max", "min")
 
 
 def shape_of(values: tuple[int, ...]) -> VertexSpec | None:
@@ -63,10 +62,9 @@ def spec_of_instance(instance: BInstance) -> UniformSpec:
 def solve_uniform(
     instance: BInstance,
     spec: UniformSpec,
-    sense: str = "max",
     start: Matching | None = None,
 ) -> Matching | None:
-    """Optimum-weight matching with d_F(v) in spec(v) for every v, or None.
+    """Maximum-weight matching with d_F(v) in spec(v) for every v, or None.
 
     `start`, any matching of the instance, only speeds up the verdict: the
     closer its degrees lie to the spec, the shorter the existence search.
@@ -74,20 +72,14 @@ def solve_uniform(
     edge scan order, which the reductions preserve (source edges keep their
     indices in both reduced graphs).
     """
-    if sense not in SENSES:
-        raise ValueError(f"sense must be one of {SENSES}, got {sense!r}")
     g = instance.graph
-    work = instance
-    if sense == "min":
-        flipped = MultiGraph(g.vertex_count, tuple((u, v, -w) for u, v, w in g.edges))
-        work = BInstance(flipped, instance.degree_sets, instance.objective)
-    ab, source_edges = uniform_to_ab(work, spec)
-    reduced, ab_edges = ab_to_pm(ab)
+    ab, source_edges = uniform_to_ab(instance, spec)
+    reduced = ab_to_pm(ab)[0]
     warm = () if start is None else embed_ab_matching(ab, start)
     pm = max_weight_perfect_matching(reduced, warm)
     if pm is None:
         return None
-    result = lift(source_edges, lift(ab_edges, pm))
+    result = lift(source_edges, pm.selected)
     deg = degrees(g, result)
     for v in range(g.vertex_count):
         if not spec.allows(v, deg[v]):

@@ -493,11 +493,11 @@ GADGET_SHA256 = {
     ),
     ("interval", 2, 5, 9): (
         "7fe87253ec19c260e0b350ba563d5ff2503dbf8cddb54a0bcd8503d2d8262c3e",
-        "e27306c25e1fbe385d6aa8ce161524d8f60e1ca00a2abd4991b91494d250ef3e",
+        "8ac4d706916dd636ba1c4a1ca486bdd914d8474e0baba49670b10511b29b26a4",
     ),
     ("interval", 4, 8, 20): (
         "d4f84a69aa283b8836a9394567ecb3c2b937859cea4d9cd864a16ab8747d3683",
-        "b32e8b629b11067530afe130b7b76b6a8fc08d3593143fa0dd59928d848d4752",
+        "ad8107291460245dbe65d1435e3578c3732ebfc6b25e4588ef4f06b3d17db2f5",
     ),
 }
 

@@ -175,6 +175,30 @@ def test_gadget_layout_bounds_check():
         ABInstance(g, (0, 0), (2, 1))
 
 
+def test_gadget_edge_count_and_pool_path():
+    # Source edges, the vertex gadgets' (d - a) * d, the C * P spokes from
+    # the C pool-connected internals, and a pool path of P - 1 edges.
+    rng = random.Random(5)
+    long_pools = 0
+    for _ in range(100):
+        ab = random_ab(rng, rng.randint(1, 6), rng.randint(0, 12))
+        g = ab.graph
+        reduced, _source_edges = ab_to_pm(ab)
+        pool = ab.layout.pool
+        connected = sum(b - a for a, b in zip(ab.a, ab.b))
+        vertex_gadgets = sum(
+            (g.degree(v) - ab.a[v]) * g.degree(v) for v in range(g.vertex_count)
+        )
+        path = max(len(pool) - 1, 0)
+        assert len(reduced.edges) == (
+            g.edge_count + vertex_gadgets + connected * len(pool) + path
+        )
+        tail = reduced.edges[len(reduced.edges) - path :]
+        assert tail == tuple((p, q, 0) for p, q in zip(pool, pool[1:]))
+        long_pools += len(pool) >= 3
+    assert long_pools > 20
+
+
 def test_embed_then_lift_roundtrip():
     rng = random.Random(7)
     for _ in range(60):

@@ -29,6 +29,14 @@ def spec_matchings(graph: MultiGraph, spec: UniformSpec):
                 yield Matching(frozenset(combo))
 
 
+def negated(inst: BInstance) -> BInstance:
+    """inst with every weight negated: solve_uniform maximizes, so its
+    answer on the result is a minimum-weight matching of inst."""
+    g = inst.graph
+    flipped = MultiGraph(g.vertex_count, tuple((u, v, -w) for u, v, w in g.edges))
+    return BInstance(flipped, inst.degree_sets, inst.objective)
+
+
 def degree_set_for(s, max_degree: int) -> DegreeSet:
     return DegreeSet(tuple(d for d in range(max_degree + 1) if d in s))
 
@@ -65,8 +73,8 @@ def test_square_perfect_matching_weights():
     g = MultiGraph(4, ((0, 1, 5), (1, 2, 1), (2, 3, 5), (3, 0, 1)))
     inst = BInstance(g, tuple(DegreeSet((1,)) for _ in range(4)), "max-weight")
     spec = UniformSpec(tuple(Interval(1, 1) for _ in range(4)))
-    best = solve_uniform(inst, spec, "max")
-    worst = solve_uniform(inst, spec, "min")
+    best = solve_uniform(inst, spec)
+    worst = solve_uniform(negated(inst), spec)
     assert matching_weight(g, best) == 10
     assert matching_weight(g, worst) == 2
 
@@ -75,10 +83,10 @@ def test_parity_spec_walks_the_class():
     g = MultiGraph(2, ((0, 1, 3), (0, 1, 4), (0, 1, -2)))
     inst = BInstance(g, (DegreeSet((0, 2)), DegreeSet((0, 2))), "max-weight")
     spec = UniformSpec((ParityInterval(0, 2), ParityInterval(0, 2)))
-    best = solve_uniform(inst, spec, "max")
+    best = solve_uniform(inst, spec)
     assert matching_weight(g, best) == 7
     assert len(best) == 2
-    worst = solve_uniform(inst, spec, "min")
+    worst = solve_uniform(negated(inst), spec)
     assert matching_weight(g, worst) == 0
     assert len(worst) == 0
 
@@ -87,7 +95,7 @@ def test_solution_degrees_satisfy_spec():
     rng = random.Random(99)
     for _ in range(40):
         inst, spec = random_uniform(rng, rng.randint(1, 5), rng.randint(0, 7))
-        got = solve_uniform(inst, spec, "max")
+        got = solve_uniform(inst, spec)
         if got is None:
             continue
         g = inst.graph
@@ -104,13 +112,13 @@ def test_matches_brute_force_both_senses():
     for _ in range(80):
         inst, spec = random_uniform(rng, rng.randint(1, 5), rng.randint(0, 7))
         feasible = list(spec_matchings(inst.graph, spec))
-        for sense in ("max", "min"):
-            got = solve_uniform(inst, spec, sense)
+        for best_of, work in ((max, inst), (min, negated(inst))):
+            got = solve_uniform(work, spec)
             if not feasible:
                 assert got is None
                 continue
             weights = [matching_weight(inst.graph, f) for f in feasible]
-            want = max(weights) if sense == "max" else min(weights)
+            want = best_of(weights)
             assert got is not None
             assert matching_weight(inst.graph, got) == want
 
@@ -120,13 +128,11 @@ def test_start_matching_does_not_change_the_answer():
     for _ in range(80):
         inst, spec = random_uniform(rng, rng.randint(1, 5), rng.randint(0, 7))
         g = inst.graph
-        for sense in ("max", "min"):
+        for work in (inst, negated(inst)):
             start = Matching(
                 frozenset(e for e in range(g.edge_count) if rng.random() < 0.5)
             )
-            assert solve_uniform(inst, spec, sense, start) == solve_uniform(
-                inst, spec, sense
-            )
+            assert solve_uniform(work, spec, start) == solve_uniform(work, spec)
 
 
 def test_lifted_degree_check_raises_under_optimize():
