@@ -16,9 +16,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from bmatch.core import (
+    EMPTY_MATCHING,
     OBJECTIVES,
     BInstance,
     DegreeSet,
@@ -65,44 +65,21 @@ class UsageError(ValueError):
     """Bad flag combination or input outside a command's domain."""
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Outcome of one solve run, as printed."""
-
-    status: str
-    size: int
-    weight: int
-    edges: tuple[int, ...]
-    degrees: tuple[int, ...]
-    iterations: int
-    candidates_solved: int
-    wall_time_ms: int
-
-
-def render_report(report: RunReport, fmt: str) -> str:
+def _report(fmt: str, payload: dict, lines: list[str] | None = None) -> None:
+    """Write a report to stdout: one JSON object with sorted keys when
+    structured; else the given lines, or one `key value` line per entry
+    with list values space-separated."""
     if fmt == "structured":
-        payload = {
-            "status": report.status,
-            "size": report.size,
-            "weight": report.weight,
-            "edges": list(report.edges),
-            "degrees": list(report.degrees),
-            "iterations": report.iterations,
-            "candidates_solved": report.candidates_solved,
-            "wall_time_ms": report.wall_time_ms,
-        }
-        return json.dumps(payload, sort_keys=True) + "\n"
-    lines = [
-        f"status {report.status}",
-        f"size {report.size}",
-        f"weight {report.weight}",
-        "edges " + " ".join(str(e) for e in report.edges),
-        "degrees " + " ".join(str(d) for d in report.degrees),
-        f"iterations {report.iterations}",
-        f"candidates_solved {report.candidates_solved}",
-        f"wall_time_ms {report.wall_time_ms}",
-    ]
-    return "\n".join(line.rstrip() for line in lines) + "\n"
+        text = json.dumps(payload, sort_keys=True)
+    elif lines is not None:
+        text = "\n".join(lines)
+    else:
+        rows = (
+            (key, " ".join(map(str, value)) if isinstance(value, list) else value)
+            for key, value in payload.items()
+        )
+        text = "\n".join(f"{key} {value}".rstrip() for key, value in rows)
+    sys.stdout.write(text + "\n")
 
 
 def _read(path: str) -> str:
@@ -148,30 +125,22 @@ def cmd_solve(args: argparse.Namespace) -> int:
     matching = solve(instance, trace=_trace_fn(args.trace), stats=stats)
     elapsed_ms = round((time.perf_counter() - started) * 1000)
     g = instance.graph
-    if matching is None:
-        report = RunReport(
-            status="infeasible",
-            size=0,
-            weight=0,
-            edges=(),
-            degrees=tuple(0 for _ in range(g.vertex_count)),
-            iterations=stats.get("iterations", 0),
-            candidates_solved=stats.get("solved", 0),
-            wall_time_ms=elapsed_ms,
-        )
-        sys.stdout.write(render_report(report, args.format))
-        return EXIT_NEGATIVE
-    report = RunReport(
-        status="optimal",
-        size=len(matching),
-        weight=matching_weight(g, matching),
-        edges=tuple(sorted(matching.selected)),
-        degrees=tuple(degrees(g, matching)),
-        iterations=stats["iterations"],
-        candidates_solved=stats["solved"],
-        wall_time_ms=elapsed_ms,
+    found = matching if matching is not None else EMPTY_MATCHING
+    _report(
+        args.format,
+        {
+            "status": "infeasible" if matching is None else "optimal",
+            "size": len(found),
+            "weight": matching_weight(g, found),
+            "edges": sorted(found.selected),
+            "degrees": degrees(g, found),
+            "iterations": stats.get("iterations", 0),
+            "candidates_solved": stats.get("solved", 0),
+            "wall_time_ms": elapsed_ms,
+        },
     )
-    sys.stdout.write(render_report(report, args.format))
+    if matching is None:
+        return EXIT_NEGATIVE
     if args.output:
         _write(args.output, format_certificate(g, matching))
     return EXIT_OK
@@ -195,16 +164,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     }
     if not problems and args.assert_optimal:
         payload["optimal"] = improvement_step(instance, matching) is None
-    if args.format == "structured":
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        lines = [f"valid {'true' if payload['valid'] else 'false'}"]
-        lines.extend(f"problem {p}" for p in problems)
-        lines.append(f"size {payload['size']}")
-        lines.append(f"weight {payload['weight']}")
-        if "optimal" in payload:
-            lines.append(f"optimal {'true' if payload['optimal'] else 'false'}")
-        sys.stdout.write("\n".join(lines) + "\n")
+    lines = [f"valid {'true' if payload['valid'] else 'false'}"]
+    lines.extend(f"problem {p}" for p in problems)
+    lines.append(f"size {payload['size']}")
+    lines.append(f"weight {payload['weight']}")
+    if "optimal" in payload:
+        lines.append(f"optimal {'true' if payload['optimal'] else 'false'}")
+    _report(args.format, payload, lines)
     if problems or payload.get("optimal") is False:
         return EXIT_NEGATIVE
     return EXIT_OK
@@ -220,46 +186,31 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         if args.count < 0:
             raise UsageError("--count must be nonnegative")
         report = run_verification_suite(args.verify, args.seed, args.count)
-        if args.format == "structured":
-            payload = {
-                "suite": report.name,
-                "checked": report.checked,
-                "skipped": report.skipped,
-                "failures": list(report.failures),
-            }
-            sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-        else:
-            lines = [
-                f"suite {report.name}",
-                f"checked {report.checked}",
-                f"skipped {report.skipped}",
-                f"failures {len(report.failures)}",
-            ]
-            lines.extend(f"failure {f}" for f in report.failures)
-            sys.stdout.write("\n".join(lines) + "\n")
+        lines = [
+            f"suite {report.name}",
+            f"checked {report.checked}",
+            f"skipped {report.skipped}",
+            f"failures {len(report.failures)}",
+        ]
+        lines.extend(f"failure {f}" for f in report.failures)
+        payload = {
+            "suite": report.name,
+            "checked": report.checked,
+            "skipped": report.skipped,
+            "failures": list(report.failures),
+        }
+        _report(args.format, payload, lines)
         return EXIT_OK if report.ok else EXIT_NEGATIVE
     instance = parse_instance(_read(args.input), args.objective)
-    sense = args.sense if args.sense is not None else instance.objective
-    best = oracle_optimum(instance, sense, limit=args.oracle_limit)
-    if args.format == "structured":
-        payload = {"sense": sense}
-        if best is None:
-            payload["status"] = "infeasible"
-        else:
-            payload["status"] = "optimal"
-            payload["value"] = best[0]
-            payload["edges"] = sorted(best[1].selected)
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    best = oracle_optimum(instance, limit=args.oracle_limit)
+    payload = {"sense": instance.objective}
+    if best is None:
+        payload["status"] = "infeasible"
     else:
-        if best is None:
-            sys.stdout.write(f"sense {sense}\nstatus infeasible\n")
-        else:
-            edges = " ".join(str(e) for e in sorted(best[1].selected))
-            sys.stdout.write(
-                f"sense {sense}\nstatus optimal\nvalue {best[0]}\n"
-                + f"edges {edges}".rstrip()
-                + "\n"
-            )
+        payload["status"] = "optimal"
+        payload["value"] = best[0]
+        payload["edges"] = sorted(best[1].selected)
+    _report(args.format, payload)
     return EXIT_OK if best is not None else EXIT_NEGATIVE
 
 
@@ -267,7 +218,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    instance = parse_instance(_read(args.input), args.objective)
+    instance = parse_instance(_read(args.input))
     _reject_long_gaps(instance)
     m_a, problems_a = _checked_certificate(instance, args.matching_a)
     m_b, problems_b = _checked_certificate(instance, args.matching_b)
@@ -297,12 +248,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             }
         )
         running = apply(running, s.edge_set)
-    if args.format == "structured":
-        sys.stdout.write(
-            json.dumps({"cycles": cycle_rows, "steps": step_rows}, sort_keys=True)
-            + "\n"
-        )
-        return EXIT_OK
     lines = [f"cycles {len(cycle_rows)}"]
     for i, row in enumerate(cycle_rows):
         edges = " ".join(str(e) for e in row["edges"])
@@ -314,7 +259,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             f"step {i} endpoints {row['v_first']} {row['v_last']} "
             f"weight {row['weight']} edges {edges}"
         )
-    sys.stdout.write("\n".join(lines) + "\n")
+    _report(args.format, {"cycles": cycle_rows, "steps": step_rows}, lines)
     return EXIT_OK
 
 
@@ -333,7 +278,7 @@ def _origin_comments(edge_count: int, source_edges: int) -> list[str]:
 
 
 def cmd_gadget(args: argparse.Namespace) -> int:
-    instance = parse_instance(_read(args.input), args.objective)
+    instance = parse_instance(_read(args.input))
     spec = spec_of_instance(instance)
     if args.stage == "uniform":
         comments = ["stage uniform"]
@@ -350,7 +295,6 @@ def cmd_gadget(args: argparse.Namespace) -> int:
         dumped = BInstance(
             ab.graph,
             tuple(_range_set(ab.a[v], ab.b[v]) for v in range(ab.graph.vertex_count)),
-            instance.objective,
         )
         _write(args.output, format_instance(dumped, comments))
         return EXIT_OK
@@ -363,7 +307,6 @@ def cmd_gadget(args: argparse.Namespace) -> int:
     dumped = BInstance(
         MultiGraph(reduced.vertex_count, reduced.edges),
         tuple(DegreeSet((1,)) for _ in range(reduced.vertex_count)),
-        instance.objective,
     )
     _write(args.output, format_instance(dumped, comments))
     return EXIT_OK
@@ -385,7 +328,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
             profile=args.profile,
             weights=(args.min_weight, args.max_weight),
             loops=not args.no_loops,
-            objective=args.objective,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -401,21 +343,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
-def _common_flags(parser: argparse.ArgumentParser, *, output: bool = False) -> None:
+def _objective_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--objective",
         choices=OBJECTIVES,
         default="max-card",
         help="objective sense (default max-card)",
     )
+
+
+def _format_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
         choices=FORMATS,
         default="text",
         help="report layout (default text)",
     )
-    if output:
-        parser.add_argument("--output", help="also write the result to this file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,7 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance to optimality")
     p.add_argument("--input", required=True, help="instance file")
-    _common_flags(p, output=True)
+    _objective_flag(p)
+    _format_flag(p)
+    p.add_argument("--output", help="also write the certificate to this file")
     p.add_argument("--trace", action="store_true", help="progress trace on stderr")
     p.set_defaults(handler=cmd_solve)
 
@@ -443,12 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also require that no improvement step exists",
     )
-    _common_flags(p)
+    _objective_flag(p)
+    _format_flag(p)
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("oracle", help="exhaustive optimum or property suites")
     p.add_argument("--input", help="instance file (exhaustive optimum mode)")
-    p.add_argument("--sense", choices=OBJECTIVES, help="override the sense")
     p.add_argument(
         "--oracle-limit",
         type=int,
@@ -462,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="suite seed")
     p.add_argument("--count", type=int, default=50, help="suite size")
-    _common_flags(p)
+    _objective_flag(p)
+    _format_flag(p)
     p.set_defaults(handler=cmd_oracle)
 
     p = sub.add_parser(
@@ -473,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="instance file")
     p.add_argument("--matching-a", required=True, help="start certificate")
     p.add_argument("--matching-b", required=True, help="target certificate")
-    _common_flags(p)
+    _format_flag(p)
     p.set_defaults(handler=cmd_decompose)
 
     p = sub.add_parser("gadget", help="dump a reduction stage of a uniform instance")
@@ -484,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("uniform", "ab", "pm"),
         help="which intermediate instance to dump",
     )
-    _common_flags(p, output=True)
+    p.add_argument("--output", help="write the dump to this file")
     p.set_defaults(handler=cmd_gadget)
 
     p = sub.add_parser("gen", help="emit a reproducible random instance")
@@ -495,15 +441,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-weight", type=int, default=1)
     p.add_argument("--max-weight", type=int, default=1)
     p.add_argument("--no-loops", action="store_true", help="forbid loop edges")
-    _common_flags(p, output=True)
+    p.add_argument("--output", help="write the instance to this file")
     p.set_defaults(handler=cmd_gen)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here means a negative verdict
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.handler(args)
     except (ParseError, UsageError, BadSpec, TooLarge, NotFeasible, OSError) as exc:

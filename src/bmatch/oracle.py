@@ -99,39 +99,34 @@ def enumerate_b_matchings(
     yield from walk(m - 1)
 
 
-def _sense_value(instance: BInstance, matching: Matching, sense: str) -> int:
-    if sense not in OBJECTIVES:
-        raise ValueError(f"sense must be one of {OBJECTIVES}, got {sense!r}")
-    if sense.endswith("card"):
+def _value(instance: BInstance, matching: Matching) -> int:
+    if instance.objective.endswith("card"):
         return len(matching)
     return matching_weight(instance.graph, matching)
 
 
-def _better(a: int, b: int, sense: str) -> bool:
-    return a > b if sense.startswith("max") else a < b
+def _better(instance: BInstance, a: int, b: int) -> bool:
+    return a > b if instance.objective.startswith("max") else a < b
 
 
 def oracle_optimum(
-    instance: BInstance, sense: str | None = None, limit: int = EDGE_CAP
+    instance: BInstance, limit: int = EDGE_CAP
 ) -> tuple[int, Matching] | None:
-    """Exact optimum by enumeration, or None when nothing is feasible.
+    """Exact optimum under the instance objective by enumeration, or None
+    when nothing is feasible.
 
     The witness is the first attaining matching in enumeration order, so
     repeated runs agree edge for edge.
     """
-    if sense is None:
-        sense = instance.objective
     best: tuple[int, Matching] | None = None
     for m in enumerate_b_matchings(instance, limit):
-        value = _sense_value(instance, m, sense)
-        if best is None or _better(value, best[0], sense):
+        value = _value(instance, m)
+        if best is None or _better(instance, value, best[0]):
             best = (value, m)
     return best
 
 
-def verify_improvement_theorem(
-    instance: BInstance, limit: int = EDGE_CAP
-) -> Matching | None:
+def verify_improvement_theorem(instance: BInstance) -> Matching | None:
     """Check that every improvable matching improves within one type step.
 
     For each feasible M that some feasible N strictly beats (under the
@@ -139,12 +134,11 @@ def verify_improvement_theorem(
     type to M, which includes M's own uniform type.  Returns None when the
     property holds, else the first violating M in enumeration order.
     """
-    sense = instance.objective
-    all_ms = list(enumerate_b_matchings(instance, limit))
-    values = [_sense_value(instance, m, sense) for m in all_ms]
+    all_ms = list(enumerate_b_matchings(instance))
+    values = [_value(instance, m) for m in all_ms]
     types = [current_type(instance, m) for m in all_ms]
     for m, value, t in zip(all_ms, values, types):
-        better = [u for v2, u in zip(values, types) if _better(v2, value, sense)]
+        better = [u for v2, u in zip(values, types) if _better(instance, v2, value)]
         if better and not any(neighbouring_types(t, u) for u in better):
             return m
     return None
@@ -186,10 +180,7 @@ def _basic_subsets(table: dict[frozenset[int], int]) -> list[frozenset[int]]:
 
 
 def verify_exchange_lemma(
-    instance: BInstance,
-    m: Matching,
-    n: Matching,
-    limit: int = EXCHANGE_EDGE_CAP,
+    instance: BInstance, m: Matching, n: Matching
 ) -> str | None:
     """Check the exchange property on one pair with w(M) < w(N).
 
@@ -203,9 +194,10 @@ def verify_exchange_lemma(
     if matching_weight(g, m) >= matching_weight(g, n):
         raise ValueError("exchange verification needs w(M) < w(N)")
     diff = m.selected ^ n.selected
-    if len(diff) > limit:
+    if len(diff) > EXCHANGE_EDGE_CAP:
         raise TooLarge(
-            f"{len(diff)} difference edges exceed the exchange cap of {limit}"
+            f"{len(diff)} difference edges exceed the exchange cap of "
+            f"{EXCHANGE_EDGE_CAP}"
         )
     table_m = _canonical_table(instance, m, n)
     best_t = max(table_m.values(), default=None)
@@ -313,12 +305,11 @@ def _sample_pair(
     rng: random.Random,
     *,
     distinct_weights: bool = False,
-    tries: int = 8,
 ) -> tuple[Matching, Matching] | None:
     ms = list(enumerate_b_matchings(instance))
     if len(ms) < 2:
         return None
-    for _ in range(tries):
+    for _ in range(8):
         a, b = rng.sample(ms, 2)
         if distinct_weights and matching_weight(
             instance.graph, a
@@ -346,9 +337,8 @@ def run_verification_suite(name: str, seed: int, count: int) -> SuiteReport:
     failures: list[str] = []
     for index in range(count):
         objective = OBJECTIVES[index % len(OBJECTIVES)]
-        instance = _suite_instance(seed, index, objective)
         if name == "theorem":
-            bad = verify_improvement_theorem(instance)
+            bad = verify_improvement_theorem(_suite_instance(seed, index, objective))
             checked += 1
             if bad is not None:
                 failures.append(
@@ -356,18 +346,14 @@ def run_verification_suite(name: str, seed: int, count: int) -> SuiteReport:
                     f"{sorted(bad.selected)} has no near-type improvement"
                 )
             continue
-        pair = None
         for attempt in range(6):
-            candidate = _suite_instance(
+            instance = _suite_instance(
                 seed, index + (count + 1) * attempt, objective
             )
-            pair = _sample_pair(
-                candidate, rng, distinct_weights=name == "exchange"
-            )
+            pair = _sample_pair(instance, rng, distinct_weights=name == "exchange")
             if pair is not None:
-                instance = candidate
                 break
-        if pair is None:
+        else:
             skipped += 1
             continue
         m, n2 = pair

@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import inspect
 import json
 import re
 import subprocess
@@ -6,7 +8,7 @@ import sys
 
 import pytest
 
-from bmatch.cli import main
+from bmatch.cli import build_parser, main
 from bmatch.core import OBJECTIVES, parse_instance, validate
 
 from conftest import FIXTURES, src_env
@@ -552,7 +554,74 @@ def test_gen_rejects_sizes_with_no_room_for_edges():
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 
-# -- errors and entry point ---------------------------------------------------------
+# -- flags, errors and entry point --------------------------------------------------
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def flags(sub: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [a for a in sub._actions if a.option_strings and a.dest != "help"]
+
+
+def test_every_flag_is_read_by_its_handler():
+    unread = [
+        f"{name} {action.option_strings[0]}"
+        for name, sub in subcommands().items()
+        for action in flags(sub)
+        if f"args.{action.dest}" not in inspect.getsource(sub.get_default("handler"))
+    ]
+    assert unread == []
+
+
+def test_objective_and_format_go_only_where_they_matter():
+    taking = {
+        flag: sorted(name for name, sub in subcommands().items()
+                     if any(flag in a.option_strings for a in flags(sub)))
+        for flag in ("--objective", "--format")
+    }
+    assert taking == {
+        "--objective": ["check", "oracle", "solve"],
+        "--format": ["check", "decompose", "oracle", "solve"],
+    }
+    assert sum(len(flags(sub)) for sub in subcommands().values()) == 32
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--seed", "1", "--n", "3", "--m", "3", "--objective", "max-weight"],
+        ["gen", "--seed", "1", "--n", "3", "--m", "3", "--format", "text"],
+        ["gadget", "--input", FIG2, "--stage", "uniform", "--objective", "max-weight"],
+        ["gadget", "--input", FIG2, "--stage", "uniform", "--format", "text"],
+        ["decompose", "--input", FIG2, "--matching-a", FIG2_M7,
+         "--matching-b", FIG2_M7, "--objective", "max-weight"],
+        ["oracle", "--input", FIG2, "--sense", "max-weight"],
+    ],
+    ids=["gen-objective", "gen-format", "gadget-objective", "gadget-format",
+         "decompose-objective", "oracle-sense"],
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"error: unrecognized arguments: {argv[-2]} {argv[-1]}\n" in err
+
+
+def test_usage_error_exits_one(capsys):
+    # argparse's own code would be 2, which reads as a negative verdict
+    code, out, err = run(capsys, "solve", "--bogus")
+    assert (code, out) == (1, "")
+    assert "bmatch solve: error: " in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, _err = run(capsys, "solve", "--help")
+    assert code == 0
+    assert out.startswith("usage: ")
+
 
 
 def test_parse_error_exits_one(capsys, tmp_path):

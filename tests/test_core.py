@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from bmatch.core import (
     EMPTY_MATCHING,
-    BadEndpoint,
     BInstance,
     Certificate,
     DegreeSet,
@@ -149,10 +148,11 @@ def test_validate_checks_gap_on_effective_set():
     assert validate(gapped) == [GapTooLong(0)]
 
 
-def test_validate_flags_bad_endpoint():
-    g = MultiGraph(2, ((0, 5, 1),))
-    inst = BInstance(g, (DegreeSet((0,)), DegreeSet((0,))), "max-card")
-    assert validate(inst) == [BadEndpoint(0)]
+def test_multigraph_rejects_out_of_range_endpoint():
+    # caught at construction, so no instance can index past its vertices
+    for edge in ((0, 5, 1), (2, 0, 1), (-1, 1, 1)):
+        with pytest.raises(ValueError, match=r"endpoint outside 0\.\.1"):
+            MultiGraph(2, ((0, 1, 1), edge))
 
 
 def test_effective_set_caps_at_degree():

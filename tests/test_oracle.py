@@ -98,12 +98,15 @@ def test_empty_degree_set_yields_nothing():
 
 
 def test_oracle_optimum_fig2_senses(fig2):
-    value, witness = oracle_optimum(fig2, "max-card")
+    def under(objective):
+        return oracle_optimum(dataclasses.replace(fig2, objective=objective))
+
+    value, witness = under("max-card")
     assert value == 9 and witness == M9
-    value, witness = oracle_optimum(fig2, "min-card")
+    value, witness = under("min-card")
     assert value == 6
-    assert oracle_optimum(fig2, "max-weight")[0] == 9
-    assert oracle_optimum(fig2, "min-weight")[0] == 6
+    assert under("max-weight")[0] == 9
+    assert under("min-weight")[0] == 6
 
 
 def test_oracle_optimum_uses_instance_objective(fig2):
