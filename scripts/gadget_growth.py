@@ -11,29 +11,17 @@ node; `interval` shows the pool's spokes and path grow.
 
 import argparse
 import statistics
-from dataclasses import dataclass
 
 from bmatch.gen import PROFILES, random_instance
-from bmatch.reduce import UniformSpec, ab_to_pm, uniform_to_ab
+from bmatch.reduce import ab_to_pm, uniform_to_ab
 from bmatch.uniform import spec_of_instance
 
 
-@dataclass(frozen=True)
-class GrowthConfig:
-    sizes: tuple[tuple[int, int], ...]
-    per_size: int
-    seed: int
-    profile: str
-
-
-def measure(config: GrowthConfig, n: int, m: int) -> dict:
+def measure(n: int, m: int, per_size: int, seed: int, profile: str) -> dict:
     rows = []
-    for offset in range(config.per_size):
-        instance = random_instance(
-            config.seed + offset, n, m, profile=config.profile
-        )
-        spec: UniformSpec = spec_of_instance(instance)
-        ab, _source_edges = uniform_to_ab(instance, spec)
+    for offset in range(per_size):
+        instance = random_instance(seed + offset, n, m, profile=profile)
+        ab, _source_edges = uniform_to_ab(instance, spec_of_instance(instance))
         reduced, _ab_edges = ab_to_pm(ab)
         rows.append(
             {
@@ -58,17 +46,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--profile", choices=PROFILES, default="parity")
     args = parser.parse_args(argv)
+    if args.per_size < 1:
+        parser.error("--per-size must be at least 1")
     sizes = []
     for item in args.sizes:
         a, _, b = item.partition(":")
         sizes.append((int(a), int(b)))
-    config = GrowthConfig(tuple(sizes), args.per_size, args.seed, args.profile)
 
     header = f"{'n':>4} {'m':>5} {'pm vertices':>11} {'pm edges':>9} {'pool':>5} {'edge ratio':>10}"
     print(header)
     print("-" * len(header))
-    for n, m in config.sizes:
-        row = measure(config, n, m)
+    for n, m in sizes:
+        row = measure(n, m, args.per_size, args.seed, args.profile)
         print(
             f"{n:>4} {m:>5} {row['vertices']:>11.0f} {row['edges']:>9.0f} "
             f"{row['pool']:>5.0f} {row['ratio']:>10.2f}"

@@ -14,7 +14,7 @@ so the walk through neighbouring types is visible directly.
 
 import argparse
 
-from bmatch.core import current_type, matching_weight, parse_instance
+from bmatch.core import OBJECTIVES, current_type, matching_weight, parse_instance
 from bmatch.gen import PROFILES, random_instance
 from bmatch.neighbourhood import find_feasible, improvement_step
 
@@ -26,7 +26,7 @@ def type_label(indices: tuple[int, ...]) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--input", help="instance file; omit to generate one")
-    parser.add_argument("--objective", default="max-card")
+    parser.add_argument("--objective", choices=OBJECTIVES, default="max-card")
     parser.add_argument("--seed", type=int, default=4)
     parser.add_argument("--n", type=int, default=12)
     parser.add_argument("--m", type=int, default=30)

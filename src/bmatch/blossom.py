@@ -1,4 +1,4 @@
-"""Exact maximum-weight perfect matching on simple weighted graphs.
+"""Exact maximum-weight perfect matching on loopless multigraphs.
 
 There is one blossom search, `_solve`: the primal-dual blossom algorithm
 specialised to perfect matchings.  Vertex duals are unconstrained in sign,
@@ -18,6 +18,11 @@ Then it runs on the real weights from the empty matching.  That is a cold
 start whatever the start matching, so the answer depends on the graph
 alone.  A barrier here would contradict the first run, so it raises as an
 internal-consistency error.
+
+The input is a core.MultiGraph, whose construction has checked endpoints
+and integer weights.  Parallel edges are fine: each is its own edge index
+with its own endpoints.  Loops are not, since no perfect matching can use
+one, and the solver rejects them.
 
 All arithmetic is exact.  Vertex duals are stored doubled (P[v] = 2*y_v) so
 that every dual update is integral for integer edge weights; the only halved
@@ -47,49 +52,20 @@ rematched on an explicit stack, not by recursion.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-
-@dataclass(frozen=True)
-class SimpleWeightedGraph:
-    """Simple undirected graph with integer weights; no loops, no parallel edges."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        seen: set[tuple[int, int]] = set()
-        for u, v, w in self.edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u} is not allowed")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) endpoint out of range")
-            if not isinstance(w, int):
-                raise ValueError(f"edge weight {w!r} must be an integer")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"parallel edge between {u} and {v}")
-            seen.add(key)
-
-
-@dataclass(frozen=True)
-class PerfectMatching:
-    """A perfect matching as a set of edge indices plus its total weight."""
-
-    selected: frozenset[int]
-    weight: int
+from bmatch.core import Matching, MultiGraph
 
 
 def max_weight_perfect_matching(
-    graph: SimpleWeightedGraph, start: Iterable[int] = ()
-) -> Optional[PerfectMatching]:
+    graph: MultiGraph, start: Iterable[int] = ()
+) -> Optional[Matching]:
     """Return a maximum-weight perfect matching, or None if none exists.
 
     `start` is a matching of `graph` given by edge indices; the existence
     search grows it into a perfect matching, so a start close to perfect
     makes a "no" cheap.  The optimum found does not depend on `start`.
+    Raises ValueError if `graph` has a loop.
     """
     n = graph.vertex_count
     edges = graph.edges
@@ -98,6 +74,8 @@ def max_weight_perfect_matching(
     endpoint = [0] * (2 * len(edges))
     neighbend: list[list[int]] = [[] for _ in range(n)]
     for k, (u, v, _w) in enumerate(edges):
+        if u == v:
+            raise ValueError(f"loop at vertex {u} is not allowed")
         endpoint[2 * k] = u
         endpoint[2 * k + 1] = v
         neighbend[u].append(2 * k + 1)
@@ -120,12 +98,10 @@ def max_weight_perfect_matching(
         )
     mate, dual, blossomparent = found
     _check_optimum(graph, mate, dual, blossomparent)
-    selected = frozenset(p // 2 for p in mate)
-    weight = sum(edges[e][2] for e in selected)
-    return PerfectMatching(selected, weight)
+    return Matching(frozenset(p // 2 for p in mate))
 
 
-def _check_barrier(graph: SimpleWeightedGraph, barrier: Iterable[int]) -> None:
+def _check_barrier(graph: MultiGraph, barrier: Iterable[int]) -> None:
     """Raise AssertionError unless deleting the vertex set `barrier` leaves
     more odd components than it has vertices, which by Tutte's theorem
     proves that `graph` has no perfect matching.  Costs O(n + m)."""
@@ -558,7 +534,7 @@ def _solve(
 
 
 def _check_optimum(
-    graph: SimpleWeightedGraph, mate: list[int], dual: list[int], parent: list[int]
+    graph: MultiGraph, mate: list[int], dual: list[int], parent: list[int]
 ) -> None:
     """Raise AssertionError unless the duals prove `mate` (remote endpoint per
     vertex) a maximum-weight perfect matching, by complementary slackness.

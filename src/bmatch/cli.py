@@ -24,7 +24,6 @@ from bmatch.core import (
     DegreeSet,
     GapTooLong,
     Matching,
-    MultiGraph,
     NotFeasible,
     ParseError,
     check_certificate,
@@ -182,10 +181,21 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     if (args.input is None) == (args.verify is None):
         raise UsageError("oracle needs exactly one of --input or --verify")
+    # Each mode's own flags default to None, so a flag of the other mode shows.
+    mode, foreign = (
+        ("--verify", {"--oracle-limit": args.oracle_limit, "--objective": args.objective})
+        if args.verify is not None
+        else ("--input", {"--seed": args.seed, "--count": args.count})
+    )
+    given = [flag for flag, value in foreign.items() if value is not None]
+    if given:
+        raise UsageError(f"{', '.join(given)} not allowed with {mode}")
     if args.verify is not None:
-        if args.count < 0:
+        seed = 0 if args.seed is None else args.seed
+        count = 50 if args.count is None else args.count
+        if count < 0:
             raise UsageError("--count must be nonnegative")
-        report = run_verification_suite(args.verify, args.seed, args.count)
+        report = run_verification_suite(args.verify, seed, count)
         lines = [
             f"suite {report.name}",
             f"checked {report.checked}",
@@ -201,8 +211,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         }
         _report(args.format, payload, lines)
         return EXIT_OK if report.ok else EXIT_NEGATIVE
-    instance = parse_instance(_read(args.input), args.objective)
-    best = oracle_optimum(instance, limit=args.oracle_limit)
+    instance = parse_instance(_read(args.input), args.objective or "max-card")
+    limit = EDGE_CAP if args.oracle_limit is None else args.oracle_limit
+    best = oracle_optimum(instance, limit=limit)
     payload = {"sense": instance.objective}
     if best is None:
         payload["status"] = "infeasible"
@@ -282,7 +293,7 @@ def cmd_gadget(args: argparse.Namespace) -> int:
     spec = spec_of_instance(instance)
     if args.stage == "uniform":
         comments = ["stage uniform"]
-        for v, s in enumerate(spec.per_vertex):
+        for v, s in enumerate(spec):
             if isinstance(s, Interval):
                 comments.append(f"vertex {v} interval {s.a}..{s.b}")
             else:
@@ -305,8 +316,7 @@ def cmd_gadget(args: argparse.Namespace) -> int:
         *_origin_comments(len(reduced.edges), ab_edges),
     ]
     dumped = BInstance(
-        MultiGraph(reduced.vertex_count, reduced.edges),
-        tuple(DegreeSet((1,)) for _ in range(reduced.vertex_count)),
+        reduced, tuple(DegreeSet((1,)) for _ in range(reduced.vertex_count))
     )
     _write(args.output, format_instance(dumped, comments))
     return EXIT_OK
@@ -397,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle-limit",
         type=int,
-        default=EDGE_CAP,
         help=f"enumeration edge cap (default {EDGE_CAP})",
     )
     p.add_argument(
@@ -405,11 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=SUITE_NAMES,
         help="run a seeded verification suite instead",
     )
-    p.add_argument("--seed", type=int, default=0, help="suite seed")
-    p.add_argument("--count", type=int, default=50, help="suite size")
+    p.add_argument("--seed", type=int, help="suite seed")
+    p.add_argument("--count", type=int, help="suite size")
     _objective_flag(p)
     _format_flag(p)
-    p.set_defaults(handler=cmd_oracle)
+    p.set_defaults(handler=cmd_oracle, objective=None)
 
     p = sub.add_parser(
         "decompose",

@@ -70,10 +70,10 @@ class CandidateType:
     def spec(self) -> UniformSpec:
         """Per vertex one parity interval of its B(v): the current one
         outside W.  Built anew on every access."""
-        per_vertex = list(self.base)
+        spec = list(self.base)
         for (v, _off), pin in zip(self.moves, self.pins):
-            per_vertex[v] = pin
-        return UniformSpec(tuple(per_vertex))
+            spec[v] = pin
+        return tuple(spec)
 
 
 def enumerate_candidates(
@@ -340,12 +340,12 @@ def _relaxation(instance: BInstance) -> UniformSpec:
     parity run, else its dense hull [min b(v), max b(v)].  b(v) lies in
     U(v), so U's optimum weighs at least as much as every B-matching.
     Every b(v) must be nonempty."""
-    per_vertex = []
+    spec = []
     for v in range(instance.graph.vertex_count):
         values = instance.b(v).values
         shape = shape_of(values)
-        per_vertex.append(Interval(values[0], values[-1]) if shape is None else shape)
-    return UniformSpec(tuple(per_vertex))
+        spec.append(Interval(values[0], values[-1]) if shape is None else shape)
+    return tuple(spec)
 
 
 def solve(

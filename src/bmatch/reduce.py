@@ -1,12 +1,12 @@
 """Gadget reductions: uniform degree specs to (a,b)-matching, and (a,b)-matching
-to perfect matching on a simple graph.
+to perfect matching on a loopless graph.
 
-A uniform spec gives each vertex either a dense Interval {a, ..., b} or a
-core.ParityInterval {lo, lo+2, ..., hi}; both answer `d in entry`.  The
-first stage turns a parity interval into plain bounds by attaching
-(hi-lo)/2 weight-0 loops at the vertex and pinning its degree to hi;
-selecting k loops lowers the effective original degree by 2k, which walks
-the parity class.
+A uniform spec is a tuple with one entry per vertex: a dense Interval
+{a, ..., b} or a core.ParityInterval {lo, lo+2, ..., hi}; both answer
+`d in spec[v]`.  The first stage turns a parity interval into plain
+bounds by attaching (hi-lo)/2 weight-0 loops at the vertex and pinning its
+degree to hi; selecting k loops lowers the effective original degree by
+2k, which walks the parity class.
 
 The second stage is a vertex gadget.  Every edge end becomes an external
 node and each edge joins its two externals, carrying the original weight.
@@ -32,7 +32,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from bmatch.blossom import SimpleWeightedGraph
 from bmatch.core import BInstance, Matching, MultiGraph, ParityInterval
 
 
@@ -60,19 +59,7 @@ class Interval:
 
 
 VertexSpec = Interval | ParityInterval
-
-
-@dataclass(frozen=True)
-class UniformSpec:
-    """One Interval or ParityInterval constraint per vertex."""
-
-    per_vertex: tuple[VertexSpec, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "per_vertex", tuple(self.per_vertex))
-
-    def allows(self, v: int, d: int) -> bool:
-        return d in self.per_vertex[v]
+UniformSpec = tuple[VertexSpec, ...]
 
 
 @dataclass(frozen=True)
@@ -152,13 +139,13 @@ def uniform_to_ab(instance: BInstance, spec: UniformSpec) -> tuple[ABInstance, i
     with weight-0 loops; dense intervals turn into bounds directly."""
     g = instance.graph
     n = g.vertex_count
-    if len(spec.per_vertex) != n:
+    if len(spec) != n:
         raise BadSpec("spec size does not match the graph")
     a = [0] * n
     b = [0] * n
     loops: list[tuple[int, int, int]] = []
     for v in range(n):
-        s = spec.per_vertex[v]
+        s = spec[v]
         if isinstance(s, Interval):
             if s.b > g.degree(v):
                 raise BadSpec(f"interval bound {s.b} exceeds degree of vertex {v}")
@@ -173,14 +160,15 @@ def uniform_to_ab(instance: BInstance, spec: UniformSpec) -> tuple[ABInstance, i
     return ABInstance(reduced, tuple(a), tuple(b)), g.edge_count
 
 
-def ab_to_pm(ab: ABInstance) -> tuple[SimpleWeightedGraph, int]:
+def ab_to_pm(ab: ABInstance) -> tuple[MultiGraph, int]:
     """Vertex gadget from (a,b)-matching to maximum-weight perfect matching.
 
     Reduced edge order: one edge per source edge first (same index, carrying
     the weight), then the vertex gadgets in vertex order (internal-major),
     then pool spokes (pool-connected-major), then the pool path, whose
-    edge i joins pool nodes i and i+1.  The reduced graph is always simple;
-    a source loop contributes two distinct external nodes at its vertex.
+    edge i joins pool nodes i and i+1.  The reduced graph is simple, so it
+    has no loop for the blossom to reject; a source loop contributes two
+    distinct external nodes at its vertex.
     Node ids follow `ab.layout`.
     """
     layout = ab.layout
@@ -195,7 +183,7 @@ def ab_to_pm(ab: ABInstance) -> tuple[SimpleWeightedGraph, int]:
             edges.append((i, q, 0))
     pool = layout.pool
     edges.extend((p, q, 0) for p, q in zip(pool, pool[1:]))
-    graph = SimpleWeightedGraph(layout.node_count, tuple(edges))
+    graph = MultiGraph(layout.node_count, tuple(edges))
     return graph, g.edge_count
 
 

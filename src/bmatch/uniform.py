@@ -1,6 +1,9 @@
 """Exact uniform B-matching solver: compose the two reductions and the
-perfect-matching solver.  It maximizes weight; a caller that minimizes
-negates the weights first.
+perfect-matching solver.  A spec is a tuple of one Interval or
+ParityInterval per vertex.  Every stage reads and returns core's types: the
+reduced graphs are MultiGraphs and the perfect matching is a Matching of
+the last one.  It maximizes weight; a caller that minimizes negates the
+weights first.
 
 Existence and optimality are decided apart.  Given a start matching, its
 image in the gadget (`embed_ab_matching`) leaves exposed only the nodes
@@ -44,7 +47,7 @@ def spec_of_instance(instance: BInstance) -> UniformSpec:
     Raises BadSpec when a vertex fits neither shape; such instances need the
     full neighbouring-type solver rather than a single reduction pass.
     """
-    per_vertex: list[VertexSpec] = []
+    spec: list[VertexSpec] = []
     for v in range(instance.graph.vertex_count):
         values = instance.b(v).values
         if not values:
@@ -55,8 +58,8 @@ def spec_of_instance(instance: BInstance) -> UniformSpec:
                 f"vertex {v} has degree set {values}, which is neither a "
                 f"dense interval nor a single parity run"
             )
-        per_vertex.append(shape)
-    return UniformSpec(tuple(per_vertex))
+        spec.append(shape)
+    return tuple(spec)
 
 
 def solve_uniform(
@@ -82,7 +85,7 @@ def solve_uniform(
     result = lift(source_edges, pm.selected)
     deg = degrees(g, result)
     for v in range(g.vertex_count):
-        if not spec.allows(v, deg[v]):
+        if deg[v] not in spec[v]:
             raise AssertionError(
                 f"lifted matching has degree {deg[v]} at vertex {v}, outside its spec"
             )

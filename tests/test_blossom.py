@@ -7,13 +7,8 @@ from itertools import combinations
 import pytest
 
 import bmatch.blossom as blossom
-from bmatch.blossom import (
-    PerfectMatching,
-    SimpleWeightedGraph,
-    _check_barrier,
-    _check_optimum,
-    max_weight_perfect_matching,
-)
+from bmatch.blossom import _check_barrier, _check_optimum, max_weight_perfect_matching
+from bmatch.core import Matching, MultiGraph, degrees, matching_weight
 from bmatch.gen import PROFILES, random_instance
 from bmatch.neighbourhood import _relaxation
 from bmatch.reduce import ab_to_pm, uniform_to_ab
@@ -21,7 +16,7 @@ from bmatch.reduce import ab_to_pm, uniform_to_ab
 from conftest import FIXTURES, src_env
 
 
-def brute_force_pm(g: SimpleWeightedGraph) -> PerfectMatching | None:
+def brute_force_pm(g: MultiGraph) -> Matching | None:
     if g.vertex_count % 2:
         return None
     best = None
@@ -32,72 +27,72 @@ def brute_force_pm(g: SimpleWeightedGraph) -> PerfectMatching | None:
             seen.update((u, v))
         if len(seen) != g.vertex_count:
             continue
-        weight = sum(g.edges[e][2] for e in combo)
-        if best is None or weight > best.weight:
-            best = PerfectMatching(frozenset(combo), weight)
+        found = Matching(frozenset(combo))
+        if best is None or matching_weight(g, found) > matching_weight(g, best):
+            best = found
     return best
 
 
-def random_simple_graph(rng: random.Random, n: int) -> SimpleWeightedGraph:
+def random_simple_graph(rng: random.Random, n: int) -> MultiGraph:
     pairs = list(combinations(range(n), 2))
     rng.shuffle(pairs)
     keep = pairs[: rng.randint(0, len(pairs))]
-    return SimpleWeightedGraph(
-        n, tuple((u, v, rng.randint(-8, 8)) for u, v in keep)
-    )
+    return MultiGraph(n, tuple((u, v, rng.randint(-8, 8)) for u, v in keep))
 
 
-def test_rejects_loops_and_parallels():
+def test_rejects_loops_and_accepts_parallels():
     with pytest.raises(ValueError):
-        SimpleWeightedGraph(2, ((0, 0, 1),))
-    with pytest.raises(ValueError):
-        SimpleWeightedGraph(3, ((0, 1, 1), (1, 0, 2)))
+        max_weight_perfect_matching(MultiGraph(2, ((0, 0, 1),)))
+    got = max_weight_perfect_matching(MultiGraph(2, ((0, 1, 1), (1, 0, 2))))
+    assert got == Matching(frozenset({1}))
 
 
 @pytest.mark.parametrize(
     "edges, message",
     [
         # The second edge is the first bad one; the third fails another check.
-        (((0, 1, 1), (2, 2, 1), (0, 5, 1)), "loop at vertex 2 is not allowed"),
-        (((0, 1, 1), (1, 4, 1), (3, 3, 1)), "edge (1, 4) endpoint out of range"),
-        (((0, 1, 1), (1, 2, 1.5), (1, 0, 1)), "edge weight 1.5 must be an integer"),
-        (((0, 1, 1), (2, 1, 1), (1, 2, 0), (3, 3, 0)), "parallel edge between 1 and 2"),
+        # The solver names a loop; MultiGraph names the other faults.
+        (((0, 1, 1), (2, 2, 1), (3, 3, 1)), "loop at vertex 2 is not allowed"),
+        (((0, 1, 1), (1, 4, 1), (3, 3, 1)), "edge (1, 4, 1) has an endpoint outside 0..3"),
+        (((0, 1, 1), (1, 2, 1.5), (0, 9, 1)), "edge (1, 2, 1.5) must contain integers"),
     ],
-    ids=["loop", "range", "weight", "parallel"],
+    ids=["loop", "range", "weight"],
 )
 def test_names_the_first_bad_edge(edges, message):
     with pytest.raises(ValueError) as err:
-        SimpleWeightedGraph(4, edges)
+        max_weight_perfect_matching(MultiGraph(4, edges))
     assert str(err.value) == message
 
 
 def test_triangle_has_no_perfect_matching():
-    g = SimpleWeightedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 1)))
+    g = MultiGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 1)))
     assert max_weight_perfect_matching(g) is None
 
 
 def test_empty_graph_has_the_empty_matching():
-    got = max_weight_perfect_matching(SimpleWeightedGraph(0, ()))
-    assert got == PerfectMatching(frozenset(), 0)
+    got = max_weight_perfect_matching(MultiGraph(0, ()))
+    assert got == Matching(frozenset())
 
 
 def test_single_edge():
-    got = max_weight_perfect_matching(SimpleWeightedGraph(2, ((0, 1, 7),)))
-    assert got == PerfectMatching(frozenset({0}), 7)
+    g = MultiGraph(2, ((0, 1, 7),))
+    got = max_weight_perfect_matching(g)
+    assert got == Matching(frozenset({0}))
+    assert matching_weight(g, got) == 7
 
 
 def test_square_picks_heavier_pairing():
-    g = SimpleWeightedGraph(
+    g = MultiGraph(
         4, ((0, 1, 5), (1, 2, 1), (2, 3, 5), (3, 0, 1), (0, 2, 3), (1, 3, 3))
     )
     got = max_weight_perfect_matching(g)
-    assert got.weight == 10
+    assert matching_weight(g, got) == 10
     assert got.selected == frozenset({0, 2})
 
 
 def test_blossom_forces_odd_cycle_handling():
     # two triangles joined by a bridge: the bridge must be used
-    g = SimpleWeightedGraph(
+    g = MultiGraph(
         6,
         (
             (0, 1, 4), (1, 2, 4), (0, 2, 4),
@@ -108,16 +103,17 @@ def test_blossom_forces_odd_cycle_handling():
     got = max_weight_perfect_matching(g)
     assert got is not None
     assert 6 in got.selected
-    assert got.weight == 9
+    assert matching_weight(g, got) == 9
 
 
 def test_negative_weights_still_perfect():
-    g = SimpleWeightedGraph(4, ((0, 1, -5), (2, 3, -7), (1, 2, 100)))
+    g = MultiGraph(4, ((0, 1, -5), (2, 3, -7), (1, 2, 100)))
     got = max_weight_perfect_matching(g)
-    assert got == PerfectMatching(frozenset({0, 1}), -12)
+    assert got == Matching(frozenset({0, 1}))
+    assert matching_weight(g, got) == -12
 
 
-def seeded_graphs() -> list[SimpleWeightedGraph]:
+def seeded_graphs() -> list[MultiGraph]:
     rng = random.Random(20240901)
     return [random_simple_graph(rng, rng.randint(2, 8)) for _ in range(120)]
 
@@ -129,7 +125,33 @@ def test_matches_brute_force_on_seeded_graphs():
         if want is None:
             assert got is None
         else:
-            assert got is not None and got.weight == want.weight
+            assert got is not None
+            assert matching_weight(g, got) == matching_weight(g, want)
+
+
+def test_matches_brute_force_on_seeded_multigraphs():
+    # Parallel edges are legal input, each its own edge; a loop is not.
+    rng = random.Random(20261020)
+    parallel = 0
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        edges = tuple(
+            (*rng.sample(range(n), 2), rng.randint(-5, 5))
+            for _ in range(rng.randint(0, 14))
+        )
+        g = MultiGraph(n, edges)
+        parallel += len({frozenset(e[:2]) for e in edges}) < len(edges)
+        got = max_weight_perfect_matching(g)
+        want = brute_force_pm(g)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert degrees(g, got) == [1] * n
+            assert matching_weight(g, got) == matching_weight(g, want)
+        v = rng.randrange(n)
+        looped = MultiGraph(n, edges + ((v, v, 0),))
+        with pytest.raises(ValueError, match=f"^loop at vertex {v} is not allowed$"):
+            max_weight_perfect_matching(looped)
+    assert parallel > 150
 
 
 def networkx_cases():
@@ -150,7 +172,7 @@ def networkx_cases():
             if u not in used and v not in used and rng.random() < 0.5:
                 used.update((u, v))
                 start.append(k)
-        yield SimpleWeightedGraph(n, edges), start
+        yield MultiGraph(n, edges), start
 
 
 def test_agrees_with_networkx():
@@ -167,7 +189,7 @@ def test_agrees_with_networkx():
             without += 1
         else:
             assert got is not None
-            assert got.weight == sum(G[u][v]["weight"] for u, v in want)
+            assert matching_weight(g, got) == sum(G[u][v]["weight"] for u, v in want)
     assert without > 20
 
 
@@ -195,7 +217,7 @@ def zero_one_graphs():
         pairs = list(combinations(range(n), 2))
         rng.shuffle(pairs)
         keep = pairs[: rng.randint(n // 2, len(pairs))]
-        yield SimpleWeightedGraph(n, tuple((u, v, rng.randint(0, 1)) for u, v in keep))
+        yield MultiGraph(n, tuple((u, v, rng.randint(0, 1)) for u, v in keep))
 
 
 def relaxation_gadgets():
@@ -210,9 +232,7 @@ def relaxation_gadgets():
         )
         graph, _lift = ab_to_pm(uniform_to_ab(inst, _relaxation(inst))[0])
         yield graph
-        yield SimpleWeightedGraph(
-            graph.vertex_count, tuple((u, v, -w) for u, v, w in graph.edges)
-        )
+        yield MultiGraph(graph.vertex_count, tuple((u, v, -w) for u, v, w in graph.edges))
 
 
 ZERO_ONE_DIGEST = "9335d8da71657cec62e50678dbacf64bac482409f5755f2aea9781122a18b0f6"
@@ -228,7 +248,7 @@ def test_gadget_tie_breaks_are_pinned():
     assert selection_digest(relaxation_gadgets()) == GADGET_DIGEST
 
 
-def clique_pool_gadget(ab) -> SimpleWeightedGraph:
+def clique_pool_gadget(ab) -> MultiGraph:
     """ab_to_pm's gadget with its pool path, the last P-1 edges, swapped for
     the lexicographic clique over the pool: the gadget the seeds below were
     found on, kept so that they pin the same solver runs."""
@@ -236,7 +256,7 @@ def clique_pool_gadget(ab) -> SimpleWeightedGraph:
     pool = ab.layout.pool
     spokes_end = len(graph.edges) - max(len(pool) - 1, 0)
     clique = tuple((p, q, 0) for p, q in combinations(pool, 2))
-    return SimpleWeightedGraph(graph.vertex_count, graph.edges[:spokes_end] + clique)
+    return MultiGraph(graph.vertex_count, graph.edges[:spokes_end] + clique)
 
 
 @pytest.mark.parametrize(
@@ -256,11 +276,11 @@ def test_stage_end_discards_every_zero_dual_s_blossom(
 ):
     inst = random_instance(seed, n, m, profile=profile, weights=weights)
     graph = clique_pool_gadget(uniform_to_ab(inst, _relaxation(inst))[0])
-    graph = SimpleWeightedGraph(
+    graph = MultiGraph(
         graph.vertex_count, tuple((u, v, sign * w) for u, v, w in graph.edges)
     )
     got = max_weight_perfect_matching(graph)
-    assert got is not None and got.weight == weight
+    assert got is not None and matching_weight(graph, got) == weight
     assert hashlib.sha256(repr(sorted(got.selected)).encode()).hexdigest() == digest
 
 
@@ -286,10 +306,10 @@ def test_solving_leaves_the_recursion_limit_alone(monkeypatch):
         got = max_weight_perfect_matching(g)
         want = brute_force_pm(g)
         assert (got is None) == (want is None)
-        assert got is None or got.weight == want.weight
+        assert got is None or matching_weight(g, got) == matching_weight(g, want)
 
 
-def random_matching(rng: random.Random, g: SimpleWeightedGraph) -> list[int]:
+def random_matching(rng: random.Random, g: MultiGraph) -> list[int]:
     used: set[int] = set()
     out = []
     for k, (u, v, _w) in enumerate(g.edges):
@@ -308,7 +328,7 @@ def test_start_matching_does_not_change_the_answer():
 
 
 def test_start_must_be_a_matching():
-    g = SimpleWeightedGraph(3, ((0, 1, 1), (1, 2, 1)))
+    g = MultiGraph(3, ((0, 1, 1), (1, 2, 1)))
     with pytest.raises(ValueError, match="start edge 1 shares an end"):
         max_weight_perfect_matching(g, (0, 1))
 
@@ -338,7 +358,7 @@ def test_weighted_solve_raises_if_the_search_was_wrong(monkeypatch):
         return mate, [], []
 
     monkeypatch.setattr(blossom, "_solve", existence_says_yes)
-    g = SimpleWeightedGraph(4, ((0, 1, 1), (1, 2, 1), (0, 2, 1)))
+    g = MultiGraph(4, ((0, 1, 1), (1, 2, 1), (0, 2, 1)))
     with pytest.raises(AssertionError, match="dual update is unbounded"):
         max_weight_perfect_matching(g)
 
@@ -346,21 +366,21 @@ def test_weighted_solve_raises_if_the_search_was_wrong(monkeypatch):
 # -- the barrier check --------------------------------------------------------------
 
 
-def star_with_three_leaves() -> SimpleWeightedGraph:
-    return SimpleWeightedGraph(4, ((0, 1, 0), (0, 2, 0), (0, 3, 0)))
+def star_with_three_leaves() -> MultiGraph:
+    return MultiGraph(4, ((0, 1, 0), (0, 2, 0), (0, 3, 0)))
 
 
 def test_barrier_check_accepts_a_tutte_barrier():
     # Deleting the centre leaves three odd components, more than one.
     _check_barrier(star_with_three_leaves(), [0])
     # An odd vertex count is its own certificate: the empty barrier.
-    _check_barrier(SimpleWeightedGraph(3, ((0, 1, 0), (1, 2, 0))), [])
+    _check_barrier(MultiGraph(3, ((0, 1, 0), (1, 2, 0))), [])
 
 
 def test_barrier_check_rejects_a_false_barrier():
     with pytest.raises(AssertionError, match="barrier of 1 vertices leaves only 1 odd"):
         _check_barrier(star_with_three_leaves(), [1])
-    g = SimpleWeightedGraph(4, ((0, 1, 0), (1, 2, 0), (2, 3, 0)))
+    g = MultiGraph(4, ((0, 1, 0), (1, 2, 0), (2, 3, 0)))
     with pytest.raises(AssertionError, match="barrier of 0 vertices leaves only 0 odd"):
         _check_barrier(g, [])
 
@@ -374,8 +394,9 @@ def run_optimized(code: str) -> subprocess.CompletedProcess:
 
 def test_barrier_check_raises_under_optimize():
     proc = run_optimized(
-        "from bmatch.blossom import SimpleWeightedGraph, _check_barrier\n"
-        "g = SimpleWeightedGraph(4, ((0, 1, 0), (0, 2, 0), (0, 3, 0)))\n"
+        "from bmatch.blossom import _check_barrier\n"
+        "from bmatch.core import MultiGraph\n"
+        "g = MultiGraph(4, ((0, 1, 0), (0, 2, 0), (0, 3, 0)))\n"
         "_check_barrier(g, [1])\n"
     )
     assert proc.returncode == 1
@@ -394,7 +415,7 @@ def test_barrier_check_raises_under_optimize():
 def triangle_with_tail():
     """Triangle 0-1-2 (weight 2) plus edge 2-3 (weight 1), matched {01, 23},
     with the triangle shrunk into blossom 4 of dual 1: every edge is tight."""
-    g = SimpleWeightedGraph(4, ((0, 1, 2), (1, 2, 2), (0, 2, 2), (2, 3, 1)))
+    g = MultiGraph(4, ((0, 1, 2), (1, 2, 2), (0, 2, 2), (2, 3, 1)))
     mate = [1, 0, 7, 6]
     dual = [1, 1, 1, 1, 1, 0, 0, 0]
     blossomparent = [4, 4, 4, -1, -1, -1, -1, -1]
@@ -422,7 +443,7 @@ def test_check_rejects_negative_slack():
 def test_check_rejects_positive_dual_blossom_that_is_not_full():
     # Triangle 0-1-2 with pendants 3, 4, 5, matched to the pendants: the
     # blossom {0, 1, 2} holds no matched edge but has dual 1.
-    g = SimpleWeightedGraph(
+    g = MultiGraph(
         6, ((0, 1, 0), (1, 2, 0), (0, 2, 0), (0, 3, 0), (1, 4, 0), (2, 5, 0))
     )
     mate = [7, 9, 11, 6, 8, 10]
@@ -441,15 +462,16 @@ def test_check_rejects_inconsistent_mate():
 
 
 def test_check_rejects_even_blossom():
-    g = SimpleWeightedGraph(2, ((0, 1, 0),))
+    g = MultiGraph(2, ((0, 1, 0),))
     with pytest.raises(AssertionError, match="blossom 2 has dual 0 and size 2"):
         _check_optimum(g, [1, 0], [0, 0, 0, 0], [2, 2, -1, -1])
 
 
 def test_check_raises_under_optimize():
     proc = run_optimized(
-        "from bmatch.blossom import SimpleWeightedGraph, _check_optimum\n"
-        "g = SimpleWeightedGraph(2, ((0, 1, 3),))\n"
+        "from bmatch.blossom import _check_optimum\n"
+        "from bmatch.core import MultiGraph\n"
+        "g = MultiGraph(2, ((0, 1, 3),))\n"
         "_check_optimum(g, [1, 0], [4, 4, 0, 0], [-1, -1, -1, -1])\n"
     )
     assert proc.returncode == 1

@@ -344,6 +344,22 @@ def test_oracle_limit_exceeded_is_an_error(capsys):
     assert "exceed" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--input", FIG2, "--seed", "9", "--count", "1"], "--seed, --count not allowed with --input"),
+        (["--input", FIG2, "--seed", "0"], "--seed not allowed with --input"),
+        (["--verify", "theorem", "--objective", "max-card"], "--objective not allowed with --verify"),
+        (["--verify", "theorem", "--oracle-limit", "20"], "--oracle-limit not allowed with --verify"),
+    ],
+    ids=["input-seed-count", "input-default-seed", "verify-objective", "verify-limit"],
+)
+def test_oracle_rejects_the_flags_of_the_other_mode(capsys, argv, message):
+    # Even a flag given its default value would be ignored, so it is an error.
+    code, out, err = run(capsys, "oracle", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 # -- decompose ---------------------------------------------------------------------
 
 

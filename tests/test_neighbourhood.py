@@ -32,7 +32,6 @@ from bmatch.neighbourhood import (
 )
 from bmatch.gen import random_instance
 from bmatch.reduce import (
-    UniformSpec,
     ab_to_pm,
     embed_ab_matching,
     uniform_to_ab,
@@ -166,7 +165,7 @@ def test_incremental_bound_matches_the_full_sum():
         bound = _step_bound(inst, plant)
         for cand in enumerate_candidates(inst, plant):
             full = 0
-            for v, pin in enumerate(cand.spec.per_vertex):
+            for v, pin in enumerate(cand.spec):
                 if (v, pin) not in pin_value:
                     ends = [w for a, b, w in work.edges for x in (a, b) if x == v]
                     pin_value[v, pin] = max(
@@ -387,14 +386,21 @@ def test_bound_order_keeps_the_enumeration_order_answer():
     assert tie_replacements > 0
 
 
-def test_pruned_candidates_build_no_spec(monkeypatch):
+def count_spec_builds(monkeypatch) -> list:
+    """Record every CandidateType.spec access from here on."""
     built = []
+    spec = neighbourhood.CandidateType.spec
 
-    def counting(per_vertex):
-        built.append(per_vertex)
-        return UniformSpec(per_vertex)
+    def counting(cand):
+        built.append(cand)
+        return spec.fget(cand)
 
-    monkeypatch.setattr(neighbourhood, "UniformSpec", counting)
+    monkeypatch.setattr(neighbourhood.CandidateType, "spec", property(counting))
+    return built
+
+
+def test_pruned_candidates_build_no_spec(monkeypatch):
+    built = count_spec_builds(monkeypatch)
     # Every B(v) holds 0, so the empty matching is optimal for min-card and
     # every candidate is pruned.
     g = random_instance(0, 40, 100, profile="interval").graph
@@ -405,16 +411,14 @@ def test_pruned_candidates_build_no_spec(monkeypatch):
     ) is None
     assert stats["pruned"] > 700 and stats["solved"] == 0
     assert built == []
+    # The count does see the specs of the candidates a step visits.
+    stats = {}
+    improvement_step(BInstance(g, sets, "max-card"), Matching(frozenset()), stats=stats)
+    assert len(built) == stats["solved"] + stats["cached"] > 0
 
 
 def test_pruned_weight_candidates_build_no_spec(monkeypatch):
-    built = []
-
-    def counting(per_vertex):
-        built.append(per_vertex)
-        return UniformSpec(per_vertex)
-
-    monkeypatch.setattr(neighbourhood, "UniformSpec", counting)
+    built = count_spec_builds(monkeypatch)
     # Positive weights and 0 in every B(v): the empty matching is optimal for
     # min-weight, and every candidate's bound is at least its value 0.
     g = random_instance(0, 40, 100, profile="interval", weights=(1, 9)).graph
@@ -702,7 +706,7 @@ def test_warm_search_matches_cold_verdicts(fig2):
                 # from the new intervals (less where it can take a source
                 # loop), plus a pool node to make the count even.
                 distance = [
-                    min(abs(deg[v] - d) for d in inst.b(v) if d in spec.per_vertex[v])
+                    min(abs(deg[v] - d) for d in inst.b(v) if d in spec[v])
                     for v in range(inst.graph.vertex_count)
                 ]
                 missed = sum(distance)

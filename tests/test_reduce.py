@@ -17,7 +17,6 @@ from bmatch.reduce import (
     BadSpec,
     BoundsError,
     Interval,
-    UniformSpec,
     ab_to_pm,
     embed_ab_matching,
     lift,
@@ -101,17 +100,17 @@ def test_uniform_to_ab_rejects_mismatched_spec():
     g = MultiGraph(2, ((0, 1, 1),))
     inst = BInstance(g, (DegreeSet((0, 1)), DegreeSet((0, 1))), "max-card")
     with pytest.raises(BadSpec):
-        uniform_to_ab(inst, UniformSpec((Interval(0, 1),)))
+        uniform_to_ab(inst, (Interval(0, 1),))
     with pytest.raises(BadSpec):
-        uniform_to_ab(inst, UniformSpec((Interval(0, 2), Interval(0, 1))))
+        uniform_to_ab(inst, (Interval(0, 2), Interval(0, 1)))
     with pytest.raises(BadSpec):
-        uniform_to_ab(inst, UniformSpec((ParityInterval(0, 2), Interval(0, 1))))
+        uniform_to_ab(inst, (ParityInterval(0, 2), Interval(0, 1)))
 
 
 def test_uniform_to_ab_interval_is_identity():
     g = MultiGraph(2, ((0, 1, 3),))
     inst = BInstance(g, (DegreeSet((0, 1)), DegreeSet((0, 1))), "max-card")
-    ab, source_edges = uniform_to_ab(inst, UniformSpec((Interval(0, 1), Interval(1, 1))))
+    ab, source_edges = uniform_to_ab(inst, (Interval(0, 1), Interval(1, 1)))
     assert ab.graph.edges == g.edges
     assert ab.a == (0, 1) and ab.b == (1, 1)
     assert source_edges == 1
@@ -120,7 +119,7 @@ def test_uniform_to_ab_interval_is_identity():
 def test_uniform_to_ab_parity_pins_to_hi_with_loops():
     g = MultiGraph(1, ((0, 0, 5), (0, 0, 2)))
     inst = BInstance(g, (DegreeSet((0, 2, 4)),), "max-card")
-    ab, source_edges = uniform_to_ab(inst, UniformSpec((ParityInterval(0, 4),)))
+    ab, source_edges = uniform_to_ab(inst, (ParityInterval(0, 4),))
     assert ab.a == (4,) and ab.b == (4,)
     assert ab.graph.edge_count == 4  # two originals + (4 - 0) / 2 gadget loops
     gadgets = range(source_edges, ab.graph.edge_count)
@@ -131,7 +130,7 @@ def test_uniform_to_ab_parity_pins_to_hi_with_loops():
 def test_lift_drops_gadget_edges():
     g = MultiGraph(1, ((0, 0, 5),))
     inst = BInstance(g, (DegreeSet((0, 2)),), "max-card")
-    ab, source_edges = uniform_to_ab(inst, UniformSpec((ParityInterval(0, 2),)))
+    ab, source_edges = uniform_to_ab(inst, (ParityInterval(0, 2),))
     # selecting the original loop and no gadget loop lifts to {0}
     for sel in all_ab_matchings(ab):
         lifted = lift(source_edges, sel)
@@ -263,7 +262,7 @@ def test_reduced_optimum_matches_ab_brute_force():
         best = max(matching_weight(ab.graph, f) for f in feasible)
         lifted = lift(source_edges, pm.selected)
         assert lifted in feasible
-        assert matching_weight(ab.graph, lifted) == best == pm.weight
+        assert matching_weight(ab.graph, lifted) == best == matching_weight(reduced, pm)
 
 
 def test_pool_parity_invariant_exhaustive():

@@ -1,5 +1,7 @@
 import importlib.util
 
+import pytest
+
 from conftest import FIXTURES
 
 
@@ -27,3 +29,18 @@ def test_gadget_growth_prints_its_table(capsys):
     assert lines[0].split() == ["n", "m", "pm", "vertices", "pm", "edges", "pool", "edge", "ratio"]
     assert lines[2].split()[:2] == ["6", "12"]
     assert len(lines) == 3
+
+
+def test_improvement_trace_rejects_an_unknown_objective(capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_script("improvement_trace").main(["--objective", "bogus"])
+    assert exc.value.code == 2
+    assert "argument --objective: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("per_size", ["0", "-1"])
+def test_gadget_growth_rejects_an_empty_sample(capsys, per_size):
+    with pytest.raises(SystemExit) as exc:
+        load_script("gadget_growth").main(["--sizes", "6:12", "--per-size", per_size])
+    assert exc.value.code == 2
+    assert "error: --per-size must be at least 1" in capsys.readouterr().err
