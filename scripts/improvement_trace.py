@@ -2,8 +2,11 @@
 line per improvement step.
 
 `solve` runs this walk only when the answer of its uniform relaxation is
-not a B-matching (and then stops it once the relaxation's weight is
-reached); this script always walks, so every instance shows its steps.
+not a B-matching and the solve of that answer's rounding does not reach
+the relaxation's weight; it then starts from the heavier of the rounding's
+answer and the search's matching, and stops once the relaxation's weight
+is reached.  This script always walks from `find_feasible`'s
+lexicographically first matching, so every instance shows its steps.
 
 Each line shows the parity-interval index per vertex (the matching's type),
 so the walk through neighbouring types is visible directly.

@@ -15,11 +15,14 @@ specs it solved at earlier steps, whose optima cannot beat where it stands.
 `solve` walks only when it must.  One uniform relaxation of the instance,
 whose degree sets contain every B(v), is solved before any walk: when its
 answer is a B-matching it is the optimum, and otherwise its weight bounds
-the walk.  The feasibility search, exponential in the worst case, first
-gets only the 2|E| branch nodes of a search that never backtracks.  Past
-them the relaxation is solved before the search goes on: no solution
-means no B-matching, proved by the relaxation's checked Tutte barrier, and
-a B-matching answer is the optimum.
+the walk.  That answer, rounded to a spec inside B, is solved once more:
+a B-matching of the relaxation's weight is the optimum, and a lighter one
+may start the walk nearer to it.  The feasibility search, exponential in
+the worst case, first gets only the 2|E| branch nodes of a search that
+never backtracks.  Past them the relaxation is solved before the search
+goes on: no solution means no B-matching, proved by the relaxation's
+checked Tutte barrier, and a B-matching answer is the optimum.  The full
+search runs only when the rounding has no solution either.
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ from bmatch.core import (
     MultiGraph,
     ParityInterval,
     current_type,
+    degrees,
     is_b_matching,
     matching_weight,
 )
-from bmatch.reduce import Interval, UniformSpec
+from bmatch.reduce import Interval, UniformSpec, VertexSpec
 from bmatch.uniform import shape_of, solve_uniform
 
 TraceFn = Callable[[str], None]
@@ -348,6 +352,37 @@ def _relaxation(instance: BInstance) -> UniformSpec:
     return tuple(spec)
 
 
+def _rounded(instance: BInstance, relaxed: Matching) -> UniformSpec:
+    """R': per vertex v, a run of b(v) next to d = deg_R(v) in the
+    relaxation's answer R, loops counting 2.  Where d lies in b(v), the
+    longer of b(v)'s maximal dense run and maximal parity run through d,
+    the dense run on a tie; where it does not, d sits on a gap of length
+    one and R'(v) is the maximal parity run through d - 1 and d + 1.  Every
+    R'(v) lies in b(v), so every matching of R' is a B-matching."""
+    spec: list[VertexSpec] = []
+    for v, d in enumerate(degrees(instance.graph, relaxed)):
+        values = set(instance.b(v).values)
+        if d in values:
+            dense = _run(values, d, d, 1)
+            parity = _run(values, d, d, 2)
+            longer = (parity[1] - parity[0]) // 2 + 1 > dense[1] - dense[0] + 1
+            spec.append(ParityInterval(*parity) if longer else Interval(*dense))
+        else:
+            spec.append(ParityInterval(*_run(values, d - 1, d + 1, 2)))
+    return tuple(spec)
+
+
+def _run(values: set[int], lo: int, hi: int, step: int) -> tuple[int, int]:
+    """The ends of the longest run lo - k*step, ..., hi + k*step of values
+    through lo and hi."""
+    assert lo in values and hi in values
+    while lo - step in values:
+        lo -= step
+    while hi + step in values:
+        hi += step
+    return lo, hi
+
+
 def solve(
     instance: BInstance,
     *,
@@ -361,15 +396,19 @@ def solve(
     then at most once included.  Inside that budget it gives a start M or
     a "no", and the first certificate that holds ends the run:
     - M reaches the degree-sum bound of every B-matching (`_pin_values`);
-    - one solve of the relaxation `_relaxation` gives a B-matching, optimal
-      by the relaxation's checked blossom duals;
-    - otherwise the relaxation's weight UB bounds the optimum, and the walk
-      improves M step by step until its value reaches UB or a step finds
-      no improving candidate type.
+    - one solve of the relaxation `_relaxation` gives an answer R that is
+      a B-matching, optimal by the relaxation's checked blossom duals;
+    - otherwise R's weight UB bounds the optimum, and one solve of R's
+      rounding `_rounded`, started from R, gives a B-matching S of weight
+      UB;
+    - otherwise the walk improves the heavier of S and M (M on a tie) step
+      by step until its value reaches UB or a step finds no improving
+      candidate type.
     A search that overruns the budget has begun to backtrack, and the
     relaxation is solved before it goes on.  No solution means no
     B-matching, certified by the blossom solver's checked Tutte barrier;
-    a B-matching is the optimum as above.  Only otherwise does
+    a B-matching is the optimum as above, and otherwise S ends the run or
+    starts the walk.  Only when the rounding has no solution either does
     `find_feasible` run in full, with its own budget, and the walk start
     from its answer.
     The walk's answers do not depend on the UB stop: at UB, the step it
@@ -377,7 +416,8 @@ def solve(
     most |E| iterations; for weight objectives the count is only bounded by
     the weight gap (pseudo-polynomial).  A caller-owned `stats` dict
     receives 'iterations' plus the 'solved', 'cached' and 'pruned'
-    counters; the relaxation counts as one solved candidate.
+    counters; the relaxation and its rounding count as one solved
+    candidate each.
     """
     if stats is None:
         stats = {}
@@ -416,7 +456,21 @@ def solve(
                 f"its answer is a B-matching"
             )
         return relaxed
-    if not in_budget:
+    rounded = solve_uniform(work, _rounded(instance, relaxed), relaxed)
+    stats["solved"] += 1
+    if rounded is not None:
+        assert is_b_matching(instance, rounded)
+        value = matching_weight(work.graph, rounded)
+        if value == bound:
+            if trace is not None:
+                trace(
+                    f"solve: optimal, value from the rounded relaxation reached "
+                    f"the relaxation bound {sign * bound}"
+                )
+            return rounded
+        if matching is None or value > matching_weight(work.graph, matching):
+            matching = rounded
+    if matching is None:
         matching = find_feasible(instance)
         if matching is None:
             if trace is not None:

@@ -50,13 +50,18 @@ def test_solve_text_report(capsys):
     assert any(l.startswith("wall_time_ms ") for l in lines)
 
 
-def test_solve_structured_report(capsys):
-    code, out, _err = run(capsys, "solve", "--input", FIG2, "--format", "structured")
+def test_solve_structured_report(capsys, tmp_path):
+    # An instance where solve walks: the rounded relaxation has no solution,
+    # and one improvement step follows the search's start of size 9.
+    path = tmp_path / "mixed131.bm"
+    assert main(["gen", "--seed", "131", "--n", "8", "--m", "20",
+                 "--profile", "mixed", "--output", str(path)]) == 0
+    code, out, _err = run(capsys, "solve", "--input", str(path), "--format", "structured")
     assert code == 0
     payload = json.loads(out)
     assert payload["status"] == "optimal"
-    assert payload["size"] == 9 == len(payload["edges"])
-    assert payload["weight"] == 9
+    assert payload["size"] == 10 == len(payload["edges"])
+    assert payload["weight"] == 10
     assert payload["iterations"] >= 1
     assert payload["candidates_solved"] >= 1
     assert isinstance(payload["wall_time_ms"], int)
@@ -146,8 +151,9 @@ def test_solve_trace_goes_to_stderr(capsys):
 def test_solve_trace_is_pinned(capsys):
     # The --trace lines of fig2 under every objective and of scale60 under
     # both cardinality objectives, hashed as recorded before the walk ran
-    # every objective as max-weight on signed weights, and again before
-    # solve tried the relaxation first and named its final certificate.
+    # every objective as max-weight on signed weights, again before solve
+    # tried the relaxation first and named its final certificate, and again
+    # before fig2's walks started from the rounded relaxation's answer.
     runs = [("fig2.bm", objective) for objective in OBJECTIVES]
     runs += [("scale60.bm", "max-card"), ("scale60.bm", "min-card")]
     traces = []
@@ -157,7 +163,7 @@ def test_solve_trace_is_pinned(capsys):
         assert code == 0
         traces.append(err)
     digest = hashlib.sha256("\n".join(traces).encode()).hexdigest()
-    assert digest == "5bd5ec2e1b6939640ad51b6a120acdd55da51177aea33a71dd70937904e31a23"
+    assert digest == "f6ab8296d5973684492481b139c83f92b05d4faec5ac177d16efd5e2013dc8ef"
 
 
 def test_solve_min_card(capsys):

@@ -15,6 +15,7 @@ from bmatch.core import (
     DegreeSet,
     Matching,
     MultiGraph,
+    ParityInterval,
     current_type,
     degrees,
     is_b_matching,
@@ -25,6 +26,8 @@ from bmatch.neighbourhood import (
     _as_max_weight,
     _bound,
     _pin_values,
+    _relaxation,
+    _rounded,
     enumerate_candidates,
     find_feasible,
     improvement_step,
@@ -32,6 +35,7 @@ from bmatch.neighbourhood import (
 )
 from bmatch.gen import random_instance
 from bmatch.reduce import (
+    Interval,
     ab_to_pm,
     embed_ab_matching,
     uniform_to_ab,
@@ -238,19 +242,21 @@ def test_solve_answers_are_pinned():
     # relaxation, which may pick another optimum among ties, again before
     # a search that overruns 2|E| nodes asked the relaxation first, and
     # again before the gadget's pool became a path (seed 293, min-card, now
-    # answers with other edges of the same count).
+    # answers with other edges of the same count), and again before solve
+    # rounded the relaxation's answer, whose solve may pick another optimum
+    # among ties or start the walk elsewhere.
     answers, _counters, _values = _pinned_walks()
     digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
-    assert digest == "80e52a610ba1f11f933ce84753e964659b03241d52bae745e75e5ed1fd9558ee"
+    assert digest == "174be3dc2711d657c6965e58c2eac82671d8040c5a083724d0a8277c1a814951"
 
 
 def test_solve_counters_are_pinned():
     # Iterations, solved, cached and pruned per run of the same instances;
     # the relaxation counts as one solve, also where it runs because the
-    # search overran 2|E| nodes.
+    # search overran 2|E| nodes, and so does the solve of its rounding.
     _answers, counters, _values = _pinned_walks()
     digest = hashlib.sha256("\n".join(counters).encode()).hexdigest()
-    assert digest == "31dd017b563d84707b47b13ddb3f089d6e677cfe1258c3646fdfa07afaab6f6e"
+    assert digest == "dc7b22fd173947cab1658c6a8b35998c52bbc137e6ca4624655c2efa431a06d2"
 
 
 def test_solve_values_are_pinned():
@@ -282,33 +288,61 @@ def _full_walk(inst: BInstance) -> Matching | None:
 
 
 def test_relaxation_answers_are_optimal():
-    # An answer taken straight from the relaxation lets no candidate type
-    # improve on it: the walk's own certificate holds for it too.
-    direct = dict.fromkeys(OBJECTIVES, 0)
+    # An answer taken straight from the relaxation, or from the solve of its
+    # rounding, lets no candidate type improve on it: the walk's own
+    # certificate holds for it too.
+    direct = {ending: dict.fromkeys(OBJECTIVES, 0) for ending in ("duals", "rounded")}
     for seed, inst in _pinned_instances():
         got, certificate = _certified(inst)
         if "relaxation's duals" in certificate:
-            assert is_b_matching(inst, got), seed
-            assert improvement_step(inst, got) is None, seed
-            direct[inst.objective] += 1
-    assert min(direct.values()) > 0, direct
+            ending = "duals"
+        elif "from the rounded relaxation" in certificate:
+            ending = "rounded"
+        else:
+            continue
+        assert is_b_matching(inst, got), seed
+        assert improvement_step(inst, got) is None, seed
+        direct[ending][inst.objective] += 1
+    assert min(direct["duals"].values()) > 0, direct
+    assert sum(direct["rounded"].values()) > 0, direct
 
 
-def test_walk_answers_match_the_full_walk():
-    # Where the relaxation's answer is not a B-matching, or the start
-    # already reaches the degree-sum bound, solve returns edge for edge
-    # what the walk without those stops returns.
-    endings = set()
+def test_walk_answers_match_the_full_walk(monkeypatch):
+    # Where solve walks from the feasibility search's matching, or that
+    # matching already reaches the degree-sum bound, solve returns edge for
+    # edge what the walk without those stops returns.  Where it starts from
+    # the rounded relaxation's answer, or returns that answer, it reaches the
+    # full walk's value, and no candidate type improves on its answer.
+    starts = []
+    step = neighbourhood.improvement_step
+
+    def spy(inst, matching, **kwargs):
+        starts.append(matching)
+        return step(inst, matching, **kwargs)
+
+    monkeypatch.setattr(neighbourhood, "improvement_step", spy)
+    endings, checked = set(), {"edges": 0, "value": 0}
     for seed, inst in _pinned_instances():
+        starts.clear()
         got, certificate = _certified(inst)
         if "relaxation's duals" in certificate:
             continue
-        assert got == _full_walk(inst), seed
-        for ending in ("reached the degree-sum bound", "reached the relaxation bound",
-                       "found nothing"):
+        full = _full_walk(inst)
+        from_search = not starts or starts[0] == find_feasible(inst)
+        if from_search and "from the rounded relaxation" not in certificate:
+            assert got == full, seed
+            checked["edges"] += 1
+        else:
+            work, _sign = _as_max_weight(inst)
+            assert matching_weight(work.graph, got) == matching_weight(work.graph, full), seed
+            assert improvement_step(inst, got) is None, seed
+            checked["value"] += 1
+        for ending in ("reached the degree-sum bound", "from the rounded relaxation",
+                       "value reached the relaxation bound", "found nothing"):
             if ending in certificate:
-                endings.add((inst.objective, ending))
-    assert len(endings) == 3 * len(OBJECTIVES), endings
+                endings.add(ending)
+    assert len(endings) == 4, endings
+    assert min(checked.values()) > 0, checked
 
 
 def test_seen_specs_cannot_beat_the_walk():
@@ -600,10 +634,91 @@ def test_relaxation_without_b_matching_falls_back_to_the_full_search(monkeypatch
     assert budgets == [6, None]
 
 
-def test_solve_records_stats(fig2):
+def test_rounding_picks_runs_next_to_the_relaxed_degrees():
+    # R selects edges 0-4: degrees 3, 1, 4 and, from a loop alone, 2.
+    g = MultiGraph(4, (
+        (0, 1, 1), (0, 2, 1), (0, 2, 1), (2, 2, 1), (3, 3, 1),
+        (0, 1, 1), (0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 3, 1),
+    ))
+    sets = ((0, 2, 4, 5), (0, 1, 2, 4), (1, 2, 4, 6), (0, 2, 3))
+    inst = BInstance(g, tuple(DegreeSet(b) for b in sets), "max-card")
+    assert degrees(g, Matching(frozenset(range(5)))) == [3, 1, 4, 2]
+    assert _rounded(inst, Matching(frozenset(range(5)))) == (
+        ParityInterval(0, 4),  # 3 is a gap: the parity run through 2 and 4
+        Interval(0, 2),  # dense run {0, 1, 2} is longer than parity run {1}
+        ParityInterval(2, 6),  # parity run {2, 4, 6} is longer than dense run {4}
+        Interval(2, 3),  # the loop counts 2; runs {2, 3} and {0, 2} tie
+    )
+
+
+def test_rounding_stays_inside_the_degree_sets():
+    missed = 0
+    for seed, inst in _pinned_instances():
+        work, _sign = _as_max_weight(inst)
+        relaxed = solve_uniform(work, _relaxation(inst))
+        if relaxed is None or is_b_matching(inst, relaxed):
+            continue
+        missed += 1
+        for v, run in enumerate(_rounded(inst, relaxed)):
+            lo, hi = (run.a, run.b) if isinstance(run, Interval) else (run.lo, run.hi)
+            assert all(d in inst.b(v) for d in range(lo, hi + 1) if d in run), seed
+    assert missed > 0
+
+
+def planted_mixed(
+    seed: int, n: int, m: int, weights: tuple[int, int], objective: str
+) -> BInstance:
+    """A planted instance as the benchmark draws it with profile "mixed": a
+    random multigraph, a plant that keeps each edge with probability 1/2,
+    and per vertex a degree set grown from the plant's degree, first down
+    and then up, by steps of 1 or 2 while a 0.55 coin allows and the
+    degrees stay in [0, d(v)]."""
+    rng = random.Random(seed)
+    edges = tuple(
+        (rng.randrange(n), rng.randrange(n), rng.randint(*weights)) for _ in range(m)
+    )
+    g = MultiGraph(n, edges)
+    deg = degrees(g, Matching(frozenset(e for e in range(m) if rng.random() < 0.5)))
+    sets = []
+    for v in range(n):
+        values = [deg[v]]
+        while rng.random() < 0.55:
+            lower = values[0] - rng.choice((1, 2))
+            if lower < 0:
+                break
+            values.insert(0, lower)
+        while rng.random() < 0.55:
+            higher = values[-1] + rng.choice((1, 2))
+            if higher > g.degree(v):
+                break
+            values.append(higher)
+        sets.append(DegreeSet(tuple(values)))
+    return BInstance(g, tuple(sets), objective)
+
+
+@pytest.mark.parametrize("objective,value", [("min-weight", 230), ("max-card", 117)])
+def test_rounding_answers_where_the_full_search_overruns(objective, value):
+    # The full feasibility search passes its 1M nodes on this instance, and
+    # the relaxation's answer is not a B-matching.  The rounding's answer
+    # reaches the relaxation bound, so solve needs neither.
+    inst = planted_mixed(1, 80, 200, (1, 9), objective)
+    lines = []
+    got = solve(inst, trace=lines.append)
+    assert is_b_matching(inst, got)
+    got_value = len(got) if objective.endswith("card") else matching_weight(inst.graph, got)
+    assert got_value == value
+    assert lines[-1] == (
+        f"solve: optimal, value from the rounded relaxation reached "
+        f"the relaxation bound {value}"
+    )
+
+
+def test_solve_records_stats():
+    # The rounded relaxation has no solution here, so the walk takes one
+    # step from the search's start of size 9.
     stats = {}
-    best = solve(fig2, stats=stats)
-    assert len(best) == 9
+    best = solve(random_instance(131, 8, 20, profile="mixed"), stats=stats)
+    assert len(best) == 10
     assert stats["iterations"] >= 1
     assert stats["solved"] >= 1
 
