@@ -4,7 +4,10 @@ Sweeps seeded random instances, runs the two reduction stages, and tabulates
 source size against the reduced graph and its pool, plus the blow-up ratio
 of edges.  Useful for judging when the reduction is still worth it.  The
 default `parity` profile pins every degree, so its pool has at most one
-node; `interval` shows the pool's spokes and path grow.
+node.  Under `interval` the pool grows to 2C + pad nodes for the C
+internals that may escape into it, but its edges stay linear: two spokes
+per such internal and a path.  What still grows faster than m are the
+vertex gadgets, (d - a) * d edges at a vertex of degree d.
 
     python3 scripts/gadget_growth.py --profile interval --sizes 6:12 12:30 24:60
 """

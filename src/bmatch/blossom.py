@@ -159,8 +159,12 @@ def _solve(
     dual = [max_w] * n + [0] * n  # slots n..2n-1 hold blossom duals Z
     # slack(k) = P[u] + P[v] - 2*w(k); tight edges have slack 0.
 
+    # The two ends of every edge, for the edge scans.
+    heads = endpoint[::2]
+    tails = endpoint[1::2]
+
     # Greedy start: match tight edges while both ends are free (edge order).
-    for k, u, v in zip(range(m), endpoint[::2], endpoint[1::2]):
+    for k, u, v in zip(range(m), heads, tails):
         if mate[u] == -1 and mate[v] == -1 and weight[k] == max_w:
             mate[u] = 2 * k + 1
             mate[v] = 2 * k
@@ -457,7 +461,7 @@ def _solve(
             delta = -1
             delta_type = 0
             delta_extra = -1
-            for k, u, v in zip(range(m), endpoint[::2], endpoint[1::2]):
+            for k, u, v in zip(range(m), heads, tails):
                 bu = inblossom[u]
                 bv = inblossom[v]
                 if bu == bv:

@@ -10,7 +10,8 @@ type admits a better matching.
 
 All four objectives run as one max-weight problem: each edge weighs its
 objective value (1 or w), negated for the min objectives.  A walk skips the
-specs it solved at earlier steps, whose optima cannot beat where it stands.
+specs it solved at earlier steps, and those inside the rounded relaxation
+below, whose optima cannot beat where it stands.
 
 `solve` walks only when it must.  One uniform relaxation of the instance,
 whose degree sets contain every B(v), is solved before any walk: when its
@@ -162,6 +163,7 @@ def improvement_step(
     matching: Matching,
     *,
     seen: set[UniformSpec] | None = None,
+    rounded: UniformSpec | None = None,
     stats: dict | None = None,
 ) -> Matching | None:
     """Best strictly-improving matching over all candidate types, or None.
@@ -185,9 +187,14 @@ def improvement_step(
     `solve` does: a spec solved at an earlier step has an optimum of at
     most the weight that step reached, the walk's current matching weighs
     at least that much, and only a strictly heavier matching is taken.
-    With the default None, nothing is skipped.  A caller-owned `stats`
-    dict accumulates 'solved', 'cached' and 'pruned' counts; every
-    candidate adds to exactly one of them, the unvisited ones to 'pruned'.
+    With the default None, nothing is skipped.  A candidate whose spec lies
+    inside the spec `rounded` at every vertex counts as cached too, and is
+    skipped unsolved: each of its matchings is one of `rounded`, so its
+    optimum is at most `rounded`'s.  That is exact when `matching` weighs at
+    least `rounded`'s optimum, as on `solve`'s walk once the rounded
+    relaxation has an answer.  A caller-owned `stats` dict accumulates
+    'solved', 'cached' and 'pruned' counts; every candidate adds to exactly
+    one of them, the unvisited ones to 'pruned'.
     """
     work, _sign = _as_max_weight(instance)
     t = current_type(instance, matching)
@@ -217,7 +224,10 @@ def improvement_step(
             break
         visited += 1
         spec = candidates[-cap[1]].spec
-        if spec in seen:
+        if spec in seen or (
+            rounded is not None
+            and all(s.lo in r and s.hi in r for s, r in zip(spec, rounded))
+        ):
             stats["cached"] += 1
             continue
         seen.add(spec)
@@ -403,7 +413,8 @@ def solve(
       UB;
     - otherwise the walk improves the heavier of S and M (M on a tie) step
       by step until its value reaches UB or a step finds no improving
-      candidate type.
+      candidate type.  Where S exists, a candidate inside R's rounding at
+      every vertex counts as cached: its optimum is at most S's weight.
     A search that overruns the budget has begun to backtrack, and the
     relaxation is solved before it goes on.  No solution means no
     B-matching, certified by the blossom solver's checked Tutte barrier;
@@ -456,9 +467,12 @@ def solve(
                 f"its answer is a B-matching"
             )
         return relaxed
-    rounded = solve_uniform(work, _rounded(instance, relaxed), relaxed)
+    rounding: UniformSpec | None = _rounded(instance, relaxed)
+    rounded = solve_uniform(work, rounding, relaxed)
     stats["solved"] += 1
-    if rounded is not None:
+    if rounded is None:
+        rounding = None
+    else:
         assert is_b_matching(instance, rounded)
         value = matching_weight(work.graph, rounded)
         if value == bound:
@@ -487,7 +501,9 @@ def solve(
                 trace(f"solve: optimal, value reached the relaxation bound {sign * bound}")
             return matching
         before = [stats[key] for key in counts]
-        improved = improvement_step(instance, matching, seen=seen, stats=stats)
+        improved = improvement_step(
+            instance, matching, seen=seen, rounded=rounding, stats=stats
+        )
         if trace is not None:
             solved, cached, pruned = (stats[k] - b for k, b in zip(counts, before))
             best = value if improved is None else matching_weight(work.graph, improved)

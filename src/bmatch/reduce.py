@@ -14,11 +14,16 @@ A vertex v of degree d contributes d - a(v) internal nodes joined to all of
 its externals: unselected ends must be absorbed by internals, so at least
 a(v) ends stay on original edges.  b(v) - a(v) of the internals may instead
 escape into a global pool, letting the degree rise up to b(v).  The pool
-absorbs global slack; its size is padded by one node when sum(b) is odd so
-a perfect matching can exist at all.  Its nodes form a weight-0 path
-q1 - q2 - ... - qP: every escaping internal has a spoke to every pool node,
-so k escapees can always take q1..qk, and the pool nodes left over pair
-along the path.
+absorbs global slack.  It is a parity chain: with C pool-connected
+internals, its L = 2C + pad nodes q0 - q1 - ... - q(L-1) lie on one weight-0
+path, and pool-connected internal t has two spokes, to q(2t) and q(2t+1).
+pad = (C + sum(b)) mod 2 keeps the gadget's node count even.  Reading the
+pairs (q(2t), q(2t+1)) from left to right, at most one pool node is
+pending: an escapee flips that state, taking q(2t) when nothing is pending
+and q(2t+1) when q(2t-1) is, and a non-escapee keeps it.  So the pool nodes
+left over pair up along the path exactly when the number of escapees has
+the parity of pad, the escape counts a perfect matching of the gadget can
+have at all.  The chain has 2C spokes and L - 1 path edges, linear in C.
 
 Both stages list the source edges first, each at its own index, and append
 only edges they invent.  That order is the lift: a reduced solution
@@ -114,7 +119,8 @@ class ABInstance:
             internals[v] = list(range(next_id, next_id + count))
             next_id += count
             pool_connected.extend(internals[v][: self.b[v] - self.a[v]])
-        pool_size = sum(self.b[v] - self.a[v] for v in range(n)) + (sum(self.b) % 2)
+        connected = len(pool_connected)
+        pool_size = 2 * connected + (connected + sum(self.b)) % 2
         pool = list(range(next_id, next_id + pool_size))
         next_id += pool_size
         return GadgetLayout(
@@ -165,10 +171,11 @@ def ab_to_pm(ab: ABInstance) -> tuple[MultiGraph, int]:
 
     Reduced edge order: one edge per source edge first (same index, carrying
     the weight), then the vertex gadgets in vertex order (internal-major),
-    then pool spokes (pool-connected-major), then the pool path, whose
-    edge i joins pool nodes i and i+1.  The reduced graph is simple, so it
-    has no loop for the blossom to reject; a source loop contributes two
-    distinct external nodes at its vertex.
+    then the pool spokes, two per pool-connected internal t (to pool nodes
+    2t and 2t+1, in that order), then the pool path, whose edge i joins
+    pool nodes i and i+1.  The reduced graph is simple, so it has no loop
+    for the blossom to reject; a source loop contributes two distinct
+    external nodes at its vertex.
     Node ids follow `ab.layout`.
     """
     layout = ab.layout
@@ -178,10 +185,10 @@ def ab_to_pm(ab: ABInstance) -> tuple[MultiGraph, int]:
         for i in layout.internals_at[v]:
             for x in layout.externals_at[v]:
                 edges.append((i, x, 0))
-    for i in layout.pool_connected:
-        for q in layout.pool:
-            edges.append((i, q, 0))
     pool = layout.pool
+    for t, i in enumerate(layout.pool_connected):
+        edges.append((i, pool[2 * t], 0))
+        edges.append((i, pool[2 * t + 1], 0))
     edges.extend((p, q, 0) for p, q in zip(pool, pool[1:]))
     graph = MultiGraph(layout.node_count, tuple(edges))
     return graph, g.edge_count
@@ -195,7 +202,10 @@ def embed_ab_matching(ab: ABInstance, matching: Matching) -> frozenset[int]:
     A vertex below a(v) first takes unselected loops while its degree d
     stays within b(v).  Then a(v) - d externals stay exposed at a vertex
     below its bounds, d - b(v) internals at one above them, and one pool
-    node if the pool nodes left over are odd in number.  So a feasible
+    node if the number of escapees misses the parity of the pool's pad.
+    Escapees take their pool nodes by the chain's left-to-right state walk,
+    and the pool nodes left over pair along the path, the last one staying
+    exposed if they are odd in number.  So a feasible
     (a,b)-matching maps onto a perfect matching whose lift is `matching`,
     and any other subset onto a start for the perfect-matching solver's
     existence search.  Edge indices follow ab_to_pm's order.
@@ -228,10 +238,17 @@ def embed_ab_matching(ab: ABInstance, matching: Matching) -> frozenset[int]:
         out.extend(block + i * len(externals) + j for i, j in zip(staying, free))
         block += len(layout.internals_at[v]) * len(externals)
         connected += ab.b[v] - ab.a[v]
-    pool = len(layout.pool)
-    # Escapee t takes pool node t; the remaining pool nodes pair up along
-    # the path, whose edge (i, i+1) has index path + i.
-    out.extend(block + c * pool + t for t, c in enumerate(escapes))
-    path = block + connected * pool
-    out.extend(path + i for i in range(len(escapes), pool - 1, 2))
+    # Escapee t takes pool node 2t while no pool node is pending and 2t+1
+    # while one is, and flips that state; the nodes left over pair up in
+    # order, each pair adjacent on the path, whose edge (i, i+1) has index
+    # path + i.
+    taken = set()
+    pending = 0
+    for t in escapes:
+        out.append(block + 2 * t + pending)
+        taken.add(2 * t + pending)
+        pending ^= 1
+    path = block + 2 * connected
+    left = [i for i in range(len(layout.pool)) if i not in taken]
+    out.extend(path + i for i in left[:-1:2])
     return frozenset(out)

@@ -221,7 +221,8 @@ def zero_one_graphs():
 
 
 def relaxation_gadgets():
-    # The gadgets `solve` builds for a relaxation, in both senses: weights
+    # The full-spoke gadgets of the relaxations `solve` solves, in both
+    # senses: weights
     # -3..9 on the source edges, many weight-0 gadget edges.  Among the 156
     # that have a perfect matching, the weighted solves shrink 1011 blossoms
     # around an inner blossom and expand 215 T-blossoms mid-stage.
@@ -230,7 +231,7 @@ def relaxation_gadgets():
         inst = random_instance(
             seed, n, n + seed % 11, profile=PROFILES[seed % 3], weights=(-3, 9)
         )
-        graph, _lift = ab_to_pm(uniform_to_ab(inst, _relaxation(inst))[0])
+        graph = full_spoke_gadget(uniform_to_ab(inst, _relaxation(inst))[0])
         yield graph
         yield MultiGraph(graph.vertex_count, tuple((u, v, -w) for u, v, w in graph.edges))
 
@@ -248,15 +249,25 @@ def test_gadget_tie_breaks_are_pinned():
     assert selection_digest(relaxation_gadgets()) == GADGET_DIGEST
 
 
-def clique_pool_gadget(ab) -> MultiGraph:
-    """ab_to_pm's gadget with its pool path, the last P-1 edges, swapped for
-    the lexicographic clique over the pool: the gadget the seeds below were
-    found on, kept so that they pin the same solver runs."""
+def full_spoke_gadget(ab, clique: bool = False) -> MultiGraph:
+    """The gadget the digests here were recorded on: ab_to_pm's source edges
+    and vertex gadgets, then a pool of C + (sum(b) mod 2) nodes for the C
+    pool-connected internals, a spoke from each of them to every pool node,
+    and the pool path; with clique=True, the lexicographic clique over the
+    pool instead of the path.  Built here so that the digests keep pinning
+    the same solver runs whatever pool ab_to_pm builds."""
+    layout = ab.layout
     graph, _lift = ab_to_pm(ab)
-    pool = ab.layout.pool
-    spokes_end = len(graph.edges) - max(len(pool) - 1, 0)
-    clique = tuple((p, q, 0) for p, q in combinations(pool, 2))
-    return MultiGraph(graph.vertex_count, graph.edges[:spokes_end] + clique)
+    gadgets = sum(
+        len(i) * len(x) for i, x in zip(layout.internals_at, layout.externals_at)
+    )
+    first = 2 * ab.graph.edge_count + sum(len(i) for i in layout.internals_at)
+    connected = layout.pool_connected
+    pool = range(first, first + len(connected) + sum(ab.b) % 2)
+    spokes = tuple((i, q, 0) for i in connected for q in pool)
+    joins = combinations(pool, 2) if clique else zip(pool, pool[1:])
+    edges = graph.edges[: ab.graph.edge_count + gadgets] + spokes
+    return MultiGraph(first + len(pool), edges + tuple((p, q, 0) for p, q in joins))
 
 
 @pytest.mark.parametrize(
@@ -275,7 +286,7 @@ def test_stage_end_discards_every_zero_dual_s_blossom(
     seed, n, m, profile, weights, sign, weight, digest
 ):
     inst = random_instance(seed, n, m, profile=profile, weights=weights)
-    graph = clique_pool_gadget(uniform_to_ab(inst, _relaxation(inst))[0])
+    graph = full_spoke_gadget(uniform_to_ab(inst, _relaxation(inst))[0], clique=True)
     graph = MultiGraph(
         graph.vertex_count, tuple((u, v, sign * w) for u, v, w in graph.edges)
     )

@@ -84,20 +84,21 @@ def test_solve_is_deterministic_up_to_wall_time(capsys):
 
 
 # Answered straight from the relaxation: the same size as the walk's answer
-# (88), other edges among the ties.
+# (88), other edges among the ties, chosen again when the gadget's pool
+# became a parity chain.
 SCALE60_REPORT = [
     "status optimal",
     "size 88",
     "weight 88",
     "edges "
-    "0 1 2 4 5 6 7 9 12 13 14 17 18 20 23 24 26 27 28 29 "
-    "31 32 33 34 37 38 40 43 44 45 46 49 52 53 57 58 59 61 62 63 "
-    "64 66 68 69 70 71 72 73 75 80 82 85 90 91 92 94 95 96 100 104 "
+    "1 2 4 5 6 7 9 12 13 14 17 18 20 23 24 26 27 28 29 31 "
+    "32 33 34 37 38 40 43 44 45 46 49 52 53 57 58 59 61 62 63 64 "
+    "66 68 69 70 71 72 73 75 76 80 82 85 90 91 92 94 95 96 100 104 "
     "105 106 107 108 111 113 114 115 117 118 120 124 125 127 129 130 132 133 135 136 "
     "137 138 141 142 143 144 146 147",
     "degrees "
-    "2 1 0 4 1 5 9 1 5 1 3 1 1 2 1 7 3 2 1 2 3 1 1 6 3 1 5 0 4 2 "
-    "4 0 6 6 3 5 5 5 1 1 1 1 4 1 7 2 2 1 6 5 6 2 2 1 1 5 5 1 5 4",
+    "2 1 0 4 1 5 9 1 5 1 3 1 1 2 1 7 2 2 1 2 3 1 1 6 3 1 5 0 4 2 "
+    "4 0 6 6 3 5 5 6 1 1 1 1 4 1 7 2 2 1 6 5 6 2 2 1 1 5 5 1 5 4",
     "iterations 0",
     "candidates_solved 1",
     "wall_time_ms T",
@@ -152,8 +153,10 @@ def test_solve_trace_is_pinned(capsys):
     # The --trace lines of fig2 under every objective and of scale60 under
     # both cardinality objectives, hashed as recorded before the walk ran
     # every objective as max-weight on signed weights, again before solve
-    # tried the relaxation first and named its final certificate, and again
-    # before fig2's walks started from the rounded relaxation's answer.
+    # tried the relaxation first and named its final certificate, again
+    # before fig2's walks started from the rounded relaxation's answer, and
+    # again before the walks counted candidates inside the rounding as
+    # cached (fig2 max-card and max-weight: 1 solved -> 1 cached).
     runs = [("fig2.bm", objective) for objective in OBJECTIVES]
     runs += [("scale60.bm", "max-card"), ("scale60.bm", "min-card")]
     traces = []
@@ -163,7 +166,7 @@ def test_solve_trace_is_pinned(capsys):
         assert code == 0
         traces.append(err)
     digest = hashlib.sha256("\n".join(traces).encode()).hexdigest()
-    assert digest == "f6ab8296d5973684492481b139c83f92b05d4faec5ac177d16efd5e2013dc8ef"
+    assert digest == "8c1ae849ad7d974fd5efdb7fd02116e6219331a295328696728cf258e6db53bd"
 
 
 def test_solve_min_card(capsys):
@@ -506,6 +509,9 @@ def test_gadget_output_is_byte_identical(capsys, uniform_file, tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
+# The ab and pm dumps.  The interval pm dumps were re-recorded when the pool
+# became a parity chain; the parity specs pin every degree, so their
+# gadgets have no pool.
 GADGET_SHA256 = {
     ("parity", 1, 4, 7): (
         "8729c088895c05f09ef324cf5c673195577a6af3c765921acde4d76425428661",
@@ -517,11 +523,11 @@ GADGET_SHA256 = {
     ),
     ("interval", 2, 5, 9): (
         "7fe87253ec19c260e0b350ba563d5ff2503dbf8cddb54a0bcd8503d2d8262c3e",
-        "8ac4d706916dd636ba1c4a1ca486bdd914d8474e0baba49670b10511b29b26a4",
+        "c458dff29485fd7fa70b5fe1f22a33405c29a56f4e965f26c827b8cf3f0d1660",
     ),
     ("interval", 4, 8, 20): (
         "d4f84a69aa283b8836a9394567ecb3c2b937859cea4d9cd864a16ab8747d3683",
-        "ad8107291460245dbe65d1435e3578c3732ebfc6b25e4588ef4f06b3d17db2f5",
+        "af33542663ff4d846f6a2244fad8a30d5d9912b521caa1b74ca2643a254aa33a",
     ),
 }
 

@@ -244,19 +244,23 @@ def test_solve_answers_are_pinned():
     # again before the gadget's pool became a path (seed 293, min-card, now
     # answers with other edges of the same count), and again before solve
     # rounded the relaxation's answer, whose solve may pick another optimum
-    # among ties or start the walk elsewhere.
+    # among ties or start the walk elsewhere, and again before the pool
+    # became a parity chain, whose gadgets tie-break differently.
     answers, _counters, _values = _pinned_walks()
     digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
-    assert digest == "174be3dc2711d657c6965e58c2eac82671d8040c5a083724d0a8277c1a814951"
+    assert digest == "c96ea5d21b9521b01f84c555cb5ee240ab17213ecb3561c41938576070cb073a"
 
 
 def test_solve_counters_are_pinned():
     # Iterations, solved, cached and pruned per run of the same instances;
     # the relaxation counts as one solve, also where it runs because the
     # search overran 2|E| nodes, and so does the solve of its rounding.
+    # Re-recorded when the pool became a parity chain (other ties, other
+    # walks) and the walk began to count candidates inside the rounding as
+    # cached.
     _answers, counters, _values = _pinned_walks()
     digest = hashlib.sha256("\n".join(counters).encode()).hexdigest()
-    assert digest == "dc7b22fd173947cab1658c6a8b35998c52bbc137e6ca4624655c2efa431a06d2"
+    assert digest == "6790234f076712399d29421649dd4d2c744a4bc857b814ea5ab12dbf0de4f2d2"
 
 
 def test_solve_values_are_pinned():
@@ -696,21 +700,67 @@ def planted_mixed(
     return BInstance(g, tuple(sets), objective)
 
 
-@pytest.mark.parametrize("objective,value", [("min-weight", 230), ("max-card", 117)])
-def test_rounding_answers_where_the_full_search_overruns(objective, value):
-    # The full feasibility search passes its 1M nodes on this instance, and
-    # the relaxation's answer is not a B-matching.  The rounding's answer
-    # reaches the relaxation bound, so solve needs neither.
+ROUNDED = "solve: optimal, value from the rounded relaxation reached the relaxation bound {}"
+DUALS = "solve: optimal, value {} by the relaxation's duals, its answer is a B-matching"
+
+
+@pytest.mark.parametrize(
+    "objective,value,ending",
+    [("min-weight", 230, ROUNDED), ("max-card", 117, DUALS)],
+    ids=["min-weight-230", "max-card-117"],
+)
+def test_rounding_answers_where_the_full_search_overruns(objective, value, ending):
+    # The full feasibility search passes its 1M nodes on this instance.
+    # Under min-weight the relaxation's answer is not a B-matching, and the
+    # rounding's answer reaches the relaxation bound, so solve needs neither.
+    # Under max-card the relaxation's answer, one of its tied optima, is
+    # itself a B-matching.
     inst = planted_mixed(1, 80, 200, (1, 9), objective)
     lines = []
     got = solve(inst, trace=lines.append)
     assert is_b_matching(inst, got)
     got_value = len(got) if objective.endswith("card") else matching_weight(inst.graph, got)
     assert got_value == value
-    assert lines[-1] == (
-        f"solve: optimal, value from the rounded relaxation reached "
-        f"the relaxation bound {value}"
-    )
+    assert lines[-1] == ending.format(value)
+
+
+def test_wide_hull_relaxation_gadget_is_linear():
+    # B(v) = [0, d(v)] at every vertex: the relaxation is B itself, with
+    # 800 pool-connected internals.  A pool with a spoke from each of them
+    # to each pool node had 646,029 edges here; the parity chain has two
+    # spokes per internal.
+    g = random_instance(0, 160, 400, profile="interval").graph
+    sets = tuple(DegreeSet(tuple(range(g.degree(v) + 1))) for v in range(160))
+    inst = BInstance(g, sets, "max-card")
+    ab, _source_edges = uniform_to_ab(inst, _relaxation(inst))
+    reduced, _source_edges = ab_to_pm(ab)
+    assert len(ab.layout.pool_connected) == 800
+    assert (reduced.vertex_count, len(reduced.edges)) == (3200, 8429)
+    lines = []
+    got = solve(inst, trace=lines.append)
+    assert len(got) == 400
+    assert lines[-1] == DUALS.format(400)
+
+
+@pytest.mark.parametrize("seed,solved,unskipped", [(384572382, 3, 4), (586867545, 3, 5)])
+def test_walk_skips_candidates_inside_the_rounding(monkeypatch, seed, solved, unskipped):
+    # The rounded relaxation's answer S starts this walk at the optimum, and
+    # its final step visits candidates whose specs lie inside R', with
+    # optima of at most w(S): they count as cached.  A walk that solves
+    # them returns the same matching with more solves.
+    inst = planted_mixed(seed, 5, 30, (1, 9), "min-weight")
+    stats = {}
+    got = solve(inst, stats=stats)
+    step = neighbourhood.improvement_step
+
+    def unskipped_step(inst, matching, **kwargs):
+        return step(inst, matching, **dict(kwargs, rounded=None))
+
+    monkeypatch.setattr(neighbourhood, "improvement_step", unskipped_step)
+    plain = {}
+    assert solve(inst, stats=plain) == got
+    assert (stats["solved"], plain["solved"]) == (solved, unskipped)
+    assert stats["cached"] - plain["cached"] == unskipped - solved
 
 
 def test_solve_records_stats():

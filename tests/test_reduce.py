@@ -175,8 +175,9 @@ def test_gadget_layout_bounds_check():
 
 
 def test_gadget_edge_count_and_pool_path():
-    # Source edges, the vertex gadgets' (d - a) * d, the C * P spokes from
-    # the C pool-connected internals, and a pool path of P - 1 edges.
+    # Source edges, the vertex gadgets' (d - a) * d, two spokes from each of
+    # the C pool-connected internals, and a pool path of L - 1 edges over
+    # L = 2C + pad pool nodes, pad = (C + sum(b)) mod 2.
     rng = random.Random(5)
     long_pools = 0
     for _ in range(100):
@@ -184,18 +185,45 @@ def test_gadget_edge_count_and_pool_path():
         g = ab.graph
         reduced, _source_edges = ab_to_pm(ab)
         pool = ab.layout.pool
-        connected = sum(b - a for a, b in zip(ab.a, ab.b))
+        connected = ab.layout.pool_connected
+        c = sum(b - a for a, b in zip(ab.a, ab.b))
+        assert len(connected) == c
+        assert len(pool) == 2 * c + (c + sum(ab.b)) % 2
         vertex_gadgets = sum(
             (g.degree(v) - ab.a[v]) * g.degree(v) for v in range(g.vertex_count)
         )
         path = max(len(pool) - 1, 0)
-        assert len(reduced.edges) == (
-            g.edge_count + vertex_gadgets + connected * len(pool) + path
+        assert len(reduced.edges) == g.edge_count + vertex_gadgets + 2 * c + path
+        spokes = reduced.edges[g.edge_count + vertex_gadgets :][: 2 * c]
+        assert spokes == tuple(
+            (i, pool[2 * t + k], 0) for t, i in enumerate(connected) for k in (0, 1)
         )
         tail = reduced.edges[len(reduced.edges) - path :]
         assert tail == tuple((p, q, 0) for p, q in zip(pool, pool[1:]))
         long_pools += len(pool) >= 3
     assert long_pools > 20
+
+
+@pytest.mark.parametrize("pad", [0, 1])
+def test_chain_pairs_up_exactly_at_the_pad_parity(pad):
+    # Vertex 0 has C pool-connected internals; vertex 1 has none.  The pool
+    # with the escapees S ⊆ {0..C-1} left in, every other internal taken
+    # by its own vertex gadget, has a perfect matching iff |S| = pad mod 2.
+    for c in range(7):
+        g = MultiGraph(2, ((0, 1, 0),) * (c + 1))
+        ab = ABInstance(g, (pad, 0), (pad + c, 0))
+        assert len(ab.layout.pool) == 2 * c + pad
+        reduced, _source_edges = ab_to_pm(ab)
+        pool = set(ab.layout.pool)
+        chain = [(u, v) for u, v, _w in reduced.edges if u in pool or v in pool]
+        for k in range(c + 1):
+            for escapees in combinations(ab.layout.pool_connected, k):
+                index = {x: i for i, x in enumerate(sorted(pool | set(escapees)))}
+                left = MultiGraph(len(index), tuple(
+                    (index[u], index[v], 0) for u, v in chain if u in index and v in index
+                ))
+                found = next(all_perfect_matchings(left), None) is not None
+                assert found == (k % 2 == pad)
 
 
 def test_embed_then_lift_roundtrip():
