@@ -44,12 +44,7 @@ from bmatch.oracle import (
     oracle_optimum,
     run_verification_suite,
 )
-from bmatch.reduce import (
-    BadSpec,
-    Interval,
-    ab_to_pm,
-    uniform_to_ab,
-)
+from bmatch.reduce import BadSpec, ab_to_pm, uniform_to_ab
 from bmatch.structure import apply, extract_canonical_sequence, weight_of
 from bmatch.uniform import spec_of_instance
 
@@ -294,10 +289,8 @@ def cmd_gadget(args: argparse.Namespace) -> int:
     if args.stage == "uniform":
         comments = ["stage uniform"]
         for v, s in enumerate(spec):
-            if isinstance(s, Interval):
-                comments.append(f"vertex {v} interval {s.a}..{s.b}")
-            else:
-                comments.append(f"vertex {v} parity {s.lo}..{s.hi}")
+            shape = "interval" if s.step == 1 else "parity"
+            comments.append(f"vertex {v} {shape} {s[0]}..{s[-1]}")
         _write(args.output, format_instance(instance, comments))
         return EXIT_OK
     ab, source_edges = uniform_to_ab(instance, spec)

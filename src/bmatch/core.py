@@ -104,23 +104,6 @@ class DegreeSet:
 
 
 @dataclass(frozen=True)
-class ParityInterval:
-    """The set {lo, lo+2, ..., hi}; lo and hi share parity."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.lo <= self.hi):
-            raise ValueError(f"bad parity interval [{self.lo}, {self.hi}]")
-        if (self.hi - self.lo) % 2 != 0:
-            raise ValueError(f"parity interval ends {self.lo}, {self.hi} differ in parity")
-
-    def __contains__(self, k: int) -> bool:
-        return self.lo <= k <= self.hi and (k - self.lo) % 2 == 0
-
-
-@dataclass(frozen=True)
 class BInstance:
     """A multigraph, one degree set per vertex, and an objective sense."""
 
@@ -142,16 +125,16 @@ class BInstance:
         )
 
     @cached_property
-    def _intervals(self) -> tuple[tuple[ParityInterval, ...], ...]:
+    def _intervals(self) -> tuple[tuple[range, ...], ...]:
         return tuple(parity_intervals(b) for b in self._effective)
 
     def b(self, v: int) -> DegreeSet:
         """Degree set of v intersected with the attainable range [0, d_G(v)]."""
         return self._effective[v]
 
-    def intervals(self, v: int) -> tuple[ParityInterval, ...]:
-        """Parity intervals of b(v) in increasing order; raises ValueError
-        when b(v) has a gap longer than 1."""
+    def intervals(self, v: int) -> tuple[range, ...]:
+        """Parity intervals of b(v) in increasing order, each a range of step
+        2; raises ValueError when b(v) has a gap longer than 1."""
         return self._intervals[v]
 
 
@@ -217,8 +200,9 @@ def validate(instance: BInstance) -> list[ValidationIssue]:
 # -- parity intervals ----------------------------------------------------------
 
 
-def parity_intervals(b: DegreeSet) -> tuple[ParityInterval, ...]:
-    """Split a gap-free degree set into maximal same-parity runs.
+def parity_intervals(b: DegreeSet) -> tuple[range, ...]:
+    """Split a gap-free degree set into maximal same-parity runs, each the
+    range(lo, hi + 1, 2).
 
     A run extends while consecutive values differ by exactly 2; a difference
     of 1 starts a new run.  For valid sets (gap at most 1) these runs
@@ -226,7 +210,7 @@ def parity_intervals(b: DegreeSet) -> tuple[ParityInterval, ...]:
     """
     if len(b) == 0:
         return ()
-    out: list[ParityInterval] = []
+    out: list[range] = []
     lo = hi = b.values[0]
     for x in b.values[1:]:
         if x - hi > 2:
@@ -234,9 +218,9 @@ def parity_intervals(b: DegreeSet) -> tuple[ParityInterval, ...]:
         if x - hi == 2:
             hi = x
         else:
-            out.append(ParityInterval(lo, hi))
+            out.append(range(lo, hi + 1, 2))
             lo = hi = x
-    out.append(ParityInterval(lo, hi))
+    out.append(range(lo, hi + 1, 2))
     return tuple(out)
 
 

@@ -36,13 +36,12 @@ from bmatch.core import (
     BInstance,
     Matching,
     MultiGraph,
-    ParityInterval,
     current_type,
     degrees,
     is_b_matching,
     matching_weight,
 )
-from bmatch.reduce import Interval, UniformSpec, VertexSpec
+from bmatch.reduce import UniformSpec
 from bmatch.uniform import shape_of, solve_uniform
 
 TraceFn = Callable[[str], None]
@@ -58,14 +57,15 @@ class CandidateType:
 
     moves lists (vertex, interval offset) for the deviating vertices W:
     empty for the same-type candidate, one (w, ±2) move, or two (w, ±1)
-    moves; pins holds the parity interval each of them moves to.  base pins
-    every vertex to its current interval and is shared by all candidates of
-    one step, so a candidate costs O(1) memory until its spec is built.
+    moves; pins holds the parity interval (a range of step 2) each of them
+    moves to.  base pins every vertex to its current interval and is shared
+    by all candidates of one step, so a candidate costs O(1) memory until
+    its spec is built.
     """
 
     moves: tuple[tuple[int, int], ...]
-    pins: tuple[ParityInterval, ...]
-    base: tuple[ParityInterval, ...] = field(repr=False)
+    pins: tuple[range, ...]
+    base: tuple[range, ...] = field(repr=False)
 
     @property
     def deviating(self) -> frozenset[int]:
@@ -139,7 +139,7 @@ def _pin_values(work: BInstance) -> list[list[int]]:
     for v, weights in enumerate(ends):
         weights.sort(reverse=True)
         prefix = list(accumulate(weights, initial=0))
-        out.append([max(prefix[p.lo : p.hi + 1 : 2]) for p in work.intervals(v)])
+        out.append([max(prefix[p.start : p.stop : 2]) for p in work.intervals(v)])
     return out
 
 
@@ -192,9 +192,10 @@ def improvement_step(
     skipped unsolved: each of its matchings is one of `rounded`, so its
     optimum is at most `rounded`'s.  That is exact when `matching` weighs at
     least `rounded`'s optimum, as on `solve`'s walk once the rounded
-    relaxation has an answer.  A caller-owned `stats` dict accumulates
-    'solved', 'cached' and 'pruned' counts; every candidate adds to exactly
-    one of them, the unvisited ones to 'pruned'.
+    relaxation has an answer, and also when `rounded` has no solution at
+    all: then no candidate inside it has one either.  A caller-owned
+    `stats` dict accumulates 'solved', 'cached' and 'pruned' counts; every
+    candidate adds to exactly one of them, the unvisited ones to 'pruned'.
     """
     work, _sign = _as_max_weight(instance)
     t = current_type(instance, matching)
@@ -226,7 +227,7 @@ def improvement_step(
         spec = candidates[-cap[1]].spec
         if spec in seen or (
             rounded is not None
-            and all(s.lo in r and s.hi in r for s, r in zip(spec, rounded))
+            and all(s[0] in r and s[-1] in r for s, r in zip(spec, rounded))
         ):
             stats["cached"] += 1
             continue
@@ -358,7 +359,7 @@ def _relaxation(instance: BInstance) -> UniformSpec:
     for v in range(instance.graph.vertex_count):
         values = instance.b(v).values
         shape = shape_of(values)
-        spec.append(Interval(values[0], values[-1]) if shape is None else shape)
+        spec.append(range(values[0], values[-1] + 1) if shape is None else shape)
     return tuple(spec)
 
 
@@ -369,28 +370,27 @@ def _rounded(instance: BInstance, relaxed: Matching) -> UniformSpec:
     the dense run on a tie; where it does not, d sits on a gap of length
     one and R'(v) is the maximal parity run through d - 1 and d + 1.  Every
     R'(v) lies in b(v), so every matching of R' is a B-matching."""
-    spec: list[VertexSpec] = []
+    spec: list[range] = []
     for v, d in enumerate(degrees(instance.graph, relaxed)):
         values = set(instance.b(v).values)
         if d in values:
             dense = _run(values, d, d, 1)
             parity = _run(values, d, d, 2)
-            longer = (parity[1] - parity[0]) // 2 + 1 > dense[1] - dense[0] + 1
-            spec.append(ParityInterval(*parity) if longer else Interval(*dense))
+            spec.append(parity if len(parity) > len(dense) else dense)
         else:
-            spec.append(ParityInterval(*_run(values, d - 1, d + 1, 2)))
+            spec.append(_run(values, d - 1, d + 1, 2))
     return tuple(spec)
 
 
-def _run(values: set[int], lo: int, hi: int, step: int) -> tuple[int, int]:
-    """The ends of the longest run lo - k*step, ..., hi + k*step of values
-    through lo and hi."""
+def _run(values: set[int], lo: int, hi: int, step: int) -> range:
+    """The longest run lo - k*step, ..., hi + k*step of values through lo
+    and hi."""
     assert lo in values and hi in values
     while lo - step in values:
         lo -= step
     while hi + step in values:
         hi += step
-    return lo, hi
+    return range(lo, hi + 1, step)
 
 
 def solve(
@@ -413,8 +413,9 @@ def solve(
       UB;
     - otherwise the walk improves the heavier of S and M (M on a tie) step
       by step until its value reaches UB or a step finds no improving
-      candidate type.  Where S exists, a candidate inside R's rounding at
-      every vertex counts as cached: its optimum is at most S's weight.
+      candidate type.  A candidate inside R's rounding at every vertex
+      counts as cached: its optimum is at most S's weight, or it has no
+      solution when the rounding has none.
     A search that overruns the budget has begun to backtrack, and the
     relaxation is solved before it goes on.  No solution means no
     B-matching, certified by the blossom solver's checked Tutte barrier;
@@ -467,13 +468,12 @@ def solve(
                 f"its answer is a B-matching"
             )
         return relaxed
-    rounding: UniformSpec | None = _rounded(instance, relaxed)
+    rounding = _rounded(instance, relaxed)
     rounded = solve_uniform(work, rounding, relaxed)
     stats["solved"] += 1
-    if rounded is None:
-        rounding = None
-    else:
-        assert is_b_matching(instance, rounded)
+    if rounded is not None:
+        if not is_b_matching(instance, rounded):
+            raise AssertionError("the rounding's answer is not a B-matching")
         value = matching_weight(work.graph, rounded)
         if value == bound:
             if trace is not None:

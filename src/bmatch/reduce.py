@@ -1,12 +1,13 @@
 """Gadget reductions: uniform degree specs to (a,b)-matching, and (a,b)-matching
 to perfect matching on a loopless graph.
 
-A uniform spec is a tuple with one entry per vertex: a dense Interval
-{a, ..., b} or a core.ParityInterval {lo, lo+2, ..., hi}; both answer
-`d in spec[v]`.  The first stage turns a parity interval into plain
-bounds by attaching (hi-lo)/2 weight-0 loops at the vertex and pinning its
-degree to hi; selecting k loops lowers the effective original degree by
-2k, which walks the parity class.
+A uniform spec is a tuple with one range per vertex: a dense run
+range(a, b + 1) or a parity run range(lo, hi + 1, 2).  The reduction reads
+a run by its step, never by equality: a one-element run is both.  The
+first stage turns a parity run into plain bounds by attaching (hi-lo)/2
+weight-0 loops at the vertex and pinning its degree to hi; selecting k
+loops lowers the effective original degree by 2k, which walks the parity
+class.
 
 The second stage is a vertex gadget.  Every edge end becomes an external
 node and each edge joins its two externals, carrying the original weight.
@@ -37,7 +38,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from bmatch.core import BInstance, Matching, MultiGraph, ParityInterval
+from bmatch.core import BInstance, Matching, MultiGraph
 
 
 class BadSpec(ValueError):
@@ -48,23 +49,7 @@ class BoundsError(ValueError):
     """An (a,b) bound exceeds what the vertex degree can support."""
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Admissible degrees {a, a+1, ..., b}."""
-
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.a <= self.b:
-            raise BadSpec(f"bad interval bounds [{self.a}, {self.b}]")
-
-    def __contains__(self, d: int) -> bool:
-        return self.a <= d <= self.b
-
-
-VertexSpec = Interval | ParityInterval
-UniformSpec = tuple[VertexSpec, ...]
+UniformSpec = tuple[range, ...]
 
 
 @dataclass(frozen=True)
@@ -141,8 +126,9 @@ def lift(source_edges: int, solution: Iterable[int]) -> Matching:
 
 
 def uniform_to_ab(instance: BInstance, spec: UniformSpec) -> tuple[ABInstance, int]:
-    """Loop construction: parity intervals become degree-pinned vertices
-    with weight-0 loops; dense intervals turn into bounds directly."""
+    """Loop construction: parity runs become degree-pinned vertices with
+    weight-0 loops; dense runs turn into bounds directly.  Raises BadSpec
+    unless each run is nonempty, has step 1 or 2 and lies in [0, d(v)]."""
     g = instance.graph
     n = g.vertex_count
     if len(spec) != n:
@@ -152,16 +138,13 @@ def uniform_to_ab(instance: BInstance, spec: UniformSpec) -> tuple[ABInstance, i
     loops: list[tuple[int, int, int]] = []
     for v in range(n):
         s = spec[v]
-        if isinstance(s, Interval):
-            if s.b > g.degree(v):
-                raise BadSpec(f"interval bound {s.b} exceeds degree of vertex {v}")
-            a[v], b[v] = s.a, s.b
+        if not s or s.step not in (1, 2) or s[0] < 0 or s[-1] > g.degree(v):
+            raise BadSpec(f"run {s} does not fit vertex {v} of degree {g.degree(v)}")
+        if s.step == 1:
+            a[v], b[v] = s[0], s[-1]
         else:
-            if s.hi > g.degree(v):
-                raise BadSpec(f"parity bound {s.hi} exceeds degree of vertex {v}")
-            for _ in range((s.hi - s.lo) // 2):
-                loops.append((v, v, 0))
-            a[v] = b[v] = s.hi
+            loops.extend((v, v, 0) for _ in range(len(s) - 1))
+            a[v] = b[v] = s[-1]
     reduced = MultiGraph(n, g.edges + tuple(loops))
     return ABInstance(reduced, tuple(a), tuple(b)), g.edge_count
 

@@ -173,27 +173,19 @@ class CanonicalPath(_WalkUnion):
         return tuple(out)
 
 
-def _edges_of(obj) -> frozenset[int]:
-    if hasattr(obj, "edge_set"):
-        return obj.edge_set
-    if hasattr(obj, "selected"):
-        return obj.selected
-    return frozenset(obj)
-
-
 # -- apply / weight ------------------------------------------------------------
 
 
-def apply(matching: Matching, component) -> Matching:
+def apply(matching: Matching, edges: frozenset[int]) -> Matching:
     """Symmetric difference of a matching with an edge set (an involution)."""
-    return Matching(matching.selected ^ _edges_of(component))
+    return Matching(matching.selected ^ edges)
 
 
-def weight_of(instance: BInstance, matching: Matching, component) -> int:
+def weight_of(instance: BInstance, matching: Matching, edges: frozenset[int]) -> int:
     """Weight effect of applying: added edges count +, removed edges count -."""
     g = instance.graph
     total = 0
-    for e in _edges_of(component):
+    for e in edges:
         w = g.edges[e][2]
         total += -w if e in matching else w
     return total
@@ -594,7 +586,7 @@ def _arrange(
 
 
 def canonical_structure(
-    instance: BInstance, matching: Matching, component
+    instance: BInstance, matching: Matching, edges: frozenset[int]
 ) -> CanonicalPath | None:
     """A canonical-path structure over the edge set, or None.
 
@@ -603,16 +595,14 @@ def canonical_structure(
     decomposition into open alternating walks arranges as meta-cycles at the
     endpoints plus a connecting meta-path.
     """
-    edges = _edges_of(component)
     return _arrange(
         instance, matching, edges, _walk_decompositions(instance, matching, edges)
     )
 
 
-def is_canonical(instance: BInstance, matching: Matching, component) -> bool:
+def is_canonical(instance: BInstance, matching: Matching, edges: frozenset[int]) -> bool:
     """Whether the edge set admits a canonical-path structure whose
     application yields a B-matching of neighbouring type."""
-    edges = _edges_of(component)
     if not edges:
         return True
     return canonical_structure(instance, matching, edges) is not None

@@ -1,6 +1,6 @@
 """Exact uniform B-matching solver: compose the two reductions and the
-perfect-matching solver.  A spec is a tuple of one Interval or
-ParityInterval per vertex.  Every stage reads and returns core's types: the
+perfect-matching solver.  A spec is a tuple of one range per vertex, a
+dense run (step 1) or a parity run (step 2).  Every stage reads and returns core's types: the
 reduced graphs are MultiGraphs and the perfect matching is a Matching of
 the last one.  It maximizes weight; a caller that minimizes negates the
 weights first.
@@ -17,12 +17,10 @@ optimum.
 from __future__ import annotations
 
 from bmatch.blossom import max_weight_perfect_matching
-from bmatch.core import BInstance, Matching, ParityInterval, degrees
+from bmatch.core import BInstance, Matching, degrees
 from bmatch.reduce import (
     BadSpec,
-    Interval,
     UniformSpec,
-    VertexSpec,
     ab_to_pm,
     embed_ab_matching,
     lift,
@@ -30,14 +28,14 @@ from bmatch.reduce import (
 )
 
 
-def shape_of(values: tuple[int, ...]) -> VertexSpec | None:
-    """A nonempty increasing degree list as one dense Interval or one
-    ParityInterval, or None when it is neither."""
+def shape_of(values: tuple[int, ...]) -> range | None:
+    """A nonempty increasing degree list as one dense run (step 1) or one
+    parity run (step 2), or None when it is neither."""
     gaps = {b - a for a, b in zip(values, values[1:])}
     if gaps <= {1}:
-        return Interval(values[0], values[-1])
+        return range(values[0], values[-1] + 1)
     if gaps == {2}:
-        return ParityInterval(values[0], values[-1])
+        return range(values[0], values[-1] + 1, 2)
     return None
 
 
@@ -47,7 +45,7 @@ def spec_of_instance(instance: BInstance) -> UniformSpec:
     Raises BadSpec when a vertex fits neither shape; such instances need the
     full neighbouring-type solver rather than a single reduction pass.
     """
-    spec: list[VertexSpec] = []
+    spec: list[range] = []
     for v in range(instance.graph.vertex_count):
         values = instance.b(v).values
         if not values:

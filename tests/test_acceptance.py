@@ -18,7 +18,6 @@ from bmatch.core import (
     DegreeSet,
     Matching,
     MultiGraph,
-    ParityInterval,
     check_certificate,
     degrees,
     is_b_matching,
@@ -41,7 +40,6 @@ from bmatch.oracle import (
 )
 from bmatch.reduce import (
     ABInstance,
-    Interval,
     UniformSpec,
     ab_to_pm,
     lift,
@@ -69,12 +67,12 @@ def random_uniform_instance(rng: random.Random, n: int, m: int):
         d = graph.degree(v)
         if rng.random() < 0.5:
             a = rng.randint(0, d)
-            per_vertex.append(Interval(a, rng.randint(a, d)))
+            per_vertex.append(range(a, rng.randint(a, d) + 1))
         else:
             lo = rng.randint(0, d)
             hi = rng.randrange(lo, d + 1)
             hi -= (hi - lo) % 2
-            per_vertex.append(ParityInterval(lo, hi))
+            per_vertex.append(range(lo, hi + 1, 2))
     return graph, tuple(per_vertex)
 
 
@@ -264,7 +262,7 @@ def test_criterion_04_gadget_soundness_and_pool_parity_on_200():
         assert lift(source_edges, pm.selected) in feasible
         pool = set(ab.layout.pool)
         pms_to_check = [pm.selected]
-        if reduced.vertex_count <= 18:
+        if reduced.vertex_count <= 24:
             found, complete = perfect_matchings(reduced)
             if complete:
                 pms_to_check = found
@@ -276,6 +274,7 @@ def test_criterion_04_gadget_soundness_and_pool_parity_on_200():
                 if (reduced.edges[e][0] in pool) != (reduced.edges[e][1] in pool)
             )
             assert crossing % 2 == sum(ab.a) % 2
+    assert exhaustive >= 100
     print(
         f"criterion 04 PASS: 200 gadgets optimal and pool parity holds "
         f"({exhaustive} checked over every perfect matching)"

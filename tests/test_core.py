@@ -11,7 +11,6 @@ from bmatch.core import (
     Matching,
     MultiGraph,
     NotFeasible,
-    ParityInterval,
     ParseError,
     check_certificate,
     current_type,
@@ -48,16 +47,16 @@ def test_degree_set_membership_and_restrict():
 
 
 def test_parity_intervals_fixed_cases():
-    assert parity_intervals(DegreeSet((0, 2, 4))) == (ParityInterval(0, 4),)
+    assert parity_intervals(DegreeSet((0, 2, 4))) == (range(0, 5, 2),)
     assert parity_intervals(DegreeSet((2, 3, 4, 5))) == (
-        ParityInterval(2, 2),
-        ParityInterval(3, 3),
-        ParityInterval(4, 4),
-        ParityInterval(5, 5),
+        range(2, 3, 2),
+        range(3, 4, 2),
+        range(4, 5, 2),
+        range(5, 6, 2),
     )
     assert parity_intervals(DegreeSet((0, 1, 3, 5))) == (
-        ParityInterval(0, 0),
-        ParityInterval(1, 5),
+        range(0, 1, 2),
+        range(1, 6, 2),
     )
     assert parity_intervals(DegreeSet(())) == ()
 
@@ -80,12 +79,11 @@ def gap_free_sets(draw):
 @given(gap_free_sets())
 def test_parity_intervals_partition(b):
     runs = parity_intervals(b)
-    covered = [x for r in runs for x in range(r.lo, r.hi + 1, 2)]
+    covered = [x for r in runs for x in r]
     assert tuple(covered) == b.values
-    for r in runs:
-        assert r.lo % 2 == r.hi % 2
+    assert all(r and r.step == 2 for r in runs)
     for left, right in zip(runs, runs[1:]):
-        assert left.hi + 1 == right.lo
+        assert left[-1] + 1 == right[0]
 
 
 def star_pair(b: DegreeSet) -> BInstance:
@@ -103,7 +101,7 @@ def test_current_type_indexes_every_member(b):
     for k in b.values:
         (i, _j) = current_type(instance, Matching(frozenset(range(k))))
         iv = parity_intervals(b)[i]
-        assert iv.lo <= k <= iv.hi and (k - iv.lo) % 2 == 0
+        assert k in iv and iv.step == 2
 
 
 def test_current_type_rejects_non_member():

@@ -15,7 +15,6 @@ from bmatch.core import (
     DegreeSet,
     Matching,
     MultiGraph,
-    ParityInterval,
     current_type,
     degrees,
     is_b_matching,
@@ -34,12 +33,7 @@ from bmatch.neighbourhood import (
     solve,
 )
 from bmatch.gen import random_instance
-from bmatch.reduce import (
-    Interval,
-    ab_to_pm,
-    embed_ab_matching,
-    uniform_to_ab,
-)
+from bmatch.reduce import ab_to_pm, embed_ab_matching, uniform_to_ab
 from bmatch.structure import is_neighbouring_type, is_same_uniform_type
 from bmatch.uniform import solve_uniform
 
@@ -648,10 +642,10 @@ def test_rounding_picks_runs_next_to_the_relaxed_degrees():
     inst = BInstance(g, tuple(DegreeSet(b) for b in sets), "max-card")
     assert degrees(g, Matching(frozenset(range(5)))) == [3, 1, 4, 2]
     assert _rounded(inst, Matching(frozenset(range(5)))) == (
-        ParityInterval(0, 4),  # 3 is a gap: the parity run through 2 and 4
-        Interval(0, 2),  # dense run {0, 1, 2} is longer than parity run {1}
-        ParityInterval(2, 6),  # parity run {2, 4, 6} is longer than dense run {4}
-        Interval(2, 3),  # the loop counts 2; runs {2, 3} and {0, 2} tie
+        range(0, 5, 2),  # 3 is a gap: the parity run through 2 and 4
+        range(0, 3),  # dense run {0, 1, 2} is longer than parity run {1}
+        range(2, 7, 2),  # parity run {2, 4, 6} is longer than dense run {4}
+        range(2, 4),  # the loop counts 2; runs {2, 3} and {0, 2} tie
     )
 
 
@@ -664,8 +658,7 @@ def test_rounding_stays_inside_the_degree_sets():
             continue
         missed += 1
         for v, run in enumerate(_rounded(inst, relaxed)):
-            lo, hi = (run.a, run.b) if isinstance(run, Interval) else (run.lo, run.hi)
-            assert all(d in inst.b(v) for d in range(lo, hi + 1) if d in run), seed
+            assert all(d in inst.b(v) for d in run), seed
     assert missed > 0
 
 
@@ -761,6 +754,51 @@ def test_walk_skips_candidates_inside_the_rounding(monkeypatch, seed, solved, un
     assert solve(inst, stats=plain) == got
     assert (stats["solved"], plain["solved"]) == (solved, unskipped)
     assert stats["cached"] - plain["cached"] == unskipped - solved
+
+
+@pytest.mark.parametrize(
+    "seed,n,m,objective,solved,unskipped",
+    [(586, 10, 25, "max-weight", 8, 12), (28, 7, 17, "max-card", 2, 4)],
+)
+def test_walk_skips_candidates_inside_a_rounding_without_solution(
+    monkeypatch, seed, n, m, objective, solved, unskipped
+):
+    # R' has no solution, so neither has any candidate whose spec lies
+    # inside it: those count as cached, and the answer is the same.
+    inst = random_instance(seed, n, m, profile="mixed", weights=(1, 9), objective=objective)
+    work, _sign = _as_max_weight(inst)
+    relaxed = solve_uniform(work, _relaxation(inst))
+    assert solve_uniform(work, _rounded(inst, relaxed), relaxed) is None
+    stats = {}
+    got = solve(inst, stats=stats)
+    step = neighbourhood.improvement_step
+
+    def unskipped_step(inst, matching, **kwargs):
+        return step(inst, matching, **dict(kwargs, rounded=None))
+
+    monkeypatch.setattr(neighbourhood, "improvement_step", unskipped_step)
+    plain = {}
+    assert solve(inst, stats=plain) == got
+    assert (stats["solved"], plain["solved"]) == (solved, unskipped)
+    assert (stats["cached"], plain["cached"]) == (unskipped - solved, 0)
+
+
+def test_rounding_check_raises_under_optimize():
+    # A rounding that returns the relaxation itself gives an answer that is
+    # not a B-matching; with asserts off, solve still refuses it.
+    code = (
+        "import bmatch.neighbourhood as neighbourhood\n"
+        "from bmatch.gen import random_instance\n"
+        "neighbourhood._rounded = lambda inst, _r: neighbourhood._relaxation(inst)\n"
+        "neighbourhood.solve(random_instance(131, 8, 20, profile='mixed'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=src_env(), timeout=60,
+    )
+    assert proc.returncode == 1
+    last = proc.stderr.splitlines()[-1]
+    assert last == "AssertionError: the rounding's answer is not a B-matching"
 
 
 def test_solve_records_stats():

@@ -9,14 +9,12 @@ from bmatch.core import (
     DegreeSet,
     Matching,
     MultiGraph,
-    ParityInterval,
     matching_weight,
 )
 from bmatch.reduce import (
     ABInstance,
     BadSpec,
     BoundsError,
-    Interval,
     ab_to_pm,
     embed_ab_matching,
     lift,
@@ -83,34 +81,37 @@ def random_ab(rng: random.Random, n: int, m: int) -> ABInstance:
 # -- specs --------------------------------------------------------------------
 
 
-def test_spec_constructors_reject_bad_bounds():
-    with pytest.raises(BadSpec):
-        Interval(3, 2)
-    with pytest.raises(BadSpec):
-        Interval(-1, 2)
-    with pytest.raises(ValueError):
-        ParityInterval(2, 5)
-    with pytest.raises(ValueError):
-        ParityInterval(4, 2)
-    assert [d for d in range(7) if d in ParityInterval(1, 5)] == [1, 3, 5]
-    assert [d for d in range(7) if d in Interval(0, 2)] == [0, 1, 2]
+def test_uniform_to_ab_checks_each_run_at_its_bounds():
+    # vertex 0 has degree 5 (a loop and three edges), vertex 1 degree 1
+    g = MultiGraph(4, ((0, 0, 1), (0, 1, 1), (0, 2, 1), (0, 3, 1)))
+    inst = BInstance(g, tuple(DegreeSet((0, 1)) for _ in range(4)), "max-card")
+    rest = (range(0, 2),) * 3
+    for bad in (range(3, 3), range(-1, 2), range(0, 6, 3), range(1, 7), range(2, 7, 2)):
+        with pytest.raises(BadSpec):
+            uniform_to_ab(inst, (bad, *rest))
+    for good in (range(0, 6), range(1, 6, 2), range(5, 6)):
+        assert uniform_to_ab(inst, (good, *rest))[0].b[0] == 5
+    for k in range(6):
+        assert uniform_to_ab(inst, (range(k, k + 1), *rest)) == uniform_to_ab(
+            inst, (range(k, k + 1, 2), *rest)
+        )
 
 
 def test_uniform_to_ab_rejects_mismatched_spec():
     g = MultiGraph(2, ((0, 1, 1),))
     inst = BInstance(g, (DegreeSet((0, 1)), DegreeSet((0, 1))), "max-card")
     with pytest.raises(BadSpec):
-        uniform_to_ab(inst, (Interval(0, 1),))
+        uniform_to_ab(inst, (range(0, 2),))
     with pytest.raises(BadSpec):
-        uniform_to_ab(inst, (Interval(0, 2), Interval(0, 1)))
+        uniform_to_ab(inst, (range(0, 3), range(0, 2)))
     with pytest.raises(BadSpec):
-        uniform_to_ab(inst, (ParityInterval(0, 2), Interval(0, 1)))
+        uniform_to_ab(inst, (range(0, 3, 2), range(0, 2)))
 
 
 def test_uniform_to_ab_interval_is_identity():
     g = MultiGraph(2, ((0, 1, 3),))
     inst = BInstance(g, (DegreeSet((0, 1)), DegreeSet((0, 1))), "max-card")
-    ab, source_edges = uniform_to_ab(inst, (Interval(0, 1), Interval(1, 1)))
+    ab, source_edges = uniform_to_ab(inst, (range(0, 2), range(1, 2)))
     assert ab.graph.edges == g.edges
     assert ab.a == (0, 1) and ab.b == (1, 1)
     assert source_edges == 1
@@ -119,7 +120,7 @@ def test_uniform_to_ab_interval_is_identity():
 def test_uniform_to_ab_parity_pins_to_hi_with_loops():
     g = MultiGraph(1, ((0, 0, 5), (0, 0, 2)))
     inst = BInstance(g, (DegreeSet((0, 2, 4)),), "max-card")
-    ab, source_edges = uniform_to_ab(inst, (ParityInterval(0, 4),))
+    ab, source_edges = uniform_to_ab(inst, (range(0, 5, 2),))
     assert ab.a == (4,) and ab.b == (4,)
     assert ab.graph.edge_count == 4  # two originals + (4 - 0) / 2 gadget loops
     gadgets = range(source_edges, ab.graph.edge_count)
@@ -130,7 +131,7 @@ def test_uniform_to_ab_parity_pins_to_hi_with_loops():
 def test_lift_drops_gadget_edges():
     g = MultiGraph(1, ((0, 0, 5),))
     inst = BInstance(g, (DegreeSet((0, 2)),), "max-card")
-    ab, source_edges = uniform_to_ab(inst, (ParityInterval(0, 2),))
+    ab, source_edges = uniform_to_ab(inst, (range(0, 3, 2),))
     # selecting the original loop and no gadget loop lifts to {0}
     for sel in all_ab_matchings(ab):
         lifted = lift(source_edges, sel)

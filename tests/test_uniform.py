@@ -10,10 +10,9 @@ from bmatch.core import (
     DegreeSet,
     Matching,
     MultiGraph,
-    ParityInterval,
     matching_weight,
 )
-from bmatch.reduce import Interval, UniformSpec
+from bmatch.reduce import UniformSpec
 from bmatch.uniform import solve_uniform
 
 
@@ -51,12 +50,12 @@ def random_uniform(rng: random.Random, n: int, m: int):
         d = graph.degree(v)
         if rng.random() < 0.5:
             a = rng.randint(0, d)
-            per_vertex.append(Interval(a, rng.randint(a, d)))
+            per_vertex.append(range(a, rng.randint(a, d) + 1))
         else:
             lo = rng.randint(0, d)
             hi = rng.randrange(lo, d + 1)
             hi -= (hi - lo) % 2
-            per_vertex.append(ParityInterval(lo, hi))
+            per_vertex.append(range(lo, hi + 1, 2))
     spec = tuple(per_vertex)
     sets = tuple(degree_set_for(s, graph.degree(v)) for v, s in enumerate(per_vertex))
     return BInstance(graph, sets, "max-weight"), spec
@@ -65,14 +64,14 @@ def random_uniform(rng: random.Random, n: int, m: int):
 def test_triangle_exact_degree_one_infeasible():
     g = MultiGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 1)))
     inst = BInstance(g, tuple(DegreeSet((1,)) for _ in range(3)), "max-card")
-    spec = tuple(Interval(1, 1) for _ in range(3))
+    spec = tuple(range(1, 2) for _ in range(3))
     assert solve_uniform(inst, spec) is None
 
 
 def test_square_perfect_matching_weights():
     g = MultiGraph(4, ((0, 1, 5), (1, 2, 1), (2, 3, 5), (3, 0, 1)))
     inst = BInstance(g, tuple(DegreeSet((1,)) for _ in range(4)), "max-weight")
-    spec = tuple(Interval(1, 1) for _ in range(4))
+    spec = tuple(range(1, 2) for _ in range(4))
     best = solve_uniform(inst, spec)
     worst = solve_uniform(negated(inst), spec)
     assert matching_weight(g, best) == 10
@@ -82,7 +81,7 @@ def test_square_perfect_matching_weights():
 def test_parity_spec_walks_the_class():
     g = MultiGraph(2, ((0, 1, 3), (0, 1, 4), (0, 1, -2)))
     inst = BInstance(g, (DegreeSet((0, 2)), DegreeSet((0, 2))), "max-weight")
-    spec = (ParityInterval(0, 2), ParityInterval(0, 2))
+    spec = (range(0, 3, 2), range(0, 3, 2))
     best = solve_uniform(inst, spec)
     assert matching_weight(g, best) == 7
     assert len(best) == 2
@@ -143,11 +142,10 @@ def test_lifted_degree_check_raises_under_optimize():
     code = (
         "import bmatch.uniform as uniform\n"
         "from bmatch.core import BInstance, DegreeSet, Matching, MultiGraph\n"
-        "from bmatch.reduce import Interval\n"
         "uniform.lift = lambda *_args: Matching(frozenset())\n"
         "g = MultiGraph(2, ((0, 1, 1),))\n"
         "inst = BInstance(g, (DegreeSet((1,)), DegreeSet((1,))), 'max-card')\n"
-        "uniform.solve_uniform(inst, (Interval(1, 1), Interval(1, 1)))\n"
+        "uniform.solve_uniform(inst, (range(1, 2), range(1, 2)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
