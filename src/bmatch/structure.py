@@ -18,8 +18,10 @@ neighbouring type.
 
 Recognising a canonical path is one arrangement step, run either over
 every pairing of edge ends (canonical_structure) or over a fixed set of
-walks (the sequence extraction keeps walks whole).  Shrinking to a basic
-path is one loop over the best disqualifying subset, built either way.
+walks.  The sequence extraction keeps walks whole: it searches unions of
+whole walks, smallest first and exactly pruned, so it never gives up on a
+valid pair.  Shrinking to a basic path is one loop over the best
+disqualifying subset, built either way.
 """
 
 from __future__ import annotations
@@ -611,17 +613,6 @@ def is_canonical(instance: BInstance, matching: Matching, edges: frozenset[int])
 # -- canonical-sequence extraction ----------------------------------------------
 
 
-def _end_edge_at(walk: AlternatingWalk, v: int) -> int:
-    """Smallest ending-edge index of the walk at vertex v."""
-    ids = []
-    if walk.vertices[0] == v:
-        ids.append(walk.edges[0])
-    if walk.vertices[-1] == v:
-        ids.append(walk.edges[-1])
-    assert ids, "walk does not end at the requested vertex"
-    return min(ids)
-
-
 def _pool_witness(instance, matching, walks) -> CanonicalPath | None:
     """Canonical-path structure whose constituents are exactly these walks.
 
@@ -698,14 +689,12 @@ def extract_canonical_sequence(
     canonical paths, each canonical for the running matching.
 
     Follows the constructive argument: peel the cycles of a maximal
-    decomposition, then repeatedly grow a candidate from the walk holding
-    the smallest edge, attaching a further walk at a wrong endpoint until
-    the candidate is canonical; a meta-granularity basic subset is applied
-    and the unused walks stay in the pool.  When an attachment closes a
-    meta-cycle at a vertex that is wrong in the candidate but fine in the
-    cycle alone, the cycle is emitted by itself.
+    decomposition, then repeatedly take the smallest union of whole pool
+    walks that holds the walk with the smallest edge and arranges as a
+    canonical path (`_next_component`).  Its meta-granularity basic subset
+    is applied and the union's other walks return to the pool.  The search
+    is exact, so a valid pair never makes it give up.
     """
-    g = instance.graph
     paths, cycles = decompose_symmetric_difference(instance, m, n)
     m_cur = m
     for c in cycles:
@@ -713,106 +702,65 @@ def extract_canonical_sequence(
     assert is_b_matching(instance, m_cur), "cycle peeling must preserve degrees"
     pool = list(paths)
     seq: list[CanonicalPath] = []
-
     while pool:
-        seed = min(pool, key=lambda w: min(w.edges))
-        pool.remove(seed)
-        h = [seed]
-        counts = Counter(seed.endpoints)
-        a, b = seed.endpoints
-        pin = a if a == b else None
-
-        def endpoints_of() -> tuple[int, int]:
-            odd = sorted(v for v, k in counts.items() if k % 2)
-            if odd:
-                assert len(odd) == 2, "candidate must have zero or two odd ends"
-                return odd[0], odd[1]
-            assert pin is not None, "joined candidate lost its pinned endpoint"
-            return pin, pin
-
-        emitted = None
-        while emitted is None:
-            witness = _pool_witness(instance, m_cur, h)
-            if witness is not None:
-                emitted = _pool_basic(instance, m_cur, witness)
-                break
-
-            ends = endpoints_of()
-            e_h = frozenset(e for w in h for e in w.edges)
-            deg_after = degrees(g, apply(m_cur, e_h))
-            wrong = sorted(v for v in set(ends) if deg_after[v] not in instance.b(v))
-            if not wrong:
-                # endpoints fine yet no structure: push on wherever possible
-                wrong = sorted(
-                    v
-                    for v in set(ends)
-                    if any(v in w.endpoints for w in pool)
-                )
-            if not wrong:
-                # raised, not asserted: under -O the loop would never end
-                raise AssertionError("candidate is not canonical and cannot grow")
-            grown = False
-            for v1 in wrong:
-                at_v1 = [w for w in pool if v1 in w.endpoints]
-                if not at_v1:
-                    continue
-                w_new = min(at_v1, key=lambda w: _end_edge_at(w, v1))
-                pool.remove(w_new)
-                h.append(w_new)
-                wa, wb = w_new.endpoints
-                far = wb if wa == v1 else wa
-                prev_far = counts[far]
-                counts.update(w_new.endpoints)
-                if not any(k % 2 for k in counts.values()):
-                    pin = far
-                grown = True
-                if wa != wb and prev_far >= 2:
-                    emitted = _try_cycle_escape(
-                        instance, m_cur, h, w_new, far
-                    )
-                break
-            if not grown:
-                raise AssertionError("no pool walk ends at a wrong endpoint")
-
+        union, emitted = _next_component(instance, m_cur, pool)
         seq.append(emitted)
         m_cur = apply(m_cur, emitted.edge_set)
-        leftover = frozenset(e for w in h for e in w.edges) - emitted.edge_set
-        back = [w for w in h if w.edge_set <= leftover]
+        leftover = frozenset(e for w in union for e in w.edges) - emitted.edge_set
+        back = [w for w in union if w.edge_set <= leftover]
         assert frozenset(e for w in back for e in w.edges) == leftover, (
-            "emitted component must split the candidate along whole walks"
+            "emitted component must split the union along whole walks"
         )
-        pool.extend(back)
+        pool = [w for w in pool if w not in union] + back
 
     assert m_cur.selected == n.selected, "extraction must land on the target"
     return list(cycles), seq
 
 
-def _try_cycle_escape(instance, m_cur, h, w_new, far):
-    """Emit the meta-cycle just closed at `far`, when `far` is wrong in the
-    candidate but its degree may still shift by two.
+def _next_component(instance, m_cur, pool):
+    """The first union of whole pool walks holding the seed (the walk with
+    the smallest edge) that arranges, with its basic subset.
 
-    Growing past this state would strand walk ends at an inner vertex where
-    no canonical shape can place them; the closed cycle alone is canonical.
+    Unions are tried by fewest walks, then fewest edges, then sorted edge
+    list.  The growth is pruned exactly: a union that puts some v outside
+    B(v) grows only by walks that end at the smallest such v (a walk
+    through v leaves its degree alone, so every canonical superset holds
+    one); any other union grows by walks that share an endpoint with it (a
+    canonical path is connected through its junctions).
     """
-    g = instance.graph
-    e_h = frozenset(e for w in h for e in w.edges)
-    deg_after = degrees(g, apply(m_cur, e_h))
-    if deg_after[far] in instance.b(far):
-        return None
-    end_edge = _end_edge_at(w_new, far)
-    sigma = -1 if end_edge in m_cur else 1
-    if degrees(g, m_cur)[far] + 2 * sigma not in instance.b(far):
-        return None
-    pairs = tuple(w.endpoints for w in h)
-    idx_new = len(h) - 1
-    for cyc in _simple_cycles_through(
-        pairs, frozenset(range(len(h))), idx_new, far
-    ):
-        walks = [h[i] for i in cyc]
-        witness = _pool_witness(instance, m_cur, walks)
-        if witness is not None:
-            return witness
-    return None
+    deg = degrees(instance.graph, m_cur)
+
+    def shifts(walks) -> Counter:
+        out: Counter = Counter()
+        for w in walks:
+            for v, e in ((w.vertices[0], w.edges[0]), (w.vertices[-1], w.edges[-1])):
+                out[v] += -1 if e in m_cur else 1
+        return out
+
+    def key(union):
+        edges = sorted(e for w in union for e in w.edges)
+        return len(edges), edges
+
+    seed = min(pool, key=lambda w: min(w.edges))
+    level = {frozenset([seed])}
+    while level:
+        grown = set()
+        for union in sorted(level, key=key):
+            walks = sorted(union, key=lambda w: min(w.edges))
+            bad = [v for v, k in shifts(walks).items() if deg[v] + k not in instance.b(v)]
+            if bad:
+                ends = {min(bad)}
+            else:
+                witness = _pool_witness(instance, m_cur, walks)
+                if witness is not None:
+                    return walks, _pool_basic(instance, m_cur, witness)
+                ends = {v for w in walks for v in w.endpoints}
+            grown.update(
+                union | {w} for w in pool if w not in union and ends & set(w.endpoints)
+            )
+        level = grown
+    # raised, not asserted, so that the check holds under python -O as well
+    raise AssertionError("no union of pool walks holding the seed is canonical")
 
 
 # -- basic-ness ------------------------------------------------------------------

@@ -9,7 +9,16 @@ import sys
 import pytest
 
 from bmatch.cli import build_parser, main
-from bmatch.core import OBJECTIVES, parse_instance, validate
+from bmatch.core import (
+    OBJECTIVES,
+    format_certificate,
+    format_instance,
+    matching_weight,
+    parse_instance,
+    validate,
+)
+from bmatch.gen import random_instance
+from bmatch.neighbourhood import find_feasible, solve
 
 from conftest import FIXTURES, src_env
 
@@ -395,6 +404,26 @@ def test_decompose_structured_weights_sum_to_gap(capsys, tmp_path):
     payload = json.loads(out)
     total = sum(row["weight"] for row in payload["cycles"] + payload["steps"])
     assert total == 9 - 7
+
+
+def test_decompose_max_card_optimum_against_search_start(capsys, tmp_path):
+    # A pair whose canonical sequence needs a union of several whole walks.
+    instance = random_instance(50, 10, 25, profile="mixed")
+    m = find_feasible(instance)
+    n = solve(instance)
+    files = {"in.bm": format_instance(instance),
+             "m.cert": format_certificate(instance.graph, m),
+             "n.cert": format_certificate(instance.graph, n)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, _err = run(capsys, "decompose", "--input", str(tmp_path / "in.bm"),
+                          "--format", "structured",
+                          "--matching-a", str(tmp_path / "m.cert"),
+                          "--matching-b", str(tmp_path / "n.cert"))
+    assert code == 0
+    payload = json.loads(out)
+    total = sum(row["weight"] for row in payload["cycles"] + payload["steps"])
+    assert total == matching_weight(instance.graph, n) - matching_weight(instance.graph, m)
 
 
 def test_decompose_rejects_invalid_certificate(capsys, tmp_path):

@@ -17,7 +17,14 @@ from bmatch.core import (
     is_b_matching,
 )
 from bmatch.gen import random_instance
-from bmatch.oracle import _sample_pair, enumerate_b_matchings, run_verification_suite
+from bmatch.neighbourhood import find_feasible, solve
+from bmatch.oracle import (
+    _sample_pair,
+    enumerate_b_matchings,
+    run_verification_suite,
+    verify_canonical_decomposition,
+)
+from bmatch import structure
 from bmatch.structure import (
     AlternatingWalk,
     NotBasic,
@@ -45,10 +52,11 @@ FULL = frozenset(range(16))
 def escape_instance():
     """Hub with two parallel edges to one neighbour and leaves on each side.
 
-    Extracting the difference with the all-edges matching cannot keep the
-    parallel pair attached to the growing path (the hub would pass through
-    an inadmissible degree), so the pair must be emitted as its own
-    single-cycle canonical path first.
+    The difference with the all-edges matching is four single-edge walks.
+    The seed (edge 0, a leaf edge) leaves the hub at degree 1, outside
+    {0, 2, 4}; the smallest union that holds it and arranges joins the
+    other leaf edge, a path through the hub.  The parallel pair follows as
+    a single-cycle canonical path at the hub.
     """
     g = MultiGraph(4, ((0, 1, 1), (2, 0, 1), (2, 0, 1), (0, 3, 1)))
     sets = (DegreeSet((0, 2, 4)), DegreeSet((0, 1)), DegreeSet((0, 2)), DegreeSet((0, 1)))
@@ -207,18 +215,49 @@ def test_extract_contract_properties(fig2, fig2_m7):
     assert running == M9
 
 
-def test_extract_escape_emits_cycle_step_first():
+def test_extract_escape_emits_leaf_path_then_hub_cycle():
     inst = escape_instance()
     n = Matching(frozenset({0, 1, 2, 3}))
     assert is_b_matching(inst, n)
     cycles, steps = extract_canonical_sequence(inst, EMPTY_MATCHING, n)
     assert cycles == []
     assert [(s.v_first, s.v_last, tuple(sorted(s.edge_set))) for s in steps] == [
-        (0, 0, (1, 2)),
         (1, 3, (0, 3)),
+        (0, 0, (1, 2)),
     ]
-    first = steps[0]
-    assert len(first.cycles_first) == 1 and first.meta_path is None
+    path, cycle = steps
+    assert path.cycles == () and path.meta_path.junctions == (1, 0, 3)
+    assert len(cycle.cycles_first) == 1 and cycle.meta_path is None
+
+
+def test_extract_grows_a_union_only_at_its_outside_vertex(monkeypatch):
+    # A path of k single-edge walks whose inner vertices take {0, 2}: only
+    # the whole path is canonical, and each proper prefix from the seed
+    # leaves one inner vertex at degree 1, so each grows by one walk.
+    k = 60
+    g = MultiGraph(k + 1, tuple((v, v + 1, 1) for v in range(k)))
+    sets = tuple(DegreeSet((0, 1) if v in (0, k) else (0, 2)) for v in range(k + 1))
+    inst = BInstance(g, sets, "max-card")
+    calls = []
+    witness = structure._pool_witness
+
+    def counted(*args):
+        calls.append(args)
+        return witness(*args)
+
+    monkeypatch.setattr(structure, "_pool_witness", counted)
+    cycles, steps = extract_canonical_sequence(inst, EMPTY_MATCHING, Matching(frozenset(range(k))))
+    assert cycles == [] and len(steps) == 1
+    assert steps[0].edge_set == frozenset(range(k))
+    assert len(calls) <= 2 * k
+
+
+@pytest.mark.parametrize("n, seed", [(10, 50), (12, 11), (12, 179), (16, 57)])
+def test_extract_decomposes_max_card_optimum_against_search_start(n, seed):
+    inst = random_instance(seed, n, round(2.5 * n), profile="mixed")
+    m = find_feasible(inst)
+    assert m is not None
+    assert verify_canonical_decomposition(inst, m, solve(inst)) is None
 
 
 def test_extract_requires_feasible_endpoints(fig2, fig2_m7):
@@ -336,22 +375,21 @@ def test_granularity_name_checked(fig2, fig2_m7):
         is_basic(fig2, fig2_m7, s, granularity="bogus")
 
 
-def test_stuck_extraction_raises_under_optimize():
-    # Seed 628708120 reaches a candidate that can neither be emitted nor
-    # grown.  The growth loop must stop there with python -O as well.
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+def test_lemma2_seed_628708120_reports_no_failures(flags):
+    # Index 31 of this seed is a 6-vertex, 4-walk pair whose canonical
+    # sequence needs a union of whole walks that is not grown one wrong
+    # endpoint at a time.
     code = (
         "from bmatch.oracle import run_verification_suite\n"
-        "run_verification_suite('lemma2', 628708120, 100)\n"
+        "report = run_verification_suite('lemma2', 628708120, 100)\n"
+        "print(report.checked, len(report.failures))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
+        [sys.executable, *flags, "-c", code],
         capture_output=True, text=True, env=src_env(), timeout=60,
     )
-    assert proc.returncode == 1
-    assert (
-        "AssertionError: candidate is not canonical and cannot grow"
-        in proc.stderr.splitlines()[-1]
-    )
+    assert (proc.returncode, proc.stdout) == (0, "92 0\n")
 
 
 # -- pinned outputs ---------------------------------------------------------------
@@ -360,7 +398,8 @@ def test_stuck_extraction_raises_under_optimize():
 def pinned_pairs():
     """About 140 seeded feasible pairs, drawn as the verification suites draw
     them but on instances large enough to need meta-cycle arcs and
-    subset shrinking, plus the cycle-escape instance."""
+    subset shrinking, plus the escape instance, whose first union to
+    arrange is not the seed's own walk."""
     profiles = ("mixed", "parity", "interval")
     count = 50
     for seed in range(3):
@@ -427,5 +466,5 @@ def test_verification_suite_reports_are_pinned():
     assert digest.hexdigest() == SUITES_SHA256
 
 
-STRUCTURE_SHA256 = "5da983dc686939c24f9aad3a94b8a8a6877cc9d6d7c67dc55b6721c85e089037"
+STRUCTURE_SHA256 = "c22385c024cc734b037ac05d195b8bc38c299c0a975af78645af556a682aa9bd"
 SUITES_SHA256 = "14df3785480b9edadd87c7b990ffdc453f3d1b2999a3ea8ce0999e6458401a7e"
