@@ -48,10 +48,11 @@ def enumerate_b_matchings(
     """Yield every feasible matching, ordered by edge-index bitmask.
 
     Depth-first over edges from the highest index down, excluding before
-    including, which emits subsets in increasing bitmask order.  Branches
-    are cut when a vertex degree already exceeds its largest admissible
-    value, can no longer reach its smallest, or is finalized outside its
-    set; the cuts never drop a feasible subset.
+    including, which emits subsets in increasing bitmask order.  The
+    choices sit on an explicit stack, so the edge count sets no recursion
+    depth.  Branches are cut when a vertex degree already exceeds its
+    largest admissible value, can no longer reach its smallest, or is
+    finalized outside its set; the cuts never drop a feasible subset.
     """
     g = instance.graph
     m = len(g.edges)
@@ -68,12 +69,16 @@ def enumerate_b_matchings(
     deg = [0] * n
     rem = [g.degree(v) for v in range(n)]
     chosen: list[int] = []
-
-    def walk(i: int) -> Iterator[Matching]:
+    tried: list[bool] = []  # tried[j] is the choice in force at edge m - 1 - j
+    take = False
+    while True:
+        i = m - 1 - len(tried)
         if i < 0:
             yield Matching(frozenset(chosen))
-            return
-        for take in (False, True):
+        else:
+            tried.append(take)
+            if take:
+                chosen.append(i)
             dead = False
             for v, k in slots[i]:
                 rem[v] -= k
@@ -86,17 +91,22 @@ def enumerate_b_matchings(
                 ):
                     dead = True
             if not dead:
-                if take:
-                    chosen.append(i)
-                yield from walk(i - 1)
-                if take:
-                    chosen.pop()
+                take = False
+                continue
+        # undo choices back to the deepest edge still to be tried as taken
+        while tried:
+            take = tried.pop()
+            i = m - 1 - len(tried)
             for v, k in slots[i]:
                 rem[v] += k
                 if take:
                     deg[v] -= k
-
-    yield from walk(m - 1)
+            if not take:
+                break
+            chosen.pop()
+        else:
+            return
+        take = True
 
 
 def _value(instance: BInstance, matching: Matching) -> int:

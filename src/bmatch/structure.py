@@ -17,11 +17,15 @@ connecting meta-path, whose joint application lands on a matching of
 neighbouring type.
 
 Recognising a canonical path is one arrangement step, run either over
-every pairing of edge ends (canonical_structure) or over a fixed set of
-walks.  The sequence extraction keeps walks whole: it searches unions of
-whole walks, smallest first and exactly pruned, so it never gives up on a
-valid pair.  Shrinking to a basic path is one loop over the best
-disqualifying subset, built either way.
+every pairing of edge ends (canonical_structure, one product over the
+per-vertex pairings) or over a fixed set of walks.  The arrangement search
+builds what it finds: its paths and cycles carry their junctions, so the
+meta-paths and meta-cycles come straight out of it, and its path search
+keeps its frames on an explicit stack.  It recurses once per meta-cycle,
+not once per vertex or per walk.  The sequence extraction keeps walks whole:
+it searches unions of whole walks, smallest first and exactly pruned, so
+it never gives up on a valid pair.  Shrinking to a basic path is one loop
+over the best disqualifying subset, built either way.
 """
 
 from __future__ import annotations
@@ -284,7 +288,8 @@ def decompose_symmetric_difference(
     cycles = [
         _follow(g, link, (e, 0), used) for e in diff if e not in used and e in m_one
     ]
-    assert all(e in used for e in diff)
+    if not used.issuperset(diff):
+        raise AssertionError("the walks must cover the symmetric difference")
     if __debug__:
         for w in paths + cycles:
             assert not walk_problems(instance, m_one, w), walk_problems(
@@ -389,48 +394,44 @@ def _walk_decompositions(instance: BInstance, m: Matching, edges: frozenset[int]
 
     Every maximal decomposition pairs matched with unmatched edge ends at
     each vertex, leaving the imbalance free; enumerating the pairings
-    enumerates the decompositions.  Pairings that close a trail are skipped
-    (a canonical path contains no alternating cycles).  Yields tuples of
-    AlternatingWalk.
+    enumerates the decompositions, one pick per vertex in sorted vertex
+    order.  Pairings that close a trail are skipped (a canonical path
+    contains no alternating cycles).  Yields tuples of AlternatingWalk.
     """
     g = instance.graph
     at = _ends_at(g, edges)
     verts = sorted(at)
-    seen = set()
-
-    def rec(i: int, link: dict):
-        if i == len(verts):
-            used: set[int] = set()
-            free = sorted(s for v in verts for s in at[v] if s not in link)
-            walks = [_follow(g, link, s, used) for s in free if s[0] not in used]
-            if len(used) != len(edges):
-                return  # a closed trail remained
-            key = tuple(sorted(tuple(sorted(w.endpoints)) for w in walks))
-            if key not in seen:
-                seen.add(key)
-                yield tuple(walks)
-            return
-        v = verts[i]
+    choices = []
+    for v in verts:
         ms = tuple(s for s in at[v] if s[0] in m)
         ns = tuple(s for s in at[v] if s[0] not in m)
-        for pairing in _pairings(ms, ns):
-            link2 = dict(link)
+        choices.append(_pairings(ms, ns))
+    seen = set()
+    for pick in product(*choices):
+        link = {}
+        for pairing in pick:
             for a, b in pairing:
-                link2[a] = b
-                link2[b] = a
-            yield from rec(i + 1, link2)
-
-    yield from rec(0, {})
+                link[a] = b
+                link[b] = a
+        used: set[int] = set()
+        free = sorted(s for v in verts for s in at[v] if s not in link)
+        walks = [_follow(g, link, s, used) for s in free if s[0] not in used]
+        if len(used) != len(edges):
+            continue  # a closed trail remained
+        key = tuple(sorted(tuple(sorted(w.endpoints)) for w in walks))
+        if key not in seen:
+            seen.add(key)
+            yield tuple(walks)
 
 
 def _shape_partition(walk_edges: tuple, v_first: int, v_last: int):
     """Partition walk-graph edges into simple cycles through v_first or
     v_last plus (for distinct endpoints) one simple path between them.
 
-    walk_edges is a tuple of (a, b) endpoint pairs.  Returns a tuple
-    (path_indices, cycle_groups) of indices into walk_edges, or None.
-    cycle_groups is a tuple of (anchor, indices) with anchor in
-    {v_first, v_last}.
+    walk_edges is a tuple of (a, b) endpoint pairs.  Returns a pair
+    (path, cycle_groups), or None.  path is (indices, junctions) into
+    walk_edges, or None when the endpoints coincide; cycle_groups is a
+    tuple of (anchor, indices, junctions) with anchor in {v_first, v_last}.
     """
     n = len(walk_edges)
 
@@ -440,115 +441,95 @@ def _shape_partition(walk_edges: tuple, v_first: int, v_last: int):
         first = min(remaining)
         for anchor in dict.fromkeys((v_first, v_last)):
             # find simple cycles through anchor containing edge `first`
-            for cyc in _simple_cycles_through(walk_edges, remaining, first, anchor):
+            for cyc, junctions in _simple_cycles_through(
+                walk_edges, remaining, first, anchor
+            ):
                 rest = cycles_only(remaining - frozenset(cyc))
                 if rest is not None:
-                    return ((anchor, tuple(cyc)),) + rest
+                    return ((anchor, cyc, junctions),) + rest
         return None
 
     if v_first == v_last:
         groups = cycles_only(frozenset(range(n)))
-        return None if groups is None else ((), groups)
+        return None if groups is None else (None, groups)
     for path in _simple_paths(walk_edges, frozenset(range(n)), v_first, v_last):
-        groups = cycles_only(frozenset(range(n)) - frozenset(path))
+        groups = cycles_only(frozenset(range(n)) - frozenset(path[0]))
         if groups is not None:
-            return (tuple(path), groups)
+            return (path, groups)
     return None
 
 
 def _simple_paths(walk_edges, allowed: frozenset, src: int, dst: int):
-    """Simple paths src -> dst (distinct junctions) over the walk graph."""
+    """Simple paths src -> dst != src (distinct junctions) over the walk graph.
 
-    def rec(cur: int, remaining: frozenset, visited: frozenset, acc: tuple):
-        if cur == dst:
-            yield acc
-            return
-        for i in sorted(remaining):
+    Yields (walk indices, junctions from src to dst), depth first with the
+    walks out of each junction tried in index order.  Each stack frame holds
+    an iterator over its sorted remaining walks, so a long path costs no
+    recursion.
+    """
+    stack = [(iter(sorted(allowed)), allowed, (), (src,))]
+    while stack:
+        options, remaining, path, junctions = stack[-1]
+        cur = junctions[-1]
+        for i in options:
             a, b = walk_edges[i]
             if cur not in (a, b) or a == b:
                 continue
             nxt = b if a == cur else a
-            if nxt in visited:
+            if nxt in junctions:
                 continue
-            yield from rec(
-                nxt, remaining - {i}, visited | {nxt}, acc + (i,)
-            )
-
-    yield from rec(src, allowed, frozenset([src]), ())
+            if nxt == dst:
+                yield path + (i,), junctions + (nxt,)
+                continue
+            rest = remaining - {i}
+            stack.append((iter(sorted(rest)), rest, path + (i,), junctions + (nxt,)))
+            break
+        else:
+            stack.pop()
 
 
 def _simple_cycles_through(walk_edges, allowed: frozenset, must_use: int, anchor: int):
-    """Simple cycles (distinct junctions) through anchor using edge must_use."""
+    """Simple cycles (distinct junctions) through anchor using edge must_use.
+
+    Yields (walk indices, junctions), starting at must_use; junction i is
+    the vertex that walk i shares with walk i - 1.  A 2-cycle of parallel
+    walks takes must_use's own (a, b) orientation.
+    """
     a, b = walk_edges[must_use]
     if a == b:
         if a == anchor:
-            yield (must_use,)
+            yield (must_use,), (a,)
         return
     remaining = allowed - {must_use}
     if anchor in (a, b):
         start, goal = (b, a) if anchor == a else (a, b)
         # close with a simple path back to the anchor; the path's distinct
         # junctions together with the closing edge keep all junctions distinct
-        for path in _simple_paths(walk_edges, remaining, start, goal):
-            yield (must_use,) + tuple(path)
+        for path, junctions in _simple_paths(walk_edges, remaining, start, goal):
+            ring = (a, b) if len(path) == 1 else (goal,) + junctions[:-1]
+            yield (must_use,) + path, ring
         return
     # anchor elsewhere on the cycle: go a -> anchor -> b, junctions distinct
-    for first in _simple_paths(walk_edges, remaining, a, anchor):
-        used = frozenset(first)
-        visited = _path_vertices(walk_edges, first, a)
-        for second in _simple_paths(walk_edges, remaining - used, anchor, b):
-            if _path_vertices(walk_edges, second, anchor) & (visited - {anchor}):
-                continue
-            yield (must_use,) + tuple(first) + tuple(second)
-
-
-def _path_vertices(walk_edges, path: tuple, start: int) -> frozenset:
-    verts = {start}
-    cur = start
-    for i in path:
-        a, b = walk_edges[i]
-        cur = b if a == cur else a
-        verts.add(cur)
-    return frozenset(verts)
-
-
-def _junction_sequence(walk_edges, cyc: tuple) -> tuple[int, ...]:
-    """Junction vertices of an ordered cycle of walk-graph edges.
-
-    junction[i] is the vertex shared by cyc[i-1] and cyc[i].  Generated
-    cycles are vertex-simple, so consecutive walks share exactly one vertex
-    except for a length-two cycle of parallel walks, whose junctions are the
-    two shared endpoints in either order.
-    """
-    if len(cyc) == 2 and set(walk_edges[cyc[0]]) == set(walk_edges[cyc[1]]):
-        a, b = walk_edges[cyc[0]]
-        return (a, b) if a != b else (a,)
-    out = []
-    for i in range(len(cyc)):
-        common = set(walk_edges[cyc[i - 1]]) & set(walk_edges[cyc[i]])
-        assert len(common) == 1, "consecutive cycle walks must share one junction"
-        out.append(next(iter(common)))
-    return tuple(out)
+    for first, there in _simple_paths(walk_edges, remaining, a, anchor):
+        behind = frozenset(there[:-1])
+        for second, back in _simple_paths(walk_edges, remaining - frozenset(first), anchor, b):
+            if behind.isdisjoint(back):
+                yield (must_use,) + first + second, (b,) + there + back[1:-1]
 
 
 def _structure_from(
     walks: tuple[AlternatingWalk, ...], v_first: int, v_last: int, partition
 ) -> CanonicalPath:
-    path_idx, cycle_groups = partition
-    pairs = tuple(w.endpoints for w in walks)
+    path, cycle_groups = partition
     cycles_first = []
     cycles_last = []
-    for anchor, cyc in cycle_groups:
-        junctions = _junction_sequence(pairs, cyc)
+    for anchor, cyc, junctions in cycle_groups:
         meta = MetaCycle(tuple(walks[i] for i in cyc), junctions)
         (cycles_first if anchor == v_first else cycles_last).append(meta)
     meta_path = None
-    if v_first != v_last:
-        junctions = [v_first]
-        for i in path_idx:
-            a, b = pairs[i]
-            junctions.append(b if a == junctions[-1] else a)
-        meta_path = MetaPath(tuple(walks[i] for i in path_idx), tuple(junctions))
+    if path is not None:
+        indices, junctions = path
+        meta_path = MetaPath(tuple(walks[i] for i in indices), junctions)
     return CanonicalPath(
         v_first, v_last, tuple(cycles_first), tuple(cycles_last), meta_path
     )
@@ -699,7 +680,9 @@ def extract_canonical_sequence(
     m_cur = m
     for c in cycles:
         m_cur = apply(m_cur, c.edge_set)
-    assert is_b_matching(instance, m_cur), "cycle peeling must preserve degrees"
+    # the checks here are raised, not asserted, so they hold under python -O
+    if not is_b_matching(instance, m_cur):
+        raise AssertionError("cycle peeling must preserve degrees")
     pool = list(paths)
     seq: list[CanonicalPath] = []
     while pool:
@@ -708,12 +691,11 @@ def extract_canonical_sequence(
         m_cur = apply(m_cur, emitted.edge_set)
         leftover = frozenset(e for w in union for e in w.edges) - emitted.edge_set
         back = [w for w in union if w.edge_set <= leftover]
-        assert frozenset(e for w in back for e in w.edges) == leftover, (
-            "emitted component must split the union along whole walks"
-        )
+        if frozenset(e for w in back for e in w.edges) != leftover:
+            raise AssertionError("emitted component must split the union along whole walks")
         pool = [w for w in pool if w not in union] + back
-
-    assert m_cur.selected == n.selected, "extraction must land on the target"
+    if m_cur.selected != n.selected:
+        raise AssertionError("extraction must land on the target")
     return list(cycles), seq
 
 

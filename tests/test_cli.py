@@ -318,6 +318,17 @@ def test_oracle_optimum(capsys):
     assert "value 9" in out.splitlines()
 
 
+def test_oracle_answers_on_a_path_longer_than_the_recursion_limit(capsys, tmp_path):
+    n = 1500
+    path = tmp_path / "path.bm"
+    lines = [f"p bm {n} {n - 1}"] + [f"e {v} {v + 1} 1" for v in range(n - 1)]
+    lines += [f"b {v} {1 if v in (0, n - 1) else 2}" for v in range(n)]
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _err = run(capsys, "oracle", "--input", str(path), "--oracle-limit", "5000")
+    assert code == 0
+    assert "value 1499" in out.splitlines()
+
+
 def test_oracle_needs_exactly_one_mode(capsys):
     code, _out, err = run(capsys, "oracle")
     assert code == 1 and "exactly one" in err

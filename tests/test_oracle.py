@@ -114,6 +114,17 @@ def test_oracle_optimum_uses_instance_objective(fig2):
     assert oracle_optimum(inst)[0] == 6
 
 
+def long_path_instance(n: int) -> BInstance:
+    """A path on n vertices where B(v) = {d(v)}: only all edges is feasible."""
+    g = MultiGraph(n, tuple((v, v + 1, 1) for v in range(n - 1)))
+    return BInstance(g, tuple(DegreeSet((g.degree(v),)) for v in range(n)), "max-card")
+
+
+def test_oracle_optimum_walks_more_edges_than_the_recursion_limit():
+    value, witness = oracle_optimum(long_path_instance(1500), limit=5000)
+    assert value == 1499 and witness.selected == frozenset(range(1499))
+
+
 def test_oracle_optimum_infeasible_is_none():
     g = MultiGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 1)))
     inst = BInstance(g, tuple(DegreeSet((1,)) for _ in range(3)), "max-card")

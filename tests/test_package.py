@@ -1,5 +1,8 @@
-"""The package root exports exactly what the README's Python API shows."""
+"""The package root exports exactly what the README's Python API shows, and
+every function the benchmark tracer wraps still exists where it looks."""
 
+import importlib
+import importlib.util
 import re
 
 import bmatch
@@ -29,3 +32,12 @@ def test_exports_match_the_readme():
     imported = re.search(r"from bmatch import ([\w, ]+)", section).group(1)
     named = set(re.findall(r"`(\w+)[`(]", section)) - {"None"}
     assert set(bmatch.__all__) == named | set(imported.replace(" ", "").split(","))
+
+
+def test_every_traced_function_resolves():
+    path = FIXTURES.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, *_rest in tracer.PATCHES:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 import subprocess
 import sys
@@ -170,6 +171,19 @@ def test_meta_path_alone_is_canonical(fig2, fig2_m7):
     assert s is not None and (s.v_first, s.v_last) == (0, 7)
 
 
+def test_long_alternating_path_is_one_meta_path_of_one_walk():
+    # Recognising it picks one pairing of edge ends at each of its 1,202
+    # vertices, more vertices than the recursion limit.
+    k = 1201
+    g = MultiGraph(k + 1, tuple((v, v + 1, 1) for v in range(k)))
+    sets = tuple(DegreeSet((0, 1) if v in (0, k) else (1,)) for v in range(k + 1))
+    inst = BInstance(g, sets, "max-card")
+    s = canonical_structure(inst, Matching(frozenset(range(0, k, 2))), frozenset(range(k)))
+    assert s is not None and s.cycles == ()
+    assert [w.edges for w in s.meta_path.walks] == [tuple(range(k))]
+    assert s.meta_path.junctions == (0, k)
+
+
 def test_figure_eight_splits_into_two_meta_cycles():
     # two parallel pairs through vertex 1: S(1, 1) holds two meta-cycles,
     # each with pairwise distinct junctions of its own
@@ -230,11 +244,12 @@ def test_extract_escape_emits_leaf_path_then_hub_cycle():
     assert len(cycle.cycles_first) == 1 and cycle.meta_path is None
 
 
-def test_extract_grows_a_union_only_at_its_outside_vertex(monkeypatch):
+@pytest.mark.parametrize("k", [60, 1000])
+def test_extract_grows_a_union_only_at_its_outside_vertex(monkeypatch, k):
     # A path of k single-edge walks whose inner vertices take {0, 2}: only
     # the whole path is canonical, and each proper prefix from the seed
-    # leaves one inner vertex at degree 1, so each grows by one walk.
-    k = 60
+    # leaves one inner vertex at degree 1, so each grows by one walk.  At
+    # k = 1000 the path search runs deeper than the recursion limit.
     g = MultiGraph(k + 1, tuple((v, v + 1, 1) for v in range(k)))
     sets = tuple(DegreeSet((0, 1) if v in (0, k) else (0, 2)) for v in range(k + 1))
     inst = BInstance(g, sets, "max-card")
@@ -390,6 +405,54 @@ def test_lemma2_seed_628708120_reports_no_failures(flags):
         capture_output=True, text=True, env=src_env(), timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "92 0\n")
+
+
+ESCAPE_SETUP = (
+    "from bmatch import structure\n"
+    "from bmatch.core import EMPTY_MATCHING, Matching\n"
+    "from test_structure import escape_instance\n"
+    "decompose = structure.decompose_symmetric_difference\n"
+    "component = structure._next_component\n"
+)
+
+# Each patch breaks one part of the extraction of escape_instance(): the
+# first peels a leaf path as if it were a cycle, the second loses the
+# parallel pair, the third claims a union whose edges the emitted component
+# only partly covers.
+WRONG_PARTS = {
+    "cycle peeling must preserve degrees": (
+        "structure.decompose_symmetric_difference = "
+        "lambda *a: ((), decompose(*a)[0][:1])\n"
+    ),
+    "extraction must land on the target": (
+        "structure.decompose_symmetric_difference = lambda *a: "
+        "(tuple(w for w in decompose(*a)[0] if w.edges[0] in (0, 3)), ())\n"
+    ),
+    "emitted component must split the union along whole walks": (
+        "def wrong(*a):\n"
+        "    union, emitted = component(*a)\n"
+        "    cut = structure.AlternatingWalk('path', (min(emitted.edge_set), 1), (0, 1, 2))\n"
+        "    return union + [cut], emitted\n"
+        "structure._next_component = wrong\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("message", list(WRONG_PARTS), ids=["peel", "target", "split"])
+def test_extraction_checks_hold_under_python_O(message):
+    code = (
+        ESCAPE_SETUP + WRONG_PARTS[message]
+        + "structure.extract_canonical_sequence(\n"
+        "    escape_instance(), EMPTY_MATCHING, Matching(frozenset(range(4))))\n"
+    )
+    env = src_env()
+    env["PYTHONPATH"] += os.pathsep + os.path.dirname(__file__)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == f"AssertionError: {message}"
 
 
 # -- pinned outputs ---------------------------------------------------------------
