@@ -104,7 +104,7 @@ def _checked_certificate(instance: BInstance, path: str) -> tuple[Matching, list
 
 def _trace_fn(enabled: bool):
     if not enabled:
-        return None
+        return lambda message: None
     return lambda message: print(message, file=sys.stderr)
 
 
@@ -206,8 +206,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         }
         _report(args.format, payload, lines)
         return EXIT_OK if report.ok else EXIT_NEGATIVE
-    instance = parse_instance(_read(args.input), args.objective or "max-card")
     limit = EDGE_CAP if args.oracle_limit is None else args.oracle_limit
+    if limit < 0:
+        raise UsageError("--oracle-limit must be nonnegative")
+    instance = parse_instance(_read(args.input), args.objective or "max-card")
     best = oracle_optimum(instance, limit=limit)
     payload = {"sense": instance.objective}
     if best is None:

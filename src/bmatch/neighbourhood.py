@@ -396,7 +396,7 @@ def _run(values: set[int], lo: int, hi: int, step: int) -> range:
 def solve(
     instance: BInstance,
     *,
-    trace: TraceFn | None = None,
+    trace: TraceFn = lambda message: None,
     stats: dict | None = None,
 ) -> Matching | None:
     """An optimal B-matching for instance.objective, or None if none exists.
@@ -442,31 +442,27 @@ def solve(
     except SearchBudgetExceeded:
         matching, in_budget = None, False
     if in_budget and matching is None:
-        if trace is not None:
-            trace("solve: infeasible")
+        trace("solve: infeasible")
         return None
     work, sign = _as_max_weight(instance)
     if in_budget:
         value = matching_weight(work.graph, matching)
         if value == sum(max(vals) for vals in _pin_values(work)) // 2:
-            if trace is not None:
-                trace(f"solve: optimal, value {sign * value} reached the degree-sum bound")
+            trace(f"solve: optimal, value {sign * value} reached the degree-sum bound")
             return matching
     relaxed = solve_uniform(work, _relaxation(instance), matching)
     stats["solved"] += 1
     if relaxed is None:
         if in_budget:
             raise AssertionError("the relaxation has no solution, yet a B-matching exists")
-        if trace is not None:
-            trace("solve: infeasible, the relaxation has a Tutte barrier")
+        trace("solve: infeasible, the relaxation has a Tutte barrier")
         return None
     bound = matching_weight(work.graph, relaxed)
     if is_b_matching(instance, relaxed):
-        if trace is not None:
-            trace(
-                f"solve: optimal, value {sign * bound} by the relaxation's duals, "
-                f"its answer is a B-matching"
-            )
+        trace(
+            f"solve: optimal, value {sign * bound} by the relaxation's duals, "
+            f"its answer is a B-matching"
+        )
         return relaxed
     rounding = _rounded(instance, relaxed)
     rounded = solve_uniform(work, rounding, relaxed)
@@ -476,50 +472,44 @@ def solve(
             raise AssertionError("the rounding's answer is not a B-matching")
         value = matching_weight(work.graph, rounded)
         if value == bound:
-            if trace is not None:
-                trace(
-                    f"solve: optimal, value from the rounded relaxation reached "
-                    f"the relaxation bound {sign * bound}"
-                )
+            trace(
+                f"solve: optimal, value from the rounded relaxation reached "
+                f"the relaxation bound {sign * bound}"
+            )
             return rounded
         if matching is None or value > matching_weight(work.graph, matching):
             matching = rounded
     if matching is None:
         matching = find_feasible(instance)
         if matching is None:
-            if trace is not None:
-                trace("solve: infeasible")
+            trace("solve: infeasible")
             return None
     seen: set[UniformSpec] = set()
     iteration = 0
     while True:
         value = matching_weight(work.graph, matching)
-        if trace is not None:
-            trace(f"solve: iteration {iteration}, value {sign * value}")
+        trace(f"solve: iteration {iteration}, value {sign * value}")
         if value == bound:
-            if trace is not None:
-                trace(f"solve: optimal, value reached the relaxation bound {sign * bound}")
+            trace(f"solve: optimal, value reached the relaxation bound {sign * bound}")
             return matching
         before = [stats[key] for key in counts]
         improved = improvement_step(
             instance, matching, seen=seen, rounded=rounding, stats=stats
         )
-        if trace is not None:
-            solved, cached, pruned = (stats[k] - b for k, b in zip(counts, before))
-            best = value if improved is None else matching_weight(work.graph, improved)
-            trace(
-                f"improvement_step: {solved + cached + pruned} candidates, "
-                f"{solved} solved, {cached} cached, "
-                f"{pruned} pruned, best value {sign * best}"
-            )
+        solved, cached, pruned = (stats[k] - b for k, b in zip(counts, before))
+        best = value if improved is None else matching_weight(work.graph, improved)
+        trace(
+            f"improvement_step: {solved + cached + pruned} candidates, "
+            f"{solved} solved, {cached} cached, "
+            f"{pruned} pruned, best value {sign * best}"
+        )
         if improved is None:
-            if trace is not None:
-                trace(
-                    f"solve: optimal, final step found nothing "
-                    f"(relaxation bound {sign * bound})"
-                )
+            trace(
+                f"solve: optimal, final step found nothing "
+                f"(relaxation bound {sign * bound})"
+            )
             return matching
-        assert matching_weight(work.graph, improved) > value
+        assert best > value
         matching = improved
         iteration += 1
         stats["iterations"] = iteration

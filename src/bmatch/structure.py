@@ -20,12 +20,13 @@ Recognising a canonical path is one arrangement step, run either over
 every pairing of edge ends (canonical_structure, one product over the
 per-vertex pairings) or over a fixed set of walks.  The arrangement search
 builds what it finds: its paths and cycles carry their junctions, so the
-meta-paths and meta-cycles come straight out of it, and its path search
-keeps its frames on an explicit stack.  It recurses once per meta-cycle,
-not once per vertex or per walk.  The sequence extraction keeps walks whole:
-it searches unions of whole walks, smallest first and exactly pruned, so
-it never gives up on a valid pair.  Shrinking to a basic path is one loop
-over the best disqualifying subset, built either way.
+meta-paths and meta-cycles come straight out of it.  It is one depth-first
+search, a meta-path and then meta-cycles, whose frames (like its path
+search's) sit on an explicit stack, so nothing here recurses.  One rule,
+`_shift`, says how applying an edge set moves each degree.  The sequence
+extraction keeps walks whole: it searches unions of whole walks, smallest
+first and exactly pruned, so it never gives up on a valid pair.  Shrinking
+to a basic path is one loop over the best disqualifying subset.
 """
 
 from __future__ import annotations
@@ -209,14 +210,24 @@ def shifts_within(
     direction or past the target.
     """
     g = instance.graph
-    base = degrees(g, m)
-    full = degrees(g, n)
-    part = degrees(g, apply(m, edges))
-    for v in range(g.vertex_count):
-        lo, hi = sorted((0, full[v] - base[v]))
-        if not lo <= part[v] - base[v] <= hi:
+    full = _shift(g, m, m.selected ^ n.selected)
+    for v, k in _shift(g, m, edges).items():
+        lo, hi = sorted((0, full.get(v, 0)))
+        if not lo <= k <= hi:
             return False
     return True
+
+
+def _shift(g, m: Matching, edges) -> dict[int, int]:
+    """Per vertex, the nonzero change of its degree when `edges` is applied
+    to m: +1 per end of an added edge, -1 per end of a removed one."""
+    out: dict[int, int] = {}
+    for e in edges:
+        u, v, _w = g.edges[e]
+        k = -1 if e in m.selected else 1
+        out[u] = out.get(u, 0) + k
+        out[v] = out.get(v, 0) + k
+    return {v: k for v, k in out.items() if k}
 
 
 # -- maximal decomposition -----------------------------------------------------
@@ -257,6 +268,18 @@ def _follow(g, link: dict, start: tuple[int, int], used: set[int]) -> Alternatin
             return AlternatingWalk("cycle", tuple(edges), tuple(verts))
 
 
+def _link(pairings) -> dict:
+    """Slot to slot, both ways, over every pair of the pairings."""
+    return {x: y for pairing in pairings for a, b in pairing for x, y in ((a, b), (b, a))}
+
+
+def _open_walks(g, at: dict, link: dict, used: set[int]) -> list[AlternatingWalk]:
+    """The walks `_follow` takes from the unlinked slots in ascending order,
+    skipping a slot whose edge an earlier walk already traversed."""
+    free = sorted(s for slots in at.values() for s in slots if s not in link)
+    return [_follow(g, link, s, used) for s in free if s[0] not in used]
+
+
 def decompose_symmetric_difference(
     instance: BInstance, m_one: Matching, m_two: Matching
 ) -> tuple[tuple[AlternatingWalk, ...], tuple[AlternatingWalk, ...]]:
@@ -275,16 +298,9 @@ def decompose_symmetric_difference(
     g = instance.graph
     diff = sorted(m_one.selected ^ m_two.selected)
     at = _ends_at(g, diff)
-    link: dict[tuple[int, int], tuple[int, int]] = {}
-    for slots in at.values():
-        matched = [s for s in slots if s[0] in m_one]
-        unmatched = [s for s in slots if s[0] not in m_one]
-        for a, b in zip(matched, unmatched):
-            link[a] = b
-            link[b] = a
+    link = _link(next(_pairings(slots, m_one)) for slots in at.values())
     used: set[int] = set()
-    free = sorted(s for slots in at.values() for s in slots if s not in link)
-    paths = [_follow(g, link, s, used) for s in free if s[0] not in used]
+    paths = _open_walks(g, at, link, used)
     cycles = [
         _follow(g, link, (e, 0), used) for e in diff if e not in used and e in m_one
     ]
@@ -295,14 +311,10 @@ def decompose_symmetric_difference(
             assert not walk_problems(instance, m_one, w), walk_problems(
                 instance, m_one, w
             )
-        # maximality: all free ends at one vertex share their side
-        for p, q in combinations(paths, 2):
-            for x in p.endpoints:
-                for y in q.endpoints:
-                    if x == y:
-                        assert (p.edges[0 if p.vertices[0] == x else -1] in m_one) == (
-                            q.edges[0 if q.vertices[0] == x else -1] in m_one
-                        )
+        # maximality: all free ends at a vertex share their side exactly
+        # when there are as many of them as the vertex's degree shift
+        ends = Counter(v for p in paths for v in p.endpoints)
+        assert ends == {v: abs(k) for v, k in _shift(g, m_one, diff).items()}
     return tuple(paths), tuple(cycles)
 
 
@@ -341,27 +353,15 @@ def is_neighbouring_type(instance: BInstance, m: Matching, n: Matching) -> bool:
 
 def _end_profile(
     instance: BInstance, m: Matching, edges: frozenset[int]
-) -> dict[int, tuple[int, bool]] | None:
-    """Per vertex: (number of forced walk ends, side) for the edge set.
-
-    side True means the ends lie on matched edges (applying lowers the
+) -> dict[int, int] | None:
+    """The degree shift `_shift` of the edge set: shift k at v forces |k|
+    walk ends there, on matched edges when k < 0 (applying lowers the
     degree).  Returns None if some connected component of the edge set is
     balanced everywhere, because such a component only decomposes into
     alternating cycles, which no canonical path may contain.
     """
     g = instance.graph
-    matched: dict[int, int] = {}
-    unmatched: dict[int, int] = {}
-    for e in edges:
-        u, v, _w = g.edges[e]
-        side = matched if e in m else unmatched
-        for x in (u, v):
-            side[x] = side.get(x, 0) + 1
-    profile: dict[int, tuple[int, bool]] = {}
-    for v in set(matched) | set(unmatched):
-        k = matched.get(v, 0) - unmatched.get(v, 0)
-        if k:
-            profile[v] = (abs(k), k > 0)
+    profile = _shift(g, m, edges)
     # balanced-component test
     parent: dict[int, int] = {}
 
@@ -381,8 +381,11 @@ def _end_profile(
     return profile
 
 
-def _pairings(ms: tuple, ns: tuple):
-    """All ways to pair every element of the shorter tuple across the two."""
+def _pairings(slots: list, m: Matching):
+    """All ways to pair a vertex's matched slots with its unmatched ones, as
+    many as the shorter side has; the first pairs both in ascending order."""
+    ms = tuple(s for s in slots if s[0] in m)
+    ns = tuple(s for s in slots if s[0] not in m)
     if len(ms) >= len(ns):
         return (tuple(zip(p, ns)) for p in permutations(ms, len(ns)))
     return (tuple(zip(ms, p)) for p in permutations(ns, len(ms)))
@@ -400,22 +403,10 @@ def _walk_decompositions(instance: BInstance, m: Matching, edges: frozenset[int]
     """
     g = instance.graph
     at = _ends_at(g, edges)
-    verts = sorted(at)
-    choices = []
-    for v in verts:
-        ms = tuple(s for s in at[v] if s[0] in m)
-        ns = tuple(s for s in at[v] if s[0] not in m)
-        choices.append(_pairings(ms, ns))
     seen = set()
-    for pick in product(*choices):
-        link = {}
-        for pairing in pick:
-            for a, b in pairing:
-                link[a] = b
-                link[b] = a
+    for pick in product(*(_pairings(at[v], m) for v in sorted(at))):
         used: set[int] = set()
-        free = sorted(s for v in verts for s in at[v] if s not in link)
-        walks = [_follow(g, link, s, used) for s in free if s[0] not in used]
+        walks = _open_walks(g, at, _link(pick), used)
         if len(used) != len(edges):
             continue  # a closed trail remained
         key = tuple(sorted(tuple(sorted(w.endpoints)) for w in walks))
@@ -432,30 +423,35 @@ def _shape_partition(walk_edges: tuple, v_first: int, v_last: int):
     (path, cycle_groups), or None.  path is (indices, junctions) into
     walk_edges, or None when the endpoints coincide; cycle_groups is a
     tuple of (anchor, indices, junctions) with anchor in {v_first, v_last}.
+    Depth first on one stack: the bottom frame offers the paths (only "no
+    path" when the endpoints coincide), each frame above the cycles through
+    an anchor that hold the smallest remaining walk.
     """
-    n = len(walk_edges)
 
-    def cycles_only(remaining: frozenset):
-        if not remaining:
-            return ()
-        first = min(remaining)
+    def cycles(remaining: frozenset):
         for anchor in dict.fromkeys((v_first, v_last)):
-            # find simple cycles through anchor containing edge `first`
             for cyc, junctions in _simple_cycles_through(
-                walk_edges, remaining, first, anchor
+                walk_edges, remaining, min(remaining), anchor
             ):
-                rest = cycles_only(remaining - frozenset(cyc))
-                if rest is not None:
-                    return ((anchor, cyc, junctions),) + rest
-        return None
+                yield cyc, (anchor, cyc, junctions)
 
+    everything = frozenset(range(len(walk_edges)))
     if v_first == v_last:
-        groups = cycles_only(frozenset(range(n)))
-        return None if groups is None else (None, groups)
-    for path in _simple_paths(walk_edges, frozenset(range(n)), v_first, v_last):
-        groups = cycles_only(frozenset(range(n)) - frozenset(path[0]))
-        if groups is not None:
-            return (path, groups)
+        paths = iter([((), None)])
+    else:
+        paths = ((p[0], p) for p in _simple_paths(walk_edges, everything, v_first, v_last))
+    stack = [(paths, everything, ())]
+    while stack:
+        options, remaining, parts = stack[-1]
+        for used, part in options:
+            rest = remaining - frozenset(used)
+            found = parts + (part,)
+            if not rest:
+                return found[0], found[1:]
+            stack.append((cycles(rest), rest, found))
+            break
+        else:
+            stack.pop()
     return None
 
 
@@ -552,7 +548,7 @@ def _arrange(
     profile = _end_profile(instance, matching, edges)
     if profile is None:
         return None
-    odd = sorted(v for v, (k, _side) in profile.items() if k % 2)
+    odd = sorted(v for v, k in profile.items() if k % 2)
     if len(odd) > 2:
         return None
     if len(odd) == 2:
@@ -624,14 +620,9 @@ def _meta_options(s: CanonicalPath) -> list[tuple[frozenset[int], ...]]:
             and s.v_first in c.junctions
             and s.v_last in c.junctions
         ):
-            p = c.junctions.index(s.v_first)
-            q = c.junctions.index(s.v_last)
+            p, q = c.junctions.index(s.v_first), c.junctions.index(s.v_last)
             k = len(c.walks)
-            arc = []
-            i = p
-            while i != q:
-                arc.append(c.walks[i])
-                i = (i + 1) % k
+            arc = [c.walks[i % k] for i in range(p, q if p < q else q + k)]
             other = [w for w in c.walks if w not in arc]
             for part in (arc, other):
                 choice.append(frozenset(e for w in part for e in w.edges))
@@ -710,14 +701,8 @@ def _next_component(instance, m_cur, pool):
     one); any other union grows by walks that share an endpoint with it (a
     canonical path is connected through its junctions).
     """
-    deg = degrees(instance.graph, m_cur)
-
-    def shifts(walks) -> Counter:
-        out: Counter = Counter()
-        for w in walks:
-            for v, e in ((w.vertices[0], w.edges[0]), (w.vertices[-1], w.edges[-1])):
-                out[v] += -1 if e in m_cur else 1
-        return out
+    g = instance.graph
+    deg = degrees(g, m_cur)
 
     def key(union):
         edges = sorted(e for w in union for e in w.edges)
@@ -729,7 +714,8 @@ def _next_component(instance, m_cur, pool):
         grown = set()
         for union in sorted(level, key=key):
             walks = sorted(union, key=lambda w: min(w.edges))
-            bad = [v for v, k in shifts(walks).items() if deg[v] + k not in instance.b(v)]
+            shift = _shift(g, m_cur, (e for w in walks for e in w.edges))
+            bad = [v for v, k in shift.items() if deg[v] + k not in instance.b(v)]
             if bad:
                 ends = {min(bad)}
             else:
@@ -881,11 +867,10 @@ def classify(instance: BInstance, m: Matching, s: CanonicalPath) -> ClassifyRepo
     deg_m = degrees(instance.graph, m)
 
     def sigma_of(v: int) -> int:
-        count, matched_side = profile.get(v, (0, False))
-        return -1 if matched_side else 1
+        return -1 if profile.get(v, 0) < 0 else 1
 
     def d_s(v: int) -> int:
-        return profile.get(v, (0, False))[0]
+        return abs(profile.get(v, 0))
 
     def contains(v: int, k: int) -> bool:
         return deg_m[v] + sigma_of(v) * k in instance.b(v)

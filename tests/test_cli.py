@@ -367,6 +367,15 @@ def test_oracle_negative_count_is_a_usage_error(capsys):
     assert err == "error: --count must be nonnegative\n"
 
 
+def test_oracle_negative_limit_is_a_usage_error(capsys, tmp_path):
+    # an edgeless instance is within any nonnegative limit
+    path = tmp_path / "z.bm"
+    path.write_text("p bm 1 0\nb 0 0\n")
+    code, out, err = run(capsys, "oracle", "--input", str(path), "--oracle-limit", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: --oracle-limit must be nonnegative\n"
+
+
 def test_oracle_limit_exceeded_is_an_error(capsys):
     code, _out, err = run(capsys, "oracle", "--input", FIG2, "--oracle-limit", "10")
     assert code == 1

@@ -144,6 +144,39 @@ def test_shifts_within_rejects_overshoot_and_wrong_direction():
     assert not shifts_within(inst, m, n, frozenset({0}))
 
 
+def degree_vector_shifts_within(instance, m, n, edges):
+    """shifts_within by whole degree vectors: one pass for each of m, n and
+    m with edges applied."""
+    g = instance.graph
+    base = degrees(g, m)
+    full = degrees(g, n)
+    part = degrees(g, apply(m, edges))
+    for v in range(g.vertex_count):
+        lo, hi = sorted((0, full[v] - base[v]))
+        if not lo <= part[v] - base[v] <= hi:
+            return False
+    return True
+
+
+def test_shifts_within_agrees_with_whole_degree_vectors():
+    # every subset of M (+) N, on the 16 pinned pairs whose difference
+    # raises some degree and lowers another
+    checked = 0
+    for instance, (m, n) in pinned_pairs():
+        g = instance.graph
+        diff = sorted(m.selected ^ n.selected)
+        moves = {b - a for a, b in zip(degrees(g, m), degrees(g, n))}
+        if max(moves) <= 0 or min(moves) >= 0:
+            continue
+        checked += 1
+        for mask in range(1 << len(diff)):
+            sub = frozenset(e for i, e in enumerate(diff) if mask >> i & 1)
+            assert shifts_within(instance, m, n, sub) == degree_vector_shifts_within(
+                instance, m, n, sub
+            ), (m, n, sub)
+    assert checked == 16
+
+
 # -- canonical recognition ----------------------------------------------------------
 
 
@@ -182,6 +215,22 @@ def test_long_alternating_path_is_one_meta_path_of_one_walk():
     assert s is not None and s.cycles == ()
     assert [w.edges for w in s.meta_path.walks] == [tuple(range(k))]
     assert s.meta_path.junctions == (0, k)
+
+
+def test_flower_with_more_petals_than_the_recursion_limit_is_one_canonical_path():
+    # hub 0 with k triangles 0-a-b, (a, b) matched: all 3k edges are k
+    # closed walks P(0, 0), one meta-cycle each at the hub
+    k = 1100
+    g = MultiGraph(
+        2 * k + 1,
+        tuple(e for a in range(1, 2 * k, 2) for e in ((0, a, 1), (a, a + 1, 1), (a + 1, 0, 1))),
+    )
+    sets = (DegreeSet(tuple(range(0, 2 * k + 1, 2))),) + (DegreeSet((1,)),) * (2 * k)
+    inst = BInstance(g, sets, "max-card")
+    s = canonical_structure(inst, Matching(frozenset(range(1, 3 * k, 3))), frozenset(range(3 * k)))
+    assert s is not None and s.v_first == s.v_last == 0 and s.meta_path is None
+    assert len(s.cycles) == k
+    assert [c.walks[0].edges for c in s.cycles] == [(i, i + 1, i + 2) for i in range(0, 3 * k, 3)]
 
 
 def test_figure_eight_splits_into_two_meta_cycles():
