@@ -24,7 +24,7 @@ def measure(n: int, m: int, per_size: int, seed: int, profile: str) -> dict:
     rows = []
     for offset in range(per_size):
         instance = random_instance(seed + offset, n, m, profile=profile)
-        ab, _source_edges = uniform_to_ab(instance, spec_of_instance(instance))
+        ab = uniform_to_ab(instance.graph, spec_of_instance(instance))
         reduced, _ab_edges = ab_to_pm(ab)
         rows.append(
             {

@@ -65,7 +65,7 @@ def max_weight_perfect_matching(
     `start` is a matching of `graph` given by edge indices; the existence
     search grows it into a perfect matching, so a start close to perfect
     makes a "no" cheap.  The optimum found does not depend on `start`.
-    Raises ValueError if `graph` has a loop.
+    Raises ValueError if `graph` has a loop or `start` is no matching of it.
     """
     n = graph.vertex_count
     edges = graph.edges
@@ -82,6 +82,8 @@ def max_weight_perfect_matching(
         neighbend[v].append(2 * k)
     mate = [-1] * n
     for k in start:
+        if not 0 <= k < len(edges):
+            raise ValueError(f"start edge {k} is not an edge of the graph")
         u, v, _w = edges[k]
         if mate[u] != -1 or mate[v] != -1:
             raise ValueError(f"start edge {k} shares an end with another start edge")

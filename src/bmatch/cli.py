@@ -295,9 +295,10 @@ def cmd_gadget(args: argparse.Namespace) -> int:
             comments.append(f"vertex {v} {shape} {s[0]}..{s[-1]}")
         _write(args.output, format_instance(instance, comments))
         return EXIT_OK
-    ab, source_edges = uniform_to_ab(instance, spec)
+    ab = uniform_to_ab(instance.graph, spec)
     if args.stage == "ab":
-        comments = ["stage ab", *_origin_comments(ab.graph.edge_count, source_edges)]
+        origins = _origin_comments(ab.graph.edge_count, instance.graph.edge_count)
+        comments = ["stage ab", *origins]
         dumped = BInstance(
             ab.graph,
             tuple(_range_set(ab.a[v], ab.b[v]) for v in range(ab.graph.vertex_count)),

@@ -28,8 +28,7 @@ search runs only when the rounding has no solution either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Callable
 
 from bmatch.core import (
@@ -51,109 +50,82 @@ class SearchBudgetExceeded(RuntimeError):
     """The feasibility search hit its node cap before reaching a verdict."""
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateType:
-    """A type the next matching is allowed to have.
+Moves = tuple[tuple[int, int], ...]
 
-    moves lists (vertex, interval offset) for the deviating vertices W:
-    empty for the same-type candidate, one (w, ±2) move, or two (w, ±1)
-    moves; pins holds the parity interval (a range of step 2) each of them
-    moves to.  base pins every vertex to its current interval and is shared
-    by all candidates of one step, so a candidate costs O(1) memory until
-    its spec is built.
+
+def enumerate_candidates(instance: BInstance, matching: Matching) -> tuple[Moves, ...]:
+    """All candidate types, in a fixed order, each given by its moves: the
+    (vertex, interval offset) pairs of the deviating vertices W, offsets
+    counted from the intervals of the matching's type t.
+
+    First the same-type candidate (), then single-vertex double steps
+    ((w, -2),) and ((w, 2),), vertex ascending, then vertex pairs
+    ((u, du), (v, dv)), lexicographic, with (du, dv) running through
+    (-1, -1), (-1, 1), (1, -1), (1, 1).  Offsets that run off the interval
+    list are skipped.  The count is O(n^2).
     """
-
-    moves: tuple[tuple[int, int], ...]
-    pins: tuple[range, ...]
-    base: tuple[range, ...] = field(repr=False)
-
-    @property
-    def deviating(self) -> frozenset[int]:
-        return frozenset(v for v, _off in self.moves)
-
-    @property
-    def spec(self) -> UniformSpec:
-        """Per vertex one parity interval of its B(v): the current one
-        outside W.  Built anew on every access."""
-        spec = list(self.base)
-        for (v, _off), pin in zip(self.moves, self.pins):
-            spec[v] = pin
-        return tuple(spec)
-
-
-def enumerate_candidates(
-    instance: BInstance, matching: Matching
-) -> tuple[CandidateType, ...]:
-    """All candidate types, in a fixed order.
-
-    First the same-type candidate, then single-vertex double steps (vertex
-    ascending, -2 before +2), then vertex pairs (lexicographic) with
-    direction pairs (-,-), (-,+), (+,-), (+,+).  Offsets that run off the
-    interval list are skipped.  The count is O(n^2).
-    """
-    n = instance.graph.vertex_count
     t = current_type(instance, matching)
-    pins = [instance.intervals(v) for v in range(n)]
-    base = tuple(pins[v][t[v]] for v in range(n))
-    out = [CandidateType((), (), base)]
-    for v in range(n):
-        for off in (-2, 2):
-            j = t[v] + off
-            if 0 <= j < len(pins[v]):
-                out.append(CandidateType(((v, off),), (pins[v][j],), base))
-    for u in range(n):
-        for v in range(u + 1, n):
-            for du, dv in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
-                ju, jv = t[u] + du, t[v] + dv
-                if 0 <= ju < len(pins[u]) and 0 <= jv < len(pins[v]):
-                    moves = ((u, du), (v, dv))
-                    out.append(CandidateType(moves, (pins[u][ju], pins[v][jv]), base))
+    sizes = [len(instance.intervals(v)) for v in range(len(t))]
+    out: list[Moves] = [()]
+    for v, i in enumerate(t):
+        out.extend(((v, off),) for off in (-2, 2) if 0 <= i + off < sizes[v])
+    for u, v in combinations(range(len(t)), 2):
+        for du, dv in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+            if 0 <= t[u] + du < sizes[u] and 0 <= t[v] + dv < sizes[v]:
+                out.append(((u, du), (v, dv)))
     return tuple(out)
 
 
-def _as_max_weight(instance: BInstance) -> tuple[BInstance, int]:
-    """(work, sign): the instance with each edge weighing sign times its
-    objective value (1 for cardinality, w for weight), sign -1 for the min
-    objectives.  Every objective is then one max-weight problem on work."""
+def _candidate_spec(
+    instance: BInstance, t: tuple[int, ...], base: UniformSpec, moves: Moves
+) -> UniformSpec:
+    """The spec of type t + moves: per vertex one parity interval of its
+    B(v), the current one in `base` outside W."""
+    spec = list(base)
+    for v, off in moves:
+        spec[v] = instance.intervals(v)[t[v] + off]
+    return tuple(spec)
+
+
+def _as_max_weight(instance: BInstance) -> tuple[MultiGraph, int]:
+    """(work, sign): the instance's graph with each edge weighing sign
+    times its objective value (1 for cardinality, w for weight), sign -1
+    for the min objectives.  Every objective is then one max-weight
+    problem on work."""
     direction, kind = instance.objective.split("-")
     sign = -1 if direction == "min" else 1
     g = instance.graph
     edges = tuple((u, v, sign * (1 if kind == "card" else w)) for u, v, w in g.edges)
-    work = MultiGraph(g.vertex_count, edges)
-    return BInstance(work, instance.degree_sets, "max-weight"), sign
+    return MultiGraph(g.vertex_count, edges), sign
 
 
-def _pin_values(work: BInstance) -> list[list[int]]:
+def _pin_values(instance: BInstance, work: MultiGraph) -> list[list[int]]:
     """Per vertex v and parity interval of b(v), the largest sum of d
-    edge-end weights at v over the degrees d the interval holds: the best
-    top-d prefix sum of v's end weights.  A loop counts at both of its ends.
-    Every matching counts each of its edges at two ends, so half the sum of
-    one value per vertex bounds the weight of every matching whose degrees
-    lie in those intervals."""
-    g = work.graph
-    ends: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for u, v, w in g.edges:
+    edge-end weights of work at v over the degrees d the interval holds:
+    the best top-d prefix sum of v's end weights.  A loop counts at both of
+    its ends.  Every matching counts each of its edges at two ends, so half
+    the sum of one value per vertex bounds the weight of every matching
+    whose degrees lie in those intervals."""
+    ends: list[list[int]] = [[] for _ in range(work.vertex_count)]
+    for u, v, w in work.edges:
         ends[u].append(w)
         ends[v].append(w)
     out = []
     for v, weights in enumerate(ends):
         weights.sort(reverse=True)
         prefix = list(accumulate(weights, initial=0))
-        out.append([max(prefix[p.start : p.stop : 2]) for p in work.intervals(v)])
+        out.append([max(prefix[p.start : p.stop : 2]) for p in instance.intervals(v)])
     return out
 
 
 def _bound(
-    cand: CandidateType,
-    t: tuple[int, ...],
-    values: list[list[int]],
-    base_total: int,
+    moves: Moves, t: tuple[int, ...], values: list[list[int]], base_total: int
 ) -> int:
-    """Largest weight any matching of cand's type can reach: half the
+    """Largest weight any matching of type t + moves can reach: half the
     pin-value sum, from base_total (one value per vertex at its current
     type t) and the change at the moved vertices, rounded down."""
     total = base_total
-    for v, off in cand.moves:
+    for v, off in moves:
         total += values[v][t[v] + off] - values[v][t[v]]
     return total // 2
 
@@ -169,17 +141,19 @@ def improvement_step(
     """Best strictly-improving matching over all candidate types, or None.
 
     None certifies that `matching` is optimal for instance.objective.  The
-    step runs as max-weight on `_as_max_weight`'s signed weights, and the
+    step runs as max-weight on the graph `_as_max_weight` signs, and the
     best candidate is the one with the largest optimum, ties going to the
     earliest in enumeration order, then to the solver's own determinism.
-    Candidates are tried in order of their `_bound`, largest first and
-    ties by enumeration index.  The step stops, unsolved, at the first
-    candidate that cannot beat the best so far: a bound below the best
-    weight (at first, the current matching's), or equal to it at a later
-    index.  No candidate from there on can either, since its optimum is at
-    most its bound, so the order changes no answer.  Only the visited
-    candidates build a spec.  `matching` starts the existence search of
-    every solved candidate.
+    A candidate is its moves from the current type t.  Candidates are tried
+    in order of their `_bound`, largest first and ties by enumeration
+    index.  The step stops, unsolved, at the first candidate that cannot
+    beat the best so far: a bound below the best weight (at first, the
+    current matching's), or equal to it at a later index.  No candidate
+    from there on can either, since its optimum is at most its bound, so
+    the order changes no answer.  Only a visited candidate builds its spec,
+    from t's intervals, and hands it with the signed graph to
+    `solve_uniform`; `matching` starts the existence search of every
+    solved candidate.
 
     Each solved spec is added to `seen`, and a spec already in it counts as
     cached and is skipped unsolved.  That is exact when one set is passed
@@ -199,7 +173,8 @@ def improvement_step(
     """
     work, _sign = _as_max_weight(instance)
     t = current_type(instance, matching)
-    values = _pin_values(work)
+    base = tuple(instance.intervals(v)[i] for v, i in enumerate(t))
+    values = _pin_values(instance, work)
     base_total = sum(values[v][i] for v, i in enumerate(t))
     if seen is None:
         seen = set()
@@ -213,7 +188,7 @@ def improvement_step(
     # it can give.  The start key (weight, 1) ranks above every result of
     # the current weight, so only a strictly heavier matching is taken,
     # and a bound at most the current weight is dropped before the sort.
-    current = matching_weight(work.graph, matching)
+    current = matching_weight(work, matching)
     candidates = enumerate_candidates(instance, matching)
     bounds = (_bound(c, t, values, base_total) for c in candidates)
     caps = sorted(((b, -i) for i, b in enumerate(bounds) if b > current), reverse=True)
@@ -224,7 +199,7 @@ def improvement_step(
         if cap <= best_key:
             break
         visited += 1
-        spec = candidates[-cap[1]].spec
+        spec = _candidate_spec(instance, t, base, candidates[-cap[1]])
         if spec in seen or (
             rounded is not None
             and all(s[0] in r and s[-1] in r for s, r in zip(spec, rounded))
@@ -236,7 +211,7 @@ def improvement_step(
         stats["solved"] += 1
         if result is None:
             continue
-        found = (matching_weight(work.graph, result), cap[1])
+        found = (matching_weight(work, result), cap[1])
         if found > best_key:
             best, best_key = result, found
     stats["pruned"] += len(candidates) - visited
@@ -446,8 +421,8 @@ def solve(
         return None
     work, sign = _as_max_weight(instance)
     if in_budget:
-        value = matching_weight(work.graph, matching)
-        if value == sum(max(vals) for vals in _pin_values(work)) // 2:
+        value = matching_weight(work, matching)
+        if value == sum(max(vals) for vals in _pin_values(instance, work)) // 2:
             trace(f"solve: optimal, value {sign * value} reached the degree-sum bound")
             return matching
     relaxed = solve_uniform(work, _relaxation(instance), matching)
@@ -457,7 +432,7 @@ def solve(
             raise AssertionError("the relaxation has no solution, yet a B-matching exists")
         trace("solve: infeasible, the relaxation has a Tutte barrier")
         return None
-    bound = matching_weight(work.graph, relaxed)
+    bound = matching_weight(work, relaxed)
     if is_b_matching(instance, relaxed):
         trace(
             f"solve: optimal, value {sign * bound} by the relaxation's duals, "
@@ -470,14 +445,14 @@ def solve(
     if rounded is not None:
         if not is_b_matching(instance, rounded):
             raise AssertionError("the rounding's answer is not a B-matching")
-        value = matching_weight(work.graph, rounded)
+        value = matching_weight(work, rounded)
         if value == bound:
             trace(
                 f"solve: optimal, value from the rounded relaxation reached "
                 f"the relaxation bound {sign * bound}"
             )
             return rounded
-        if matching is None or value > matching_weight(work.graph, matching):
+        if matching is None or value > matching_weight(work, matching):
             matching = rounded
     if matching is None:
         matching = find_feasible(instance)
@@ -487,7 +462,7 @@ def solve(
     seen: set[UniformSpec] = set()
     iteration = 0
     while True:
-        value = matching_weight(work.graph, matching)
+        value = matching_weight(work, matching)
         trace(f"solve: iteration {iteration}, value {sign * value}")
         if value == bound:
             trace(f"solve: optimal, value reached the relaxation bound {sign * bound}")
@@ -497,7 +472,7 @@ def solve(
             instance, matching, seen=seen, rounded=rounding, stats=stats
         )
         solved, cached, pruned = (stats[k] - b for k, b in zip(counts, before))
-        best = value if improved is None else matching_weight(work.graph, improved)
+        best = value if improved is None else matching_weight(work, improved)
         trace(
             f"improvement_step: {solved + cached + pruned} candidates, "
             f"{solved} solved, {cached} cached, "

@@ -38,11 +38,11 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from bmatch.core import BInstance, Matching, MultiGraph
+from bmatch.core import Matching, MultiGraph
 
 
 class BadSpec(ValueError):
-    """A uniform spec does not fit the instance it was given for."""
+    """A uniform spec does not fit the graph or instance it was given for."""
 
 
 class BoundsError(ValueError):
@@ -125,11 +125,10 @@ def lift(source_edges: int, solution: Iterable[int]) -> Matching:
     return Matching(frozenset(e for e in solution if e < source_edges))
 
 
-def uniform_to_ab(instance: BInstance, spec: UniformSpec) -> tuple[ABInstance, int]:
+def uniform_to_ab(g: MultiGraph, spec: UniformSpec) -> ABInstance:
     """Loop construction: parity runs become degree-pinned vertices with
     weight-0 loops; dense runs turn into bounds directly.  Raises BadSpec
     unless each run is nonempty, has step 1 or 2 and lies in [0, d(v)]."""
-    g = instance.graph
     n = g.vertex_count
     if len(spec) != n:
         raise BadSpec("spec size does not match the graph")
@@ -146,7 +145,7 @@ def uniform_to_ab(instance: BInstance, spec: UniformSpec) -> tuple[ABInstance, i
             loops.extend((v, v, 0) for _ in range(len(s) - 1))
             a[v] = b[v] = s[-1]
     reduced = MultiGraph(n, g.edges + tuple(loops))
-    return ABInstance(reduced, tuple(a), tuple(b)), g.edge_count
+    return ABInstance(reduced, tuple(a), tuple(b))
 
 
 def ab_to_pm(ab: ABInstance) -> tuple[MultiGraph, int]:

@@ -1,9 +1,9 @@
 """Exact uniform B-matching solver: compose the two reductions and the
-perfect-matching solver.  A spec is a tuple of one range per vertex, a
-dense run (step 1) or a parity run (step 2).  Every stage reads and returns core's types: the
-reduced graphs are MultiGraphs and the perfect matching is a Matching of
-the last one.  It maximizes weight; a caller that minimizes negates the
-weights first.
+perfect-matching solver.  It takes a signed MultiGraph and a spec, a tuple
+of one range per vertex, each a dense run (step 1) or a parity run (step
+2).  Every stage reads and returns core's types: the reduced graphs are
+MultiGraphs and the perfect matching is a Matching of the last one.  It
+maximizes weight; a caller that minimizes negates the weights first.
 
 Existence and optimality are decided apart.  Given a start matching, its
 image in the gadget (`embed_ab_matching`) leaves exposed only the nodes
@@ -17,7 +17,7 @@ optimum.
 from __future__ import annotations
 
 from bmatch.blossom import max_weight_perfect_matching
-from bmatch.core import BInstance, Matching, degrees
+from bmatch.core import BInstance, Matching, MultiGraph, degrees
 from bmatch.reduce import (
     BadSpec,
     UniformSpec,
@@ -61,26 +61,25 @@ def spec_of_instance(instance: BInstance) -> UniformSpec:
 
 
 def solve_uniform(
-    instance: BInstance,
+    g: MultiGraph,
     spec: UniformSpec,
     start: Matching | None = None,
 ) -> Matching | None:
     """Maximum-weight matching with d_F(v) in spec(v) for every v, or None.
 
-    `start`, any matching of the instance, only speeds up the verdict: the
-    closer its degrees lie to the spec, the shorter the existence search.
+    `start`, any matching of g, only speeds up the verdict: the closer its
+    degrees lie to the spec, the shorter the existence search.
     Deterministic: ties are broken by the perfect-matching solver's fixed
     edge scan order, which the reductions preserve (source edges keep their
     indices in both reduced graphs).
     """
-    g = instance.graph
-    ab, source_edges = uniform_to_ab(instance, spec)
+    ab = uniform_to_ab(g, spec)
     reduced = ab_to_pm(ab)[0]
     warm = () if start is None else embed_ab_matching(ab, start)
     pm = max_weight_perfect_matching(reduced, warm)
     if pm is None:
         return None
-    result = lift(source_edges, pm.selected)
+    result = lift(g.edge_count, pm.selected)
     deg = degrees(g, result)
     for v in range(g.vertex_count):
         if deg[v] not in spec[v]:

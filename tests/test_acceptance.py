@@ -14,11 +14,10 @@ from bmatch.blossom import max_weight_perfect_matching
 from bmatch.cli import main
 from bmatch.core import (
     OBJECTIVES,
-    BInstance,
-    DegreeSet,
     Matching,
     MultiGraph,
     check_certificate,
+    current_type,
     degrees,
     is_b_matching,
     matching_weight,
@@ -74,14 +73,6 @@ def random_uniform_instance(rng: random.Random, n: int, m: int):
             hi -= (hi - lo) % 2
             per_vertex.append(range(lo, hi + 1, 2))
     return graph, tuple(per_vertex)
-
-
-def as_b_instance(graph: MultiGraph, spec: UniformSpec) -> BInstance:
-    sets = tuple(
-        DegreeSet(tuple(d for d in range(graph.degree(v) + 1) if d in s))
-        for v, s in enumerate(spec)
-    )
-    return BInstance(graph, sets, "max-weight")
 
 
 def spec_matchings(graph: MultiGraph, spec: UniformSpec):
@@ -205,7 +196,7 @@ def test_criterion_02_weighted_uniform_matches_brute_force_on_300():
         feasible = list(spec_matchings(graph, spec))
         # The solver maximizes; the min optimum is the max on negated weights.
         for best_of, work in ((max, graph), (min, negated)):
-            got = solve_uniform(as_b_instance(work, spec), spec)
+            got = solve_uniform(work, spec)
             if not feasible:
                 assert got is None
                 continue
@@ -221,8 +212,7 @@ def test_criterion_03_reduction_chain_lifts_exact_optima_on_200():
     feasible_count = 0
     for i in range(200):
         graph, spec = random_uniform_instance(rng, 1 + i % 5, i % 11)
-        inst = as_b_instance(graph, spec)
-        ab, source_edges = uniform_to_ab(inst, spec)
+        ab = uniform_to_ab(graph, spec)
         reduced, _ab_edges = ab_to_pm(ab)
         pm = max_weight_perfect_matching(reduced)
         best = None
@@ -234,7 +224,7 @@ def test_criterion_03_reduction_chain_lifts_exact_optima_on_200():
             assert pm is None
             continue
         assert pm is not None
-        lifted = lift(source_edges, pm.selected)
+        lifted = lift(graph.edge_count, pm.selected)
         deg = degrees(graph, lifted)
         assert all(deg[v] in spec[v] for v in range(graph.vertex_count))
         assert matching_weight(graph, lifted) == best
@@ -287,9 +277,10 @@ def test_criterion_05_figure_instance_end_to_end_under_one_second():
     cert = parse_certificate((FIXTURES / "fig2_m7.cert").read_text())
     assert find_feasible(inst) is not None
     assert check_certificate(inst, cert) == []
-    same = enumerate_candidates(inst, cert.matching)[0]
-    assert same.moves == ()
-    assert len(solve_uniform(inst, same.spec)) == 7
+    assert enumerate_candidates(inst, cert.matching)[0] == ()
+    t = current_type(inst, cert.matching)
+    same = tuple(inst.intervals(v)[i] for v, i in enumerate(t))
+    assert len(solve_uniform(inst.graph, same)) == 7
     better = improvement_step(inst, cert.matching)
     assert better is not None and len(better) >= 8
     best = solve(inst)

@@ -231,7 +231,7 @@ def relaxation_gadgets():
         inst = random_instance(
             seed, n, n + seed % 11, profile=PROFILES[seed % 3], weights=(-3, 9)
         )
-        graph = full_spoke_gadget(uniform_to_ab(inst, _relaxation(inst))[0])
+        graph = full_spoke_gadget(uniform_to_ab(inst.graph, _relaxation(inst)))
         yield graph
         yield MultiGraph(graph.vertex_count, tuple((u, v, -w) for u, v, w in graph.edges))
 
@@ -286,7 +286,7 @@ def test_stage_end_discards_every_zero_dual_s_blossom(
     seed, n, m, profile, weights, sign, weight, digest
 ):
     inst = random_instance(seed, n, m, profile=profile, weights=weights)
-    graph = full_spoke_gadget(uniform_to_ab(inst, _relaxation(inst))[0], clique=True)
+    graph = full_spoke_gadget(uniform_to_ab(inst.graph, _relaxation(inst)), clique=True)
     graph = MultiGraph(
         graph.vertex_count, tuple((u, v, sign * w) for u, v, w in graph.edges)
     )
@@ -342,6 +342,16 @@ def test_start_must_be_a_matching():
     g = MultiGraph(3, ((0, 1, 1), (1, 2, 1)))
     with pytest.raises(ValueError, match="start edge 1 shares an end"):
         max_weight_perfect_matching(g, (0, 1))
+
+
+def test_start_must_name_edges_of_the_graph():
+    # A negative index must not wrap around to an edge from the end, and an
+    # index past the last edge must not surface as an IndexError.
+    g = MultiGraph(4, ((0, 1, 1), (2, 3, 1), (1, 2, 5)))
+    assert max_weight_perfect_matching(g) == Matching(frozenset({0, 1}))
+    for k in (-1, -3, 3):
+        with pytest.raises(ValueError, match=f"start edge {k} is not an edge"):
+            max_weight_perfect_matching(g, [k])
 
 
 def test_every_none_has_a_checked_barrier(monkeypatch):

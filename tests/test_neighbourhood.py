@@ -3,7 +3,7 @@ import hashlib
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -24,6 +24,7 @@ from bmatch.neighbourhood import (
     SearchBudgetExceeded,
     _as_max_weight,
     _bound,
+    _candidate_spec,
     _pin_values,
     _relaxation,
     _rounded,
@@ -34,7 +35,11 @@ from bmatch.neighbourhood import (
 )
 from bmatch.gen import random_instance
 from bmatch.reduce import ab_to_pm, embed_ab_matching, uniform_to_ab
-from bmatch.structure import is_neighbouring_type, is_same_uniform_type
+from bmatch.structure import (
+    is_neighbouring_type,
+    is_same_uniform_type,
+    neighbouring_types,
+)
 from bmatch.uniform import solve_uniform
 
 from conftest import src_env
@@ -131,24 +136,59 @@ def test_current_type_fig2(fig2, fig2_m7):
 
 def test_enumerate_candidates_fig2(fig2, fig2_m7):
     cands = enumerate_candidates(fig2, fig2_m7)
-    assert cands[0].moves == ()  # same-type candidate always first
-    assert [c.moves for c in cands[1:]] == [((0, -1), (7, 1))]
+    assert cands[0] == ()  # same-type candidate always first
+    assert list(cands[1:]) == [((0, -1), (7, 1))]
 
 
 def test_candidate_enumeration_is_deterministic(fig2, fig2_m7):
     first = enumerate_candidates(fig2, fig2_m7)
     again = enumerate_candidates(fig2, fig2_m7)
-    assert [c.moves for c in first] == [c.moves for c in again]
-    assert [c.spec for c in first] == [c.spec for c in again]
+    assert first == again
+    specs = [candidate_spec(fig2, fig2_m7, moves) for moves in first]
+    assert specs == [candidate_spec(fig2, fig2_m7, moves) for moves in again]
+
+
+def test_candidates_are_exactly_the_neighbouring_types(fig2, fig2_m7):
+    # Along seeded walks, t + moves runs once through every in-range type u
+    # that neighbouring_types(t, u) admits, found here by trying every
+    # in-range type, and through nothing else.
+    walks = [(fig2, fig2_m7)]
+    for seed in range(60):
+        n = 4 + seed % 5
+        walks.append(planted(seed, n, 2 * n + seed % 5, OBJECTIVES[seed % 4]))
+    steps = 0
+    for inst, matching in walks:
+        sizes = [len(inst.intervals(v)) for v in range(inst.graph.vertex_count)]
+        while matching is not None:
+            t = current_type(inst, matching)
+            got = []
+            for moves in enumerate_candidates(inst, matching):
+                u = list(t)
+                for v, off in moves:
+                    u[v] += off
+                got.append(tuple(u))
+            every = product(*(range(k) for k in sizes))
+            assert sorted(got) == [u for u in every if neighbouring_types(t, u)]
+            steps += 1
+            matching = improvement_step(inst, matching)
+    assert steps > len(walks)
+
+
+def candidate_spec(inst: BInstance, matching: Matching, moves) -> tuple[range, ...]:
+    """The spec improvement_step builds for the candidate `moves` of its
+    step from `matching`."""
+    t = current_type(inst, matching)
+    base = tuple(inst.intervals(v)[i] for v, i in enumerate(t))
+    return _candidate_spec(inst, t, base, moves)
 
 
 def _step_bound(inst: BInstance, matching: Matching):
     """The bound of improvement_step's step from `matching`, as a function
-    of the candidate."""
+    of the candidate's moves."""
     t = current_type(inst, matching)
-    values = _pin_values(_as_max_weight(inst)[0])
+    values = _pin_values(inst, _as_max_weight(inst)[0])
     base_total = sum(values[v][i] for v, i in enumerate(t))
-    return lambda cand: _bound(cand, t, values, base_total)
+    return lambda moves: _bound(moves, t, values, base_total)
 
 
 def test_incremental_bound_matches_the_full_sum():
@@ -158,12 +198,12 @@ def test_incremental_bound_matches_the_full_sum():
     assert any(w < 0 for _u, _v, w in inst.graph.edges)
     for objective in OBJECTIVES:
         inst = dataclasses.replace(inst, objective=objective)
-        work = _as_max_weight(inst)[0].graph
+        work = _as_max_weight(inst)[0]
         pin_value = {}  # (v, pin) -> best end-weight sum over subsets of its size
         bound = _step_bound(inst, plant)
-        for cand in enumerate_candidates(inst, plant):
+        for moves in enumerate_candidates(inst, plant):
             full = 0
-            for v, pin in enumerate(cand.spec):
+            for v, pin in enumerate(candidate_spec(inst, plant, moves)):
                 if (v, pin) not in pin_value:
                     ends = [w for a, b, w in work.edges for x in (a, b) if x == v]
                     pin_value[v, pin] = max(
@@ -173,7 +213,7 @@ def test_incremental_bound_matches_the_full_sum():
                         for chosen in combinations(ends, d)
                     )
                 full += pin_value[v, pin]
-            assert bound(cand) == full // 2, (objective, cand.moves)
+            assert bound(moves) == full // 2, (objective, moves)
 
 
 def test_bound_holds_every_candidate_optimum():
@@ -188,13 +228,14 @@ def test_bound_holds_every_candidate_optimum():
         work, _sign = _as_max_weight(inst)
         while matching is not None:
             bound = _step_bound(inst, matching)
-            for cand in enumerate_candidates(inst, matching):
-                found = solve_uniform(work, cand.spec, matching)
+            for moves in enumerate_candidates(inst, matching):
+                spec = candidate_spec(inst, matching, moves)
+                found = solve_uniform(work, spec, matching)
                 if found is None:
                     continue
                 solved += 1
-                value = matching_weight(work.graph, found)
-                assert value <= bound(cand), (seed, cand.moves)
+                value = matching_weight(work, found)
+                assert value <= bound(moves), (seed, moves)
             matching = improvement_step(inst, matching)
     assert solved == 461
 
@@ -332,7 +373,7 @@ def test_walk_answers_match_the_full_walk(monkeypatch):
             checked["edges"] += 1
         else:
             work, _sign = _as_max_weight(inst)
-            assert matching_weight(work.graph, got) == matching_weight(work.graph, full), seed
+            assert matching_weight(work, got) == matching_weight(work, full), seed
             assert improvement_step(inst, got) is None, seed
             checked["value"] += 1
         for ending in ("reached the degree-sum bound", "from the rounded relaxation",
@@ -357,10 +398,10 @@ def test_seen_specs_cannot_beat_the_walk():
         seen = set()
         stats = {}
         while matching is not None:
-            here = matching_weight(work.graph, matching)
+            here = matching_weight(work, matching)
             for spec in seen:
                 found = solve_uniform(work, spec, matching)
-                assert found is None or matching_weight(work.graph, found) <= here, seed
+                assert found is None or matching_weight(work, found) <= here, seed
             counted = sum(stats.values())
             candidates = len(enumerate_candidates(inst, matching))
             matching = improvement_step(inst, matching, seen=seen, stats=stats)
@@ -377,16 +418,16 @@ def _enumeration_order_step(inst: BInstance, matching: Matching):
     (index, bound, weight) for each solve that found a matching."""
     work, _sign = _as_max_weight(inst)
     bound = _step_bound(inst, matching)
-    best, best_value = None, matching_weight(work.graph, matching)
+    best, best_value = None, matching_weight(work, matching)
     found = []
-    for i, cand in enumerate(enumerate_candidates(inst, matching)):
-        cap = bound(cand)
+    for i, moves in enumerate(enumerate_candidates(inst, matching)):
+        cap = bound(moves)
         if cap <= best_value:
             continue
-        result = solve_uniform(work, cand.spec, matching)
+        result = solve_uniform(work, candidate_spec(inst, matching, moves), matching)
         if result is None:
             continue
-        value = matching_weight(work.graph, result)
+        value = matching_weight(work, result)
         found.append((i, cap, value))
         if value > best_value:
             best, best_value = result, value
@@ -419,15 +460,15 @@ def test_bound_order_keeps_the_enumeration_order_answer():
 
 
 def count_spec_builds(monkeypatch) -> list:
-    """Record every CandidateType.spec access from here on."""
+    """Record the moves of every candidate spec built from here on."""
     built = []
-    spec = neighbourhood.CandidateType.spec
+    build = neighbourhood._candidate_spec
 
-    def counting(cand):
-        built.append(cand)
-        return spec.fget(cand)
+    def counting(instance, t, base, moves):
+        built.append(moves)
+        return build(instance, t, base, moves)
 
-    monkeypatch.setattr(neighbourhood.CandidateType, "spec", property(counting))
+    monkeypatch.setattr(neighbourhood, "_candidate_spec", counting)
     return built
 
 
@@ -468,7 +509,7 @@ def test_pruned_weight_candidates_build_no_spec(monkeypatch):
 
 def test_same_type_candidate_cannot_leave_seven(fig2, fig2_m7):
     same = enumerate_candidates(fig2, fig2_m7)[0]
-    best = solve_uniform(fig2, same.spec)
+    best = solve_uniform(fig2.graph, candidate_spec(fig2, fig2_m7, same))
     assert len(best) == 7
     assert is_same_uniform_type(fig2, fig2_m7, best)
 
@@ -725,7 +766,7 @@ def test_wide_hull_relaxation_gadget_is_linear():
     g = random_instance(0, 160, 400, profile="interval").graph
     sets = tuple(DegreeSet(tuple(range(g.degree(v) + 1))) for v in range(160))
     inst = BInstance(g, sets, "max-card")
-    ab, _source_edges = uniform_to_ab(inst, _relaxation(inst))
+    ab = uniform_to_ab(inst.graph, _relaxation(inst))
     reduced, _source_edges = ab_to_pm(ab)
     assert len(ab.layout.pool_connected) == 800
     assert (reduced.vertex_count, len(reduced.edges)) == (3200, 8429)
@@ -902,8 +943,8 @@ def test_warm_search_matches_cold_verdicts(fig2):
         verdicts = ""
         while matching is not None:
             deg = degrees(inst.graph, matching)
-            for cand in enumerate_candidates(inst, matching):
-                spec = cand.spec
+            for moves in enumerate_candidates(inst, matching):
+                spec = candidate_spec(inst, matching, moves)
                 # The start misses the gadget's perfect matchings only at the
                 # moved vertices, by at most the distance of their degrees
                 # from the new intervals (less where it can take a source
@@ -913,8 +954,8 @@ def test_warm_search_matches_cold_verdicts(fig2):
                     for v in range(inst.graph.vertex_count)
                 ]
                 missed = sum(distance)
-                assert missed == sum(distance[v] for v in cand.deviating)
-                ab, _source_edges = uniform_to_ab(work, spec)
+                assert missed == sum(distance[v] for v, _off in moves)
+                ab = uniform_to_ab(work, spec)
                 reduced, _source_edges = ab_to_pm(ab)
                 warm = embed_ab_matching(ab, matching)
                 exposed = reduced.vertex_count - 2 * len(warm)

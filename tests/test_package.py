@@ -6,6 +6,7 @@ import importlib.util
 import re
 
 import bmatch
+import bmatch.neighbourhood as neighbourhood
 
 from conftest import FIXTURES
 
@@ -34,10 +35,34 @@ def test_exports_match_the_readme():
     assert set(bmatch.__all__) == named | set(imported.replace(" ", "").split(","))
 
 
-def test_every_traced_function_resolves():
+def load_tracer():
     path = FIXTURES.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    for module, attr, *_rest in tracer.PATCHES:
+    return tracer
+
+
+def test_every_traced_function_resolves():
+    for module, attr, *_rest in load_tracer().PATCHES:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_tracer_observers_read_the_solver_results(fig2):
+    # The observers read what the wrapped functions return: ab_to_pm's
+    # (graph, source edge count) pair, the candidates' count and each
+    # solver's None.  On fig2 max-card the relaxation and its rounding are
+    # the only solves, and the walk's single step solves nothing.
+    stats = {}
+    with load_tracer().Tracer() as tracer:
+        assert len(neighbourhood.solve(fig2, stats=stats)) == 9
+    counts = tracer.counts
+    assert (
+        counts["solve_uniform.calls"]
+        == counts["blossom.calls"]
+        == counts["ab_to_pm.calls"]
+        == stats["solved"]
+        == 2
+    )
+    assert counts["gadget.nodes"] == 132
+    assert counts["candidates.count"] == stats["cached"] + stats["pruned"] == 2

@@ -5,13 +5,7 @@ import subprocess
 import sys
 from itertools import combinations
 
-from bmatch.core import (
-    BInstance,
-    DegreeSet,
-    Matching,
-    MultiGraph,
-    matching_weight,
-)
+from bmatch.core import Matching, MultiGraph, matching_weight
 from bmatch.reduce import UniformSpec
 from bmatch.uniform import solve_uniform
 
@@ -28,16 +22,10 @@ def spec_matchings(graph: MultiGraph, spec: UniformSpec):
                 yield Matching(frozenset(combo))
 
 
-def negated(inst: BInstance) -> BInstance:
-    """inst with every weight negated: solve_uniform maximizes, so its
-    answer on the result is a minimum-weight matching of inst."""
-    g = inst.graph
-    flipped = MultiGraph(g.vertex_count, tuple((u, v, -w) for u, v, w in g.edges))
-    return BInstance(flipped, inst.degree_sets, inst.objective)
-
-
-def degree_set_for(s, max_degree: int) -> DegreeSet:
-    return DegreeSet(tuple(d for d in range(max_degree + 1) if d in s))
+def negated(g: MultiGraph) -> MultiGraph:
+    """g with every weight negated: solve_uniform maximizes, so its answer
+    on the result is a minimum-weight matching of g."""
+    return MultiGraph(g.vertex_count, tuple((u, v, -w) for u, v, w in g.edges))
 
 
 def random_uniform(rng: random.Random, n: int, m: int):
@@ -56,36 +44,31 @@ def random_uniform(rng: random.Random, n: int, m: int):
             hi = rng.randrange(lo, d + 1)
             hi -= (hi - lo) % 2
             per_vertex.append(range(lo, hi + 1, 2))
-    spec = tuple(per_vertex)
-    sets = tuple(degree_set_for(s, graph.degree(v)) for v, s in enumerate(per_vertex))
-    return BInstance(graph, sets, "max-weight"), spec
+    return graph, tuple(per_vertex)
 
 
 def test_triangle_exact_degree_one_infeasible():
     g = MultiGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 1)))
-    inst = BInstance(g, tuple(DegreeSet((1,)) for _ in range(3)), "max-card")
     spec = tuple(range(1, 2) for _ in range(3))
-    assert solve_uniform(inst, spec) is None
+    assert solve_uniform(g, spec) is None
 
 
 def test_square_perfect_matching_weights():
     g = MultiGraph(4, ((0, 1, 5), (1, 2, 1), (2, 3, 5), (3, 0, 1)))
-    inst = BInstance(g, tuple(DegreeSet((1,)) for _ in range(4)), "max-weight")
     spec = tuple(range(1, 2) for _ in range(4))
-    best = solve_uniform(inst, spec)
-    worst = solve_uniform(negated(inst), spec)
+    best = solve_uniform(g, spec)
+    worst = solve_uniform(negated(g), spec)
     assert matching_weight(g, best) == 10
     assert matching_weight(g, worst) == 2
 
 
 def test_parity_spec_walks_the_class():
     g = MultiGraph(2, ((0, 1, 3), (0, 1, 4), (0, 1, -2)))
-    inst = BInstance(g, (DegreeSet((0, 2)), DegreeSet((0, 2))), "max-weight")
     spec = (range(0, 3, 2), range(0, 3, 2))
-    best = solve_uniform(inst, spec)
+    best = solve_uniform(g, spec)
     assert matching_weight(g, best) == 7
     assert len(best) == 2
-    worst = solve_uniform(negated(inst), spec)
+    worst = solve_uniform(negated(g), spec)
     assert matching_weight(g, worst) == 0
     assert len(worst) == 0
 
@@ -93,11 +76,10 @@ def test_parity_spec_walks_the_class():
 def test_solution_degrees_satisfy_spec():
     rng = random.Random(99)
     for _ in range(40):
-        inst, spec = random_uniform(rng, rng.randint(1, 5), rng.randint(0, 7))
-        got = solve_uniform(inst, spec)
+        g, spec = random_uniform(rng, rng.randint(1, 5), rng.randint(0, 7))
+        got = solve_uniform(g, spec)
         if got is None:
             continue
-        g = inst.graph
         deg = [0] * g.vertex_count
         for e in got:
             u, v, _w = g.edges[e]
@@ -109,25 +91,24 @@ def test_solution_degrees_satisfy_spec():
 def test_matches_brute_force_both_senses():
     rng = random.Random(4242)
     for _ in range(80):
-        inst, spec = random_uniform(rng, rng.randint(1, 5), rng.randint(0, 7))
-        feasible = list(spec_matchings(inst.graph, spec))
-        for best_of, work in ((max, inst), (min, negated(inst))):
+        g, spec = random_uniform(rng, rng.randint(1, 5), rng.randint(0, 7))
+        feasible = list(spec_matchings(g, spec))
+        for best_of, work in ((max, g), (min, negated(g))):
             got = solve_uniform(work, spec)
             if not feasible:
                 assert got is None
                 continue
-            weights = [matching_weight(inst.graph, f) for f in feasible]
+            weights = [matching_weight(g, f) for f in feasible]
             want = best_of(weights)
             assert got is not None
-            assert matching_weight(inst.graph, got) == want
+            assert matching_weight(g, got) == want
 
 
 def test_start_matching_does_not_change_the_answer():
     rng = random.Random(7)
     for _ in range(80):
-        inst, spec = random_uniform(rng, rng.randint(1, 5), rng.randint(0, 7))
-        g = inst.graph
-        for work in (inst, negated(inst)):
+        g, spec = random_uniform(rng, rng.randint(1, 5), rng.randint(0, 7))
+        for work in (g, negated(g)):
             start = Matching(
                 frozenset(e for e in range(g.edge_count) if rng.random() < 0.5)
             )
@@ -141,11 +122,10 @@ def test_lifted_degree_check_raises_under_optimize():
     ))
     code = (
         "import bmatch.uniform as uniform\n"
-        "from bmatch.core import BInstance, DegreeSet, Matching, MultiGraph\n"
+        "from bmatch.core import Matching, MultiGraph\n"
         "uniform.lift = lambda *_args: Matching(frozenset())\n"
         "g = MultiGraph(2, ((0, 1, 1),))\n"
-        "inst = BInstance(g, (DegreeSet((1,)), DegreeSet((1,))), 'max-card')\n"
-        "uniform.solve_uniform(inst, (range(1, 2), range(1, 2)))\n"
+        "uniform.solve_uniform(g, (range(1, 2), range(1, 2)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
