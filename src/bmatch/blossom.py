@@ -6,16 +6,23 @@ so there is no "dual hits zero" stopping rule and every stage ends in an
 augmentation; a dual update without bound yields a Tutte barrier instead,
 its T-vertices X.  A solve runs the search twice.
 
-First it runs on zero weights from the given start matching, extended
-greedily in edge order.  Every edge is then tight, so any start is a valid
-one and the search is Edmonds' cardinality search.  A start that is close
-to perfect, such as the embedding of the current matching of a type walk,
-leaves few roots.  If this run ends in a barrier, the solver returns None
+Each run starts in `_jump_start`: duals under which every vertex with an
+edge has a tight edge, then a matching grown over tight edges greedily in
+edge order and by one pass of length-3 augmenting paths.
+
+First it runs on zero weights from the given start matching.  All duals
+are then 0 and every edge is tight, so any start is a valid one and the
+search is Edmonds' cardinality search.  A start that is close to perfect,
+such as the embedding of the current matching of a type walk, leaves few
+roots.  If this run ends in a barrier, the solver returns None
 only after `_check_barrier` has counted more than |X| odd components in
 G - X.
 
-Then it runs on the real weights from the empty matching.  That is a cold
-start whatever the start matching, so the answer depends on the graph
+Then it runs on the real weights from the empty matching.  Each vertex's
+dual starts from the heaviest edge at it, lowered in vertex order until an
+edge there is tight, so the greedy and the pass leave far fewer roots
+than duals that make only the heaviest edges tight.  That start is the
+same whatever the start matching, so the answer depends on the graph
 alone.  A barrier here would contradict the first run, so it raises as an
 internal-consistency error.
 
@@ -27,8 +34,9 @@ one, and the solver rejects them.
 All arithmetic is exact.  Vertex duals are stored doubled (P[v] = 2*y_v) so
 that every dual update is integral for integer edge weights; the only halved
 quantity is the slack of an edge between two S-blossoms, which is always even
-(all duals start from one shared value and stay parity-synchronised through
-tight edges).  Both facts are asserted at runtime.  Every perfect matching
+(all vertex duals start even, so every root has the same parity, a dual
+update moves every tree vertex by the same delta, and tight edges join
+equal parities).  Both facts are asserted at runtime.  Every perfect matching
 returned has passed `_check_optimum`, a complementary-slackness check on the
 final duals that raises instead of asserting, so it also runs under -O; the
 barrier check raises the same way.
@@ -139,9 +147,10 @@ def _solve(
     neighbend: list[list[int]],
     mate: list[int],
 ) -> tuple[list[int], list[int], list[int]] | list[int]:
-    """Grow the matching `mate` (matched remote endpoint per vertex, or -1),
-    whose edges must be tight for the starting duals, into a maximum-weight
-    perfect matching for the edge weights `weight`.  Return (mate, dual,
+    """Grow the matching `mate` (matched remote endpoint per vertex, or -1)
+    into a maximum-weight perfect matching for the edge weights `weight`,
+    from the duals and the larger matching of `_jump_start`; `mate`'s edges
+    must be tight for those duals.  Return (mate, dual,
     blossomparent), the certificate `_check_optimum` reads, or a Tutte
     barrier if there is no perfect matching.
 
@@ -155,22 +164,16 @@ def _solve(
     n = len(neighbend)
     m = len(weight)
 
-    # P[v] = 2 * vertex dual; all equal at the start so that parities stay
-    # synchronised (makes every S-S slack even).
-    max_w = max(weight, default=0)
-    dual = [max_w] * n + [0] * n  # slots n..2n-1 hold blossom duals Z
-    # slack(k) = P[u] + P[v] - 2*w(k); tight edges have slack 0.
+    # P[v] = 2 * vertex dual, all even at the start so that every root has
+    # the same parity (makes every S-S slack even); slots n..2n-1 hold the
+    # blossom duals Z.  slack(k) = P[u] + P[v] - 2*w(k); tight edges have
+    # slack 0.
+    dual = _jump_start(weight, endpoint, neighbend, mate) + [0] * n
+    exposed = [v for v in range(n) if mate[v] == -1]  # the tree roots, sorted
 
     # The two ends of every edge, for the edge scans.
     heads = endpoint[::2]
     tails = endpoint[1::2]
-
-    # Greedy start: match tight edges while both ends are free (edge order).
-    for k, u, v in zip(range(m), heads, tails):
-        if mate[u] == -1 and mate[v] == -1 and weight[k] == max_w:
-            mate[u] = 2 * k + 1
-            mate[v] = 2 * k
-    exposed = [v for v in range(n) if mate[v] == -1]  # the tree roots, sorted
 
     # Blossom bookkeeping, ids n..2n-1.
     label = [0] * (2 * n)  # 0 free, 1 S, 2 T (plus 5 as a scan breadcrumb)
@@ -537,6 +540,71 @@ def _solve(
         ]
 
     return mate, dual, blossomparent
+
+
+def _jump_start(
+    weight: list[int],
+    endpoint: list[int],
+    neighbend: list[list[int]],
+    mate: list[int],
+) -> list[int]:
+    """Return starting vertex duals P (doubled, so P[v] = 2 * y_v) for the
+    edge weights `weight`, and grow `mate` over the edges they make tight.
+
+    y_v starts at the largest ceil(w/2) over the edges at v, so no slack
+    is negative.  Then, in vertex order, y_v drops by its least slack, to
+    the largest w - y_x over its edges vx (0 for an isolated vertex): that
+    edge becomes tight and every slack stays >= 0, so every vertex with an
+    edge has a tight edge.  On zero weights every y_v is 0 and every edge
+    is tight.  Every P is even, so all roots share a parity, and tight
+    edges join equal parities.
+
+    `mate`'s edges must be tight for these duals: the empty matching, or
+    any matching on zero weights.  It is extended greedily by tight edges
+    in edge order, then by one pass in vertex order over length-3
+    augmenting paths of tight edges: u exposed, a matched to b, and b tight
+    to an exposed z other than u.
+    """
+    n = len(neighbend)
+    half = [0] * n  # y_v
+    if any(weight):
+        ceil = [-(-w // 2) for w in weight]
+        half = [min(ceil)] * n  # at most each vertex's largest ceiling
+        for c, u, v in zip(ceil, endpoint[::2], endpoint[1::2]):
+            if half[u] < c:
+                half[u] = c
+            if half[v] < c:
+                half[v] = c
+        for v, ends in enumerate(neighbend):
+            lows = [half[endpoint[p]] - weight[p >> 1] for p in ends]
+            half[v] = -min(lows, default=0)
+
+    for k, w in enumerate(weight):
+        u = endpoint[2 * k]
+        v = endpoint[2 * k + 1]
+        if mate[u] == -1 and mate[v] == -1 and half[u] + half[v] == w:
+            mate[u] = 2 * k + 1
+            mate[v] = 2 * k
+
+    for u in range(n):
+        if mate[u] != -1:
+            continue
+        for p in neighbend[u]:
+            a = endpoint[p]
+            if half[u] + half[a] != weight[p >> 1]:
+                continue
+            # The greedy left no tight edge between two exposed vertices.
+            b = endpoint[mate[a]]
+            for q in neighbend[b]:
+                z = endpoint[q]
+                if mate[z] == -1 and z != u and half[b] + half[z] == weight[q >> 1]:
+                    mate[u], mate[a] = p, p ^ 1
+                    mate[b], mate[z] = q, q ^ 1
+                    break
+            else:
+                continue
+            break
+    return [2 * y for y in half]
 
 
 def _check_optimum(

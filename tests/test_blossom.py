@@ -129,26 +129,36 @@ def test_matches_brute_force_on_seeded_graphs():
             assert matching_weight(g, got) == matching_weight(g, want)
 
 
-def test_matches_brute_force_on_seeded_multigraphs():
-    # Parallel edges are legal input, each its own edge; a loop is not.
+def seeded_multigraphs():
+    """300 loopless multigraphs with weights -5..5, each with a vertex to
+    put a loop at."""
     rng = random.Random(20261020)
-    parallel = 0
     for _ in range(300):
         n = rng.randint(2, 8)
         edges = tuple(
             (*rng.sample(range(n), 2), rng.randint(-5, 5))
             for _ in range(rng.randint(0, 14))
         )
-        g = MultiGraph(n, edges)
-        parallel += len({frozenset(e[:2]) for e in edges}) < len(edges)
+        yield MultiGraph(n, edges), rng.randrange(n)
+
+
+def has_parallel_edges(g: MultiGraph) -> bool:
+    return len({frozenset(e[:2]) for e in g.edges}) < len(g.edges)
+
+
+def test_matches_brute_force_on_seeded_multigraphs():
+    # Parallel edges are legal input, each its own edge; a loop is not.
+    parallel = 0
+    for g, v in seeded_multigraphs():
+        n = g.vertex_count
+        parallel += has_parallel_edges(g)
         got = max_weight_perfect_matching(g)
         want = brute_force_pm(g)
         assert (got is None) == (want is None)
         if got is not None:
             assert degrees(g, got) == [1] * n
             assert matching_weight(g, got) == matching_weight(g, want)
-        v = rng.randrange(n)
-        looped = MultiGraph(n, edges + ((v, v, 0),))
+        looped = MultiGraph(n, g.edges + ((v, v, 0),))
         with pytest.raises(ValueError, match=f"^loop at vertex {v} is not allowed$"):
             max_weight_perfect_matching(looped)
     assert parallel > 150
@@ -224,8 +234,8 @@ def relaxation_gadgets():
     # The full-spoke gadgets of the relaxations `solve` solves, in both
     # senses: weights
     # -3..9 on the source edges, many weight-0 gadget edges.  Among the 156
-    # that have a perfect matching, the weighted solves shrink 1011 blossoms
-    # around an inner blossom and expand 215 T-blossoms mid-stage.
+    # that have a perfect matching, the weighted solves shrink 867 blossoms
+    # around an inner blossom and expand 119 T-blossoms mid-stage.
     for seed in range(200):
         n = 4 + seed % 9
         inst = random_instance(
@@ -236,8 +246,8 @@ def relaxation_gadgets():
         yield MultiGraph(graph.vertex_count, tuple((u, v, -w) for u, v, w in graph.edges))
 
 
-ZERO_ONE_DIGEST = "9335d8da71657cec62e50678dbacf64bac482409f5755f2aea9781122a18b0f6"
-GADGET_DIGEST = "675c108e26ba5006cc422201dfab9dba6ce7b9c27c73bef6ca773544b30df1c3"
+ZERO_ONE_DIGEST = "a39497194888a55df59a6d62931e9bba654c57afac574db8df2254d81f3eb93b"
+GADGET_DIGEST = "7c3703c7fde34b9e177b100b95c3c0fd300d679cd724d85037c06a1cd0fbd10f"
 
 
 def test_tie_breaks_are_pinned():
@@ -275,12 +285,13 @@ def full_spoke_gadget(ab, clique: bool = False) -> MultiGraph:
     [
         # A stage augments after a mid-stage rebuild, before it takes a
         # root whose blossom has dual 0: that root counts as S.
-        (323176420, 11, 31, "interval", (-2, 3), 1, 17,
-         "87b61060c411f0ca744f207d8c04f71966f784a8bbe5beb091b5c68b2de68444"),
+        (1130075, 11, 31, "interval", (-2, 3), 1, 21,
+         "5f3410a5a5007378e57d0516fd8fe6a94aae54e6e4630e0084da7ed638ef4870"),
         # A zero-dual S-blossom made in an earlier stage.
-        (4514, 9, 20, "mixed", (-3, 9), -1, -43,
-         "5af52d3b8388c990efce0233c41f458397bf4fc63fa2e9395bcf35570b02d0a3"),
+        (11849, 9, 20, "mixed", (-3, 9), -1, -47,
+         "660f4669a806fa4213804642c628207cef009c404d1d251cb4445dc2b32e84f5"),
     ],
+    ids=["untaken-root", "earlier-s-blossom"],
 )
 def test_stage_end_discards_every_zero_dual_s_blossom(
     seed, n, m, profile, weights, sign, weight, digest
@@ -352,6 +363,78 @@ def test_start_must_name_edges_of_the_graph():
     for k in (-1, -3, 3):
         with pytest.raises(ValueError, match=f"start edge {k} is not an edge"):
             max_weight_perfect_matching(g, [k])
+
+
+# -- the start ----------------------------------------------------------------------
+
+
+def adjacency(g: MultiGraph) -> tuple[list[int], list[list[int]]]:
+    """The solver's endpoint encoding: edge k owns endpoints 2k and 2k+1,
+    and neighbend[v] lists the remote endpoints of the edges at v."""
+    endpoint = [x for u, v, _w in g.edges for x in (u, v)]
+    neighbend: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for k, (u, v, _w) in enumerate(g.edges):
+        neighbend[u].append(2 * k + 1)
+        neighbend[v].append(2 * k)
+    return endpoint, neighbend
+
+
+def uniform_start_roots(g: MultiGraph) -> int:
+    """The exposed vertices a start from the uniform duals P[v] = max w
+    leaves: only the heaviest edges are tight, matched greedily in edge
+    order."""
+    max_w = max((w for _u, _v, w in g.edges), default=0)
+    free = [True] * g.vertex_count
+    for u, v, w in g.edges:
+        if free[u] and free[v] and w == max_w:
+            free[u] = free[v] = False
+    return sum(free)
+
+
+def test_jump_start_duals_are_feasible_even_and_tight_at_every_vertex():
+    rng = random.Random(11)
+    gadgets = list(relaxation_gadgets())
+    graphs = seeded_graphs() + [g for g, _v in seeded_multigraphs()] + gadgets
+    seen = {"isolated": 0, "parallel": 0, "odd negative": 0}
+    for g in graphs:
+        n = g.vertex_count
+        endpoint, neighbend = adjacency(g)
+        weights = [w for _u, _v, w in g.edges]
+        seen["isolated"] += sum(not ends for ends in neighbend)
+        seen["parallel"] += has_parallel_edges(g)
+        seen["odd negative"] += sum(w < 0 and w % 2 for w in weights)
+        # The weighted run starts from the empty matching, the zero-weight
+        # run from any matching.
+        zero_start = random_matching(rng, g)
+        for weight, start in ((weights, []), ([0] * len(weights), zero_start)):
+            mate = [-1] * n
+            for k in start:
+                u, v, _w = g.edges[k]
+                mate[u], mate[v] = 2 * k + 1, 2 * k
+            dual = blossom._jump_start(weight, endpoint, neighbend, mate)
+            assert len(dual) == n and all(p % 2 == 0 for p in dual)
+            assert any(weight) or not any(dual)
+            ends = [(u, v) for u, v, _w in g.edges]
+            slack = [dual[u] + dual[v] - 2 * w for (u, v), w in zip(ends, weight)]
+            assert all(s >= 0 for s in slack)
+            tight = [e for e, s in zip(ends, slack) if s == 0]
+            assert {x for e in tight for x in e} == {x for e in ends for x in e}
+            for v, p in enumerate(mate):
+                if p != -1:
+                    assert endpoint[p ^ 1] == v and mate[endpoint[p]] == p ^ 1
+                    assert slack[p >> 1] == 0
+            # Augmenting keeps every matched vertex matched.
+            assert all(mate[x] != -1 for k in start for x in g.edges[k][:2])
+    assert all(seen.values()), seen
+
+    roots = uniform = 0
+    for g in gadgets:
+        endpoint, neighbend = adjacency(g)
+        mate = [-1] * g.vertex_count
+        blossom._jump_start([w for _u, _v, w in g.edges], endpoint, neighbend, mate)
+        roots += mate.count(-1)
+        uniform += uniform_start_roots(g)
+    assert roots < uniform
 
 
 def test_every_none_has_a_checked_barrier(monkeypatch):
