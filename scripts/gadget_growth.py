@@ -7,7 +7,9 @@ default `parity` profile pins every degree, so its pool has at most one
 node.  Under `interval` the pool grows to 2C + pad nodes for the C
 internals that may escape into it, but its edges stay linear: two spokes
 per such internal and a path.  What still grows faster than m are the
-vertex gadgets, (d - a) * d edges at a vertex of degree d.
+vertex gadgets: internal j of a vertex with bounds (a, b) joins its
+externals j - (b - a) (or 0) through j + a, at most (d - a)(b + 1) edges
+at a vertex of degree d, and d(d + 1)/2 when a = 0 and b = d.
 
     python3 scripts/gadget_growth.py --profile interval --sizes 6:12 12:30 24:60
 """

@@ -11,11 +11,17 @@ class.
 
 The second stage is a vertex gadget.  Every edge end becomes an external
 node and each edge joins its two externals, carrying the original weight.
-A vertex v of degree d contributes d - a(v) internal nodes joined to all of
-its externals: unselected ends must be absorbed by internals, so at least
-a(v) ends stay on original edges.  b(v) - a(v) of the internals may instead
-escape into a global pool, letting the degree rise up to b(v).  The pool
-absorbs global slack.  It is a parity chain: with C pool-connected
+A vertex v of degree d contributes d - a internal nodes, a = a(v) and
+b = b(v): unselected ends must be absorbed by internals, so at least a
+ends stay on original edges.  The first b - a internals may instead escape
+into a global pool, letting the degree rise up to b.  Internal j (0-based)
+is joined only to the band of externals j - (b - a) (or 0) through j + a,
+so the vertex costs at most (d - a)(b + 1) edges, not (d - a)d.  Every
+degree k in [a, b] still fits: the first k - a internals escape, and the
+i-th free external p_i goes to the i-th staying internal k - a + i,
+because i <= p_i <= k + i puts p_i - (k - a + i) in [-(b - a), a].
+
+The pool absorbs global slack.  It is a parity chain: with C pool-connected
 internals, its L = 2C + pad nodes q0 - q1 - ... - q(L-1) lie on one weight-0
 path, and pool-connected internal t has two spokes, to q(2t) and q(2t+1).
 pad = (C + sum(b)) mod 2 keeps the gadget's node count even.  Reading the
@@ -37,6 +43,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from bmatch.core import Matching, MultiGraph
 
@@ -117,6 +124,13 @@ class ABInstance:
         )
 
 
+def _band(j: int, a: int, b: int) -> range:
+    """The externals, by position at their vertex, that internal j of a
+    vertex with bounds (a, b) is joined to.  A vertex of degree d has d - a
+    internals, so the band ends at j + a <= d - 1."""
+    return range(max(0, j - (b - a)), j + a + 1)
+
+
 def lift(source_edges: int, solution: Iterable[int]) -> Matching:
     """Restrict a reduced solution, given by its edge indices, to the edges
     that carry source edges: the first `source_edges` reduced edges, index
@@ -153,20 +167,22 @@ def ab_to_pm(ab: ABInstance) -> tuple[MultiGraph, int]:
 
     Reduced edge order: one edge per source edge first (same index, carrying
     the weight), then the vertex gadgets in vertex order (internal-major),
-    then the pool spokes, two per pool-connected internal t (to pool nodes
-    2t and 2t+1, in that order), then the pool path, whose edge i joins
-    pool nodes i and i+1.  The reduced graph is simple, so it has no loop
-    for the blossom to reject; a source loop contributes two distinct
-    external nodes at its vertex.
+    internal j of a vertex joined to its externals max(0, j - (b - a))
+    through j + a in order, then the pool spokes, two per pool-connected
+    internal t (to pool nodes 2t and 2t+1, in that order), then the pool
+    path, whose edge i joins pool nodes i and i+1.  The reduced graph is
+    simple, so it has no loop for the blossom to reject; a source loop
+    contributes two distinct external nodes at its vertex.
     Node ids follow `ab.layout`.
     """
     layout = ab.layout
     g = ab.graph
     edges = [(2 * e, 2 * e + 1, w) for e, (_u, _v, w) in enumerate(g.edges)]
     for v in range(g.vertex_count):
-        for i in layout.internals_at[v]:
-            for x in layout.externals_at[v]:
-                edges.append((i, x, 0))
+        externals = layout.externals_at[v]
+        for j, i in enumerate(layout.internals_at[v]):
+            band = _band(j, ab.a[v], ab.b[v])
+            edges.extend((i, externals[p], 0) for p in band)
     pool = layout.pool
     for t, i in enumerate(layout.pool_connected):
         edges.append((i, pool[2 * t], 0))
@@ -185,9 +201,13 @@ def embed_ab_matching(ab: ABInstance, matching: Matching) -> frozenset[int]:
     stays within b(v).  Then a(v) - d externals stay exposed at a vertex
     below its bounds, d - b(v) internals at one above them, and one pool
     node if the number of escapees misses the parity of the pool's pad.
-    Escapees take their pool nodes by the chain's left-to-right state walk,
-    and the pool nodes left over pair along the path, the last one staying
-    exposed if they are odd in number.  So a feasible
+    The first d - a(v) internals escape, at most b(v) - a(v) of them, and
+    each free external, in order, takes the next staying internal whose
+    band reaches it; within the bounds that pairs the i-th free external
+    with the i-th staying internal, as the band's proof in the module text
+    does.  Escapees take their pool nodes by the chain's left-to-right
+    state walk, and the pool nodes left over pair along the path, the last
+    one staying exposed if they are odd in number.  So a feasible
     (a,b)-matching maps onto a perfect matching whose lift is `matching`,
     and any other subset onto a start for the perfect-matching solver's
     existence search.  Edge indices follow ab_to_pm's order.
@@ -211,14 +231,24 @@ def embed_ab_matching(ab: ABInstance, matching: Matching) -> frozenset[int]:
     escapes: list[int] = []  # pool_connected positions that escape, in order
     for v in range(n):
         externals = layout.externals_at[v]
-        free = [j for j, x in enumerate(externals) if x >> 1 not in selected]
+        free = [p for p, x in enumerate(externals) if x >> 1 not in selected]
+        bands = [
+            _band(j, ab.a[v], ab.b[v]) for j in range(len(layout.internals_at[v]))
+        ]
+        first = list(accumulate(map(len, bands), initial=block))  # per internal
         # The first deg - a(v) internals, all pool-connected, escape to the
-        # pool; the others absorb the free externals in order.
+        # pool; a staying internal whose band ends before the next free
+        # external stays exposed.
         up = min(max(deg[v] - ab.a[v], 0), ab.b[v] - ab.a[v])
         escapes.extend(range(connected, connected + up))
-        staying = range(up, len(layout.internals_at[v]))
-        out.extend(block + i * len(externals) + j for i, j in zip(staying, free))
-        block += len(layout.internals_at[v]) * len(externals)
+        j = up
+        for p in free:
+            while j < len(bands) and bands[j][-1] < p:
+                j += 1
+            if j < len(bands) and bands[j][0] <= p:
+                out.append(first[j] + p - bands[j][0])
+                j += 1
+        block = first[-1]
         connected += ab.b[v] - ab.a[v]
     # Escapee t takes pool node 2t while no pool node is pending and 2t+1
     # while one is, and flips that state; the nodes left over pair up in

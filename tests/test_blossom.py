@@ -11,7 +11,7 @@ from bmatch.blossom import _check_barrier, _check_optimum, max_weight_perfect_ma
 from bmatch.core import Matching, MultiGraph, degrees, matching_weight
 from bmatch.gen import PROFILES, random_instance
 from bmatch.neighbourhood import _relaxation
-from bmatch.reduce import ab_to_pm, uniform_to_ab
+from bmatch.reduce import uniform_to_ab
 
 from conftest import FIXTURES, src_env
 
@@ -260,23 +260,30 @@ def test_gadget_tie_breaks_are_pinned():
 
 
 def full_spoke_gadget(ab, clique: bool = False) -> MultiGraph:
-    """The gadget the digests here were recorded on: ab_to_pm's source edges
-    and vertex gadgets, then a pool of C + (sum(b) mod 2) nodes for the C
-    pool-connected internals, a spoke from each of them to every pool node,
-    and the pool path; with clique=True, the lexicographic clique over the
-    pool instead of the path.  Built here so that the digests keep pinning
-    the same solver runs whatever pool ab_to_pm builds."""
+    """The gadget the digests here were recorded on: ab_to_pm's source
+    edges, then per vertex each internal joined to every external of its
+    vertex (internal-major), then a pool of C + (sum(b) mod 2) nodes for
+    the C pool-connected internals, a spoke from each of them to every pool
+    node, and the pool path; with clique=True, the lexicographic clique
+    over the pool instead of the path.  Built here so that the digests keep
+    pinning the same solver runs whatever vertex blocks and pool ab_to_pm
+    builds."""
     layout = ab.layout
-    graph, _lift = ab_to_pm(ab)
-    gadgets = sum(
-        len(i) * len(x) for i, x in zip(layout.internals_at, layout.externals_at)
+    source = tuple(
+        (2 * e, 2 * e + 1, w) for e, (_u, _v, w) in enumerate(ab.graph.edges)
+    )
+    blocks = tuple(
+        (i, x, 0)
+        for internals, externals in zip(layout.internals_at, layout.externals_at)
+        for i in internals
+        for x in externals
     )
     first = 2 * ab.graph.edge_count + sum(len(i) for i in layout.internals_at)
     connected = layout.pool_connected
     pool = range(first, first + len(connected) + sum(ab.b) % 2)
     spokes = tuple((i, q, 0) for i in connected for q in pool)
     joins = combinations(pool, 2) if clique else zip(pool, pool[1:])
-    edges = graph.edges[: ab.graph.edge_count + gadgets] + spokes
+    edges = source + blocks + spokes
     return MultiGraph(first + len(pool), edges + tuple((p, q, 0) for p, q in joins))
 
 

@@ -94,21 +94,21 @@ def test_solve_is_deterministic_up_to_wall_time(capsys):
 
 # Answered straight from the relaxation: the same size as the walk's answer
 # (88), other edges among the ties, chosen again when the gadget's pool
-# became a parity chain and when the weighted blossom run began from
-# per-vertex duals.
+# became a parity chain, when the weighted blossom run began from
+# per-vertex duals and when the vertex gadget became banded.
 SCALE60_REPORT = [
     "status optimal",
     "size 88",
     "weight 88",
     "edges "
-    "0 1 2 4 5 6 7 8 9 12 13 14 17 18 20 23 26 27 28 29 "
-    "30 31 32 33 34 37 38 40 43 44 46 49 52 53 57 58 59 61 62 63 "
-    "64 66 68 69 70 71 72 73 75 76 85 90 91 92 94 95 96 97 100 101 "
-    "104 105 106 107 108 113 114 115 117 118 120 124 125 127 129 130 132 133 135 136 "
+    "1 2 4 5 6 7 12 13 14 17 18 20 23 24 26 27 28 29 31 32 "
+    "33 34 37 38 40 43 44 45 46 49 52 53 57 58 59 61 62 63 64 66 "
+    "68 69 70 71 72 73 75 76 80 82 85 90 91 92 94 95 96 100 101 104 "
+    "105 106 107 108 111 113 114 115 117 118 120 124 125 127 129 130 132 133 135 136 "
     "137 138 141 142 143 144 146 147",
     "degrees "
-    "2 1 0 4 1 4 9 1 5 1 3 1 1 2 1 7 3 2 1 1 3 1 1 6 3 1 5 0 4 2 "
-    "4 0 6 6 3 5 5 6 1 1 1 1 4 1 7 3 2 1 6 5 6 2 2 1 1 5 5 1 5 4",
+    "3 1 0 4 1 5 9 1 5 1 3 1 1 2 1 7 2 2 1 1 3 1 1 6 3 1 5 0 4 2 "
+    "4 0 6 6 3 5 5 6 1 1 1 1 4 1 7 2 2 1 6 5 6 2 2 1 1 5 5 1 5 4",
     "iterations 0",
     "candidates_solved 1",
     "wall_time_ms T",
@@ -561,23 +561,24 @@ def test_gadget_output_is_byte_identical(capsys, uniform_file, tmp_path):
 
 # The ab and pm dumps.  The interval pm dumps were re-recorded when the pool
 # became a parity chain; the parity specs pin every degree, so their
-# gadgets have no pool.
+# gadgets have no pool.  All four pm dumps were re-recorded when each
+# internal began to join only its band of externals.
 GADGET_SHA256 = {
     ("parity", 1, 4, 7): (
         "8729c088895c05f09ef324cf5c673195577a6af3c765921acde4d76425428661",
-        "bc7a59fb3fdfafcfb5f09a3cdb7ea2aaae2fdb799e027277b1bbb8da8a301660",
+        "79dd140b11b3a0c97049b357e3b21a8405d2c7850531c550f8e9d65957fc7350",
     ),
     ("parity", 3, 6, 12): (
         "b161130f66d4381417aa61c6ccb14876b930aa6d66a5cd697336f8b891cbe51b",
-        "ac9d501ff45a83d31e98cd9fbe468abcc2f53624e37d2b9194912e6084140458",
+        "6e4892dba142b787bbb8ddc4248231b9c0269f2089bc7fc47a79e9a898f0f63c",
     ),
     ("interval", 2, 5, 9): (
         "7fe87253ec19c260e0b350ba563d5ff2503dbf8cddb54a0bcd8503d2d8262c3e",
-        "c458dff29485fd7fa70b5fe1f22a33405c29a56f4e965f26c827b8cf3f0d1660",
+        "45119bea6e5059a44700262f379d14aab1d22494e261caef4859846df03d4ff4",
     ),
     ("interval", 4, 8, 20): (
         "d4f84a69aa283b8836a9394567ecb3c2b937859cea4d9cd864a16ab8747d3683",
-        "af33542663ff4d846f6a2244fad8a30d5d9912b521caa1b74ca2643a254aa33a",
+        "a7dff7302c0d4d57e49d1c515091b89547531021def153865f817f944d7b6f1a",
     ),
 }
 

@@ -167,8 +167,14 @@ def test_gadget_layout_bounds_check():
         ABInstance(g, (0, 0), (2, 1))
 
 
+def band_width(j: int, a: int, b: int) -> int:
+    """Externals joined to internal j of a vertex with bounds (a, b):
+    positions j - (b - a), or 0, through j + a."""
+    return j + a + 1 - max(0, j - (b - a))
+
+
 def test_gadget_edge_count_and_pool_path():
-    # Source edges, the vertex gadgets' (d - a) * d, two spokes from each of
+    # Source edges, the vertex gadgets' band widths, two spokes from each of
     # the C pool-connected internals, and a pool path of L - 1 edges over
     # L = 2C + pad pool nodes, pad = (C + sum(b)) mod 2.
     rng = random.Random(5)
@@ -183,7 +189,9 @@ def test_gadget_edge_count_and_pool_path():
         assert len(connected) == c
         assert len(pool) == 2 * c + (c + sum(ab.b)) % 2
         vertex_gadgets = sum(
-            (g.degree(v) - ab.a[v]) * g.degree(v) for v in range(g.vertex_count)
+            band_width(j, ab.a[v], ab.b[v])
+            for v in range(g.vertex_count)
+            for j in range(g.degree(v) - ab.a[v])
         )
         path = max(len(pool) - 1, 0)
         assert len(reduced.edges) == g.edge_count + vertex_gadgets + 2 * c + path
@@ -195,6 +203,128 @@ def test_gadget_edge_count_and_pool_path():
         assert tail == tuple((p, q, 0) for p, q in zip(pool, pool[1:]))
         long_pools += len(pool) >= 3
     assert long_pools > 20
+
+
+def star(d: int, a: int, b: int) -> ABInstance:
+    """Vertex 0 of degree d with bounds (a, b), joined to d leaves that each
+    take degree 0 or 1."""
+    g = MultiGraph(d + 1, tuple((0, leaf, 1) for leaf in range(1, d + 1)))
+    return ABInstance(g, (a,) + (0,) * d, (b,) + (1,) * d)
+
+
+def vertex_block(ab: ABInstance, v: int) -> list[range]:
+    """Per internal of v, in order, the positions among v's externals that
+    ab_to_pm joins it to; each must be one run, listed in order."""
+    reduced, _source_edges = ab_to_pm(ab)
+    position = {x: p for p, x in enumerate(ab.layout.externals_at[v])}
+    joined = {i: [] for i in ab.layout.internals_at[v]}
+    for u, x, _w in reduced.edges:
+        if u in joined and x in position:
+            joined[u].append(position[x])
+    block = []
+    for i in ab.layout.internals_at[v]:
+        run = range(joined[i][0], joined[i][-1] + 1) if joined[i] else range(0)
+        assert joined[i] == list(run)
+        block.append(run)
+    return block
+
+
+def block_completes(block: list[range], d: int, a: int, b: int, selected) -> bool:
+    """Whether the internals of one vertex block can absorb every external
+    outside `selected` while len(selected) - a of the first b - a internals
+    escape to the pool instead: a perfect bipartite matching of the free
+    externals plus that many escape slots against the internals."""
+    free = [p for p in range(d) if p not in selected]
+    escapes = len(selected) - a
+    reach = [[j for j, run in enumerate(block) if p in run] for p in free]
+    reach += [list(range(b - a))] * escapes
+    if len(reach) != len(block):
+        return False
+    owner: dict[int, int] = {}
+
+    def augment(k: int, seen: set[int]) -> bool:
+        for j in reach[k]:
+            if j not in seen:
+                seen.add(j)
+                if j not in owner or augment(owner[j], seen):
+                    owner[j] = k
+                    return True
+        return False
+
+    return all(augment(k, set()) for k in range(len(reach)))
+
+
+def blocks_complete(narrow=lambda run, d: run) -> bool:
+    """The exhaustive check: for every degree d <= 8, every 0 <= a <= b <= d
+    and every selection of between a and b of the d edge ends, ab_to_pm's
+    vertex block, each band passed through `narrow`, completes."""
+    for d in range(9):
+        for a in range(d + 1):
+            for b in range(a, d + 1):
+                block = [narrow(run, d) for run in vertex_block(star(d, a, b), 0)]
+                assert len(block) == d - a
+                for k in range(a, b + 1):
+                    for selected in combinations(range(d), k):
+                        if not block_completes(block, d, a, b, set(selected)):
+                            return False
+    return True
+
+
+def test_banded_vertex_block_completes_every_degree_in_bounds():
+    # Internal j joins externals j - (b - a) .. j + a: with k in [a, b] ends
+    # selected, the first k - a internals escape and the i-th free external
+    # p_i goes to the i-th staying internal k - a + i, because i <= p_i <=
+    # k + i puts p_i - (k - a + i) in [a - b, a].
+    assert blocks_complete()
+
+
+@pytest.mark.parametrize(
+    "narrow",
+    [
+        lambda run, d: range(run.start + 1, run.stop) if run.start > 0 else run,
+        lambda run, d: range(run.start, run.stop - 1) if run.stop < d else run,
+    ],
+    ids=["first-external-dropped", "last-external-dropped"],
+)
+def test_a_band_one_external_narrower_fails_to_complete(narrow):
+    # Each band loses its first (or last) external wherever that is not the
+    # vertex's first (or last) one: some degree in bounds is then lost.
+    assert not blocks_complete(narrow)
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_embedding_exposes_the_documented_nodes_at_a_banded_vertex(d):
+    # Below a, a - deg externals of the vertex stay exposed; within [a, b]
+    # none; above b, deg - b of its internals; one pool node at most, when
+    # the escapees miss the pad's parity.  Every leaf is within its bounds.
+    seen = set()
+    for a in range(d + 1):
+        for b in range(a, d + 1):
+            ab = star(d, a, b)
+            reduced, source_edges = ab_to_pm(ab)
+            layout = ab.layout
+            for k in range(d + 1):
+                for selected in combinations(range(d), k):
+                    matching = Matching(frozenset(selected))
+                    embedded = embed_ab_matching(ab, matching)
+                    ends = [0] * reduced.vertex_count
+                    for e in embedded:
+                        u, v, _w = reduced.edges[e]
+                        ends[u] += 1
+                        ends[v] += 1
+                    assert max(ends, default=0) <= 1, "must be a matching of the gadget"
+                    assert lift(source_edges, embedded) == matching
+                    exposed = {x for x in range(reduced.vertex_count) if ends[x] == 0}
+                    externals = exposed & set(layout.externals_at[0])
+                    internals = exposed & set(layout.internals_at[0])
+                    pool = exposed & set(layout.pool)
+                    assert len(externals) == max(a - k, 0)
+                    assert len(internals) == max(k - b, 0)
+                    missed = len(externals) + len(internals)
+                    assert len(exposed) == missed + len(pool)
+                    assert len(pool) == missed % 2
+                    seen.add((k > b) - (k < a))
+    assert seen == {-1, 0, 1}
 
 
 @pytest.mark.parametrize("pad", [0, 1])
