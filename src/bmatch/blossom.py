@@ -4,27 +4,18 @@ There is one blossom search, `_solve`: the primal-dual blossom algorithm
 specialised to perfect matchings.  Vertex duals are unconstrained in sign,
 so there is no "dual hits zero" stopping rule and every stage ends in an
 augmentation; a dual update without bound yields a Tutte barrier instead,
-its T-vertices X.  A solve runs the search twice.
+its T-vertices X.  A solve runs the search once, on the real weights, so
+the one run decides both existence and optimality.
 
-Each run starts in `_jump_start`: duals under which every vertex with an
-edge has a tight edge, then a matching grown over tight edges greedily in
-edge order and by one pass of length-3 augmenting paths.
-
-First it runs on zero weights from the given start matching.  All duals
-are then 0 and every edge is tight, so any start is a valid one and the
-search is Edmonds' cardinality search.  A start that is close to perfect,
-such as the embedding of the current matching of a type walk, leaves few
-roots.  If this run ends in a barrier, the solver returns None
-only after `_check_barrier` has counted more than |X| odd components in
-G - X.
-
-Then it runs on the real weights from the empty matching.  Each vertex's
-dual starts from the heaviest edge at it, lowered in vertex order until an
-edge there is tight, so the greedy and the pass leave far fewer roots
-than duals that make only the heaviest edges tight.  That start is the
-same whatever the start matching, so the answer depends on the graph
-alone.  A barrier here would contradict the first run, so it raises as an
-internal-consistency error.
+The run starts in `_jump_start`.  Each vertex's dual starts from the
+heaviest edge at it, lowered in vertex order until an edge there is
+tight, so every vertex with an edge has a tight edge.  A matching is then
+grown over the tight edges greedily in edge order and by one pass of
+length-3 augmenting paths, which leaves far fewer roots than duals that
+make only the heaviest edges tight.  That start depends on the graph
+alone, so the answer does too.  A run that ends in a barrier makes the
+solver return None only after `_check_barrier` has counted more than |X|
+odd components in G - X.
 
 The input is a core.MultiGraph, whose construction has checked endpoints
 and integer weights.  Parallel edges are fine: each is its own edge index
@@ -65,15 +56,12 @@ from typing import Callable, Iterable, Iterator, Optional
 from bmatch.core import Matching, MultiGraph
 
 
-def max_weight_perfect_matching(
-    graph: MultiGraph, start: Iterable[int] = ()
-) -> Optional[Matching]:
+def max_weight_perfect_matching(graph: MultiGraph) -> Optional[Matching]:
     """Return a maximum-weight perfect matching, or None if none exists.
 
-    `start` is a matching of `graph` given by edge indices; the existence
-    search grows it into a perfect matching, so a start close to perfect
-    makes a "no" cheap.  The optimum found does not depend on `start`.
-    Raises ValueError if `graph` has a loop or `start` is no matching of it.
+    One weighted blossom run decides both: a returned matching has passed
+    `_check_optimum`, and a None comes from a Tutte barrier that has passed
+    `_check_barrier`.  Raises ValueError if `graph` has a loop.
     """
     n = graph.vertex_count
     edges = graph.edges
@@ -88,24 +76,10 @@ def max_weight_perfect_matching(
         endpoint[2 * k + 1] = v
         neighbend[u].append(2 * k + 1)
         neighbend[v].append(2 * k)
-    mate = [-1] * n
-    for k in start:
-        if not 0 <= k < len(edges):
-            raise ValueError(f"start edge {k} is not an edge of the graph")
-        u, v, _w = edges[k]
-        if mate[u] != -1 or mate[v] != -1:
-            raise ValueError(f"start edge {k} shares an end with another start edge")
-        mate[u], mate[v] = 2 * k + 1, 2 * k
-    # Existence first: on zero weights every edge is tight, so any start is valid.
-    found = _solve([0] * len(edges), endpoint, neighbend, mate)
+    found = _solve([w for _u, _v, w in edges], endpoint, neighbend)
     if isinstance(found, list):
         _check_barrier(graph, found)
         return None
-    found = _solve([w for _u, _v, w in edges], endpoint, neighbend, [-1] * n)
-    if isinstance(found, list):
-        raise AssertionError(
-            "dual update is unbounded although a perfect matching exists"
-        )
     mate, dual, blossomparent = found
     _check_optimum(graph, mate, dual, blossomparent)
     return Matching(frozenset(p // 2 for p in mate))
@@ -142,17 +116,13 @@ def _check_barrier(graph: MultiGraph, barrier: Iterable[int]) -> None:
 
 
 def _solve(
-    weight: list[int],
-    endpoint: list[int],
-    neighbend: list[list[int]],
-    mate: list[int],
+    weight: list[int], endpoint: list[int], neighbend: list[list[int]]
 ) -> tuple[list[int], list[int], list[int]] | list[int]:
-    """Grow the matching `mate` (matched remote endpoint per vertex, or -1)
-    into a maximum-weight perfect matching for the edge weights `weight`,
-    from the duals and the larger matching of `_jump_start`; `mate`'s edges
-    must be tight for those duals.  Return (mate, dual,
-    blossomparent), the certificate `_check_optimum` reads, or a Tutte
-    barrier if there is no perfect matching.
+    """A maximum-weight perfect matching for the edge weights `weight`,
+    grown from the duals and the matching of `_jump_start`.  Return (mate,
+    dual, blossomparent), with mate the matched remote endpoint per vertex,
+    the certificate `_check_optimum` reads; or a Tutte barrier if there is
+    no perfect matching.
 
     The barrier is the set X of vertices whose top-level blossom is labelled
     T when a dual update has no bound.  There is then no S-free edge, no edge
@@ -168,7 +138,8 @@ def _solve(
     # the same parity (makes every S-S slack even); slots n..2n-1 hold the
     # blossom duals Z.  slack(k) = P[u] + P[v] - 2*w(k); tight edges have
     # slack 0.
-    dual = _jump_start(weight, endpoint, neighbend, mate) + [0] * n
+    mate, dual = _jump_start(weight, endpoint, neighbend)
+    dual += [0] * n
     exposed = [v for v in range(n) if mate[v] == -1]  # the tree roots, sorted
 
     # The two ends of every edge, for the edge scans.
@@ -543,42 +514,37 @@ def _solve(
 
 
 def _jump_start(
-    weight: list[int],
-    endpoint: list[int],
-    neighbend: list[list[int]],
-    mate: list[int],
-) -> list[int]:
-    """Return starting vertex duals P (doubled, so P[v] = 2 * y_v) for the
-    edge weights `weight`, and grow `mate` over the edges they make tight.
+    weight: list[int], endpoint: list[int], neighbend: list[list[int]]
+) -> tuple[list[int], list[int]]:
+    """Return a starting matching `mate` (matched remote endpoint per
+    vertex, or -1) and vertex duals P (doubled, so P[v] = 2 * y_v) for the
+    edge weights `weight`, every edge of `mate` tight.
 
     y_v starts at the largest ceil(w/2) over the edges at v, so no slack
     is negative.  Then, in vertex order, y_v drops by its least slack, to
     the largest w - y_x over its edges vx (0 for an isolated vertex): that
     edge becomes tight and every slack stays >= 0, so every vertex with an
-    edge has a tight edge.  On zero weights every y_v is 0 and every edge
-    is tight.  Every P is even, so all roots share a parity, and tight
-    edges join equal parities.
+    edge has a tight edge.  Every P is even, so all roots share a parity,
+    and tight edges join equal parities.
 
-    `mate`'s edges must be tight for these duals: the empty matching, or
-    any matching on zero weights.  It is extended greedily by tight edges
-    in edge order, then by one pass in vertex order over length-3
-    augmenting paths of tight edges: u exposed, a matched to b, and b tight
-    to an exposed z other than u.
+    The matching takes tight edges greedily in edge order, then grows by
+    one pass in vertex order over length-3 augmenting paths of tight
+    edges: u exposed, a matched to b, and b tight to an exposed z other
+    than u.
     """
     n = len(neighbend)
-    half = [0] * n  # y_v
-    if any(weight):
-        ceil = [-(-w // 2) for w in weight]
-        half = [min(ceil)] * n  # at most each vertex's largest ceiling
-        for c, u, v in zip(ceil, endpoint[::2], endpoint[1::2]):
-            if half[u] < c:
-                half[u] = c
-            if half[v] < c:
-                half[v] = c
-        for v, ends in enumerate(neighbend):
-            lows = [half[endpoint[p]] - weight[p >> 1] for p in ends]
-            half[v] = -min(lows, default=0)
+    ceil = [-(-w // 2) for w in weight]
+    half = [min(ceil, default=0)] * n  # y_v, at most each vertex's largest ceiling
+    for c, u, v in zip(ceil, endpoint[::2], endpoint[1::2]):
+        if half[u] < c:
+            half[u] = c
+        if half[v] < c:
+            half[v] = c
+    for v, ends in enumerate(neighbend):
+        lows = [half[endpoint[p]] - weight[p >> 1] for p in ends]
+        half[v] = -min(lows, default=0)
 
+    mate = [-1] * n
     for k, w in enumerate(weight):
         u = endpoint[2 * k]
         v = endpoint[2 * k + 1]
@@ -604,7 +570,7 @@ def _jump_start(
             else:
                 continue
             break
-    return [2 * y for y in half]
+    return mate, [2 * y for y in half]
 
 
 def _check_optimum(

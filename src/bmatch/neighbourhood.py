@@ -152,8 +152,7 @@ def improvement_step(
     from there on can either, since its optimum is at most its bound, so
     the order changes no answer.  Only a visited candidate builds its spec,
     from t's intervals, and hands it with the signed graph to
-    `solve_uniform`; `matching` starts the existence search of every
-    solved candidate.
+    `solve_uniform`.
 
     Each solved spec is added to `seen`, and a spec already in it counts as
     cached and is skipped unsolved.  That is exact when one set is passed
@@ -207,7 +206,7 @@ def improvement_step(
             stats["cached"] += 1
             continue
         seen.add(spec)
-        result = solve_uniform(work, spec, matching)
+        result = solve_uniform(work, spec)
         stats["solved"] += 1
         if result is None:
             continue
@@ -384,8 +383,7 @@ def solve(
     - one solve of the relaxation `_relaxation` gives an answer R that is
       a B-matching, optimal by the relaxation's checked blossom duals;
     - otherwise R's weight UB bounds the optimum, and one solve of R's
-      rounding `_rounded`, started from R, gives a B-matching S of weight
-      UB;
+      rounding `_rounded` gives a B-matching S of weight UB;
     - otherwise the walk improves the heavier of S and M (M on a tie) step
       by step until its value reaches UB or a step finds no improving
       candidate type.  A candidate inside R's rounding at every vertex
@@ -425,7 +423,7 @@ def solve(
         if value == sum(max(vals) for vals in _pin_values(instance, work)) // 2:
             trace(f"solve: optimal, value {sign * value} reached the degree-sum bound")
             return matching
-    relaxed = solve_uniform(work, _relaxation(instance), matching)
+    relaxed = solve_uniform(work, _relaxation(instance))
     stats["solved"] += 1
     if relaxed is None:
         if in_budget:
@@ -440,7 +438,7 @@ def solve(
         )
         return relaxed
     rounding = _rounded(instance, relaxed)
-    rounded = solve_uniform(work, rounding, relaxed)
+    rounded = solve_uniform(work, rounding)
     stats["solved"] += 1
     if rounded is not None:
         if not is_b_matching(instance, rounded):

@@ -43,7 +43,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 from bmatch.core import Matching, MultiGraph
 
@@ -190,77 +189,3 @@ def ab_to_pm(ab: ABInstance) -> tuple[MultiGraph, int]:
     edges.extend((p, q, 0) for p, q in zip(pool, pool[1:]))
     graph = MultiGraph(layout.node_count, tuple(edges))
     return graph, g.edge_count
-
-
-def embed_ab_matching(ab: ABInstance, matching: Matching) -> frozenset[int]:
-    """Map an edge subset of the (a,b)-instance onto a matching of
-    ab_to_pm's graph, leaving exposed only the nodes where it misses the
-    bounds.
-
-    A vertex below a(v) first takes unselected loops while its degree d
-    stays within b(v).  Then a(v) - d externals stay exposed at a vertex
-    below its bounds, d - b(v) internals at one above them, and one pool
-    node if the number of escapees misses the parity of the pool's pad.
-    The first d - a(v) internals escape, at most b(v) - a(v) of them, and
-    each free external, in order, takes the next staying internal whose
-    band reaches it; within the bounds that pairs the i-th free external
-    with the i-th staying internal, as the band's proof in the module text
-    does.  Escapees take their pool nodes by the chain's left-to-right
-    state walk, and the pool nodes left over pair along the path, the last
-    one staying exposed if they are odd in number.  So a feasible
-    (a,b)-matching maps onto a perfect matching whose lift is `matching`,
-    and any other subset onto a start for the perfect-matching solver's
-    existence search.  Edge indices follow ab_to_pm's order.
-    """
-    layout = ab.layout
-    g = ab.graph
-    n = g.vertex_count
-    selected = set(matching.selected)
-    deg = [0] * n
-    for e in selected:
-        u, v, _w = g.edges[e]
-        deg[u] += 1
-        deg[v] += 1
-    for e, (u, v, _w) in enumerate(g.edges):
-        if u == v and e not in selected and deg[v] < min(ab.a[v], ab.b[v] - 1):
-            selected.add(e)
-            deg[v] += 2
-    out = sorted(selected)  # source edge e is reduced edge e
-    block = g.edge_count  # first edge of vertex v's gadget
-    connected = 0  # position of v's first internal in layout.pool_connected
-    escapes: list[int] = []  # pool_connected positions that escape, in order
-    for v in range(n):
-        externals = layout.externals_at[v]
-        free = [p for p, x in enumerate(externals) if x >> 1 not in selected]
-        bands = [
-            _band(j, ab.a[v], ab.b[v]) for j in range(len(layout.internals_at[v]))
-        ]
-        first = list(accumulate(map(len, bands), initial=block))  # per internal
-        # The first deg - a(v) internals, all pool-connected, escape to the
-        # pool; a staying internal whose band ends before the next free
-        # external stays exposed.
-        up = min(max(deg[v] - ab.a[v], 0), ab.b[v] - ab.a[v])
-        escapes.extend(range(connected, connected + up))
-        j = up
-        for p in free:
-            while j < len(bands) and bands[j][-1] < p:
-                j += 1
-            if j < len(bands) and bands[j][0] <= p:
-                out.append(first[j] + p - bands[j][0])
-                j += 1
-        block = first[-1]
-        connected += ab.b[v] - ab.a[v]
-    # Escapee t takes pool node 2t while no pool node is pending and 2t+1
-    # while one is, and flips that state; the nodes left over pair up in
-    # order, each pair adjacent on the path, whose edge (i, i+1) has index
-    # path + i.
-    taken = set()
-    pending = 0
-    for t in escapes:
-        out.append(block + 2 * t + pending)
-        taken.add(2 * t + pending)
-        pending ^= 1
-    path = block + 2 * connected
-    left = [i for i in range(len(layout.pool)) if i not in taken]
-    out.extend(path + i for i in left[:-1:2])
-    return frozenset(out)

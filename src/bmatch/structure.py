@@ -708,6 +708,10 @@ def _next_component(instance, m_cur, pool):
         edges = sorted(e for w in union for e in w.edges)
         return len(edges), edges
 
+    by_end: dict[int, list] = {}  # the pool walks at each endpoint
+    for w in pool:
+        for v in set(w.endpoints):
+            by_end.setdefault(v, []).append(w)
     seed = min(pool, key=lambda w: min(w.edges))
     level = {frozenset([seed])}
     while level:
@@ -724,7 +728,7 @@ def _next_component(instance, m_cur, pool):
                     return walks, _pool_basic(instance, m_cur, witness)
                 ends = {v for w in walks for v in w.endpoints}
             grown.update(
-                union | {w} for w in pool if w not in union and ends & set(w.endpoints)
+                union | {w} for v in ends for w in by_end.get(v, ()) if w not in union
             )
         level = grown
     # raised, not asserted, so that the check holds under python -O as well

@@ -5,27 +5,16 @@ of one range per vertex, each a dense run (step 1) or a parity run (step
 MultiGraphs and the perfect matching is a Matching of the last one.  It
 maximizes weight; a caller that minimizes negates the weights first.
 
-Existence and optimality are decided apart.  Given a start matching, its
-image in the gadget (`embed_ab_matching`) leaves exposed only the nodes
-where the start misses the spec, and the perfect-matching solver's
-augmenting-path search from there decides whether the spec admits any
-matching, certifying a "no" by a Tutte barrier.  Only a spec that admits
-one goes on to the weighted blossom solve, whose duals certify the
-optimum.
+One weighted blossom run on the gadget decides both existence and
+optimality: its checked duals certify the optimum, and a spec that admits
+no matching is certified by the Tutte barrier the same run ends in.
 """
 
 from __future__ import annotations
 
 from bmatch.blossom import max_weight_perfect_matching
 from bmatch.core import BInstance, Matching, MultiGraph, degrees
-from bmatch.reduce import (
-    BadSpec,
-    UniformSpec,
-    ab_to_pm,
-    embed_ab_matching,
-    lift,
-    uniform_to_ab,
-)
+from bmatch.reduce import BadSpec, UniformSpec, ab_to_pm, lift, uniform_to_ab
 
 
 def shape_of(values: tuple[int, ...]) -> range | None:
@@ -60,23 +49,14 @@ def spec_of_instance(instance: BInstance) -> UniformSpec:
     return tuple(spec)
 
 
-def solve_uniform(
-    g: MultiGraph,
-    spec: UniformSpec,
-    start: Matching | None = None,
-) -> Matching | None:
+def solve_uniform(g: MultiGraph, spec: UniformSpec) -> Matching | None:
     """Maximum-weight matching with d_F(v) in spec(v) for every v, or None.
 
-    `start`, any matching of g, only speeds up the verdict: the closer its
-    degrees lie to the spec, the shorter the existence search.
     Deterministic: ties are broken by the perfect-matching solver's fixed
     edge scan order, which the reductions preserve (source edges keep their
     indices in both reduced graphs).
     """
-    ab = uniform_to_ab(g, spec)
-    reduced = ab_to_pm(ab)[0]
-    warm = () if start is None else embed_ab_matching(ab, start)
-    pm = max_weight_perfect_matching(reduced, warm)
+    pm = max_weight_perfect_matching(ab_to_pm(uniform_to_ab(g, spec))[0])
     if pm is None:
         return None
     result = lift(g.edge_count, pm.selected)

@@ -165,8 +165,7 @@ def test_matches_brute_force_on_seeded_multigraphs():
 
 
 def networkx_cases():
-    # Beyond brute force: even n from 10 to 40, average degree about 5, and a
-    # random start matching for each graph.
+    # Beyond brute force: even n from 10 to 40, average degree about 5.
     rng = random.Random(20261019)
     for _ in range(300):
         n = 2 * rng.randint(5, 20)
@@ -175,25 +174,18 @@ def networkx_cases():
             for u, v in combinations(range(n), 2)
             if rng.random() < 5 / n
         )
-        used: set[int] = set()
-        start = []
-        for k in rng.sample(range(len(edges)), len(edges)):
-            u, v, _w = edges[k]
-            if u not in used and v not in used and rng.random() < 0.5:
-                used.update((u, v))
-                start.append(k)
-        yield MultiGraph(n, edges), start
+        yield MultiGraph(n, edges)
 
 
 def test_agrees_with_networkx():
     nx = pytest.importorskip("networkx")
     without = 0
-    for g, start in networkx_cases():
+    for g in networkx_cases():
         G = nx.Graph()
         G.add_nodes_from(range(g.vertex_count))
         G.add_weighted_edges_from(g.edges)
         want = nx.max_weight_matching(G, maxcardinality=True)
-        got = max_weight_perfect_matching(g, start)
+        got = max_weight_perfect_matching(g)
         if 2 * len(want) < g.vertex_count:
             assert got is None
             without += 1
@@ -338,40 +330,6 @@ def test_solving_leaves_the_recursion_limit_alone(monkeypatch):
         assert got is None or matching_weight(g, got) == matching_weight(g, want)
 
 
-def random_matching(rng: random.Random, g: MultiGraph) -> list[int]:
-    used: set[int] = set()
-    out = []
-    for k, (u, v, _w) in enumerate(g.edges):
-        if u not in used and v not in used and rng.random() < 0.5:
-            used.update((u, v))
-            out.append(k)
-    return out
-
-
-def test_start_matching_does_not_change_the_answer():
-    rng = random.Random(99)
-    for g in seeded_graphs():
-        assert max_weight_perfect_matching(
-            g, random_matching(rng, g)
-        ) == max_weight_perfect_matching(g)
-
-
-def test_start_must_be_a_matching():
-    g = MultiGraph(3, ((0, 1, 1), (1, 2, 1)))
-    with pytest.raises(ValueError, match="start edge 1 shares an end"):
-        max_weight_perfect_matching(g, (0, 1))
-
-
-def test_start_must_name_edges_of_the_graph():
-    # A negative index must not wrap around to an edge from the end, and an
-    # index past the last edge must not surface as an IndexError.
-    g = MultiGraph(4, ((0, 1, 1), (2, 3, 1), (1, 2, 5)))
-    assert max_weight_perfect_matching(g) == Matching(frozenset({0, 1}))
-    for k in (-1, -3, 3):
-        with pytest.raises(ValueError, match=f"start edge {k} is not an edge"):
-            max_weight_perfect_matching(g, [k])
-
-
 # -- the start ----------------------------------------------------------------------
 
 
@@ -399,79 +357,67 @@ def uniform_start_roots(g: MultiGraph) -> int:
 
 
 def test_jump_start_duals_are_feasible_even_and_tight_at_every_vertex():
-    rng = random.Random(11)
     gadgets = list(relaxation_gadgets())
     graphs = seeded_graphs() + [g for g, _v in seeded_multigraphs()] + gadgets
     seen = {"isolated": 0, "parallel": 0, "odd negative": 0}
     for g in graphs:
         n = g.vertex_count
         endpoint, neighbend = adjacency(g)
-        weights = [w for _u, _v, w in g.edges]
+        weight = [w for _u, _v, w in g.edges]
         seen["isolated"] += sum(not ends for ends in neighbend)
         seen["parallel"] += has_parallel_edges(g)
-        seen["odd negative"] += sum(w < 0 and w % 2 for w in weights)
-        # The weighted run starts from the empty matching, the zero-weight
-        # run from any matching.
-        zero_start = random_matching(rng, g)
-        for weight, start in ((weights, []), ([0] * len(weights), zero_start)):
-            mate = [-1] * n
-            for k in start:
-                u, v, _w = g.edges[k]
-                mate[u], mate[v] = 2 * k + 1, 2 * k
-            dual = blossom._jump_start(weight, endpoint, neighbend, mate)
-            assert len(dual) == n and all(p % 2 == 0 for p in dual)
-            assert any(weight) or not any(dual)
-            ends = [(u, v) for u, v, _w in g.edges]
-            slack = [dual[u] + dual[v] - 2 * w for (u, v), w in zip(ends, weight)]
-            assert all(s >= 0 for s in slack)
-            tight = [e for e, s in zip(ends, slack) if s == 0]
-            assert {x for e in tight for x in e} == {x for e in ends for x in e}
-            for v, p in enumerate(mate):
-                if p != -1:
-                    assert endpoint[p ^ 1] == v and mate[endpoint[p]] == p ^ 1
-                    assert slack[p >> 1] == 0
-            # Augmenting keeps every matched vertex matched.
-            assert all(mate[x] != -1 for k in start for x in g.edges[k][:2])
+        seen["odd negative"] += sum(w < 0 and w % 2 for w in weight)
+        mate, dual = blossom._jump_start(weight, endpoint, neighbend)
+        assert len(mate) == len(dual) == n and all(p % 2 == 0 for p in dual)
+        ends = [(u, v) for u, v, _w in g.edges]
+        slack = [dual[u] + dual[v] - 2 * w for (u, v), w in zip(ends, weight)]
+        assert all(s >= 0 for s in slack)
+        tight = [e for e, s in zip(ends, slack) if s == 0]
+        assert {x for e in tight for x in e} == {x for e in ends for x in e}
+        for v, p in enumerate(mate):
+            if p != -1:
+                assert endpoint[p ^ 1] == v and mate[endpoint[p]] == p ^ 1
+                assert slack[p >> 1] == 0
     assert all(seen.values()), seen
 
     roots = uniform = 0
     for g in gadgets:
         endpoint, neighbend = adjacency(g)
-        mate = [-1] * g.vertex_count
-        blossom._jump_start([w for _u, _v, w in g.edges], endpoint, neighbend, mate)
+        weight = [w for _u, _v, w in g.edges]
+        mate, _dual = blossom._jump_start(weight, endpoint, neighbend)
         roots += mate.count(-1)
         uniform += uniform_start_roots(g)
     assert roots < uniform
 
 
 def test_every_none_has_a_checked_barrier(monkeypatch):
+    # Random graphs and real gadgets in both senses: each solve is one run
+    # on the real weights, and each None is a barrier of that run that has
+    # passed the check.
+    runs = []
     checked = []
+    real = blossom._solve
+
+    def recording_solve(weight, endpoint, neighbend):
+        runs.append(weight)
+        return real(weight, endpoint, neighbend)
 
     def recording(graph, barrier):
         barrier = list(barrier)
         _check_barrier(graph, barrier)
-        checked.append((graph, barrier))
+        checked.append(graph)
 
+    monkeypatch.setattr(blossom, "_solve", recording_solve)
     monkeypatch.setattr(blossom, "_check_barrier", recording)
-    nones = [g for g in seeded_graphs() if max_weight_perfect_matching(g) is None]
-    assert len(nones) > 20
-    assert [g for g, _barrier in checked] == nones
-
-
-def test_weighted_solve_raises_if_the_search_was_wrong(monkeypatch):
-    # Pretend the zero-weight search completed a perfect matching of a graph
-    # that has none: the weighted search must not answer None on its own.
-    real = blossom._solve
-
-    def existence_says_yes(weight, endpoint, neighbend, mate):
-        if any(weight):
-            return real(weight, endpoint, neighbend, mate)
-        return mate, [], []
-
-    monkeypatch.setattr(blossom, "_solve", existence_says_yes)
-    g = MultiGraph(4, ((0, 1, 1), (1, 2, 1), (0, 2, 1)))
-    with pytest.raises(AssertionError, match="dual update is unbounded"):
-        max_weight_perfect_matching(g)
+    nones = {"seeded": [], "gadget": []}
+    for kind, graphs in (("seeded", seeded_graphs()), ("gadget", relaxation_gadgets())):
+        for g in graphs:
+            runs.clear()
+            if max_weight_perfect_matching(g) is None:
+                nones[kind].append(g)
+            assert runs == [[w for _u, _v, w in g.edges]]
+    assert len(nones["seeded"]) > 20 and len(nones["gadget"]) > 200
+    assert checked == nones["seeded"] + nones["gadget"]
 
 
 # -- the barrier check --------------------------------------------------------------

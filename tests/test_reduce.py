@@ -14,7 +14,6 @@ from bmatch.reduce import (
     BadSpec,
     BoundsError,
     ab_to_pm,
-    embed_ab_matching,
     lift,
     uniform_to_ab,
 )
@@ -292,41 +291,6 @@ def test_a_band_one_external_narrower_fails_to_complete(narrow):
     assert not blocks_complete(narrow)
 
 
-@pytest.mark.parametrize("d", [3, 6])
-def test_embedding_exposes_the_documented_nodes_at_a_banded_vertex(d):
-    # Below a, a - deg externals of the vertex stay exposed; within [a, b]
-    # none; above b, deg - b of its internals; one pool node at most, when
-    # the escapees miss the pad's parity.  Every leaf is within its bounds.
-    seen = set()
-    for a in range(d + 1):
-        for b in range(a, d + 1):
-            ab = star(d, a, b)
-            reduced, source_edges = ab_to_pm(ab)
-            layout = ab.layout
-            for k in range(d + 1):
-                for selected in combinations(range(d), k):
-                    matching = Matching(frozenset(selected))
-                    embedded = embed_ab_matching(ab, matching)
-                    ends = [0] * reduced.vertex_count
-                    for e in embedded:
-                        u, v, _w = reduced.edges[e]
-                        ends[u] += 1
-                        ends[v] += 1
-                    assert max(ends, default=0) <= 1, "must be a matching of the gadget"
-                    assert lift(source_edges, embedded) == matching
-                    exposed = {x for x in range(reduced.vertex_count) if ends[x] == 0}
-                    externals = exposed & set(layout.externals_at[0])
-                    internals = exposed & set(layout.internals_at[0])
-                    pool = exposed & set(layout.pool)
-                    assert len(externals) == max(a - k, 0)
-                    assert len(internals) == max(k - b, 0)
-                    missed = len(externals) + len(internals)
-                    assert len(exposed) == missed + len(pool)
-                    assert len(pool) == missed % 2
-                    seen.add((k > b) - (k < a))
-    assert seen == {-1, 0, 1}
-
-
 @pytest.mark.parametrize("pad", [0, 1])
 def test_chain_pairs_up_exactly_at_the_pad_parity(pad):
     # Vertex 0 has C pool-connected internals; vertex 1 has none.  The pool
@@ -347,56 +311,6 @@ def test_chain_pairs_up_exactly_at_the_pad_parity(pad):
                 ))
                 found = next(all_perfect_matchings(left), None) is not None
                 assert found == (k % 2 == pad)
-
-
-def test_embed_then_lift_roundtrip():
-    rng = random.Random(7)
-    for _ in range(60):
-        ab = random_ab(rng, rng.randint(1, 4), rng.randint(0, 5))
-        for matching in all_ab_matchings(ab):
-            embedded = embed_ab_matching(ab, matching)
-            reduced, source_edges = ab_to_pm(ab)
-            ends = [0] * reduced.vertex_count
-            for e in embedded:
-                u, v, _w = reduced.edges[e]
-                ends[u] += 1
-                ends[v] += 1
-            assert all(c == 1 for c in ends), "embedding must be a perfect matching"
-            assert lift(source_edges, embedded) == matching
-
-
-def test_tolerant_embedding_exposes_only_what_the_bounds_force():
-    rng = random.Random(17)
-    for _ in range(200):
-        ab = random_ab(rng, rng.randint(1, 5), rng.randint(0, 7))
-        g = ab.graph
-        reduced, source_edges = ab_to_pm(ab)
-        for _ in range(5):
-            matching = Matching(
-                frozenset(e for e in range(g.edge_count) if rng.random() < 0.5)
-            )
-            embedded = embed_ab_matching(ab, matching)
-            ends = [0] * reduced.vertex_count
-            for e in embedded:
-                u, v, _w = reduced.edges[e]
-                ends[u] += 1
-                ends[v] += 1
-            assert max(ends, default=0) <= 1, "must be a matching of the gadget"
-            lifted = lift(source_edges, embedded)
-            assert matching.selected <= lifted.selected
-            for e in lifted.selected - matching.selected:
-                assert g.edges[e][0] == g.edges[e][1], "only loops are added"
-            # One exposed node per unit of bound violation, plus a pool node
-            # to make the count even.
-            deg = [0] * g.vertex_count
-            for e in lifted.selected:
-                u, v, _w = g.edges[e]
-                deg[u] += 1
-                deg[v] += 1
-            missed = sum(
-                max(ab.a[v] - d, d - ab.b[v], 0) for v, d in enumerate(deg)
-            )
-            assert ends.count(0) == missed + missed % 2
 
 
 def test_reduced_optimum_matches_ab_brute_force():

@@ -104,17 +104,6 @@ def test_matches_brute_force_both_senses():
             assert matching_weight(g, got) == want
 
 
-def test_start_matching_does_not_change_the_answer():
-    rng = random.Random(7)
-    for _ in range(80):
-        g, spec = random_uniform(rng, rng.randint(1, 5), rng.randint(0, 7))
-        for work in (g, negated(g)):
-            start = Matching(
-                frozenset(e for e in range(g.edge_count) if rng.random() < 0.5)
-            )
-            assert solve_uniform(work, spec, start) == solve_uniform(work, spec)
-
-
 def test_lifted_degree_check_raises_under_optimize():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
