@@ -3,13 +3,15 @@
 Sweeps seeded random instances, runs the two reduction stages, and tabulates
 source size against the reduced graph and its pool, plus the blow-up ratio
 of edges.  Useful for judging when the reduction is still worth it.  The
-default `parity` profile pins every degree, so its pool has at most one
-node.  Under `interval` the pool grows to 2C + pad nodes for the C
-internals that may escape into it, but its edges stay linear: two spokes
-per such internal and a path.  What still grows faster than m are the
-vertex gadgets: internal j of a vertex with bounds (a, b) joins its
-externals j - (b - a) (or 0) through j + a, at most (d - a)(b + 1) edges
-at a vertex of degree d, and d(d + 1)/2 when a = 0 and b = d.
+pool is the parity chain of the gadget layout: two nodes for each dense
+vertex with b > a, plus one pad node when sum(a) is odd.  The default
+`parity` profile has no dense vertex with b > a, so its pool has at most
+one node; under `interval` nearly every vertex owns a pair.  Its edges
+stay linear: two spokes per even-indexed optional internal and a path.
+What still grows faster than m are the vertex gadgets: internal j of a
+vertex with bounds (a, b) joins its externals j - (b - a) (or 0) through
+j + a, at most (d - a)(b + 1) edges at a vertex of degree d, and
+d(d + 1)/2 when a = 0 and b = d.
 
     python3 scripts/gadget_growth.py --profile interval --sizes 6:12 12:30 24:60
 """

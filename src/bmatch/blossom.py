@@ -32,19 +32,24 @@ returned has passed `_check_optimum`, a complementary-slackness check on the
 final duals that raises instead of asserting, so it also runs under -O; the
 barrier check raises the same way.
 
-The implementation favours simple invariants over asymptotic records: each
-dual update rescans all m edges (and every vertex and blossom id), and
+The implementation favours simple invariants over asymptotic records:
 expanding a blossom mid-stage rebuilds the alternating forest instead of
-surgically relabelling.  A stage restart, though, costs only what the stage
-touched.  The edges it marked allowed, the ids it labelled and the blossoms
-whose dual may be 0 are listed, and the next stage start, a rebuild and the
-stage end visit only those lists.  Tree roots come from a sorted list of
-exposed vertices and are labelled S lazily: when the scan takes them, in
-vertex order and before any vertex a growing tree queued, or when a tight
-edge first reaches one.  That is the scan order of labelling every root up
-front, so the lazy roots change no answer.  Solves are deterministic for a
-fixed input edge order; scans and minimum searches run in edge-index order,
-so ties fall to the smallest edge index.  Nested blossoms are expanded and
+surgically relabelling, and a dual update keeps no least-slack edges.  It
+costs only the forest, though.  Every edge that can bound delta has an end
+at an S-leaf, so the update reads the edges at the stage's S-leaves, the
+T-leaves and the blossom ids labelled in the stage, nothing else.  The
+edges at delta are the only ones that become tight, so the scan then
+resumes only from their S-leaf ends, in vertex order.  A stage restart
+costs only what the stage touched, too.  The edges it marked allowed, the
+ids it labelled and the blossoms whose dual may be 0 are listed, and the
+next stage start, a rebuild and the stage end visit only those lists.
+Tree roots come from a sorted list of exposed vertices and are labelled S
+lazily: when the scan takes them, in vertex order and before any vertex a
+growing tree queued, or when a tight edge first reaches one.  That is the
+scan order of labelling every root up front, so the lazy roots change no
+answer.  Solves are deterministic for a fixed input edge order: a vertex
+scans its edges in edge-index order, and a tie between T-blossoms at
+delta falls to the smallest id.  Nested blossoms are expanded and
 rematched on an explicit stack, not by recursion.
 """
 
@@ -142,10 +147,6 @@ def _solve(
     dual += [0] * n
     exposed = [v for v in range(n) if mate[v] == -1]  # the tree roots, sorted
 
-    # The two ends of every edge, for the edge scans.
-    heads = endpoint[::2]
-    tails = endpoint[1::2]
-
     # Blossom bookkeeping, ids n..2n-1.
     label = [0] * (2 * n)  # 0 free, 1 S, 2 T (plus 5 as a scan breadcrumb)
     labelend = [-1] * (2 * n)  # endpoint through which the label arrived
@@ -163,6 +164,10 @@ def _solve(
     allowed: list[int] = []
     labelled: list[int] = []
     zero_dual: list[int] = []
+    # The forest's vertices: each S-leaf once, when first queued as S, and
+    # the leaves of each T-blossom, when labelled (a T-leaf may turn S).
+    sleaves: list[int] = []
+    tleaves: list[int] = []
     # Scan order: the leaves of each root's blossom, roots taken lazily in
     # vertex order, then `queue`, as if every root had been queued first.
     rootq: deque[int] = deque()
@@ -193,9 +198,16 @@ def _solve(
                 scan = rootq if p == -1 else queue
                 if b < n:
                     scan.append(b)
+                    sleaves.append(b)
                 else:
-                    scan.extend(blossom_leaves(b))
+                    leaves = blossom_leaves(b)
+                    scan.extend(leaves)
+                    sleaves.extend(leaves)
                 return
+            if b < n:
+                tleaves.append(b)
+            else:
+                tleaves.extend(blossom_leaves(b))
             base = blossombase[b]
             assert mate[base] >= 0
             w, t, p = endpoint[mate[base]], 1, mate[base] ^ 1
@@ -278,6 +290,7 @@ def _solve(
             if label[inblossom[leaf]] == 2:
                 # Former T-vertex turned S; it still has to be scanned.
                 queue.append(leaf)
+                sleaves.append(leaf)
             inblossom[leaf] = b
 
     def expand_blossom(b: int, endstage: bool) -> Iterator[tuple[int, bool]]:
@@ -374,6 +387,8 @@ def _solve(
             label[i] = 0
             labelend[i] = -1
         labelled.clear()
+        sleaves.clear()
+        tleaves.clear()
         rootq.clear()
         queue.clear()
         next_root = 0
@@ -433,47 +448,54 @@ def _solve(
             if augmented:
                 break
 
-            # Dual update: minimum over the three delta kinds.
+            # Dual update: delta is the least slack of an S-free edge, half
+            # that of an edge between two S-blossoms, or the least dual of
+            # a top-level T-blossom, which is then expanded; an edge wins a
+            # tie.  Every such edge has an S-leaf end, and every such
+            # blossom was labelled in this stage.
             delta = -1
-            delta_type = 0
-            delta_extra = -1
-            for k, u, v in zip(range(m), heads, tails):
-                bu = inblossom[u]
+            expand = -1
+            at_min: list[int] = []  # S-leaves with an edge at delta
+            for v in sleaves:
                 bv = inblossom[v]
-                if bu == bv:
-                    continue
-                lu = label[bu]
-                lv = label[bv]
-                if lu == 1 and lv == 1:
-                    sl = dual[u] + dual[v] - 2 * weight[k]
-                    assert sl % 2 == 0, "S-S slack lost parity"
-                    d = sl // 2
+                pv = dual[v]
+                for p in neighbend[v]:
+                    w = endpoint[p]
+                    bw = inblossom[w]
+                    if bv == bw:
+                        continue
+                    lw = label[bw]
+                    if lw == 1:
+                        sl = pv + dual[w] - 2 * weight[p >> 1]
+                        assert sl % 2 == 0, "S-S slack lost parity"
+                        d = sl // 2
+                    elif lw == 0:
+                        d = pv + dual[w] - 2 * weight[p >> 1]
+                    else:
+                        continue
                     if delta == -1 or d < delta:
-                        delta, delta_type, delta_extra = d, 3, k
-                elif (lu == 1 and lv == 0) or (lu == 0 and lv == 1):
-                    d = dual[u] + dual[v] - 2 * weight[k]
-                    if delta == -1 or d < delta:
-                        delta, delta_type, delta_extra = d, 2, k
-            for b in range(n, 2 * n):
-                if blossomparent[b] == -1 and blossomchilds[b] is not None:
-                    if label[b] == 2:
-                        d = dual[b]
-                        if delta == -1 or d < delta:
-                            delta, delta_type, delta_extra = d, 4, b
-            if delta_type == 0:
+                        delta = d
+                        at_min = [v]
+                    elif d == delta and at_min[-1] != v:
+                        at_min.append(v)
+            for b in labelled:
+                if b >= n and label[b] == 2 and blossomparent[b] == -1:
+                    d = dual[b]
+                    if delta == -1 or d < delta or (d == delta and b < expand):
+                        delta, expand = d, b
+            if delta == -1:
                 return [v for v in range(n) if label[inblossom[v]] == 2]
             # A zero delta only happens for a zero-dual blossom that got
             # relabelled T after a forest rebuild; expanding it is progress.
-            assert delta > 0 or delta_type == 4, "scan left a tight edge unprocessed"
+            assert delta > 0 or expand != -1, "scan left a tight edge unprocessed"
 
-            for v in range(n):
-                lb = label[inblossom[v]]
-                if lb == 1:
-                    dual[v] -= delta
-                elif lb == 2:
+            for v in sleaves:
+                dual[v] -= delta
+            for v in tleaves:
+                if label[inblossom[v]] == 2:
                     dual[v] += delta
-            for b in range(n, 2 * n):
-                if blossomparent[b] == -1 and blossomchilds[b] is not None:
+            for b in labelled:
+                if b >= n and blossomparent[b] == -1:
                     if label[b] == 1:
                         dual[b] += delta
                     elif label[b] == 2:
@@ -481,17 +503,15 @@ def _solve(
                         if dual[b] == 0:
                             zero_dual.append(b)
 
-            if delta_type == 4:
+            if expand != -1:
                 # A T-blossom dual hit zero: dissolve it and rebuild the
                 # forest; labels are derived state, so this is safe.
-                nested(expand_blossom, delta_extra, False)
+                nested(expand_blossom, expand, False)
                 start_forest()
             else:
-                # A new tight edge appeared; resume scanning from every
-                # S-leaf so it gets picked up wherever it is.
-                for v in range(n):
-                    if label[inblossom[v]] == 1:
-                        queue.append(v)
+                # The edges at delta are now tight, and no other edge became
+                # tight: resume the scan only from their S-leaf ends.
+                queue.extend(sorted(at_min))
 
         if not exposed:
             break  # perfect, and optimal by the dual rule; no stage follows

@@ -274,10 +274,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 # -- gadget ------------------------------------------------------------------------
 
 
-def _range_set(lo: int, hi: int) -> DegreeSet:
-    return DegreeSet(tuple(range(lo, hi + 1)))
-
-
 def _origin_comments(edge_count: int, source_edges: int) -> list[str]:
     return [
         f"edge {e} <- original {e}" if e < source_edges else f"edge {e} <- gadget"
@@ -301,7 +297,10 @@ def cmd_gadget(args: argparse.Namespace) -> int:
         comments = ["stage ab", *origins]
         dumped = BInstance(
             ab.graph,
-            tuple(_range_set(ab.a[v], ab.b[v]) for v in range(ab.graph.vertex_count)),
+            tuple(
+                DegreeSet(tuple(range(a, b + 1, step)))
+                for a, b, step in zip(ab.a, ab.b, ab.step)
+            ),
         )
         _write(args.output, format_instance(dumped, comments))
         return EXIT_OK

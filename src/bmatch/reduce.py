@@ -2,40 +2,51 @@
 to perfect matching on a loopless graph.
 
 A uniform spec is a tuple with one range per vertex: a dense run
-range(a, b + 1) or a parity run range(lo, hi + 1, 2).  The reduction reads
-a run by its step, never by equality: a one-element run is both.  The
-first stage turns a parity run into plain bounds by attaching (hi-lo)/2
-weight-0 loops at the vertex and pinning its degree to hi; selecting k
-loops lowers the effective original degree by 2k, which walks the parity
-class.
+range(a, b + 1) or a parity run range(a, b + 1, 2).  The first stage keeps
+the graph and reads each run into bounds a <= b and a step, 1 or 2.  It
+reads a run by its step, never by equality: a one-element run is both, and
+it gets step 1.
 
 The second stage is a vertex gadget.  Every edge end becomes an external
 node and each edge joins its two externals, carrying the original weight.
 A vertex v of degree d contributes d - a internal nodes, a = a(v) and
 b = b(v): unselected ends must be absorbed by internals, so at least a
-ends stay on original edges.  The first b - a internals may instead escape
-into a global pool, letting the degree rise up to b.  Internal j (0-based)
-is joined only to the band of externals j - (b - a) (or 0) through j + a,
-so the vertex costs at most (d - a)(b + 1) edges, not (d - a)d.  Every
-degree k in [a, b] still fits: the first k - a internals escape, and the
-i-th free external p_i goes to the i-th staying internal k - a + i,
-because i <= p_i <= k + i puts p_i - (k - a + i) in [-(b - a), a].
+ends stay on original edges.  The first b - a internals o0, o1, ... are
+optional: they may instead leave the band, so the degree can rise to b.
+Internal j (0-based) is joined only to the band of externals j - (b - a)
+(or 0) through j + a, so the vertex costs at most (d - a)(b + 1) band
+edges, not (d - a)d.  The optional internals are joined in pairs (o0, o1),
+(o2, o3), ...; a dense vertex with b > a also has one pair of pool nodes,
+and each even-indexed optional internal has a spoke to both of them.
 
-The pool absorbs global slack.  It is a parity chain: with C pool-connected
-internals, its L = 2C + pad nodes q0 - q1 - ... - q(L-1) lie on one weight-0
-path, and pool-connected internal t has two spokes, to q(2t) and q(2t+1).
-pad = (C + sum(b)) mod 2 keeps the gadget's node count even.  Reading the
-pairs (q(2t), q(2t+1)) from left to right, at most one pool node is
-pending: an escapee flips that state, taking q(2t) when nothing is pending
-and q(2t+1) when q(2t-1) is, and a non-escapee keeps it.  So the pool nodes
-left over pair up along the path exactly when the number of escapees has
-the parity of pad, the escape counts a perfect matching of the gadget can
-have at all.  The chain has 2C spokes and L - 1 path edges, linear in C.
+Every degree k of the run fits.  The first k - a optional internals leave
+the band, paired; when k - a is odd, which a parity run never allows,
+the last of them, o(k - a - 1), has an even index and takes a pool node
+instead.  The i-th free external p_i goes to the i-th staying internal
+k - a + i, because i <= p_i <= k + i puts p_i - (k - a + i) in
+[-(b - a), a].  No other degree fits: only optional internals have edges
+off the band, and those that take no pool node are paired, so a parity
+vertex, which has no pool nodes, keeps k - a even.
 
-Both stages list the source edges first, each at its own index, and append
-only edges they invent.  That order is the lift: a reduced solution
-restricted to the indices below the source edge count is the source
-solution.
+The pool takes those odd ones out.  It is a parity chain: its L = 2D + pad
+nodes q0 - q1 - ... - q(L-1) lie on one weight-0 path, where D counts the
+dense vertices with b > a and the t-th of them owns the pair
+(q(2t), q(2t+1)).  pad = sum(a) mod 2 keeps the gadget's node count even.
+Reading the pairs from left to right, at most one pool node is pending: a
+pair that one spoke reaches flips that state, taking q(2t) when nothing is
+pending and q(2t+1) when q(2t-1) is, and a pair that none reaches keeps
+it.  The number of vertices with k - a odd has the parity of sum(k - a),
+which is that of sum(a) because the degrees k sum to twice the matching
+size; so the pool nodes those vertices leave pair up along the path.
+Conversely, in any perfect matching the path
+pairs the pool nodes that no spoke takes, so the spokes used have the
+parity of pad.  The pool costs two spokes per even-indexed optional
+internal and L - 1 path edges, linear in the degree.
+
+Both stages list the source edges first, each at its own index, and the
+second appends only edges it invents.  That order is the lift: a reduced
+solution restricted to the indices below the source edge count is the
+source solution.
 """
 
 from __future__ import annotations
@@ -64,32 +75,36 @@ class GadgetLayout:
 
     externals_at: tuple[tuple[int, ...], ...]  # per source vertex
     internals_at: tuple[tuple[int, ...], ...]
-    pool_connected: tuple[int, ...]
-    pool: tuple[int, ...]
+    pool: tuple[int, ...]  # a pair per dense vertex with b > a, then the pad
     node_count: int
 
 
 @dataclass(frozen=True)
 class ABInstance:
-    """Multigraph with per-vertex degree bounds a(v) <= d_F(v) <= b(v)."""
+    """Multigraph with per-vertex degree bounds a(v) <= d_F(v) <= b(v);
+    where step(v) is 2, d_F(v) must also have the parity of a(v).  An empty
+    `step` means step 1 everywhere."""
 
     graph: MultiGraph
     a: tuple[int, ...]
     b: tuple[int, ...]
+    step: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
         g = self.graph
         n = g.vertex_count
-        if len(self.a) != n or len(self.b) != n:
-            raise ValueError("need one (a, b) pair per vertex")
+        object.__setattr__(self, "a", tuple(self.a))
+        object.__setattr__(self, "b", tuple(self.b))
+        object.__setattr__(self, "step", tuple(self.step) or (1,) * n)
+        if len(self.a) != n or len(self.b) != n or len(self.step) != n:
+            raise ValueError("need one (a, b) pair and one step per vertex")
         for v in range(n):
-            if not 0 <= self.a[v] <= self.b[v]:
-                raise ValueError(f"bad bounds a={self.a[v]}, b={self.b[v]} at vertex {v}")
-            if self.b[v] > g.degree(v):
+            a, b, step = self.a[v], self.b[v], self.step[v]
+            if not 0 <= a <= b or step not in (1, 2) or (b - a) % step:
+                raise ValueError(f"bad bounds a={a}, b={b}, step={step} at vertex {v}")
+            if b > g.degree(v):
                 raise BoundsError(
-                    f"upper bound {self.b[v]} exceeds degree {g.degree(v)} at vertex {v}"
+                    f"upper bound {b} exceeds degree {g.degree(v)} at vertex {v}"
                 )
 
     @cached_property
@@ -104,22 +119,18 @@ class ABInstance:
             externals[v].append(2 * e + 1)
         next_id = 2 * g.edge_count
         internals: list[list[int]] = [[] for _ in range(n)]
-        pool_connected: list[int] = []
         for v in range(n):
             count = g.degree(v) - self.a[v]
             internals[v] = list(range(next_id, next_id + count))
             next_id += count
-            pool_connected.extend(internals[v][: self.b[v] - self.a[v]])
-        connected = len(pool_connected)
-        pool_size = 2 * connected + (connected + sum(self.b)) % 2
-        pool = list(range(next_id, next_id + pool_size))
-        next_id += pool_size
+        dense = sum(s == 1 and a < b for s, a, b in zip(self.step, self.a, self.b))
+        pool_size = 2 * dense + sum(self.a) % 2
+        pool = range(next_id, next_id + pool_size)
         return GadgetLayout(
             externals_at=tuple(tuple(x) for x in externals),
             internals_at=tuple(tuple(x) for x in internals),
-            pool_connected=tuple(pool_connected),
             pool=tuple(pool),
-            node_count=next_id,
+            node_count=next_id + pool_size,
         )
 
 
@@ -139,53 +150,52 @@ def lift(source_edges: int, solution: Iterable[int]) -> Matching:
 
 
 def uniform_to_ab(g: MultiGraph, spec: UniformSpec) -> ABInstance:
-    """Loop construction: parity runs become degree-pinned vertices with
-    weight-0 loops; dense runs turn into bounds directly.  Raises BadSpec
+    """Read each run as bounds and a step on the same graph.  Raises BadSpec
     unless each run is nonempty, has step 1 or 2 and lies in [0, d(v)]."""
     n = g.vertex_count
     if len(spec) != n:
         raise BadSpec("spec size does not match the graph")
-    a = [0] * n
-    b = [0] * n
-    loops: list[tuple[int, int, int]] = []
-    for v in range(n):
-        s = spec[v]
+    for v, s in enumerate(spec):
         if not s or s.step not in (1, 2) or s[0] < 0 or s[-1] > g.degree(v):
             raise BadSpec(f"run {s} does not fit vertex {v} of degree {g.degree(v)}")
-        if s.step == 1:
-            a[v], b[v] = s[0], s[-1]
-        else:
-            loops.extend((v, v, 0) for _ in range(len(s) - 1))
-            a[v] = b[v] = s[-1]
-    reduced = MultiGraph(n, g.edges + tuple(loops))
-    return ABInstance(reduced, tuple(a), tuple(b))
+    return ABInstance(
+        g,
+        tuple(s[0] for s in spec),
+        tuple(s[-1] for s in spec),
+        tuple(s.step if len(s) > 1 else 1 for s in spec),
+    )
 
 
 def ab_to_pm(ab: ABInstance) -> tuple[MultiGraph, int]:
     """Vertex gadget from (a,b)-matching to maximum-weight perfect matching.
 
     Reduced edge order: one edge per source edge first (same index, carrying
-    the weight), then the vertex gadgets in vertex order (internal-major),
-    internal j of a vertex joined to its externals max(0, j - (b - a))
-    through j + a in order, then the pool spokes, two per pool-connected
-    internal t (to pool nodes 2t and 2t+1, in that order), then the pool
-    path, whose edge i joins pool nodes i and i+1.  The reduced graph is
-    simple, so it has no loop for the blossom to reject; a source loop
-    contributes two distinct external nodes at its vertex.
+    the weight), then the vertex gadgets in vertex order.  A vertex lists
+    its band edges (internal-major, internal j joined to its externals
+    max(0, j - (b - a)) through j + a in order), then its pair edges
+    (o0, o1), (o2, o3), ..., then, for a dense vertex with b > a, the
+    spokes of o0, o2, ... to its two pool nodes, in that order.  Last comes
+    the pool path, whose edge i joins pool nodes i and i+1.  The reduced
+    graph is simple, so it has no loop for the blossom to reject; a source
+    loop contributes two distinct external nodes at its vertex.
     Node ids follow `ab.layout`.
     """
     layout = ab.layout
     g = ab.graph
+    pool = layout.pool
+    pairs = zip(pool[::2], pool[1::2])
     edges = [(2 * e, 2 * e + 1, w) for e, (_u, _v, w) in enumerate(g.edges)]
     for v in range(g.vertex_count):
+        a, b = ab.a[v], ab.b[v]
         externals = layout.externals_at[v]
-        for j, i in enumerate(layout.internals_at[v]):
-            band = _band(j, ab.a[v], ab.b[v])
-            edges.extend((i, externals[p], 0) for p in band)
-    pool = layout.pool
-    for t, i in enumerate(layout.pool_connected):
-        edges.append((i, pool[2 * t], 0))
-        edges.append((i, pool[2 * t + 1], 0))
+        internals = layout.internals_at[v]
+        for j, i in enumerate(internals):
+            edges.extend((i, externals[p], 0) for p in _band(j, a, b))
+        optional = internals[: b - a]
+        edges.extend((x, y, 0) for x, y in zip(optional[::2], optional[1::2]))
+        if ab.step[v] == 1 and a < b:
+            ends = next(pairs)
+            edges.extend((x, q, 0) for x in optional[::2] for q in ends)
     edges.extend((p, q, 0) for p, q in zip(pool, pool[1:]))
     graph = MultiGraph(layout.node_count, tuple(edges))
     return graph, g.edge_count

@@ -684,7 +684,8 @@ def extract_canonical_sequence(
         back = [w for w in union if w.edge_set <= leftover]
         if frozenset(e for w in back for e in w.edges) != leftover:
             raise AssertionError("emitted component must split the union along whole walks")
-        pool = [w for w in pool if w not in union] + back
+        taken = set(union)
+        pool = [w for w in pool if w not in taken] + back
     if m_cur.selected != n.selected:
         raise AssertionError("extraction must land on the target")
     return list(cycles), seq

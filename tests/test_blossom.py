@@ -11,7 +11,7 @@ from bmatch.blossom import _check_barrier, _check_optimum, max_weight_perfect_ma
 from bmatch.core import Matching, MultiGraph, degrees, matching_weight
 from bmatch.gen import PROFILES, random_instance
 from bmatch.neighbourhood import _relaxation
-from bmatch.reduce import uniform_to_ab
+from bmatch.reduce import ABInstance, uniform_to_ab
 
 from conftest import FIXTURES, src_env
 
@@ -238,8 +238,8 @@ def relaxation_gadgets():
         yield MultiGraph(graph.vertex_count, tuple((u, v, -w) for u, v, w in graph.edges))
 
 
-ZERO_ONE_DIGEST = "a39497194888a55df59a6d62931e9bba654c57afac574db8df2254d81f3eb93b"
-GADGET_DIGEST = "7c3703c7fde34b9e177b100b95c3c0fd300d679cd724d85037c06a1cd0fbd10f"
+ZERO_ONE_DIGEST = "365bfd1be2a5f5cc0aa5f30e9248783ff81afcf22a74ef07fa0ea1b959048332"
+GADGET_DIGEST = "632c68c945c2250442d0acf15516729333d6f9e540bad28aa9a36df57845708c"
 
 
 def test_tie_breaks_are_pinned():
@@ -252,14 +252,22 @@ def test_gadget_tie_breaks_are_pinned():
 
 
 def full_spoke_gadget(ab, clique: bool = False) -> MultiGraph:
-    """The gadget the digests here were recorded on: ab_to_pm's source
-    edges, then per vertex each internal joined to every external of its
-    vertex (internal-major), then a pool of C + (sum(b) mod 2) nodes for
-    the C pool-connected internals, a spoke from each of them to every pool
-    node, and the pool path; with clique=True, the lexicographic clique
-    over the pool instead of the path.  Built here so that the digests keep
-    pinning the same solver runs whatever vertex blocks and pool ab_to_pm
-    builds."""
+    """The gadget the digests here were recorded on.  It first rebuilds the
+    loop stage that parity runs once went through: (b - a)/2 weight-0 loops
+    appended at each parity vertex, in vertex order, and bounds (b, b)
+    there.  Then come the source and loop edges, per vertex each internal
+    joined to every external of its vertex (internal-major), a pool of
+    C + (sum(b) mod 2) nodes for the first b - a internals of each vertex,
+    C in all, a spoke from each of them to every pool node, and the pool
+    path; with clique=True, the lexicographic clique over the pool instead
+    of the path.  Built here so that the digests keep pinning the same
+    solver runs whatever stages ab_to_pm and uniform_to_ab build."""
+    n = ab.graph.vertex_count
+    loops = tuple(
+        (v, v, 0) for v in range(n) if ab.step[v] == 2 for _ in range(0, ab.b[v] - ab.a[v], 2)
+    )
+    pinned = tuple(b if step == 2 else a for a, b, step in zip(ab.a, ab.b, ab.step))
+    ab = ABInstance(MultiGraph(n, ab.graph.edges + loops), pinned, ab.b)
     layout = ab.layout
     source = tuple(
         (2 * e, 2 * e + 1, w) for e, (_u, _v, w) in enumerate(ab.graph.edges)
@@ -271,7 +279,11 @@ def full_spoke_gadget(ab, clique: bool = False) -> MultiGraph:
         for x in externals
     )
     first = 2 * ab.graph.edge_count + sum(len(i) for i in layout.internals_at)
-    connected = layout.pool_connected
+    connected = [
+        i
+        for internals, a, b in zip(layout.internals_at, ab.a, ab.b)
+        for i in internals[: b - a]
+    ]
     pool = range(first, first + len(connected) + sum(ab.b) % 2)
     spokes = tuple((i, q, 0) for i in connected for q in pool)
     joins = combinations(pool, 2) if clique else zip(pool, pool[1:])
@@ -279,16 +291,33 @@ def full_spoke_gadget(ab, clique: bool = False) -> MultiGraph:
     return MultiGraph(first + len(pool), edges + tuple((p, q, 0) for p, q in joins))
 
 
+def test_full_spoke_gadget_adds_the_old_loops_itself():
+    # The digest of the graphs themselves, the relaxation gadgets and the
+    # earlier-s-blossom case below, as they were when uniform_to_ab still
+    # turned parity runs into loops: the solver digests pin the same graphs.
+    digest = hashlib.sha256()
+    for graph in relaxation_gadgets():
+        digest.update(repr((graph.vertex_count, graph.edges)).encode())
+    assert digest.hexdigest() == (
+        "7bc00628c6fbc38f5a2488526e89befdd3beb6c74aaa74d687193a8523aa5eb2"
+    )
+    inst = random_instance(11849, 9, 20, profile="mixed", weights=(-3, 9))
+    graph = full_spoke_gadget(uniform_to_ab(inst.graph, _relaxation(inst)), clique=True)
+    assert hashlib.sha256(repr((graph.vertex_count, graph.edges)).encode()).hexdigest() == (
+        "707ca036021fb0409918d22c88e838216a1bb9617b66cfd22ff19d0283de93db"
+    )
+
+
 @pytest.mark.parametrize(
     "seed, n, m, profile, weights, sign, weight, digest",
     [
         # A stage augments after a mid-stage rebuild, before it takes a
         # root whose blossom has dual 0: that root counts as S.
-        (1130075, 11, 31, "interval", (-2, 3), 1, 21,
-         "5f3410a5a5007378e57d0516fd8fe6a94aae54e6e4630e0084da7ed638ef4870"),
+        (204520, 11, 31, "interval", (-2, 3), 1, 13,
+         "0ef577a14732ae31d9cf3db24e0f71def9068f105f0bd49b47aa0b660fb6af2d"),
         # A zero-dual S-blossom made in an earlier stage.
         (11849, 9, 20, "mixed", (-3, 9), -1, -47,
-         "660f4669a806fa4213804642c628207cef009c404d1d251cb4445dc2b32e84f5"),
+         "c5bd0acfde2eb2002c07490de090bc893143a5a52b3d3c49cee5a34fd4407a50"),
     ],
     ids=["untaken-root", "earlier-s-blossom"],
 )

@@ -534,12 +534,14 @@ def test_gadget_ab_stage_marks_provenance(capsys, uniform_file):
     code, out, _err = run(capsys, "gadget", "--input", uniform_file, "--stage", "ab")
     assert code == 0
     assert "# edge 0 <- original 0" in out
-    assert "# edge 7 <- gadget" in out
+    assert "# edge 6 <- original 6" in out
+    # the stage invents no edge: a parity run stays a run on its own vertex
+    assert "<- gadget" not in out
     inst = parse_instance(out)
-    # plain bounds: every degree set is a dense interval after this stage
-    for v in range(inst.graph.vertex_count):
-        values = inst.b(v).values
-        assert all(b - a == 1 for a, b in zip(values, values[1:]))
+    with open(uniform_file) as f:
+        source = parse_instance(f.read())
+    assert inst.graph == source.graph
+    assert inst.degree_sets == source.degree_sets
 
 
 def test_gadget_pm_stage_is_all_degree_one(capsys, uniform_file):
@@ -560,25 +562,26 @@ def test_gadget_output_is_byte_identical(capsys, uniform_file, tmp_path):
 
 
 # The ab and pm dumps.  The interval pm dumps were re-recorded when the pool
-# became a parity chain; the parity specs pin every degree, so their
-# gadgets have no pool.  All four pm dumps were re-recorded when each
-# internal began to join only its band of externals.
+# became a parity chain.  All four pm dumps were re-recorded when each
+# internal began to join only its band of externals, and again when the
+# optional internals were paired and only dense vertices kept a pool pair;
+# the parity ab dumps then lost their loops and keep each parity run.
 GADGET_SHA256 = {
     ("parity", 1, 4, 7): (
-        "8729c088895c05f09ef324cf5c673195577a6af3c765921acde4d76425428661",
-        "79dd140b11b3a0c97049b357e3b21a8405d2c7850531c550f8e9d65957fc7350",
+        "f706d01c5d303f7468d9a2b10e545fd256322c2dbcdc7be461fa38a67b3bd3b0",
+        "578189216e814acc09fcc4e76017c431fc899d7b09c4b158b273bdc4984f9aed",
     ),
     ("parity", 3, 6, 12): (
-        "b161130f66d4381417aa61c6ccb14876b930aa6d66a5cd697336f8b891cbe51b",
-        "6e4892dba142b787bbb8ddc4248231b9c0269f2089bc7fc47a79e9a898f0f63c",
+        "1745a84e8b9184f6f0f28ef5e54e407250afc0089449f103cdde9cebc813b3f3",
+        "c45035646e23633f0dfe6d497468b5a478041c3f15b751010b8033f527c95a38",
     ),
     ("interval", 2, 5, 9): (
         "7fe87253ec19c260e0b350ba563d5ff2503dbf8cddb54a0bcd8503d2d8262c3e",
-        "45119bea6e5059a44700262f379d14aab1d22494e261caef4859846df03d4ff4",
+        "d8a883e79f200c46076c7a3fc7cce28db4396aaf2bba8c05acc6aeb8b50606d2",
     ),
     ("interval", 4, 8, 20): (
         "d4f84a69aa283b8836a9394567ecb3c2b937859cea4d9cd864a16ab8747d3683",
-        "a7dff7302c0d4d57e49d1c515091b89547531021def153865f817f944d7b6f1a",
+        "e385619db75e92b97e70390aa34f71384e1b62fd68f0189b7db4f90736183f17",
     ),
 }
 

@@ -64,5 +64,5 @@ def test_tracer_observers_read_the_solver_results(fig2):
         == stats["solved"]
         == 2
     )
-    assert counts["gadget.nodes"] == 132
+    assert counts["gadget.nodes"] == 112
     assert counts["candidates.count"] == stats["cached"] + stats["pruned"] == 2

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -28,7 +28,10 @@ def all_ab_matchings(ab: ABInstance):
                 u, v, _w = g.edges[e]
                 deg[u] += 1 if u != v else 2
                 deg[v] += 1 if u != v else 0
-            if all(ab.a[v] <= deg[v] <= ab.b[v] for v in range(g.vertex_count)):
+            if all(
+                ab.a[v] <= deg[v] <= ab.b[v] and (deg[v] - ab.a[v]) % ab.step[v] == 0
+                for v in range(g.vertex_count)
+            ):
                 yield Matching(frozenset(combo))
 
 
@@ -67,12 +70,14 @@ def random_ab(rng: random.Random, n: int, m: int) -> ABInstance:
     g = MultiGraph(n, tuple(edges))
     a = []
     b = []
+    step = []
     for v in range(n):
         lo = rng.randint(0, max(0, g.degree(v) // 2))
         hi = rng.randint(lo, g.degree(v))
         a.append(lo)
         b.append(hi)
-    return ABInstance(g, tuple(a), tuple(b))
+        step.append(2 if (hi - lo) % 2 == 0 and rng.random() < 0.5 else 1)
+    return ABInstance(g, tuple(a), tuple(b), tuple(step))
 
 
 # -- specs --------------------------------------------------------------------
@@ -110,23 +115,22 @@ def test_uniform_to_ab_interval_is_identity():
     assert ab.a == (0, 1) and ab.b == (1, 1)
 
 
-def test_uniform_to_ab_parity_pins_to_hi_with_loops():
+def test_uniform_to_ab_keeps_a_parity_run_as_bounds_and_a_step():
     g = MultiGraph(1, ((0, 0, 5), (0, 0, 2)))
     ab = uniform_to_ab(g, (range(0, 5, 2),))
-    assert ab.a == (4,) and ab.b == (4,)
-    assert ab.graph.edge_count == 4  # two originals + (4 - 0) / 2 gadget loops
-    gadgets = range(g.edge_count, ab.graph.edge_count)
-    assert len(gadgets) == 2
-    assert all(ab.graph.edges[e] == (0, 0, 0) for e in gadgets)
+    assert ab.graph == g
+    assert (ab.a, ab.b, ab.step) == ((0,), (4,), (2,))
+    with pytest.raises(ValueError):
+        ABInstance(g, (0,), (3,), (2,))
 
 
 def test_lift_drops_gadget_edges():
-    g = MultiGraph(1, ((0, 0, 5),))
-    ab = uniform_to_ab(g, (range(0, 3, 2),))
-    # selecting the original loop and no gadget loop lifts to {0}
-    for sel in all_ab_matchings(ab):
-        lifted = lift(g.edge_count, sel)
-        assert lifted.selected <= {0}
+    g = MultiGraph(2, ((0, 0, 5), (0, 1, 1), (0, 1, 2)))
+    ab = uniform_to_ab(g, (range(0, 5, 2), range(0, 3)))
+    reduced, source_edges = ab_to_pm(ab)
+    assert source_edges == g.edge_count < reduced.edge_count
+    lifted = {lift(source_edges, pm) for pm in all_perfect_matchings(reduced)}
+    assert lifted == set(all_ab_matchings(ab))
 
 
 # -- perfect-matching gadget ---------------------------------------------------
@@ -173,42 +177,51 @@ def band_width(j: int, a: int, b: int) -> int:
 
 
 def test_gadget_edge_count_and_pool_path():
-    # Source edges, the vertex gadgets' band widths, two spokes from each of
-    # the C pool-connected internals, and a pool path of L - 1 edges over
-    # L = 2C + pad pool nodes, pad = (C + sum(b)) mod 2.
+    # Source edges, then per vertex its band edges, a pair edge per two of
+    # its b - a optional internals and, for a dense vertex with b > a, two
+    # spokes from each even-indexed optional internal to its own pool
+    # pair; last a pool path of L - 1 edges over L = 2D + pad pool nodes,
+    # D such dense vertices and pad = sum(a) mod 2.
     rng = random.Random(5)
-    long_pools = 0
+    long_pools = parity_vertices = 0
     for _ in range(100):
         ab = random_ab(rng, rng.randint(1, 6), rng.randint(0, 12))
         g = ab.graph
+        layout = ab.layout
         reduced, _source_edges = ab_to_pm(ab)
-        pool = ab.layout.pool
-        connected = ab.layout.pool_connected
-        c = sum(b - a for a, b in zip(ab.a, ab.b))
-        assert len(connected) == c
-        assert len(pool) == 2 * c + (c + sum(ab.b)) % 2
-        vertex_gadgets = sum(
+        pool = layout.pool
+        dense = [v for v in range(g.vertex_count) if ab.step[v] == 1 and ab.a[v] < ab.b[v]]
+        assert len(pool) == 2 * len(dense) + sum(ab.a) % 2
+        optional = [layout.internals_at[v][: ab.b[v] - ab.a[v]] for v in range(g.vertex_count)]
+        pairs = [(x, y) for o in optional for x, y in zip(o[::2], o[1::2])]
+        spokes = [
+            (x, q)
+            for t, v in enumerate(dense)
+            for x in optional[v][::2]
+            for q in pool[2 * t : 2 * t + 2]
+        ]
+        bands = sum(
             band_width(j, ab.a[v], ab.b[v])
             for v in range(g.vertex_count)
             for j in range(g.degree(v) - ab.a[v])
         )
         path = max(len(pool) - 1, 0)
-        assert len(reduced.edges) == g.edge_count + vertex_gadgets + 2 * c + path
-        spokes = reduced.edges[g.edge_count + vertex_gadgets :][: 2 * c]
-        assert spokes == tuple(
-            (i, pool[2 * t + k], 0) for t, i in enumerate(connected) for k in (0, 1)
-        )
+        assert len(reduced.edges) == g.edge_count + bands + len(pairs) + len(spokes) + path
+        internal = {x for group in layout.internals_at for x in group}
+        assert [(u, v) for u, v, _w in reduced.edges if u in internal and v in internal] == pairs
+        assert [(u, v) for u, v, _w in reduced.edges if (u in pool) != (v in pool)] == spokes
         tail = reduced.edges[len(reduced.edges) - path :]
         assert tail == tuple((p, q, 0) for p, q in zip(pool, pool[1:]))
         long_pools += len(pool) >= 3
-    assert long_pools > 20
+        parity_vertices += sum(step == 2 and a < b for a, b, step in zip(ab.a, ab.b, ab.step))
+    assert long_pools > 20 and parity_vertices > 20
 
 
-def star(d: int, a: int, b: int) -> ABInstance:
-    """Vertex 0 of degree d with bounds (a, b), joined to d leaves that each
-    take degree 0 or 1."""
+def star(d: int, a: int, b: int, step: int = 1) -> ABInstance:
+    """Vertex 0 of degree d with bounds (a, b) and step `step`, joined to d
+    leaves that each take degree 0 or 1."""
     g = MultiGraph(d + 1, tuple((0, leaf, 1) for leaf in range(1, d + 1)))
-    return ABInstance(g, (a,) + (0,) * d, (b,) + (1,) * d)
+    return ABInstance(g, (a,) + (0,) * d, (b,) + (1,) * d, (step,) + (1,) * d)
 
 
 def vertex_block(ab: ABInstance, v: int) -> list[range]:
@@ -231,7 +244,7 @@ def vertex_block(ab: ABInstance, v: int) -> list[range]:
 def block_completes(block: list[range], d: int, a: int, b: int, selected) -> bool:
     """Whether the internals of one vertex block can absorb every external
     outside `selected` while len(selected) - a of the first b - a internals
-    escape to the pool instead: a perfect bipartite matching of the free
+    leave the band instead: a perfect bipartite matching of the free
     externals plus that many escape slots against the internals."""
     free = [p for p in range(d) if p not in selected]
     escapes = len(selected) - a
@@ -291,26 +304,104 @@ def test_a_band_one_external_narrower_fails_to_complete(narrow):
     assert not blocks_complete(narrow)
 
 
+def gadget_block(d: int, a: int, b: int, step: int):
+    """Vertex 0's block in the star gadget: its externals, its nodes (with
+    its own pool pair, if it has one), the edges among them and that pair."""
+    ab = star(d, a, b, step)
+    reduced, _source_edges = ab_to_pm(ab)
+    layout = ab.layout
+    pair = layout.pool[:2] if step == 1 and a < b else ()
+    externals = layout.externals_at[0]
+    nodes = set(externals) | set(layout.internals_at[0]) | set(pair)
+    edges = [(u, v) for u, v, _w in reduced.edges if u in nodes and v in nodes]
+    return externals, nodes, edges, pair
+
+
+def without_first(block, kind):
+    """The block less its first pair edge (kind "pair") or spoke ("spoke")."""
+    externals, nodes, edges, pair = block
+    inner = nodes - set(externals) - set(pair)
+    if kind == "pair":
+        chosen = [e for e in edges if e[0] in inner and e[1] in inner]
+    else:
+        chosen = [e for e in edges if (e[0] in pair) != (e[1] in pair)]
+    return externals, nodes, [e for e in edges if e not in chosen[:1]], pair
+
+
+def has_perfect_matching(nodes, edges) -> bool:
+    """Whether the graph on `nodes` with the `edges` among them has one."""
+    index = {x: i for i, x in enumerate(sorted(nodes))}
+    g = MultiGraph(len(index), tuple(
+        (index[u], index[v], 0) for u, v in edges if u in index and v in index
+    ))
+    return next(all_perfect_matchings(g), None) is not None
+
+
+def blocks_fit(block_of=gadget_block) -> int:
+    """The exhaustive check: for every degree d <= 8, every dense and parity
+    run a..b in [0, d] and every selection S of vertex 0's edge ends, the
+    block of `block_of` less S, with its pool pair and a pad node that
+    continues the chain when the count is odd, has a perfect matching iff
+    |S| lies in the run.  Returns the number of cases, or 0 on a miss."""
+    cases = 0
+    for d in range(9):
+        for a in range(d + 1):
+            for b in range(a, d + 1):
+                for step in (1, 2) if b - a >= 2 and (b - a) % 2 == 0 else (1,):
+                    externals, nodes, edges, pair = block_of(d, a, b, step)
+                    for selected in range(1 << d):
+                        gone = {x for p, x in enumerate(externals) if selected >> p & 1}
+                        left = nodes - gone
+                        joined = list(edges)
+                        if len(left) % 2:
+                            left = left | {-1}
+                            joined += [(-1, pair[-1])] if pair else []
+                        want = bin(selected).count("1") in range(a, b + 1, step)
+                        if has_perfect_matching(left, joined) != want:
+                            return 0
+                        cases += 1
+    return cases
+
+
+def test_vertex_block_fits_exactly_the_degrees_of_its_run():
+    # Dense and parity runs share the bands and the pairs (o0, o1), (o2,
+    # o3), ... of their b - a optional internals; only a dense run with
+    # b > a has a pool pair, reached from o0, o2, ...
+    assert blocks_fit() == 25_427
+
+
+@pytest.mark.parametrize(
+    "block_of",
+    [
+        lambda d, a, b, step: without_first(gadget_block(d, a, b, step), "pair"),
+        lambda d, a, b, step: without_first(gadget_block(d, a, b, step), "spoke"),
+        lambda d, a, b, step: gadget_block(d, a, b, 1),
+    ],
+    ids=["pair-edge-dropped", "spoke-dropped", "parity-vertex-with-pool-pair"],
+)
+def test_a_vertex_block_with_a_pair_or_spoke_too_few_or_too_many_fails(block_of):
+    assert blocks_fit(block_of) == 0
+
+
 @pytest.mark.parametrize("pad", [0, 1])
 def test_chain_pairs_up_exactly_at_the_pad_parity(pad):
-    # Vertex 0 has C pool-connected internals; vertex 1 has none.  The pool
-    # with the escapees S ⊆ {0..C-1} left in, every other internal taken
-    # by its own vertex gadget, has a perfect matching iff |S| = pad mod 2.
-    for c in range(7):
-        g = MultiGraph(2, ((0, 1, 0),) * (c + 1))
-        ab = ABInstance(g, (pad, 0), (pad + c, 0))
-        assert len(ab.layout.pool) == 2 * c + pad
+    # Vertices 1..c each have three edges to vertex 0, whose bounds (pad,
+    # pad) set the pad, and bounds (0, 3): each owns a pool pair, reached
+    # from its optional internals o0 and o2.  With one of those two left in
+    # at each vertex of a set T, every other internal taken by its own
+    # vertex gadget, the pool has a perfect matching iff |T| = pad mod 2.
+    for c in range(1, 5):
+        g = MultiGraph(c + 1, tuple((0, t, 0) for t in range(1, c + 1) for _ in range(3)))
+        ab = ABInstance(g, (pad,) + (0,) * c, (pad,) + (3,) * c)
+        pool = ab.layout.pool
+        assert len(pool) == 2 * c + pad
         reduced, _source_edges = ab_to_pm(ab)
-        pool = set(ab.layout.pool)
         chain = [(u, v) for u, v, _w in reduced.edges if u in pool or v in pool]
-        for k in range(c + 1):
-            for escapees in combinations(ab.layout.pool_connected, k):
-                index = {x: i for i, x in enumerate(sorted(pool | set(escapees)))}
-                left = MultiGraph(len(index), tuple(
-                    (index[u], index[v], 0) for u, v in chain if u in index and v in index
-                ))
-                found = next(all_perfect_matchings(left), None) is not None
-                assert found == (k % 2 == pad)
+        evens = [(None, *ab.layout.internals_at[t][0:3:2]) for t in range(1, c + 1)]
+        for choice in product(*evens):
+            left_in = {x for x in choice if x is not None}
+            found = has_perfect_matching(set(pool) | left_in, chain)
+            assert found == (len(left_in) % 2 == pad)
 
 
 def test_reduced_optimum_matches_ab_brute_force():
