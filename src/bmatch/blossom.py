@@ -2,10 +2,19 @@
 
 There is one blossom search, `_solve`: the primal-dual blossom algorithm
 specialised to perfect matchings.  Vertex duals are unconstrained in sign,
-so there is no "dual hits zero" stopping rule and every stage ends in an
-augmentation; a dual update without bound yields a Tutte barrier instead,
+so there is no "dual hits zero" stopping rule and every stage augments at
+least once; a dual update without bound yields a Tutte barrier instead,
 its T-vertices X.  A solve runs the search once, on the real weights, so
 the one run decides both existence and optimality.
+
+A stage augments along every vertex-disjoint path its forest finds, as
+Hopcroft and Karp do per phase.  An augmenting path lies inside the two
+trees it joins, so every other tree keeps its labels, blossoms and
+tight edges; the two trees are frozen (their roots are matched now), and
+the scan goes on over the others until its queue is empty.  A dual update
+or a mid-stage expansion happens only before a stage's first
+augmentation, so it sees the forest it always did.  Each stage starts
+from a fresh forest.
 
 The run starts in `_jump_start`.  Each vertex's dual starts from the
 heaviest edge at it, lowered in vertex order until an edge there is
@@ -43,14 +52,12 @@ resumes only from their S-leaf ends, in vertex order.  A stage restart
 costs only what the stage touched, too.  The edges it marked allowed, the
 ids it labelled and the blossoms whose dual may be 0 are listed, and the
 next stage start, a rebuild and the stage end visit only those lists.
-Tree roots come from a sorted list of exposed vertices and are labelled S
-lazily: when the scan takes them, in vertex order and before any vertex a
-growing tree queued, or when a tight edge first reaches one.  That is the
-scan order of labelling every root up front, so the lazy roots change no
-answer.  Solves are deterministic for a fixed input edge order: a vertex
-scans its edges in edge-index order, and a tie between T-blossoms at
-delta falls to the smallest id.  Nested blossoms are expanded and
-rematched on an explicit stack, not by recursion.
+Every root is labelled S when a forest starts, in vertex order, and the
+scan takes the leaves of the roots' blossoms first, then the S-leaves in
+the order the trees grow.  Solves are deterministic for a fixed input
+edge order: a vertex scans its edges in edge-index order, and a tie
+between T-blossoms at delta falls to the smallest id.  Nested blossoms
+are expanded and rematched on an explicit stack, not by recursion.
 """
 
 from __future__ import annotations
@@ -129,6 +136,11 @@ def _solve(
     the certificate `_check_optimum` reads; or a Tutte barrier if there is
     no perfect matching.
 
+    Each stage grows one forest from every exposed vertex and augments
+    along each tight path it finds between two trees that have not
+    augmented yet; the list of exposed vertices is rebuilt when the
+    stage ends.
+
     The barrier is the set X of vertices whose top-level blossom is labelled
     T when a dual update has no bound.  There is then no S-free edge, no edge
     between two S-blossoms and no top-level T-blossom, since each would give
@@ -168,10 +180,11 @@ def _solve(
     # the leaves of each T-blossom, when labelled (a T-leaf may turn S).
     sleaves: list[int] = []
     tleaves: list[int] = []
-    # Scan order: the leaves of each root's blossom, roots taken lazily in
-    # vertex order, then `queue`, as if every root had been queued first.
-    rootq: deque[int] = deque()
-    next_root = 0
+    # The root of the tree each labelled id belongs to.  A tree whose root
+    # is matched has augmented in this stage and is frozen until it ends.
+    treeroot = [-1] * (2 * n)
+    # Scan order: the leaves of every root's blossom, roots in vertex
+    # order, then the S-leaves in the order the trees grow.
     queue: deque[int] = deque()
 
     def blossom_leaves(b: int) -> list[int]:
@@ -186,22 +199,24 @@ def _solve(
         return out
 
     def assign_label(w: int, t: int, p: int) -> None:
-        """Label w's blossom t via endpoint p; a T label passes S to its base's mate."""
+        """Label w's blossom t via endpoint p (-1 for a root); a T label
+        passes S to its base's mate.  Both join the tree of p's vertex."""
+        r = w if p == -1 else treeroot[inblossom[endpoint[p]]]
         while True:
             b = inblossom[w]
             assert label[w] == 0 and label[b] == 0
             label[w] = label[b] = t
             labelend[w] = labelend[b] = p
+            treeroot[b] = r
             labelled.append(w)
             labelled.append(b)
             if t == 1:
-                scan = rootq if p == -1 else queue
                 if b < n:
-                    scan.append(b)
+                    queue.append(b)
                     sleaves.append(b)
                 else:
                     leaves = blossom_leaves(b)
-                    scan.extend(leaves)
+                    queue.extend(leaves)
                     sleaves.extend(leaves)
                 return
             if b < n:
@@ -283,6 +298,7 @@ def _solve(
         assert label[bb] == 1
         label[b] = 1
         labelend[b] = labelend[bb]
+        treeroot[b] = treeroot[bb]
         labelled.append(b)
         dual[b] = 0
         zero_dual.append(b)
@@ -362,8 +378,6 @@ def _solve(
                 bs = inblossom[s]
                 assert label[bs] == 1
                 assert labelend[bs] == mate[blossombase[bs]]
-                if labelend[bs] == -1:
-                    exposed.remove(blossombase[bs])
                 if bs >= n:
                     nested(augment_blossom, bs, s)
                 mate[s] = p
@@ -382,16 +396,15 @@ def _solve(
                 p = labelend[bt] ^ 1
 
     def start_forest() -> None:
-        nonlocal next_root
         for i in labelled:
             label[i] = 0
             labelend[i] = -1
         labelled.clear()
         sleaves.clear()
         tleaves.clear()
-        rootq.clear()
         queue.clear()
-        next_root = 0
+        for r in exposed:
+            assign_label(r, 1, -1)
 
     while exposed:
         for k in allowed:
@@ -401,34 +414,27 @@ def _solve(
 
         augmented = False
         while True:
-            # Scan: grow trees, shrink blossoms, stop on an augmenting path.
-            while not augmented:
-                if rootq:
-                    v = rootq.popleft()
-                elif next_root < len(exposed):
-                    assign_label(exposed[next_root], 1, -1)  # fills rootq
-                    next_root += 1
-                    continue
-                elif queue:
-                    v = queue.popleft()
-                else:
-                    break
-                if label[inblossom[v]] != 1:
-                    continue  # stale entry
+            # Scan: grow trees, shrink blossoms, augment along every path
+            # between two trees that are not frozen yet, until the queue
+            # is empty.
+            while queue:
+                v = queue.popleft()
+                bv = inblossom[v]
+                if label[bv] != 1 or mate[treeroot[bv]] != -1:
+                    continue  # stale entry, or a frozen tree
                 for p in neighbend[v]:
                     k = p // 2
                     w = endpoint[p]
-                    if inblossom[v] == inblossom[w]:
+                    bw = inblossom[w]
+                    if inblossom[v] == bw:
                         continue
+                    if label[bw] and mate[treeroot[bw]] != -1:
+                        continue  # into a frozen tree
                     if not allowedge[k]:
                         if dual[v] + dual[w] == 2 * weight[k]:
                             allowedge[k] = True
                             allowed.append(k)
                     if allowedge[k]:
-                        bw = inblossom[w]
-                        if label[bw] == 0 and mate[blossombase[bw]] == -1:
-                            # A root not taken yet counts as S: label it now.
-                            assign_label(blossombase[bw], 1, -1)
                         if label[bw] == 0:
                             assign_label(w, 2, p ^ 1)
                         elif label[bw] == 1:
@@ -436,6 +442,7 @@ def _solve(
                             if base >= 0:
                                 add_blossom(base, k)
                             else:
+                                # Both trees are frozen now: v's is done.
                                 augment_matching(k)
                                 augmented = True
                                 break
@@ -513,16 +520,16 @@ def _solve(
                 # tight: resume the scan only from their S-leaf ends.
                 queue.extend(sorted(at_min))
 
+        exposed[:] = [r for r in exposed if mate[r] == -1]
         if not exposed:
             break  # perfect, and optimal by the dual rule; no stage follows
-        # Stage end: discard exhausted S-blossoms, keep paid-for ones.  A
-        # root not taken yet counts as S.
+        # Stage end: discard exhausted S-blossoms, keep paid-for ones.
         zero_dual[:] = sorted(set(zero_dual))
         for b in zero_dual:
             if (
                 blossomchilds[b] is not None
                 and blossomparent[b] == -1
-                and (label[b] == 1 or mate[blossombase[b]] == -1)
+                and label[b] == 1
                 and dual[b] == 0
             ):
                 nested(expand_blossom, b, True)

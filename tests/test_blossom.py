@@ -226,8 +226,8 @@ def relaxation_gadgets():
     # The full-spoke gadgets of the relaxations `solve` solves, in both
     # senses: weights
     # -3..9 on the source edges, many weight-0 gadget edges.  Among the 156
-    # that have a perfect matching, the weighted solves shrink 867 blossoms
-    # around an inner blossom and expand 119 T-blossoms mid-stage.
+    # that have a perfect matching, the weighted solves shrink 888 blossoms
+    # that hold an inner blossom and expand 119 T-blossoms mid-stage.
     for seed in range(200):
         n = 4 + seed % 9
         inst = random_instance(
@@ -238,8 +238,8 @@ def relaxation_gadgets():
         yield MultiGraph(graph.vertex_count, tuple((u, v, -w) for u, v, w in graph.edges))
 
 
-ZERO_ONE_DIGEST = "365bfd1be2a5f5cc0aa5f30e9248783ff81afcf22a74ef07fa0ea1b959048332"
-GADGET_DIGEST = "632c68c945c2250442d0acf15516729333d6f9e540bad28aa9a36df57845708c"
+ZERO_ONE_DIGEST = "74d20fa0a5ca50c10f8f573159b35758808953e67398a4589acba5437786e541"
+GADGET_DIGEST = "5eea320da58dad8cc0238b79c76a02369674d5847820d05fab5370e1721e7e46"
 
 
 def test_tie_breaks_are_pinned():
@@ -293,7 +293,7 @@ def full_spoke_gadget(ab, clique: bool = False) -> MultiGraph:
 
 def test_full_spoke_gadget_adds_the_old_loops_itself():
     # The digest of the graphs themselves, the relaxation gadgets and the
-    # earlier-s-blossom case below, as they were when uniform_to_ab still
+    # seed-11849 case below, as they were when uniform_to_ab still
     # turned parity runs into loops: the solver digests pin the same graphs.
     digest = hashlib.sha256()
     for graph in relaxation_gadgets():
@@ -311,13 +311,19 @@ def test_full_spoke_gadget_adds_the_old_loops_itself():
 @pytest.mark.parametrize(
     "seed, n, m, profile, weights, sign, weight, digest",
     [
-        # A stage augments after a mid-stage rebuild, before it takes a
-        # root whose blossom has dual 0: that root counts as S.
+        # Found when a stage took its roots one at a time, for a root taken
+        # after a mid-stage rebuild whose blossom had dual 0.  Every root
+        # is labelled at the stage start now, and this instance discards a
+        # zero-dual S-blossom made in an earlier stage, after a stage of
+        # mid-stage rebuilds; later stage ends also discard ones in trees
+        # that did not augment.
         (204520, 11, 31, "interval", (-2, 3), 1, 13,
          "0ef577a14732ae31d9cf3db24e0f71def9068f105f0bd49b47aa0b660fb6af2d"),
-        # A zero-dual S-blossom made in an earlier stage.
+        # Found for a zero-dual S-blossom made in an earlier stage.  Now a
+        # stage augments along two paths and discards a zero-dual S-blossom
+        # of one of the two frozen trees.
         (11849, 9, 20, "mixed", (-3, 9), -1, -47,
-         "c5bd0acfde2eb2002c07490de090bc893143a5a52b3d3c49cee5a34fd4407a50"),
+         "857b1c9882b4d19630bb6477faa345dd3fc12ab00c4c6dff139c5121286815b3"),
     ],
     ids=["untaken-root", "earlier-s-blossom"],
 )
@@ -332,6 +338,62 @@ def test_stage_end_discards_every_zero_dual_s_blossom(
     got = max_weight_perfect_matching(graph)
     assert got is not None and matching_weight(graph, got) == weight
     assert hashlib.sha256(repr(sorted(got.selected)).encode()).hexdigest() == digest
+
+
+def two_paths_and_a_blocked_pair() -> MultiGraph:
+    """Zero weights, so every edge is tight and the start matches the six
+    "=" edges, which come first.  Roots 0..5 label S first, in vertex
+    order.  The first forest holds two augmenting paths,
+        0 - 6 = 7 - 8 = 9 - 1   and   2 - 10 = 11 - 12 = 13 - 3,
+    found from 7 and 11.  Trees 4 (4 - 14 = 15) and 5 (5 - 16 = 17) reach
+    each other only through tree 0 (edge 15-7) and tree 1 (edge 17-8),
+    which are frozen by then.  Their path
+        4 - 14 = 15 - 7 = 8 - 17 = 16 - 5
+    runs through the matching that the first path left, in the next stage.
+    The perfect matching is unique."""
+    matched = ((6, 7), (8, 9), (10, 11), (12, 13), (14, 15), (16, 17))
+    rest = (
+        (0, 6), (7, 8), (9, 1), (2, 10), (11, 12), (13, 3),
+        (4, 14), (15, 7), (5, 16), (17, 8),
+    )
+    return MultiGraph(18, tuple((u, v, 0) for u, v in matched + rest))
+
+
+def test_a_stage_augments_along_disjoint_paths_and_skips_frozen_trees():
+    g = two_paths_and_a_blocked_pair()
+    endpoint, neighbend = adjacency(g)
+    mate, _dual = blossom._jump_start([0] * len(g.edges), endpoint, neighbend)
+    assert [v for v, p in enumerate(mate) if p == -1] == [0, 1, 2, 3, 4, 5]
+    got = max_weight_perfect_matching(g)
+    assert got is not None and got == brute_force_pm(g)
+
+
+def several_root_graphs():
+    """120 graphs of 8 or 10 vertices with a planted perfect matching and
+    n/2..n more edges, weights 0..2, each left with at least four roots
+    by the start, so that a forest has several trees to augment."""
+    rng = random.Random(20261021)
+    kept = 0
+    while kept < 120:
+        n = 2 * rng.randint(4, 5)
+        order = rng.sample(range(n), n)
+        pairs = [order[i:i + 2] for i in range(0, n, 2)]
+        pairs += [rng.sample(range(n), 2) for _ in range(rng.randint(n // 2, n))]
+        rng.shuffle(pairs)
+        g = MultiGraph(n, tuple((u, v, rng.randint(0, 2)) for u, v in pairs))
+        endpoint, neighbend = adjacency(g)
+        mate, _dual = blossom._jump_start([w for _u, _v, w in g.edges], endpoint, neighbend)
+        if mate.count(-1) >= 4:
+            kept += 1
+            yield g
+
+
+def test_matches_brute_force_from_several_roots():
+    for g in several_root_graphs():
+        got = max_weight_perfect_matching(g)
+        assert got is not None
+        assert degrees(g, got) == [1] * g.vertex_count
+        assert matching_weight(g, got) == matching_weight(g, brute_force_pm(g))
 
 
 def test_tie_breaks_hold_under_optimize():

@@ -95,16 +95,17 @@ def test_solve_is_deterministic_up_to_wall_time(capsys):
 # Answered straight from the relaxation: the same size as the walk's answer
 # (88), other edges among the ties, chosen again when the gadget's pool
 # became a parity chain, when the weighted blossom run began from
-# per-vertex duals and when the vertex gadget became banded.
+# per-vertex duals, when the vertex gadget became banded and when a
+# blossom stage began to augment along every disjoint path it finds.
 SCALE60_REPORT = [
     "status optimal",
     "size 88",
     "weight 88",
     "edges "
-    "1 2 4 5 6 7 12 13 14 17 18 20 23 24 26 27 28 29 31 32 "
-    "33 34 37 38 40 43 44 45 46 49 52 53 57 58 59 61 62 63 64 66 "
-    "68 69 70 71 72 73 75 76 80 82 85 90 91 92 94 95 96 100 101 104 "
-    "105 106 107 108 111 113 114 115 117 118 120 124 125 127 129 130 132 133 135 136 "
+    "1 2 4 5 6 7 11 12 13 14 17 18 20 23 24 26 27 28 29 31 "
+    "32 33 34 37 38 40 43 44 45 46 49 52 53 57 58 59 61 62 63 64 "
+    "66 67 68 69 70 71 72 73 75 76 80 82 85 90 91 92 94 95 96 100 "
+    "101 104 105 106 107 108 111 113 114 115 117 118 120 124 129 130 132 133 135 136 "
     "137 138 141 142 143 144 146 147",
     "degrees "
     "3 1 0 4 1 5 9 1 5 1 3 1 1 2 1 7 2 2 1 1 3 1 1 6 3 1 5 0 4 2 "
