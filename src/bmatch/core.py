@@ -99,7 +99,10 @@ class DegreeSet:
         return len(self.values)
 
     def restrict(self, max_degree: int) -> "DegreeSet":
-        """Drop values that no vertex degree can attain."""
+        """Drop values that no vertex degree can attain; the set itself when
+        none exceeds max_degree."""
+        if not self.values or self.values[-1] <= max_degree:
+            return self
         return DegreeSet(tuple(x for x in self.values if x <= max_degree))
 
 

@@ -24,13 +24,14 @@ from bmatch.core import (
 )
 from bmatch.gen import random_instance
 from bmatch.structure import (
+    _shift,
+    _within,
     apply,
     canonical_structure,
     extract_canonical_sequence,
     is_canonical,
     is_neighbouring_type,  # noqa: F401  (perfbench/tracer.py wraps it here)
     neighbouring_types,
-    shifts_within,
     weight_of,
 )
 
@@ -49,63 +50,68 @@ def enumerate_b_matchings(
 
     Depth-first over edges from the highest index down, excluding before
     including, which emits subsets in increasing bitmask order.  The
-    choices sit on an explicit stack, so the edge count sets no recursion
-    depth.  Branches are cut when a vertex degree already exceeds its
-    largest admissible value, can no longer reach its smallest, or is
-    finalized outside its set; the cuts never drop a feasible subset.
+    taken edges sit on an explicit stack, so the edge count sets no
+    recursion depth.  A branch is cut when some vertex v, at degree d with r edge
+    ends still undecided, can reach no admissible degree: one lookup in
+    the table reach[v][d], the smallest value of B(v) that is at least d,
+    decides it (alive iff reach[v][d] <= d + r).  That covers a degree
+    above max B(v), one that can no longer reach min B(v), and one
+    finalized outside B(v); reaching B(v) is necessary, so the cut never
+    drops a feasible subset.
     """
     g = instance.graph
     m = len(g.edges)
     if m > limit:
         raise TooLarge(f"{m} edges exceed the enumeration cap of {limit}")
     n = g.vertex_count
-    sets = [instance.b(v) for v in range(n)]
-    if any(len(s) == 0 for s in sets):
-        return
-    lo = [s.values[0] for s in sets]
-    hi = [s.values[-1] for s in sets]
-    slots = [((u, 2),) if u == v else ((u, 1), (v, 1)) for u, v, _w in g.edges]
+    rem = [g.degree(v) for v in range(n)]
+    reach = []
+    for v in range(n):
+        values = instance.b(v).values
+        if not values:
+            return
+        # table[d] is the least x in B(v) with x >= d, for d <= d_G(v);
+        # d_G(v) + 1 exceeds every d + r, so it stands for "no such x"
+        table: list[int] = []
+        for x in values + (rem[v] + 1,):
+            table += [x] * (x + 1 - len(table))
+        reach.append(table)
+    ends = [(u, v) for u, v, _w in g.edges]
 
     deg = [0] * n
-    rem = [g.degree(v) for v in range(n)]
-    chosen: list[int] = []
-    tried: list[bool] = []  # tried[j] is the choice in force at edge m - 1 - j
+    chosen: list[int] = []  # the taken edges, highest index first
+    i = m - 1  # the next edge to decide
     take = False
     while True:
-        i = m - 1 - len(tried)
         if i < 0:
             yield Matching(frozenset(chosen))
         else:
-            tried.append(take)
+            u, v = ends[i]
+            rem[u] -= 1
+            rem[v] -= 1
             if take:
                 chosen.append(i)
-            dead = False
-            for v, k in slots[i]:
-                rem[v] -= k
-                if take:
-                    deg[v] += k
-                if (
-                    deg[v] > hi[v]
-                    or deg[v] + rem[v] < lo[v]
-                    or (rem[v] == 0 and deg[v] not in sets[v])
-                ):
-                    dead = True
-            if not dead:
+                deg[u] += 1
+                deg[v] += 1
+            i -= 1
+            du = deg[u]
+            dv = deg[v]
+            if reach[u][du] <= du + rem[u] and reach[v][dv] <= dv + rem[v]:
                 take = False
                 continue
         # undo choices back to the deepest edge still to be tried as taken
-        while tried:
-            take = tried.pop()
-            i = m - 1 - len(tried)
-            for v, k in slots[i]:
-                rem[v] += k
-                if take:
-                    deg[v] -= k
-            if not take:
-                break
+        while True:
+            i += 1
+            if i == m:
+                return
+            u, v = ends[i]
+            rem[u] += 1
+            rem[v] += 1
+            if not chosen or chosen[-1] != i:
+                break  # edge i was left out: take it next
             chosen.pop()
-        else:
-            return
+            deg[u] -= 1
+            deg[v] -= 1
         take = True
 
 
@@ -143,12 +149,23 @@ def verify_improvement_theorem(instance: BInstance) -> Matching | None:
     instance objective), there must be a strictly better N' of neighbouring
     type to M, which includes M's own uniform type.  Returns None when the
     property holds, else the first violating M in enumeration order.
+
+    Whether M violates depends only on its (type, value) key: the types
+    that beat M are those whose best value beats M's value.  So each
+    distinct key is decided once, in order of its first matching, against
+    each type's best value; the first matching of the first violating key
+    is the first violating M.
     """
-    all_ms = list(enumerate_b_matchings(instance))
-    values = [_value(instance, m) for m in all_ms]
-    types = [current_type(instance, m) for m in all_ms]
-    for m, value, t in zip(all_ms, values, types):
-        better = [u for v2, u in zip(values, types) if _better(instance, v2, value)]
+    first: dict[tuple[tuple[int, ...], int], Matching] = {}
+    best: dict[tuple[int, ...], int] = {}
+    for m in enumerate_b_matchings(instance):
+        value = _value(instance, m)
+        t = current_type(instance, m)
+        first.setdefault((t, value), m)
+        if t not in best or _better(instance, value, best[t]):
+            best[t] = value
+    for (t, value), m in first.items():
+        better = [u for u, b in best.items() if _better(instance, b, value)]
         if better and not any(neighbouring_types(t, u) for u in better):
             return m
     return None
@@ -164,11 +181,13 @@ def _canonical_table(
     difference, i.e. it assembles from whole alternating paths of some
     maximal decomposition of the pair.
     """
+    g = instance.graph
     pool = sorted(base.selected ^ target.selected)
+    full = _shift(g, base, pool)
     out: dict[frozenset[int], int] = {}
     for mask in range(1, 1 << len(pool)):
         sub = frozenset(pool[i] for i in range(len(pool)) if mask >> i & 1)
-        if not shifts_within(instance, base, target, sub):
+        if not _within(_shift(g, base, sub), full):
             continue
         if canonical_structure(instance, base, sub) is not None:
             out[sub] = weight_of(instance, base, sub)

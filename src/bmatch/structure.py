@@ -210,8 +210,13 @@ def shifts_within(
     direction or past the target.
     """
     g = instance.graph
-    full = _shift(g, m, m.selected ^ n.selected)
-    for v, k in _shift(g, m, edges).items():
+    return _within(_shift(g, m, edges), _shift(g, m, m.selected ^ n.selected))
+
+
+def _within(shift: dict[int, int], full: dict[int, int]) -> bool:
+    """Whether every entry of `shift` lies between 0 and `full`'s entry at
+    the same vertex (`shifts_within` on precomputed `_shift`s)."""
+    for v, k in shift.items():
         lo, hi = sorted((0, full.get(v, 0)))
         if not lo <= k <= hi:
             return False
@@ -700,7 +705,9 @@ def _next_component(instance, m_cur, pool):
     B(v) grows only by walks that end at the smallest such v (a walk
     through v leaves its degree alone, so every canonical superset holds
     one); any other union grows by walks that share an endpoint with it (a
-    canonical path is connected through its junctions).
+    canonical path is connected through its junctions).  Pool walks share
+    no edge, so a grown union's degree shift is its parent's plus the new
+    walk's, carried forward instead of recomputed over the whole union.
     """
     g = instance.graph
     deg = degrees(g, m_cur)
@@ -709,28 +716,40 @@ def _next_component(instance, m_cur, pool):
         edges = sorted(e for w in union for e in w.edges)
         return len(edges), edges
 
+    def grow(state, w):
+        """(shift, outside) of a union after adding walk w: its degree
+        shift, carried forward, and the vertices it puts outside B(v)."""
+        shift, outside = dict(state[0]), set(state[1])
+        for v, k in _shift(g, m_cur, w.edges).items():
+            shift[v] = k = shift.get(v, 0) + k
+            if deg[v] + k in instance.b(v):
+                outside.discard(v)
+            else:
+                outside.add(v)
+        return shift, outside
+
     by_end: dict[int, list] = {}  # the pool walks at each endpoint
     for w in pool:
         for v in set(w.endpoints):
             by_end.setdefault(v, []).append(w)
     seed = min(pool, key=lambda w: min(w.edges))
-    level = {frozenset([seed])}
+    level = {frozenset([seed]): grow(({}, ()), seed)}
     while level:
-        grown = set()
+        grown: dict = {}
         for union in sorted(level, key=key):
-            walks = sorted(union, key=lambda w: min(w.edges))
-            shift = _shift(g, m_cur, (e for w in walks for e in w.edges))
-            bad = [v for v, k in shift.items() if deg[v] + k not in instance.b(v)]
-            if bad:
-                ends = {min(bad)}
+            outside = level[union][1]
+            if outside:
+                ends = {min(outside)}
             else:
+                walks = sorted(union, key=lambda w: min(w.edges))
                 witness = _pool_witness(instance, m_cur, walks)
                 if witness is not None:
                     return walks, _pool_basic(instance, m_cur, witness)
                 ends = {v for w in walks for v in w.endpoints}
-            grown.update(
-                union | {w} for v in ends for w in by_end.get(v, ()) if w not in union
-            )
+            for w in {w for v in ends for w in by_end.get(v, ()) if w not in union}:
+                bigger = union | {w}
+                if bigger not in grown:
+                    grown[bigger] = grow(level[union], w)
         level = grown
     # raised, not asserted, so that the check holds under python -O as well
     raise AssertionError("no union of pool walks holding the seed is canonical")

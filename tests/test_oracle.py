@@ -1,17 +1,21 @@
 import dataclasses
+import hashlib
 from itertools import combinations
 
 import pytest
 
+from bmatch import oracle
 from bmatch.core import (
+    OBJECTIVES,
     BInstance,
     DegreeSet,
     Matching,
     MultiGraph,
+    current_type,
     is_b_matching,
     matching_weight,
 )
-from bmatch.gen import random_instance
+from bmatch.gen import PROFILES, random_instance
 from bmatch.oracle import (
     EDGE_CAP,
     SUITE_NAMES,
@@ -71,6 +75,55 @@ def test_enumeration_order_is_increasing_bitmask():
             sum(1 << e for e in m.selected) for m in enumerate_b_matchings(inst)
         ]
         assert masks == sorted(masks)
+
+
+def suite_shaped(index, n, m, seed=0):
+    """A random instance shaped like the verification suites' ones: loops,
+    weights -5..5, the profile and objective cycling with the index."""
+    return random_instance(
+        seed * 10_007 + index,
+        n=n,
+        m=m,
+        profile=PROFILES[index % len(PROFILES)],
+        weights=(-5, 5),
+        objective=OBJECTIVES[index % len(OBJECTIVES)],
+    )
+
+
+def filter_all_masks(instance):
+    """Every feasible matching, straight from the definition: all 2^m edge
+    subsets in increasing bitmask order, each kept when feasible."""
+    g = instance.graph
+    sets = [instance.b(v) for v in range(g.vertex_count)]
+    for mask in range(1 << g.edge_count):
+        deg = [0] * g.vertex_count
+        for e, (u, v, _w) in enumerate(g.edges):
+            if mask >> e & 1:
+                deg[u] += 1
+                deg[v] += 1
+        if all(d in b for d, b in zip(deg, sets)):
+            yield Matching(frozenset(e for e in range(g.edge_count) if mask >> e & 1))
+
+
+def with_unreachable_set(instance, v):
+    """The instance with B(v) above d_G(v), so its effective set is empty."""
+    sets = list(instance.degree_sets)
+    sets[v] = DegreeSet((instance.graph.degree(v) + 1,))
+    return dataclasses.replace(instance, degree_sets=tuple(sets))
+
+
+def test_enumeration_equals_the_filter_over_all_masks():
+    # m runs to 14, past the suites' 10; order is compared, not only content.
+    instances = [suite_shaped(i, n=3 + i % 4, m=6 + i % 9) for i in range(45)]
+    feasible = 0
+    for inst in instances:
+        got = list(enumerate_b_matchings(inst))
+        assert got == list(filter_all_masks(inst))
+        feasible += len(got)
+    assert feasible > 200
+    for i in range(4):
+        inst = with_unreachable_set(instances[i], i % 3)
+        assert list(enumerate_b_matchings(inst)) == list(filter_all_masks(inst)) == []
 
 
 def test_fig2_has_exactly_five_feasible_matchings(fig2, fig2_m7):
@@ -154,6 +207,41 @@ def test_improvement_theorem_on_seeded_instances():
         assert verify_improvement_theorem(inst) is None
 
 
+def all_pairs_theorem(instance):
+    """The improvement-theorem check as an all-pairs loop: every matching
+    against every other one, reading the predicate `oracle` uses."""
+    card = instance.objective.endswith("card")
+    sign = 1 if instance.objective.startswith("max") else -1
+    all_ms = list(enumerate_b_matchings(instance))
+    values = [
+        sign * (len(m) if card else matching_weight(instance.graph, m)) for m in all_ms
+    ]
+    types = [current_type(instance, m) for m in all_ms]
+    for m, value, t in zip(all_ms, values, types):
+        better = [u for v2, u in zip(values, types) if v2 > value]
+        if better and not any(oracle.neighbouring_types(t, u) for u in better):
+            return m
+    return None
+
+
+STRICTER = {"equal types only": lambda t, u: t == u, "none": lambda t, u: False}
+
+
+@pytest.mark.parametrize("predicate", ["neighbouring", *STRICTER])
+def test_improvement_theorem_equals_the_all_pairs_loop(monkeypatch, predicate):
+    # The true predicate has no violators; the stricter ones make some, so
+    # the first violating M must agree, not only the verdict.
+    if predicate in STRICTER:
+        monkeypatch.setattr(oracle, "neighbouring_types", STRICTER[predicate])
+    violated = 0
+    for i in range(300):
+        inst = suite_shaped(i, n=3 + i % 4, m=6 + i % 5, seed=1)
+        want = all_pairs_theorem(inst)
+        assert verify_improvement_theorem(inst) == want
+        violated += want is not None
+    assert violated == 0 if predicate == "neighbouring" else violated >= 40
+
+
 def test_exchange_lemma_regression_single_cycle_difference():
     inst = exchange_regression_instance()
     m = Matching(frozenset({0, 4, 6}))
@@ -213,3 +301,24 @@ def test_suite_rejects_negative_count():
     with pytest.raises(ValueError, match="count must be nonnegative"):
         run_verification_suite("lemma2", seed=0, count=-3)
     assert run_verification_suite("lemma2", seed=0, count=0).checked == 0
+
+
+def test_benchmark_sized_suite_reports_are_pinned():
+    # The suite sizes of perfbench's `verify` workload (theorem 250,
+    # exchange 100, lemma2 100) on two of its recorded seeds per suite; the
+    # reports read [checked, skipped] 250/0, 250/0; 89/11, 95/5; 91/9, 90/10.
+    calls = (
+        ("theorem", 250, 1007010546),
+        ("theorem", 250, 1007147244),
+        ("exchange", 100, 1001007652),
+        ("exchange", 100, 1001948313),
+        ("lemma2", 100, 1012315669),
+        ("lemma2", 100, 1018508728),
+    )
+    digest = hashlib.sha256()
+    for name, count, seed in calls:
+        digest.update(repr(run_verification_suite(name, seed, count)).encode() + b"\n")
+    assert digest.hexdigest() == BENCH_SUITES_SHA256
+
+
+BENCH_SUITES_SHA256 = "d17338c89985cb4a7a6935ce16c17340cbf3207fb1fc67d2993c18aeb53a6aff"
