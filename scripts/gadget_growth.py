@@ -57,8 +57,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--per-size must be at least 1")
     sizes = []
     for item in args.sizes:
-        a, _, b = item.partition(":")
-        sizes.append((int(a), int(b)))
+        n, _, m = item.partition(":")
+        if not (n.isdecimal() and m.isdecimal()) or int(n) < 1:
+            parser.error(f"--sizes takes N:M with N >= 1 and M >= 0, got {item!r}")
+        sizes.append((int(n), int(m)))
 
     header = f"{'n':>4} {'m':>5} {'pm vertices':>11} {'pm edges':>9} {'pool':>5} {'edge ratio':>10}"
     print(header)

@@ -40,9 +40,12 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.input, encoding="utf-8") as handle:
             instance = parse_instance(handle.read(), args.objective)
     else:
-        instance = random_instance(
-            args.seed, args.n, args.m, profile=args.profile, objective=args.objective
-        )
+        try:
+            instance = random_instance(
+                args.seed, args.n, args.m, profile=args.profile, objective=args.objective
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
 
     matching = find_feasible(instance)
     if matching is None:

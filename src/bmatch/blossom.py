@@ -48,16 +48,19 @@ costs only the forest, though.  Every edge that can bound delta has an end
 at an S-leaf, so the update reads the edges at the stage's S-leaves, the
 T-leaves and the blossom ids labelled in the stage, nothing else.  The
 edges at delta are the only ones that become tight, so the scan then
-resumes only from their S-leaf ends, in vertex order.  A stage restart
-costs only what the stage touched, too.  The edges it marked allowed, the
-ids it labelled and the blossoms whose dual may be 0 are listed, and the
-next stage start, a rebuild and the stage end visit only those lists.
-Every root is labelled S when a forest starts, in vertex order, and the
-scan takes the leaves of the roots' blossoms first, then the S-leaves in
-the order the trees grow.  Solves are deterministic for a fixed input
-edge order: a vertex scans its edges in edge-index order, and a tie
-between T-blossoms at delta falls to the smallest id.  Nested blossoms
-are expanded and rematched on an explicit stack, not by recursion.
+resumes only from their S-leaf ends, in vertex order.  The search keeps no
+state it can read off the duals: an edge is tight exactly when its slack
+is 0, so the scan tests the duals and marks no edge.  Only top-level ids
+carry a label; a vertex inside a blossom is reached through its top-level
+blossom.  A new forest resets only the ids the last one labelled, which
+are listed, and the stage end walks the blossom ids in order to expand the
+top-level S-blossoms whose dual is 0.  Every root is labelled S when a
+forest starts, in vertex order, and the scan takes the leaves of the
+roots' blossoms first, then the S-leaves in the order the trees grow.
+Solves are deterministic for a fixed input edge order: a vertex scans its
+edges in edge-index order, and a tie between T-blossoms at delta falls to
+the smallest id.  Nested blossoms are expanded and rematched on an
+explicit stack, not by recursion.
 """
 
 from __future__ import annotations
@@ -149,7 +152,6 @@ def _solve(
     T-vertices, so X leaves more than |X| odd components.
     """
     n = len(neighbend)
-    m = len(weight)
 
     # P[v] = 2 * vertex dual, all even at the start so that every root has
     # the same parity (makes every S-S slack even); slots n..2n-1 hold the
@@ -168,14 +170,10 @@ def _solve(
     blossombase = list(range(n)) + [-1] * n
     blossomendps: list[Optional[list[int]]] = [None] * (2 * n)
     unusedblossoms = list(range(2 * n - 1, n - 1, -1))  # pop() gives n first
-    allowedge = [False] * m
-    # What a stage touched, so that the next one resets only that: the
-    # edges marked allowed and the ids labelled.  zero_dual holds every
-    # blossom whose dual may be 0: each new one and each T-blossom whose
-    # dual fell to 0; the stage end keeps those still at 0.
-    allowed: list[int] = []
+    # The top-level ids labelled in this forest, so that the next forest
+    # resets only those.  Only top-level ids carry a label, labelend or
+    # treeroot; a vertex inside a blossom is read through inblossom.
     labelled: list[int] = []
-    zero_dual: list[int] = []
     # The forest's vertices: each S-leaf once, when first queued as S, and
     # the leaves of each T-blossom, when labelled (a T-leaf may turn S).
     sleaves: list[int] = []
@@ -205,10 +203,9 @@ def _solve(
         while True:
             b = inblossom[w]
             assert label[w] == 0 and label[b] == 0
-            label[w] = label[b] = t
-            labelend[w] = labelend[b] = p
+            label[b] = t
+            labelend[b] = p
             treeroot[b] = r
-            labelled.append(w)
             labelled.append(b)
             if t == 1:
                 if b < n:
@@ -265,7 +262,6 @@ def _solve(
         bw = inblossom[w]
         b = unusedblossoms.pop()
         blossombase[b] = base
-        blossomparent[b] = -1
         blossomparent[bb] = b
         path = []
         endps = []
@@ -301,7 +297,6 @@ def _solve(
         treeroot[b] = treeroot[bb]
         labelled.append(b)
         dual[b] = 0
-        zero_dual.append(b)
         for leaf in blossom_leaves(b):
             if label[inblossom[leaf]] == 2:
                 # Former T-vertex turned S; it still has to be scanned.
@@ -311,7 +306,9 @@ def _solve(
 
     def expand_blossom(b: int, endstage: bool) -> Iterator[tuple[int, bool]]:
         """Dissolve blossom b (its dual is zero).  Mid-stage the caller
-        rebuilds the whole forest afterwards, so no relabelling here."""
+        rebuilds the whole forest afterwards, so no relabelling here.  Only
+        blossomchilds[b] = None marks the id dead; add_blossom overwrites
+        its other fields when it reuses the id."""
         for s in blossomchilds[b]:  # type: ignore[union-attr]
             blossomparent[s] = -1
             if s < n:
@@ -321,11 +318,7 @@ def _solve(
             else:
                 for leaf in blossom_leaves(s):
                     inblossom[leaf] = s
-        label[b] = 0
-        labelend[b] = -1
         blossomchilds[b] = None
-        blossomendps[b] = None
-        blossombase[b] = -1
         unusedblossoms.append(b)
 
     def augment_blossom(b: int, v: int) -> Iterator[tuple[int, int]]:
@@ -407,9 +400,6 @@ def _solve(
             assign_label(r, 1, -1)
 
     while exposed:
-        for k in allowed:
-            allowedge[k] = False
-        allowed.clear()
         start_forest()
 
         augmented = False
@@ -430,28 +420,19 @@ def _solve(
                         continue
                     if label[bw] and mate[treeroot[bw]] != -1:
                         continue  # into a frozen tree
-                    if not allowedge[k]:
-                        if dual[v] + dual[w] == 2 * weight[k]:
-                            allowedge[k] = True
-                            allowed.append(k)
-                    if allowedge[k]:
-                        if label[bw] == 0:
-                            assign_label(w, 2, p ^ 1)
-                        elif label[bw] == 1:
-                            base = scan_blossom(v, w)
-                            if base >= 0:
-                                add_blossom(base, k)
-                            else:
-                                # Both trees are frozen now: v's is done.
-                                augment_matching(k)
-                                augmented = True
-                                break
-                        elif label[w] == 0:
-                            # Vertex inside a T-blossom, seen from outside.
-                            assert label[bw] == 2
-                            label[w] = 2
-                            labelend[w] = p ^ 1
-                            labelled.append(w)
+                    if dual[v] + dual[w] != 2 * weight[k]:
+                        continue  # not tight
+                    if label[bw] == 0:
+                        assign_label(w, 2, p ^ 1)
+                    elif label[bw] == 1:
+                        base = scan_blossom(v, w)
+                        if base >= 0:
+                            add_blossom(base, k)
+                        else:
+                            # Both trees are frozen now: v's is done.
+                            augment_matching(k)
+                            augmented = True
+                            break
             if augmented:
                 break
 
@@ -507,8 +488,6 @@ def _solve(
                         dual[b] += delta
                     elif label[b] == 2:
                         dual[b] -= delta
-                        if dual[b] == 0:
-                            zero_dual.append(b)
 
             if expand != -1:
                 # A T-blossom dual hit zero: dissolve it and rebuild the
@@ -524,8 +503,8 @@ def _solve(
         if not exposed:
             break  # perfect, and optimal by the dual rule; no stage follows
         # Stage end: discard exhausted S-blossoms, keep paid-for ones.
-        zero_dual[:] = sorted(set(zero_dual))
-        for b in zero_dual:
+        # A dead id has no children.
+        for b in range(n, 2 * n):
             if (
                 blossomchilds[b] is not None
                 and blossomparent[b] == -1
@@ -533,9 +512,6 @@ def _solve(
                 and dual[b] == 0
             ):
                 nested(expand_blossom, b, True)
-        zero_dual[:] = [
-            b for b in zero_dual if blossomchilds[b] is not None and dual[b] == 0
-        ]
 
     return mate, dual, blossomparent
 

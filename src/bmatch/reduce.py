@@ -59,10 +59,11 @@ from bmatch.core import Matching, MultiGraph
 
 
 class BadSpec(ValueError):
-    """A uniform spec does not fit the graph or instance it was given for."""
+    """A uniform spec, or the degree bounds read from it, does not fit the
+    graph or instance it was given for."""
 
 
-class BoundsError(ValueError):
+class BoundsError(BadSpec):
     """An (a,b) bound exceeds what the vertex degree can support."""
 
 
@@ -83,7 +84,9 @@ class GadgetLayout:
 class ABInstance:
     """Multigraph with per-vertex degree bounds a(v) <= d_F(v) <= b(v);
     where step(v) is 2, d_F(v) must also have the parity of a(v).  An empty
-    `step` means step 1 everywhere."""
+    `step` means step 1 everywhere.  Raises BadSpec unless there is one
+    bound pair and step per vertex, 0 <= a <= b, the step is 1 or 2 and
+    divides b - a, and b is at most the degree (BoundsError)."""
 
     graph: MultiGraph
     a: tuple[int, ...]
@@ -97,11 +100,11 @@ class ABInstance:
         object.__setattr__(self, "b", tuple(self.b))
         object.__setattr__(self, "step", tuple(self.step) or (1,) * n)
         if len(self.a) != n or len(self.b) != n or len(self.step) != n:
-            raise ValueError("need one (a, b) pair and one step per vertex")
+            raise BadSpec("need one (a, b) pair and one step per vertex")
         for v in range(n):
             a, b, step = self.a[v], self.b[v], self.step[v]
             if not 0 <= a <= b or step not in (1, 2) or (b - a) % step:
-                raise ValueError(f"bad bounds a={a}, b={b}, step={step} at vertex {v}")
+                raise BadSpec(f"bad bounds a={a}, b={b}, step={step} at vertex {v}")
             if b > g.degree(v):
                 raise BoundsError(
                     f"upper bound {b} exceeds degree {g.degree(v)} at vertex {v}"
@@ -151,13 +154,11 @@ def lift(source_edges: int, solution: Iterable[int]) -> Matching:
 
 def uniform_to_ab(g: MultiGraph, spec: UniformSpec) -> ABInstance:
     """Read each run as bounds and a step on the same graph.  Raises BadSpec
-    unless each run is nonempty, has step 1 or 2 and lies in [0, d(v)]."""
-    n = g.vertex_count
-    if len(spec) != n:
-        raise BadSpec("spec size does not match the graph")
+    on an empty run, and ABInstance raises it for a spec of the wrong size
+    or a run outside [0, d(v)] or with a step other than 1 or 2."""
     for v, s in enumerate(spec):
-        if not s or s.step not in (1, 2) or s[0] < 0 or s[-1] > g.degree(v):
-            raise BadSpec(f"run {s} does not fit vertex {v} of degree {g.degree(v)}")
+        if not s:
+            raise BadSpec(f"run {s} at vertex {v} is empty")
     return ABInstance(
         g,
         tuple(s[0] for s in spec),

@@ -44,3 +44,19 @@ def test_gadget_growth_rejects_an_empty_sample(capsys, per_size):
         load_script("gadget_growth").main(["--sizes", "6:12", "--per-size", per_size])
     assert exc.value.code == 2
     assert "error: --per-size must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", ["6", "6:x", "0:5"])
+def test_gadget_growth_rejects_a_bad_size(capsys, size):
+    with pytest.raises(SystemExit) as exc:
+        load_script("gadget_growth").main(["--sizes", size])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: --sizes takes N:M with N >= 1 and M >= 0, got '{size}'" in err
+
+
+def test_improvement_trace_rejects_edges_without_vertices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_script("improvement_trace").main(["--n", "0", "--m", "3"])
+    assert exc.value.code == 2
+    assert "error: cannot place 3 edges with n=0" in capsys.readouterr().err
