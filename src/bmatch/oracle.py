@@ -24,19 +24,18 @@ from bmatch.core import (
 )
 from bmatch.gen import random_instance
 from bmatch.structure import (
-    _shift,
-    _within,
+    SUBSET_EDGE_CAP,
     apply,
     canonical_structure,
     extract_canonical_sequence,
     is_canonical,
     is_neighbouring_type,  # noqa: F401  (perfbench/tracer.py wraps it here)
     neighbouring_types,
+    subsets_within,
     weight_of,
 )
 
 EDGE_CAP = 20
-EXCHANGE_EDGE_CAP = 12
 
 
 class TooLarge(ValueError):
@@ -181,14 +180,8 @@ def _canonical_table(
     difference, i.e. it assembles from whole alternating paths of some
     maximal decomposition of the pair.
     """
-    g = instance.graph
-    pool = sorted(base.selected ^ target.selected)
-    full = _shift(g, base, pool)
     out: dict[frozenset[int], int] = {}
-    for mask in range(1, 1 << len(pool)):
-        sub = frozenset(pool[i] for i in range(len(pool)) if mask >> i & 1)
-        if not _within(_shift(g, base, sub), full):
-            continue
+    for sub in subsets_within(instance, base, base.selected ^ target.selected):
         if canonical_structure(instance, base, sub) is not None:
             out[sub] = weight_of(instance, base, sub)
     return out
@@ -223,10 +216,10 @@ def verify_exchange_lemma(
     if matching_weight(g, m) >= matching_weight(g, n):
         raise ValueError("exchange verification needs w(M) < w(N)")
     diff = m.selected ^ n.selected
-    if len(diff) > EXCHANGE_EDGE_CAP:
+    if len(diff) > SUBSET_EDGE_CAP:
         raise TooLarge(
             f"{len(diff)} difference edges exceed the exchange cap of "
-            f"{EXCHANGE_EDGE_CAP}"
+            f"{SUBSET_EDGE_CAP}"
         )
     table_m = _canonical_table(instance, m, n)
     best_t = max(table_m.values(), default=None)

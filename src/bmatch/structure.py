@@ -22,18 +22,24 @@ per-vertex pairings) or over a fixed set of walks.  The arrangement search
 builds what it finds: its paths and cycles carry their junctions, so the
 meta-paths and meta-cycles come straight out of it.  It is one depth-first
 search, a meta-path and then meta-cycles, whose frames (like its path
-search's) sit on an explicit stack, so nothing here recurses.  One rule,
-`_shift`, says how applying an edge set moves each degree.  The sequence
+search's) sit on an explicit stack, so nothing here recurses.  The sequence
 extraction keeps walks whole: it searches unions of whole walks, smallest
 first and exactly pruned, so it never gives up on a valid pair.  Shrinking
 to a basic path is one loop over the best disqualifying subset.
+
+Each rule of a canonical path is enforced in one place: `_shift` says how
+applying an edge set moves each degree; the closed-trail skip of
+`_walk_decompositions` keeps alternating cycles out; the neighbouring-type
+check in `_arrange` bounds the odd walk ends to none or two; and
+`subsets_within` yields the subsets of an edge set that the basic-ness
+search and the oracle's canonical tables consider.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 from bmatch.core import (
     BInstance,
@@ -198,31 +204,6 @@ def weight_of(instance: BInstance, matching: Matching, edges: frozenset[int]) ->
     return total
 
 
-def shifts_within(
-    instance: BInstance, m: Matching, n: Matching, edges: frozenset[int]
-) -> bool:
-    """Whether `edges` moves every degree toward n without overshooting.
-
-    Holds exactly when `edges` is a union of whole alternating paths of
-    some maximal decomposition of M (+) N, so it is the subset relation
-    under which canonical paths of the pair (M, N) live: a canonical
-    component of the pair must never shift a degree against the overall
-    direction or past the target.
-    """
-    g = instance.graph
-    return _within(_shift(g, m, edges), _shift(g, m, m.selected ^ n.selected))
-
-
-def _within(shift: dict[int, int], full: dict[int, int]) -> bool:
-    """Whether every entry of `shift` lies between 0 and `full`'s entry at
-    the same vertex (`shifts_within` on precomputed `_shift`s)."""
-    for v, k in shift.items():
-        lo, hi = sorted((0, full.get(v, 0)))
-        if not lo <= k <= hi:
-            return False
-    return True
-
-
 def _shift(g, m: Matching, edges) -> dict[int, int]:
     """Per vertex, the nonzero change of its degree when `edges` is applied
     to m: +1 per end of an added edge, -1 per end of a removed one."""
@@ -233,6 +214,34 @@ def _shift(g, m: Matching, edges) -> dict[int, int]:
         out[u] = out.get(u, 0) + k
         out[v] = out.get(v, 0) + k
     return {v: k for v, k in out.items() if k}
+
+
+# the most edges whose subsets (2^12 of them) the edge-granularity basic-ness
+# search and the oracle's exchange check enumerate through `subsets_within`
+SUBSET_EDGE_CAP = 12
+
+
+def subsets_within(instance: BInstance, m: Matching, edges):
+    """Yield the nonempty subsets of `edges` whose degree shift lies between
+    0 and the shift of the whole set at every vertex, in increasing bitmask
+    order over the sorted edges.
+
+    With `edges` = M (+) N these are exactly the unions of whole
+    alternating paths of some maximal decomposition of the pair, the
+    subsets under which its canonical paths live: none shifts a degree
+    against the overall direction or past the target.
+    """
+    g = instance.graph
+    pool = sorted(edges)
+    full = _shift(g, m, pool)
+    for mask in range(1, 1 << len(pool)):
+        sub = frozenset(pool[i] for i in range(len(pool)) if mask >> i & 1)
+        for v, k in _shift(g, m, sub).items():
+            lo, hi = sorted((0, full.get(v, 0)))
+            if not lo <= k <= hi:
+                break
+        else:
+            yield sub
 
 
 # -- maximal decomposition -----------------------------------------------------
@@ -354,36 +363,6 @@ def is_neighbouring_type(instance: BInstance, m: Matching, n: Matching) -> bool:
 
 
 # -- canonical-path recognition ------------------------------------------------
-
-
-def _end_profile(
-    instance: BInstance, m: Matching, edges: frozenset[int]
-) -> dict[int, int] | None:
-    """The degree shift `_shift` of the edge set: shift k at v forces |k|
-    walk ends there, on matched edges when k < 0 (applying lowers the
-    degree).  Returns None if some connected component of the edge set is
-    balanced everywhere, because such a component only decomposes into
-    alternating cycles, which no canonical path may contain.
-    """
-    g = instance.graph
-    profile = _shift(g, m, edges)
-    # balanced-component test
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edges:
-        u, v, _w = g.edges[e]
-        parent[find(u)] = find(v)
-    live = {find(v) for v in profile}
-    for e in edges:
-        if find(g.edges[e][0]) not in live:
-            return None
-    return profile
 
 
 def _pairings(slots: list, m: Matching):
@@ -542,24 +521,19 @@ def _arrange(
     """Arrange the first fitting decomposition of the edge set into a
     canonical path: meta-cycles at the endpoints plus a connecting
     meta-path, or None when the edge set is empty, its application is
-    infeasible or not of neighbouring type, it has more than two odd walk
-    ends, or no decomposition (an iterable of walk tuples) arranges.
+    infeasible or not of neighbouring type, or no decomposition (an
+    iterable of walk tuples) arranges.
     """
     if not edges:
         return None
     after = apply(matching, edges)
     if not is_neighbouring_type(instance, matching, after):
         return None
-    profile = _end_profile(instance, matching, edges)
-    if profile is None:
-        return None
+    profile = _shift(instance.graph, matching, edges)
+    # an odd shift moves a degree to a parity interval of odd index distance,
+    # and neighbouring types move at most two vertices by one: none or two
     odd = sorted(v for v, k in profile.items() if k % 2)
-    if len(odd) > 2:
-        return None
-    if len(odd) == 2:
-        anchors = [(odd[0], odd[1])]
-    else:
-        anchors = [(v, v) for v in sorted(profile)]
+    anchors = [tuple(odd)] if odd else [(v, v) for v in sorted(profile)]
     for walks in decompositions:
         pairs = tuple(w.endpoints for w in walks)
         for v_first, v_last in anchors:
@@ -759,8 +733,6 @@ def _next_component(instance, m_cur, pool):
 
 GRANULARITIES = ("meta", "edges")
 
-_EDGE_SEARCH_LIMIT = 12
-
 
 def _subset_pool(instance, m: Matching, s: CanonicalPath, granularity: str):
     """Proper nonempty subsets of s to search at the granularity.
@@ -772,15 +744,12 @@ def _subset_pool(instance, m: Matching, s: CanonicalPath, granularity: str):
     if granularity == "meta":
         return _meta_subsets(s)
     if granularity == "edges":
-        full = sorted(s.edge_set)
-        if len(full) > _EDGE_SEARCH_LIMIT:
+        if len(s.edge_set) > SUBSET_EDGE_CAP:
             raise ValueError(
                 f"edge-granularity subset search handles at most "
-                f"{_EDGE_SEARCH_LIMIT} edges, got {len(full)}"
+                f"{SUBSET_EDGE_CAP} edges, got {len(s.edge_set)}"
             )
-        target = apply(m, s.edge_set)
-        subsets = (frozenset(c) for r in range(1, len(full)) for c in combinations(full, r))
-        return [e for e in subsets if shifts_within(instance, m, target, e)]
+        return [e for e in subsets_within(instance, m, s.edge_set) if e != s.edge_set]
     raise ValueError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
 
 
@@ -867,8 +836,7 @@ def classify(instance: BInstance, m: Matching, s: CanonicalPath) -> ClassifyRepo
     full basic-ness is the caller's responsibility.
     """
     edges = s.edge_set
-    profile = _end_profile(instance, m, edges)
-    assert profile is not None, "canonical paths decompose into open walks"
+    profile = _shift(instance.graph, m, edges)
     w_s = weight_of(instance, m, edges)
 
     for c in s.cycles:

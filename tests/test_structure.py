@@ -39,7 +39,7 @@ from bmatch.structure import (
     is_neighbouring_type,
     is_same_uniform_type,
     make_basic,
-    shifts_within,
+    subsets_within,
     walk_problems,
     weight_of,
 )
@@ -127,26 +127,35 @@ def test_weight_of_counts_gain(fig2, fig2_m7):
     assert weight_of(fig2, M9, FULL) == -2
 
 
-def test_shifts_within_whole_difference(fig2, fig2_m7):
-    assert shifts_within(fig2, fig2_m7, M9, FULL)
-    assert shifts_within(fig2, fig2_m7, M9, frozenset({0, 1, 2, 3, 4, 5, 6}))
+def test_subsets_within_whole_difference(fig2, fig2_m7):
+    out = list(subsets_within(fig2, fig2_m7, FULL))
+    assert FULL in out
+    assert frozenset({0, 1, 2, 3, 4, 5, 6}) in out
+    # increasing bitmask order, which the oracle's tables and its first
+    # reported exchange violation follow
+    masks = [sum(1 << e for e in sub) for sub in out]  # FULL is range(16)
+    assert masks == sorted(set(masks))
 
 
-def test_shifts_within_rejects_overshoot_and_wrong_direction():
+def test_subsets_within_rejects_overshoot_and_wrong_direction():
     g = MultiGraph(2, ((0, 1, 1), (0, 1, 1), (0, 1, 1)))
     inst = BInstance(g, (DegreeSet((0, 1, 2, 3)),) * 2, "max-card")
     m = Matching(frozenset({0}))
-    n = Matching(frozenset({0, 1}))
-    assert shifts_within(inst, m, n, frozenset({1}))
-    # adding edge 2 on top of n overshoots the target degree
-    assert not shifts_within(inst, m, n, frozenset({1, 2}))
-    # removing edge 0 moves away from the target
-    assert not shifts_within(inst, m, n, frozenset({0}))
+    # applying all three edges raises both degrees by 1; removing edge 0
+    # alone moves away from that, adding edges 1 and 2 overshoots it
+    assert list(subsets_within(inst, m, frozenset({0, 1, 2}))) == [
+        frozenset({1}),
+        frozenset({0, 1}),
+        frozenset({2}),
+        frozenset({0, 2}),
+        frozenset({0, 1, 2}),
+    ]
 
 
 def degree_vector_shifts_within(instance, m, n, edges):
-    """shifts_within by whole degree vectors: one pass for each of m, n and
-    m with edges applied."""
+    """Whether `edges` moves every degree toward n without overshooting, by
+    whole degree vectors: one pass for each of m, n and m with edges
+    applied."""
     g = instance.graph
     base = degrees(g, m)
     full = degrees(g, n)
@@ -158,9 +167,9 @@ def degree_vector_shifts_within(instance, m, n, edges):
     return True
 
 
-def test_shifts_within_agrees_with_whole_degree_vectors():
-    # every subset of M (+) N, on the 16 pinned pairs whose difference
-    # raises some degree and lowers another
+def test_subsets_within_agrees_with_whole_degree_vectors():
+    # every nonempty subset of M (+) N in bitmask order, on the 16 pinned
+    # pairs whose difference raises some degree and lowers another
     checked = 0
     for instance, (m, n) in pinned_pairs():
         g = instance.graph
@@ -169,11 +178,12 @@ def test_shifts_within_agrees_with_whole_degree_vectors():
         if max(moves) <= 0 or min(moves) >= 0:
             continue
         checked += 1
-        for mask in range(1 << len(diff)):
-            sub = frozenset(e for i, e in enumerate(diff) if mask >> i & 1)
-            assert shifts_within(instance, m, n, sub) == degree_vector_shifts_within(
-                instance, m, n, sub
-            ), (m, n, sub)
+        subsets = (
+            frozenset(e for i, e in enumerate(diff) if mask >> i & 1)
+            for mask in range(1, 1 << len(diff))
+        )
+        expected = [sub for sub in subsets if degree_vector_shifts_within(instance, m, n, sub)]
+        assert list(subsets_within(instance, m, frozenset(diff))) == expected, (m, n)
     assert checked == 16
 
 
@@ -196,6 +206,33 @@ def test_full_fig2_witness_is_canonical(fig2, fig2_m7):
 def test_hexagon_alone_is_not_canonical_from_m7(fig2, fig2_m7):
     # applying only the hexagon drives vertex 7 to degree 2, outside its set
     assert canonical_structure(fig2, fig2_m7, frozenset({10, 11, 12, 13, 14, 15})) is None
+
+
+def cycle_beside_edge():
+    """A 4-cycle 0-1-2-3 alternating around M = {0, 2}, and an unmatched
+    edge 4 joining 4 and 5 in another component."""
+    g = MultiGraph(6, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (4, 5, 1)))
+    sets = (DegreeSet((0, 1, 2)),) * 4 + (DegreeSet((0, 1)),) * 2
+    return BInstance(g, sets, "max-card"), Matching(frozenset({0, 2}))
+
+
+def test_whole_alternating_cycle_is_not_canonical():
+    # applying the cycle keeps every degree, a feasible matching of the same
+    # type, but a canonical path holds no alternating cycle
+    inst, m = cycle_beside_edge()
+    cycle = frozenset({0, 1, 2, 3})
+    assert is_neighbouring_type(inst, m, apply(m, cycle))
+    assert canonical_structure(inst, m, cycle) is None
+    assert not is_canonical(inst, m, cycle)
+
+
+def test_alternating_cycle_beside_a_canonical_path_is_not_canonical():
+    inst, m = cycle_beside_edge()
+    assert is_canonical(inst, m, frozenset({4}))
+    both = frozenset(range(5))
+    assert is_neighbouring_type(inst, m, apply(m, both))
+    assert canonical_structure(inst, m, both) is None
+    assert not is_canonical(inst, m, both)
 
 
 def test_meta_path_alone_is_canonical(fig2, fig2_m7):
