@@ -3,10 +3,11 @@ line per improvement step.
 
 `solve` runs this walk only when the answer of its uniform relaxation is
 not a B-matching and the solve of that answer's rounding does not reach
-the relaxation's weight; it then starts from the heavier of the rounding's
-answer and the search's matching, and stops once the relaxation's weight
-is reached.  This script always walks from `find_feasible`'s
-lexicographically first matching, so every instance shows its steps.
+the relaxation's weight; it then starts from the rounding's answer, or
+from `find_feasible`'s matching when the rounding has no solution, and
+stops once the relaxation's weight is reached.  This script always walks
+from `find_feasible`'s lexicographically first matching, so every
+instance shows its steps.
 
 Each line shows the parity-interval index per vertex (the matching's type),
 so the walk through neighbouring types is visible directly.

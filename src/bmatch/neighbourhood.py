@@ -13,17 +13,16 @@ objective value (1 or w), negated for the min objectives.  A walk skips the
 specs it solved at earlier steps, and those inside the rounded relaxation
 below, whose optima cannot beat where it stands.
 
-`solve` walks only when it must.  One uniform relaxation of the instance,
-whose degree sets contain every B(v), is solved before any walk: when its
-answer is a B-matching it is the optimum, and otherwise its weight bounds
-the walk.  That answer, rounded to a spec inside B, is solved once more:
-a B-matching of the relaxation's weight is the optimum, and a lighter one
-may start the walk nearer to it.  The feasibility search, exponential in
-the worst case, first gets only the 2|E| branch nodes of a search that
-never backtracks.  Past them the relaxation is solved before the search
-goes on: no solution means no B-matching, proved by the relaxation's
-checked Tutte barrier, and a B-matching answer is the optimum.  The full
-search runs only when the rounding has no solution either.
+`solve` walks only when it must, and tries its certificates in order of
+cost, each once.  Propagation alone, the feasibility search without a
+branch node, refutes most infeasible instances.  One uniform relaxation of
+the instance, whose degree sets contain every B(v), is solved next: no
+solution means no B-matching, proved by its checked Tutte barrier, an
+answer that is a B-matching is the optimum, and otherwise its weight
+bounds the walk.  That answer, rounded to a spec inside B, is solved once
+more: a B-matching of the relaxation's weight is the optimum, and a
+lighter one starts the walk.  The feasibility search, exponential in the
+worst case, runs in full only when the rounding has no solution.
 """
 
 from __future__ import annotations
@@ -230,11 +229,9 @@ def find_feasible(
     branching (which cannot change the lexicographic answer).  Exact but
     exponential in the worst case; `node_budget` caps the branch count and
     overrunning it raises SearchBudgetExceeded, which is not an
-    infeasibility verdict.  A search that never backtracks branches at most
-    twice per edge, so `solve` first runs it with a budget of 2|E| and asks
-    the uniform relaxation before searching further.  The search path
-    lives on an explicit stack, so its depth (up to |E|) is not bounded by
-    the recursion limit.
+    infeasibility verdict; a budget of 0 runs the propagation alone.  The
+    search path lives on an explicit stack, so its depth (up to |E|) is not
+    bounded by the recursion limit.
     """
     g = instance.graph
     n = g.vertex_count
@@ -244,34 +241,30 @@ def find_feasible(
     undecided = [g.degree(v) for v in range(n)]
     decided: list[bool | None] = [None] * m
     trail: list[int] = []
-    # Per edge, its distinct ends and what it adds to each end's degree.
-    ends: list[tuple[int, ...]] = []
-    unit: list[int] = []
+    # Per edge, its two ends, each adding one to its vertex's degree; a loop
+    # has both at one vertex, and appears twice in its incidence list.
+    ends = [(u, v) for u, v, _w in g.edges]
     incident: list[list[int]] = [[] for _ in range(n)]
-    for e, (u, v, _w) in enumerate(g.edges):
-        ends.append((u,) if u == v else (u, v))
-        unit.append(2 if u == v else 1)
-        for x in ends[e]:
-            incident[x].append(e)
+    for e, (u, v) in enumerate(ends):
+        incident[u].append(e)
+        incident[v].append(e)
 
-    def set_edge(e: int, include: bool) -> tuple[int, ...]:
+    def set_edge(e: int, include: bool) -> tuple[int, int]:
         decided[e] = include
         trail.append(e)
-        k = unit[e]
         for x in ends[e]:
-            undecided[x] -= k
+            undecided[x] -= 1
             if include:
-                cur[x] += k
+                cur[x] += 1
         return ends[e]
 
     def undo_to(mark: int) -> None:
         while len(trail) > mark:
             e = trail.pop()
-            k = unit[e]
             for x in ends[e]:
-                undecided[x] += k
+                undecided[x] += 1
                 if decided[e]:
-                    cur[x] -= k
+                    cur[x] -= 1
             decided[e] = None
 
     def propagate(queue: list[int]) -> bool:
@@ -375,27 +368,23 @@ def solve(
 ) -> Matching | None:
     """An optimal B-matching for instance.objective, or None if none exists.
 
-    `find_feasible` first runs with a budget of 2|E| branch nodes, the most
-    a search that never backtracks can use: every edge is tried excluded,
-    then at most once included.  Inside that budget it gives a start M or
-    a "no", and the first certificate that holds ends the run:
-    - M reaches the degree-sum bound of every B-matching (`_pin_values`);
-    - one solve of the relaxation `_relaxation` gives an answer R that is
-      a B-matching, optimal by the relaxation's checked blossom duals;
+    The certificates are tried in order of cost, each once, and the first
+    that holds ends the run:
+    - `find_feasible` with no branch node, propagation alone, says "no";
+    - one solve of the relaxation `_relaxation` has no solution, so no
+      B-matching exists, certified by the blossom solver's checked Tutte
+      barrier;
+    - the relaxation's answer R is a B-matching, optimal by the
+      relaxation's checked blossom duals;
     - otherwise R's weight UB bounds the optimum, and one solve of R's
       rounding `_rounded` gives a B-matching S of weight UB;
-    - otherwise the walk improves the heavier of S and M (M on a tie) step
-      by step until its value reaches UB or a step finds no improving
-      candidate type.  A candidate inside R's rounding at every vertex
-      counts as cached: its optimum is at most S's weight, or it has no
-      solution when the rounding has none.
-    A search that overruns the budget has begun to backtrack, and the
-    relaxation is solved before it goes on.  No solution means no
-    B-matching, certified by the blossom solver's checked Tutte barrier;
-    a B-matching is the optimum as above, and otherwise S ends the run or
-    starts the walk.  Only when the rounding has no solution either does
-    `find_feasible` run in full, with its own budget, and the walk start
-    from its answer.
+    - otherwise the walk improves S step by step until its value reaches
+      UB or a step finds no improving candidate type.  A candidate inside
+      R's rounding at every vertex counts as cached: its optimum is at most
+      S's weight, or it has no solution when the rounding has none.
+    Only when the rounding has no solution does `find_feasible` run in
+    full, with its own budget: its "no" ends the run, and its answer
+    starts the walk.
     The walk's answers do not depend on the UB stop: at UB, the step it
     skips would find nothing.  For cardinality objectives the walk runs at
     most |E| iterations; for weight objectives the count is only bounded by
@@ -410,24 +399,16 @@ def solve(
     for key in ("iterations", *counts):
         stats.setdefault(key, 0)
     try:
-        matching = find_feasible(instance, node_budget=2 * instance.graph.edge_count)
-        in_budget = True
+        refuted = find_feasible(instance, node_budget=0) is None
     except SearchBudgetExceeded:
-        matching, in_budget = None, False
-    if in_budget and matching is None:
+        refuted = False
+    if refuted:
         trace("solve: infeasible")
         return None
     work, sign = _as_max_weight(instance)
-    if in_budget:
-        value = matching_weight(work, matching)
-        if value == sum(max(vals) for vals in _pin_values(instance, work)) // 2:
-            trace(f"solve: optimal, value {sign * value} reached the degree-sum bound")
-            return matching
     relaxed = solve_uniform(work, _relaxation(instance))
     stats["solved"] += 1
     if relaxed is None:
-        if in_budget:
-            raise AssertionError("the relaxation has no solution, yet a B-matching exists")
         trace("solve: infeasible, the relaxation has a Tutte barrier")
         return None
     bound = matching_weight(work, relaxed)
@@ -438,25 +419,21 @@ def solve(
         )
         return relaxed
     rounding = _rounded(instance, relaxed)
-    rounded = solve_uniform(work, rounding)
+    matching = solve_uniform(work, rounding)
     stats["solved"] += 1
-    if rounded is not None:
-        if not is_b_matching(instance, rounded):
-            raise AssertionError("the rounding's answer is not a B-matching")
-        value = matching_weight(work, rounded)
-        if value == bound:
-            trace(
-                f"solve: optimal, value from the rounded relaxation reached "
-                f"the relaxation bound {sign * bound}"
-            )
-            return rounded
-        if matching is None or value > matching_weight(work, matching):
-            matching = rounded
     if matching is None:
         matching = find_feasible(instance)
         if matching is None:
             trace("solve: infeasible")
             return None
+    elif not is_b_matching(instance, matching):
+        raise AssertionError("the rounding's answer is not a B-matching")
+    elif matching_weight(work, matching) == bound:
+        trace(
+            f"solve: optimal, value from the rounded relaxation reached "
+            f"the relaxation bound {sign * bound}"
+        )
+        return matching
     seen: set[UniformSpec] = set()
     iteration = 0
     while True:

@@ -63,10 +63,6 @@ class BadSpec(ValueError):
     graph or instance it was given for."""
 
 
-class BoundsError(BadSpec):
-    """An (a,b) bound exceeds what the vertex degree can support."""
-
-
 UniformSpec = tuple[range, ...]
 
 
@@ -86,7 +82,7 @@ class ABInstance:
     where step(v) is 2, d_F(v) must also have the parity of a(v).  An empty
     `step` means step 1 everywhere.  Raises BadSpec unless there is one
     bound pair and step per vertex, 0 <= a <= b, the step is 1 or 2 and
-    divides b - a, and b is at most the degree (BoundsError)."""
+    divides b - a, and b is at most the degree."""
 
     graph: MultiGraph
     a: tuple[int, ...]
@@ -106,7 +102,7 @@ class ABInstance:
             if not 0 <= a <= b or step not in (1, 2) or (b - a) % step:
                 raise BadSpec(f"bad bounds a={a}, b={b}, step={step} at vertex {v}")
             if b > g.degree(v):
-                raise BoundsError(
+                raise BadSpec(
                     f"upper bound {b} exceeds degree {g.degree(v)} at vertex {v}"
                 )
 

@@ -1,9 +1,10 @@
 import os
 import pathlib
+from itertools import combinations
 
 import pytest
 
-from bmatch.core import parse_certificate, parse_instance
+from bmatch.core import Matching, MultiGraph, parse_certificate, parse_instance
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -14,6 +15,25 @@ def src_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     ))
+
+
+def degree_subsets(graph: MultiGraph, allowed):
+    """Brute force: every edge subset of graph, smallest first, whose
+    degree at each vertex v lies in allowed[v]; a loop counts 2."""
+    for k in range(graph.edge_count + 1):
+        for combo in combinations(range(graph.edge_count), k):
+            deg = [0] * graph.vertex_count
+            for e in combo:
+                u, v, _w = graph.edges[e]
+                deg[u] += 1
+                deg[v] += 1
+            if all(d in allowed[v] for v, d in enumerate(deg)):
+                yield Matching(frozenset(combo))
+
+
+def ab_degrees(ab) -> tuple[range, ...]:
+    """Per vertex, the degrees an ABInstance admits."""
+    return tuple(range(a, b + 1, step) for a, b, step in zip(ab.a, ab.b, ab.step))
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,6 @@ from bmatch.blossom import max_weight_perfect_matching
 from bmatch.cli import main
 from bmatch.core import (
     OBJECTIVES,
-    Matching,
     MultiGraph,
     check_certificate,
     current_type,
@@ -39,7 +38,6 @@ from bmatch.oracle import (
 )
 from bmatch.reduce import (
     ABInstance,
-    UniformSpec,
     ab_to_pm,
     lift,
     uniform_to_ab,
@@ -53,7 +51,7 @@ from bmatch.structure import (
 )
 from bmatch.uniform import solve_uniform
 
-from conftest import FIXTURES
+from conftest import FIXTURES, ab_degrees, degree_subsets
 
 
 def random_uniform_instance(rng: random.Random, n: int, m: int):
@@ -75,18 +73,6 @@ def random_uniform_instance(rng: random.Random, n: int, m: int):
     return graph, tuple(per_vertex)
 
 
-def spec_matchings(graph: MultiGraph, spec: UniformSpec):
-    for k in range(graph.edge_count + 1):
-        for combo in combinations(range(graph.edge_count), k):
-            deg = [0] * graph.vertex_count
-            for e in combo:
-                u, v, _w = graph.edges[e]
-                deg[u] += 1 if u != v else 2
-                deg[v] += 1 if u != v else 0
-            if all(deg[v] in spec[v] for v in range(graph.vertex_count)):
-                yield Matching(frozenset(combo))
-
-
 def random_ab_instance(rng: random.Random, n: int, m: int) -> ABInstance:
     edges = tuple(
         (rng.randrange(n), rng.randrange(n), rng.randint(-4, 4)) for _ in range(m)
@@ -98,19 +84,6 @@ def random_ab_instance(rng: random.Random, n: int, m: int) -> ABInstance:
         a.append(lo)
         b.append(rng.randint(lo, g.degree(v)))
     return ABInstance(g, tuple(a), tuple(b))
-
-
-def all_ab_matchings(ab: ABInstance):
-    g = ab.graph
-    for k in range(g.edge_count + 1):
-        for combo in combinations(range(g.edge_count), k):
-            deg = [0] * g.vertex_count
-            for e in combo:
-                u, v, _w = g.edges[e]
-                deg[u] += 1 if u != v else 2
-                deg[v] += 1 if u != v else 0
-            if all(ab.a[v] <= deg[v] <= ab.b[v] for v in range(g.vertex_count)):
-                yield Matching(frozenset(combo))
 
 
 def perfect_matchings(g, cap=4000):
@@ -193,7 +166,7 @@ def test_criterion_02_weighted_uniform_matches_brute_force_on_300():
         negated = MultiGraph(
             graph.vertex_count, tuple((u, v, -w) for u, v, w in graph.edges)
         )
-        feasible = list(spec_matchings(graph, spec))
+        feasible = list(degree_subsets(graph, spec))
         # The solver maximizes; the min optimum is the max on negated weights.
         for best_of, work in ((max, graph), (min, negated)):
             got = solve_uniform(work, spec)
@@ -216,7 +189,7 @@ def test_criterion_03_reduction_chain_lifts_exact_optima_on_200():
         reduced, _ab_edges = ab_to_pm(ab)
         pm = max_weight_perfect_matching(reduced)
         best = None
-        for f in spec_matchings(graph, spec):
+        for f in degree_subsets(graph, spec):
             w = matching_weight(graph, f)
             if best is None or w > best:
                 best = w
@@ -242,7 +215,7 @@ def test_criterion_04_gadget_soundness_and_pool_parity_on_200():
         ab = random_ab_instance(rng, 1 + i % 6, i % 9)
         reduced, source_edges = ab_to_pm(ab)
         pm = max_weight_perfect_matching(reduced)
-        feasible = list(all_ab_matchings(ab))
+        feasible = list(degree_subsets(ab.graph, ab_degrees(ab)))
         if not feasible:
             assert pm is None
             continue

@@ -12,27 +12,12 @@ from bmatch.core import (
 from bmatch.reduce import (
     ABInstance,
     BadSpec,
-    BoundsError,
     ab_to_pm,
     lift,
     uniform_to_ab,
 )
 
-
-def all_ab_matchings(ab: ABInstance):
-    g = ab.graph
-    for k in range(g.edge_count + 1):
-        for combo in combinations(range(g.edge_count), k):
-            deg = [0] * g.vertex_count
-            for e in combo:
-                u, v, _w = g.edges[e]
-                deg[u] += 1 if u != v else 2
-                deg[v] += 1 if u != v else 0
-            if all(
-                ab.a[v] <= deg[v] <= ab.b[v] and (deg[v] - ab.a[v]) % ab.step[v] == 0
-                for v in range(g.vertex_count)
-            ):
-                yield Matching(frozenset(combo))
+from conftest import ab_degrees, degree_subsets
 
 
 def all_perfect_matchings(g):
@@ -130,7 +115,7 @@ def test_lift_drops_gadget_edges():
     reduced, source_edges = ab_to_pm(ab)
     assert source_edges == g.edge_count < reduced.edge_count
     lifted = {lift(source_edges, pm) for pm in all_perfect_matchings(reduced)}
-    assert lifted == set(all_ab_matchings(ab))
+    assert lifted == set(degree_subsets(ab.graph, ab_degrees(ab)))
 
 
 # -- perfect-matching gadget ---------------------------------------------------
@@ -139,7 +124,7 @@ def test_lift_drops_gadget_edges():
 def test_path_with_exact_degree_one_everywhere_is_infeasible():
     g = MultiGraph(3, ((0, 1, 1), (1, 2, 1)))
     ab = ABInstance(g, (1, 1, 1), (1, 1, 1))
-    assert list(all_ab_matchings(ab)) == []
+    assert list(degree_subsets(ab.graph, ab_degrees(ab))) == []
     reduced, _source_edges = ab_to_pm(ab)
     assert max_weight_perfect_matching(reduced) is None
 
@@ -166,7 +151,7 @@ def test_source_edges_keep_their_indices():
 
 def test_gadget_layout_bounds_check():
     g = MultiGraph(2, ((0, 1, 1),))
-    with pytest.raises(BoundsError):
+    with pytest.raises(BadSpec, match="upper bound 2 exceeds degree 1 at vertex 0"):
         ABInstance(g, (0, 0), (2, 1))
 
 
@@ -410,7 +395,7 @@ def test_reduced_optimum_matches_ab_brute_force():
         ab = random_ab(rng, rng.randint(1, 4), rng.randint(0, 5))
         reduced, source_edges = ab_to_pm(ab)
         pm = max_weight_perfect_matching(reduced)
-        feasible = list(all_ab_matchings(ab))
+        feasible = list(degree_subsets(ab.graph, ab_degrees(ab)))
         if not feasible:
             assert pm is None
             continue
@@ -452,4 +437,4 @@ def test_lifted_matchings_partition_perfect_matchings():
     ab = ABInstance(g, (0, 0), (1, 1))
     reduced, source_edges = ab_to_pm(ab)
     lifted = {lift(source_edges, pm) for pm in all_perfect_matchings(reduced)}
-    assert lifted == set(all_ab_matchings(ab))
+    assert lifted == set(degree_subsets(ab.graph, ab_degrees(ab)))

@@ -270,6 +270,19 @@ def test_flower_with_more_petals_than_the_recursion_limit_is_one_canonical_path(
     assert [c.walks[0].edges for c in s.cycles] == [(i, i + 1, i + 2) for i in range(0, 3 * k, 3)]
 
 
+def test_canonical_structure_tries_every_pairing():
+    # At vertex 3 the first pairing of matched with unmatched edge ends
+    # gives walks with ends (0, 1) and (2, 2), which do not arrange; another
+    # pairing gives the meta-path 0 -> 2 -> 1.
+    g = MultiGraph(5, ((0, 3, 1), (3, 1, 1), (2, 3, 1), (3, 4, 1), (4, 2, 1)))
+    sets = ((0, 1), (0, 1), (0, 2), (2,), (1,))
+    inst = BInstance(g, tuple(DegreeSet(b) for b in sets), "max-card")
+    s = canonical_structure(inst, Matching(frozenset({1, 2, 4})), frozenset(range(5)))
+    assert s is not None and s.cycles == ()
+    assert s.meta_path.junctions == (0, 2, 1)
+    assert [w.edges for w in s.meta_path.walks] == [(0, 2), (1, 3, 4)]
+
+
 def test_figure_eight_splits_into_two_meta_cycles():
     # two parallel pairs through vertex 1: S(1, 1) holds two meta-cycles,
     # each with pairwise distinct junctions of its own

@@ -3,23 +3,11 @@ import pathlib
 import random
 import subprocess
 import sys
-from itertools import combinations
 
-from bmatch.core import Matching, MultiGraph, matching_weight
-from bmatch.reduce import UniformSpec
+from bmatch.core import MultiGraph, matching_weight
 from bmatch.uniform import solve_uniform
 
-
-def spec_matchings(graph: MultiGraph, spec: UniformSpec):
-    for k in range(graph.edge_count + 1):
-        for combo in combinations(range(graph.edge_count), k):
-            deg = [0] * graph.vertex_count
-            for e in combo:
-                u, v, _w = graph.edges[e]
-                deg[u] += 1 if u != v else 2
-                deg[v] += 1 if u != v else 0
-            if all(deg[v] in spec[v] for v in range(graph.vertex_count)):
-                yield Matching(frozenset(combo))
+from conftest import degree_subsets
 
 
 def negated(g: MultiGraph) -> MultiGraph:
@@ -92,7 +80,7 @@ def test_matches_brute_force_both_senses():
     rng = random.Random(4242)
     for _ in range(80):
         g, spec = random_uniform(rng, rng.randint(1, 5), rng.randint(0, 7))
-        feasible = list(spec_matchings(g, spec))
+        feasible = list(degree_subsets(g, spec))
         for best_of, work in ((max, g), (min, negated(g))):
             got = solve_uniform(work, spec)
             if not feasible:
