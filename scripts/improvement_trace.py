@@ -1,13 +1,12 @@
 """Narrate the type walk from a first feasible matching to the optimum, one
 line per improvement step.
 
-`solve` runs this walk only when the answer of its uniform relaxation is
-not a B-matching and the solve of that answer's rounding does not reach
-the relaxation's weight; it then starts from the rounding's answer, or
-from `find_feasible`'s matching when the rounding has no solution, and
-stops once the relaxation's weight is reached.  This script always walks
-from `find_feasible`'s lexicographically first matching, so every
-instance shows its steps.
+`solve` runs this walk only as the fallback of its best-first search over
+slices of B(v): once the search has spent n node solves after its first
+incumbent, the walk starts from that incumbent and stops when it reaches
+the search's largest open bound.  This script always walks from
+`find_feasible`'s lexicographically first matching, so every instance
+shows its steps.
 
 Each line shows the parity-interval index per vertex (the matching's type),
 so the walk through neighbouring types is visible directly.

@@ -10,23 +10,14 @@ type admits a better matching.
 
 All four objectives run as one max-weight problem: each edge weighs its
 objective value (1 or w), negated for the min objectives.  A walk skips the
-specs it solved at earlier steps, and those inside the rounded relaxation
-below, whose optima cannot beat where it stands.
-
-`solve` walks only when it must, and tries its certificates in order of
-cost, each once.  Propagation alone, the feasibility search without a
-branch node, refutes most infeasible instances.  One uniform relaxation of
-the instance, whose degree sets contain every B(v), is solved next: no
-solution means no B-matching, proved by its checked Tutte barrier, an
-answer that is a B-matching is the optimum, and otherwise its weight
-bounds the walk.  That answer, rounded to a spec inside B, is solved once
-more: a B-matching of the relaxation's weight is the optimum, and a
-lighter one starts the walk.  The feasibility search, exponential in the
-worst case, runs in full only when the rounding has no solution.
+specs it solved at earlier steps, whose optima cannot beat where it stands.
+`solve` finds the optimum by a best-first search over slices of B(v), and
+walks only when the search spends its budget.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import accumulate, combinations
 from typing import Callable
 
@@ -134,7 +125,6 @@ def improvement_step(
     matching: Matching,
     *,
     seen: set[UniformSpec] | None = None,
-    rounded: UniformSpec | None = None,
     stats: dict | None = None,
 ) -> Matching | None:
     """Best strictly-improving matching over all candidate types, or None.
@@ -149,9 +139,8 @@ def improvement_step(
     beat the best so far: a bound below the best weight (at first, the
     current matching's), or equal to it at a later index.  No candidate
     from there on can either, since its optimum is at most its bound, so
-    the order changes no answer.  Only a visited candidate builds its spec,
-    from t's intervals, and hands it with the signed graph to
-    `solve_uniform`.
+    the order changes no answer.  Only a visited candidate builds its spec
+    and hands it with the signed graph to `solve_uniform`.
 
     Each solved spec is added to `seen`, and a spec already in it counts as
     cached and is skipped unsolved.  That is exact when one set is passed
@@ -159,15 +148,9 @@ def improvement_step(
     `solve` does: a spec solved at an earlier step has an optimum of at
     most the weight that step reached, the walk's current matching weighs
     at least that much, and only a strictly heavier matching is taken.
-    With the default None, nothing is skipped.  A candidate whose spec lies
-    inside the spec `rounded` at every vertex counts as cached too, and is
-    skipped unsolved: each of its matchings is one of `rounded`, so its
-    optimum is at most `rounded`'s.  That is exact when `matching` weighs at
-    least `rounded`'s optimum, as on `solve`'s walk once the rounded
-    relaxation has an answer, and also when `rounded` has no solution at
-    all: then no candidate inside it has one either.  A caller-owned
-    `stats` dict accumulates 'solved', 'cached' and 'pruned' counts; every
-    candidate adds to exactly one of them, the unvisited ones to 'pruned'.
+    With the default None, nothing is skipped.  A caller-owned `stats` dict
+    accumulates 'solved', 'cached' and 'pruned' counts; every candidate
+    adds to exactly one of them, the unvisited ones to 'pruned'.
     """
     work, _sign = _as_max_weight(instance)
     t = current_type(instance, matching)
@@ -198,10 +181,7 @@ def improvement_step(
             break
         visited += 1
         spec = _candidate_spec(instance, t, base, candidates[-cap[1]])
-        if spec in seen or (
-            rounded is not None
-            and all(s[0] in r and s[-1] in r for s, r in zip(spec, rounded))
-        ):
+        if spec in seen:
             stats["cached"] += 1
             continue
         seen.add(spec)
@@ -300,9 +280,7 @@ def find_feasible(
             return Matching(frozenset(i for i, d in enumerate(decided) if d))
         nodes += 1
         if nodes > node_budget:
-            raise SearchBudgetExceeded(
-                f"feasibility search passed {node_budget} nodes"
-            )
+            raise SearchBudgetExceeded(f"feasibility search passed {node_budget} nodes")
         mark = len(trail)
         if propagate(list(set_edge(e, include))):
             branches.append((e, mark, include))
@@ -317,14 +295,11 @@ def find_feasible(
         include = True
 
 
-def _relaxation(instance: BInstance) -> UniformSpec:
-    """U: per vertex, b(v) itself when it is one dense interval or one
-    parity run, else its dense hull [min b(v), max b(v)].  b(v) lies in
-    U(v), so U's optimum weighs at least as much as every B-matching.
-    Every b(v) must be nonempty."""
+def _spec(node: tuple[tuple[int, ...], ...]) -> UniformSpec:
+    """Per vertex, its nonempty slice of b(v) itself when it is one dense
+    interval or one parity run, else its dense hull [min, max]."""
     spec = []
-    for v in range(instance.graph.vertex_count):
-        values = instance.b(v).values
+    for values in node:
         shape = shape_of(values)
         spec.append(range(values[0], values[-1] + 1) if shape is None else shape)
     return tuple(spec)
@@ -368,30 +343,24 @@ def solve(
 ) -> Matching | None:
     """An optimal B-matching for instance.objective, or None if none exists.
 
-    The certificates are tried in order of cost, each once, and the first
-    that holds ends the run:
-    - `find_feasible` with no branch node, propagation alone, says "no";
-    - one solve of the relaxation `_relaxation` has no solution, so no
-      B-matching exists, certified by the blossom solver's checked Tutte
-      barrier;
-    - the relaxation's answer R is a B-matching, optimal by the
-      relaxation's checked blossom duals;
-    - otherwise R's weight UB bounds the optimum, and one solve of R's
-      rounding `_rounded` gives a B-matching S of weight UB;
-    - otherwise the walk improves S step by step until its value reaches
-      UB or a step finds no improving candidate type.  A candidate inside
-      R's rounding at every vertex counts as cached: its optimum is at most
-      S's weight, or it has no solution when the rounding has none.
-    Only when the rounding has no solution does `find_feasible` run in
-    full, with its own budget: its "no" ends the run, and its answer
-    starts the walk.
-    The walk's answers do not depend on the UB stop: at UB, the step it
-    skips would find nothing.  For cardinality objectives the walk runs at
-    most |E| iterations; for weight objectives the count is only bounded by
-    the weight gap (pseudo-polynomial).  A caller-owned `stats` dict
-    receives 'iterations' plus the 'solved', 'cached' and 'pruned'
-    counters; the relaxation and its rounding count as one solved
-    candidate each.
+    Propagation alone (`find_feasible` with no branch node) may say "no".
+    Otherwise a best-first search (Land & Doig) runs over nodes of one
+    slice of b(v) per vertex, each solved as the spec `_spec` reads; the
+    root, the relaxation, holds every b(v).  A node's checked optimum
+    bounds every B-matching in it.  A node with no solution closes by its
+    checked Tutte barrier, one whose answer is a B-matching closes with it
+    as an incumbent, and any other splits at its answer's first vertex
+    whose degree d is outside b(v), into the values below d and those
+    above.  The root's answer, rounded into B by `_rounded`, gives an
+    incumbent: before the first split when every edge weighs the same,
+    as it then usually reaches the root's bound, else after that split.
+    The search ends when no open bound exceeds the incumbent, which is
+    optimal, or every node is closed without one: none exists.
+    After n further solves with an incumbent, the type walk goes on from
+    it until its value reaches the largest open bound or a step finds
+    nothing: at most |E| steps for cardinality objectives.  A caller-owned
+    `stats` dict receives 'iterations', 'solved' (every node and the
+    rounding), 'cached' and 'pruned'.
     """
     if stats is None:
         stats = {}
@@ -406,8 +375,13 @@ def solve(
         trace("solve: infeasible")
         return None
     work, sign = _as_max_weight(instance)
-    relaxed = solve_uniform(work, _relaxation(instance))
-    stats["solved"] += 1
+
+    def solved(spec: UniformSpec) -> Matching | None:
+        stats["solved"] += 1
+        return solve_uniform(work, spec)
+
+    root = tuple(instance.b(v).values for v in range(instance.graph.vertex_count))
+    relaxed = solved(_spec(root))
     if relaxed is None:
         trace("solve: infeasible, the relaxation has a Tutte barrier")
         return None
@@ -419,47 +393,72 @@ def solve(
         )
         return relaxed
     rounding = _rounded(instance, relaxed)
-    matching = solve_uniform(work, rounding)
-    stats["solved"] += 1
-    if matching is None:
-        matching = find_feasible(instance)
-        if matching is None:
-            trace("solve: infeasible")
+    wait = 0 if len({w for _u, _v, w in work.edges}) == 1 else 1  # splits before it
+    # Open nodes as (-bound, solves so far, node, answer): best first, then oldest.
+    open_nodes = [(-bound, 0, root, relaxed)]
+    best = value = None
+    splits = spent = 0
+    while open_nodes and (value is None or -open_nodes[0][0] > value):
+        if rounding is not None and splits == wait:
+            found, rounding = solved(rounding), None
+            if found is not None and not is_b_matching(instance, found):
+                raise AssertionError("the rounding's answer is not a B-matching")
+            weight = None if found is None else matching_weight(work, found)
+            if weight == bound:
+                trace(
+                    f"solve: optimal, value from the rounded relaxation reached "
+                    f"the relaxation bound {sign * bound}"
+                )
+                return found
+            if weight is not None and (value is None or weight > value):
+                best, value = found, weight
+            continue
+        if spent >= instance.graph.vertex_count:
+            break
+        key, _index, node, answer = heappop(open_nodes)
+        splits += 1
+        deg = degrees(instance.graph, answer)
+        v = next(v for v, d in enumerate(deg) if d not in instance.b(v))
+        trace(f"search: bound {-sign * key}, vertex {v} splits at degree {deg[v]}")
+        for part in ((x for x in node[v] if x < deg[v]), (x for x in node[v] if x > deg[v])):
+            child = (*node[:v], tuple(part), *node[v + 1 :])
+            spent += best is not None
+            found = solved(_spec(child))
+            if found is None:
+                continue
+            weight = matching_weight(work, found)
+            if not is_b_matching(instance, found):
+                heappush(open_nodes, (-weight, stats["solved"], child, found))
+            elif value is None or weight > value:
+                best, value = found, weight
+    else:  # the search ended without spending its budget
+        if best is None:
+            trace("solve: infeasible, every node of the search has a Tutte barrier")
             return None
-    elif not is_b_matching(instance, matching):
-        raise AssertionError("the rounding's answer is not a B-matching")
-    elif matching_weight(work, matching) == bound:
-        trace(
-            f"solve: optimal, value from the rounded relaxation reached "
-            f"the relaxation bound {sign * bound}"
-        )
-        return matching
-    seen: set[UniformSpec] = set()
-    iteration = 0
+        trace(f"solve: optimal, value {sign * value}, no open node of the search bounds more")
+        return best
+
+    bound = -open_nodes[0][0]
+    trace(f"solve: the search spent {spent} solves after its first incumbent")
+    matching, seen, iteration = best, set(), 0
     while True:
         value = matching_weight(work, matching)
         trace(f"solve: iteration {iteration}, value {sign * value}")
         if value == bound:
-            trace(f"solve: optimal, value reached the relaxation bound {sign * bound}")
+            trace(f"solve: optimal, value reached the search's bound {sign * bound}")
             return matching
         before = [stats[key] for key in counts]
-        improved = improvement_step(
-            instance, matching, seen=seen, rounded=rounding, stats=stats
-        )
-        solved, cached, pruned = (stats[k] - b for k, b in zip(counts, before))
-        best = value if improved is None else matching_weight(work, improved)
+        improved = improvement_step(instance, matching, seen=seen, stats=stats)
+        done = [stats[key] - b for key, b in zip(counts, before)]
+        after = value if improved is None else matching_weight(work, improved)
         trace(
-            f"improvement_step: {solved + cached + pruned} candidates, "
-            f"{solved} solved, {cached} cached, "
-            f"{pruned} pruned, best value {sign * best}"
+            f"improvement_step: {sum(done)} candidates, {done[0]} solved, "
+            f"{done[1]} cached, {done[2]} pruned, best value {sign * after}"
         )
         if improved is None:
-            trace(
-                f"solve: optimal, final step found nothing "
-                f"(relaxation bound {sign * bound})"
-            )
+            trace(f"solve: optimal, final step found nothing (search bound {sign * bound})")
             return matching
-        assert best > value
+        assert after > value
         matching = improved
         iteration += 1
         stats["iterations"] = iteration

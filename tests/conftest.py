@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from bmatch.core import Matching, MultiGraph, parse_certificate, parse_instance
+from bmatch.neighbourhood import _spec
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -29,6 +30,12 @@ def degree_subsets(graph: MultiGraph, allowed):
                 deg[v] += 1
             if all(d in allowed[v] for v, d in enumerate(deg)):
                 yield Matching(frozenset(combo))
+
+
+def relaxation(instance) -> tuple[range, ...]:
+    """The spec of solve's root node, the relaxation: every b(v) read as
+    one dense or parity run, else as its dense hull."""
+    return _spec(tuple(instance.b(v).values for v in range(instance.graph.vertex_count)))
 
 
 def ab_degrees(ab) -> tuple[range, ...]:

@@ -10,10 +10,9 @@ import bmatch.blossom as blossom
 from bmatch.blossom import _check_barrier, _check_optimum, max_weight_perfect_matching
 from bmatch.core import Matching, MultiGraph, degrees, matching_weight
 from bmatch.gen import PROFILES, random_instance
-from bmatch.neighbourhood import _relaxation
 from bmatch.reduce import ABInstance, uniform_to_ab
 
-from conftest import FIXTURES, src_env
+from conftest import FIXTURES, relaxation, src_env
 
 
 def brute_force_pm(g: MultiGraph) -> Matching | None:
@@ -233,7 +232,7 @@ def relaxation_gadgets():
         inst = random_instance(
             seed, n, n + seed % 11, profile=PROFILES[seed % 3], weights=(-3, 9)
         )
-        graph = full_spoke_gadget(uniform_to_ab(inst.graph, _relaxation(inst)))
+        graph = full_spoke_gadget(uniform_to_ab(inst.graph, relaxation(inst)))
         yield graph
         yield MultiGraph(graph.vertex_count, tuple((u, v, -w) for u, v, w in graph.edges))
 
@@ -302,7 +301,7 @@ def test_full_spoke_gadget_adds_the_old_loops_itself():
         "7bc00628c6fbc38f5a2488526e89befdd3beb6c74aaa74d687193a8523aa5eb2"
     )
     inst = random_instance(11849, 9, 20, profile="mixed", weights=(-3, 9))
-    graph = full_spoke_gadget(uniform_to_ab(inst.graph, _relaxation(inst)), clique=True)
+    graph = full_spoke_gadget(uniform_to_ab(inst.graph, relaxation(inst)), clique=True)
     assert hashlib.sha256(repr((graph.vertex_count, graph.edges)).encode()).hexdigest() == (
         "707ca036021fb0409918d22c88e838216a1bb9617b66cfd22ff19d0283de93db"
     )
@@ -331,7 +330,7 @@ def test_stage_end_discards_every_zero_dual_s_blossom(
     seed, n, m, profile, weights, sign, weight, digest
 ):
     inst = random_instance(seed, n, m, profile=profile, weights=weights)
-    graph = full_spoke_gadget(uniform_to_ab(inst.graph, _relaxation(inst)), clique=True)
+    graph = full_spoke_gadget(uniform_to_ab(inst.graph, relaxation(inst)), clique=True)
     graph = MultiGraph(
         graph.vertex_count, tuple((u, v, sign * w) for u, v, w in graph.edges)
     )

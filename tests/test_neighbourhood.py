@@ -26,7 +26,6 @@ from bmatch.neighbourhood import (
     _bound,
     _candidate_spec,
     _pin_values,
-    _relaxation,
     _rounded,
     enumerate_candidates,
     find_feasible,
@@ -42,7 +41,7 @@ from bmatch.structure import (
 )
 from bmatch.uniform import solve_uniform
 
-from conftest import src_env
+from conftest import relaxation, src_env
 
 
 def triangle(degree_values) -> BInstance:
@@ -290,16 +289,19 @@ def test_solve_answers_are_pinned():
     # augment along every disjoint path it finds (45 walks), and again when
     # solve stopped taking the feasibility search's matching as a start or
     # as an answer at the degree-sum bound (29 walks answer with another
-    # optimum: that of the relaxation or of its rounding).
+    # optimum: that of the relaxation or of its rounding), and again when a
+    # best-first search over slices of B(v) replaced the certifying walk
+    # (seeds 10, 115, 179, 211, 314, 347, 374 and 397 answer with another
+    # optimum of the same value).
     answers, _counters, _values = _pinned_walks()
     digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
-    assert digest == "5e143a3cbc6855da8c73c4e173d286eba63fdc2ea445f98a39f8c216eaf76032"
+    assert digest == "94eca707c36db3cee8c490d1cf574d18d8fb88200aebcf212936bae8bd392317"
 
 
 def test_solve_counters_are_pinned():
     # Iterations, solved, cached and pruned per run of the same instances;
-    # the relaxation counts as one solve, and so does the solve of its
-    # rounding.
+    # the relaxation counts as one solve, and so do the solve of its
+    # rounding and each search node.
     # Re-recorded when the pool became a parity chain (other ties, other
     # walks) and the walk began to count candidates inside the rounding as
     # cached, and again when the weighted blossom run began from per-vertex
@@ -313,10 +315,12 @@ def test_solve_counters_are_pinned():
     # again when the degree-sum rung went (68 runs that ended there with no
     # solve end at the relaxation, one at its rounding, and a walk that
     # started from the search's matching on a tie starts from the rounding's
-    # answer and prunes 3 for 4).
+    # answer and prunes 3 for 4), and again when the search replaced the
+    # certifying walk (42 runs: each search node counts as one solve, no
+    # run walks, and the weight objectives round after the first split).
     _answers, counters, _values = _pinned_walks()
     digest = hashlib.sha256("\n".join(counters).encode()).hexdigest()
-    assert digest == "52e09c92e2ed16697a5667221a8acb1c7f074981344aac065606dd7a7de18fc0"
+    assert digest == "c8e15342f1640353293dbfe70a5328413050aee44ebb99067eb58be62b32a4ca"
 
 
 def test_solve_values_are_pinned():
@@ -367,42 +371,20 @@ def test_relaxation_answers_are_optimal():
     assert sum(direct["rounded"].values()) > 0, direct
 
 
-def test_walk_answers_match_the_full_walk(monkeypatch):
-    # Where solve walks from the feasibility search's matching, it returns
-    # edge for edge what the walk without a UB stop returns.  Where it
-    # starts from the rounded relaxation's answer, or returns that answer,
-    # it reaches the full walk's value, and no candidate type improves on
-    # its answer.
-    starts = []
-    step = neighbourhood.improvement_step
-
-    def spy(inst, matching, **kwargs):
-        starts.append(matching)
-        return step(inst, matching, **kwargs)
-
-    monkeypatch.setattr(neighbourhood, "improvement_step", spy)
-    endings, checked = set(), {"edges": 0, "value": 0}
+def test_walk_answers_match_the_full_walk():
+    # Wherever solve does not end at the relaxation's duals, by the rounding
+    # or by the search, its answer reaches the value of the walk without a
+    # UB stop, and no candidate type improves on it.
+    endings = dict.fromkeys(("from the rounded relaxation", "no open node of the search"), 0)
     for seed, inst in _pinned_instances():
-        starts.clear()
         got, certificate = _certified(inst)
         if "relaxation's duals" in certificate:
             continue
-        full = _full_walk(inst)
-        from_search = not starts or starts[0] == find_feasible(inst)
-        if from_search and "from the rounded relaxation" not in certificate:
-            assert got == full, seed
-            checked["edges"] += 1
-        else:
-            work, _sign = _as_max_weight(inst)
-            assert matching_weight(work, got) == matching_weight(work, full), seed
-            assert improvement_step(inst, got) is None, seed
-            checked["value"] += 1
-        for ending in ("from the rounded relaxation",
-                       "value reached the relaxation bound", "found nothing"):
-            if ending in certificate:
-                endings.add(ending)
-    assert len(endings) == 3, endings
-    assert min(checked.values()) > 0, checked
+        work, _sign = _as_max_weight(inst)
+        assert matching_weight(work, got) == matching_weight(work, _full_walk(inst)), seed
+        assert improvement_step(inst, got) is None, seed
+        endings[next(e for e in endings if e in certificate)] += 1
+    assert endings == {"from the rounded relaxation": 9, "no open node of the search": 43}
 
 
 def test_seen_specs_cannot_beat_the_walk():
@@ -605,18 +587,14 @@ def test_solve_infeasible_returns_none():
     assert solve(triangle((1,))) is None
 
 
-def _spy_on_searches(monkeypatch, *, overrun: bool = False) -> list[int | None]:
+def _spy_on_searches(monkeypatch) -> list[int | None]:
     """Route solve's feasibility searches through a spy; the list it
-    returns receives each call's node_budget, None for the default.  With
-    overrun, every budgeted search raises SearchBudgetExceeded, as if
-    propagation alone decided nothing; unbudgeted searches run as usual."""
+    returns receives each call's node_budget, None for the default."""
     budgets = []
     real = neighbourhood.find_feasible
 
     def spy(instance, **kwargs):
         budgets.append(kwargs.get("node_budget"))
-        if overrun and "node_budget" in kwargs:
-            raise SearchBudgetExceeded("forced")
         return real(instance, **kwargs)
 
     monkeypatch.setattr(neighbourhood, "find_feasible", spy)
@@ -668,29 +646,31 @@ def test_relaxation_barrier_is_checked_under_optimize():
 
 
 def test_relaxation_first_keeps_the_values(monkeypatch):
-    # solve takes no start from propagation, so forcing it to overrun, as on
-    # an instance it cannot decide, changes no path on these feasible
-    # instances: the optimum values stay those of
-    # test_solve_values_are_pinned, and some runs fall back to the full
-    # search.
-    budgets = _spy_on_searches(monkeypatch, overrun=True)
-    _answers, _counters, values = _pinned_walks()
-    digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
-    assert digest == "e70d96029def4e0e27a6d46e1277d605f68c2069a7d2d3c0ae9bb0825ca52279"
-    assert budgets.count(None) > 0
+    # The relaxation and the search over its slices decide every instance
+    # that propagation alone does not: solve never runs the budgeted
+    # feasibility search in full.
+    budgets = _spy_on_searches(monkeypatch)
+    for _seed, inst in _pinned_instances():
+        solve(inst)
+    assert budgets == [0] * 400
 
 
-def test_relaxation_without_b_matching_falls_back_to_the_full_search(monkeypatch):
+def test_search_refutes_where_the_relaxation_has_an_answer(monkeypatch):
     # U(u) = [0, 3] admits the single edge that B(u) = {0, 2, 3} does not,
-    # so the relaxation has a solution, its rounding has none, and only the
-    # full search says no.
-    budgets = _spy_on_searches(monkeypatch, overrun=True)
+    # so the relaxation has a solution and its rounding has none.  The
+    # search splits U(u) at 1 into {0} and {2, 3}, and each child's barrier
+    # closes it.
+    budgets = _spy_on_searches(monkeypatch)
     g = MultiGraph(2, ((0, 1, 1), (0, 1, 1), (0, 1, 1)))
     inst = BInstance(g, (DegreeSet((0, 2, 3)), DegreeSet((1,))), "max-card")
-    lines = []
-    assert solve(inst, trace=lines.append) is None
-    assert lines == ["solve: infeasible"]
-    assert budgets == [0, None]
+    lines, stats = [], {}
+    assert solve(inst, trace=lines.append, stats=stats) is None
+    assert lines == [
+        "search: bound 1, vertex 0 splits at degree 1",
+        "solve: infeasible, every node of the search has a Tutte barrier",
+    ]
+    assert budgets == [0]
+    assert stats == {"iterations": 0, "solved": 4, "cached": 0, "pruned": 0}
 
 
 def test_rounding_picks_runs_next_to_the_relaxed_degrees():
@@ -714,7 +694,7 @@ def test_rounding_stays_inside_the_degree_sets():
     missed = 0
     for seed, inst in _pinned_instances():
         work, _sign = _as_max_weight(inst)
-        relaxed = solve_uniform(work, _relaxation(inst))
+        relaxed = solve_uniform(work, relaxation(inst))
         if relaxed is None or is_b_matching(inst, relaxed):
             continue
         missed += 1
@@ -795,7 +775,7 @@ def test_wide_hull_relaxation_gadget_is_linear():
     g = random_instance(0, 160, 400, profile="interval").graph
     sets = tuple(DegreeSet(tuple(range(g.degree(v) + 1))) for v in range(160))
     inst = BInstance(g, sets, "max-card")
-    ab = uniform_to_ab(inst.graph, _relaxation(inst))
+    ab = uniform_to_ab(inst.graph, relaxation(inst))
     reduced, _source_edges = ab_to_pm(ab)
     assert sum(ab.b) - sum(ab.a) == 800 and len(ab.layout.pool) == 318
     assert (reduced.vertex_count, len(reduced.edges)) == (1918, 4771)
@@ -805,61 +785,14 @@ def test_wide_hull_relaxation_gadget_is_linear():
     assert lines[-1] == DUALS.format(400)
 
 
-@pytest.mark.parametrize("seed,solved,unskipped", [(384572382, 3, 4), (586867545, 3, 5)])
-def test_walk_skips_candidates_inside_the_rounding(monkeypatch, seed, solved, unskipped):
-    # The rounded relaxation's answer S starts this walk at the optimum, and
-    # its final step visits candidates whose specs lie inside R', with
-    # optima of at most w(S): they count as cached.  A walk that solves
-    # them returns the same matching with more solves.
-    inst = planted_mixed(seed, 5, 30, (1, 9), "min-weight")
-    stats = {}
-    got = solve(inst, stats=stats)
-    step = neighbourhood.improvement_step
-
-    def unskipped_step(inst, matching, **kwargs):
-        return step(inst, matching, **dict(kwargs, rounded=None))
-
-    monkeypatch.setattr(neighbourhood, "improvement_step", unskipped_step)
-    plain = {}
-    assert solve(inst, stats=plain) == got
-    assert (stats["solved"], plain["solved"]) == (solved, unskipped)
-    assert stats["cached"] - plain["cached"] == unskipped - solved
-
-
-@pytest.mark.parametrize(
-    "seed,n,m,objective,solved,unskipped",
-    [(586, 10, 25, "max-weight", 8, 12), (28, 7, 17, "max-card", 2, 4)],
-)
-def test_walk_skips_candidates_inside_a_rounding_without_solution(
-    monkeypatch, seed, n, m, objective, solved, unskipped
-):
-    # R' has no solution, so neither has any candidate whose spec lies
-    # inside it: those count as cached, and the answer is the same.
-    inst = random_instance(seed, n, m, profile="mixed", weights=(1, 9), objective=objective)
-    work, _sign = _as_max_weight(inst)
-    relaxed = solve_uniform(work, _relaxation(inst))
-    assert solve_uniform(work, _rounded(inst, relaxed)) is None
-    stats = {}
-    got = solve(inst, stats=stats)
-    step = neighbourhood.improvement_step
-
-    def unskipped_step(inst, matching, **kwargs):
-        return step(inst, matching, **dict(kwargs, rounded=None))
-
-    monkeypatch.setattr(neighbourhood, "improvement_step", unskipped_step)
-    plain = {}
-    assert solve(inst, stats=plain) == got
-    assert (stats["solved"], plain["solved"]) == (solved, unskipped)
-    assert (stats["cached"], plain["cached"]) == (unskipped - solved, 0)
-
-
 def test_rounding_check_raises_under_optimize():
     # A rounding that returns the relaxation itself gives an answer that is
     # not a B-matching; with asserts off, solve still refuses it.
     code = (
         "import bmatch.neighbourhood as neighbourhood\n"
         "from bmatch.gen import random_instance\n"
-        "neighbourhood._rounded = lambda inst, _r: neighbourhood._relaxation(inst)\n"
+        "neighbourhood._rounded = lambda inst, _r: neighbourhood._spec(\n"
+        "    tuple(inst.b(v).values for v in range(inst.graph.vertex_count)))\n"
         "neighbourhood.solve(random_instance(131, 8, 20, profile='mixed'))\n"
     )
     proc = subprocess.run(
@@ -872,13 +805,63 @@ def test_rounding_check_raises_under_optimize():
 
 
 def test_solve_records_stats():
-    # The rounded relaxation has no solution here, so the walk takes one
-    # step from the search's start of size 9.
+    # The rounded relaxation has no solution here, so the search splits the
+    # root and then one child, four node solves in all, and never walks.
     stats = {}
     best = solve(random_instance(131, 8, 20, profile="mixed"), stats=stats)
     assert len(best) == 10
-    assert stats["iterations"] >= 1
-    assert stats["solved"] >= 1
+    assert stats == {"iterations": 0, "solved": 6, "cached": 0, "pruned": 0}
+
+
+BASELINE_ROWS = [
+    # (n, seed, objective, optimum value)
+    (40, 1, "max-weight", 374),
+    (40, 2, "max-weight", 306),
+    (80, 1, "max-weight", 640),
+    (100, 14, "min-card", 76),
+    (100, 24, "min-card", 88),
+    (100, 26, "max-card", 162),
+    (100, 28, "max-card", 162),
+]
+
+
+@pytest.mark.parametrize(
+    "n,seed,objective,value", BASELINE_ROWS, ids=[f"n{r[0]}-s{r[1]}-{r[2]}" for r in BASELINE_ROWS]
+)
+def test_search_answers_the_planted_rows(n, seed, objective, value):
+    # Planted mixed instances with m = 2.5n, on which the rounded
+    # relaxation's answer was already optimal and the walk's certifying
+    # step took 160 to 1,400 candidate solves.  The search closes each
+    # within 25 solves and never walks.
+    weights = (1, 9) if objective.endswith("weight") else (1, 1)
+    inst = planted_mixed(seed, n, int(2.5 * n), weights, objective)
+    stats = {}
+    got = solve(inst, stats=stats)
+    assert is_b_matching(inst, got)
+    assert (len(got) if objective.endswith("card") else matching_weight(inst.graph, got)) == value
+    assert stats["iterations"] == stats["cached"] == stats["pruned"] == 0
+    assert stats["solved"] <= 25
+
+
+def test_walk_finishes_a_search_that_spends_its_budget():
+    # Weights -9..9 and B(v) = {0, 1, 3, 5, 6} up to d(v): many vertices
+    # sit on a gap, and the search spends its n = 20 solves after its first
+    # incumbent with nodes still open.  The walk goes on from the
+    # incumbent, takes one step and certifies the optimum with a second.
+    rng = random.Random(0)
+    g = MultiGraph(20, tuple(
+        (rng.randrange(20), rng.randrange(20), rng.randint(-9, 9)) for _ in range(60)
+    ))
+    sets = tuple(DegreeSet(tuple(d for d in (0, 1, 3, 5, 6) if d <= g.degree(v))) for v in range(20))
+    inst = BInstance(g, sets, "min-weight")
+    lines, stats = [], {}
+    got = solve(inst, trace=lines.append, stats=stats)
+    assert is_b_matching(inst, got) and matching_weight(g, got) == -162
+    assert "solve: the search spent 20 solves after its first incumbent" in lines
+    assert lines[-1] == "solve: optimal, final step found nothing (search bound -169)"
+    assert stats["iterations"] == 1
+    assert stats["cached"] > 0 and stats["pruned"] > 0
+    assert improvement_step(inst, got) is None
 
 
 def test_every_intermediate_is_feasible(fig2):

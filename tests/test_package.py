@@ -51,18 +51,21 @@ def test_every_traced_function_resolves():
 def test_tracer_observers_read_the_solver_results(fig2):
     # The observers read what the wrapped functions return: ab_to_pm's
     # (graph, source edge count) pair, the candidates' count and each
-    # solver's None.  On fig2 max-card the relaxation and its rounding are
-    # the only solves, and the walk's single step solves nothing.
-    stats = {}
+    # solver's None.  On fig2 max-card the relaxation, its rounding and the
+    # two children of one search split are the only solves; the step that
+    # certifies the answer solves one candidate and prunes the other.
+    stats, step = {}, {}
     with load_tracer().Tracer() as tracer:
-        assert len(neighbourhood.solve(fig2, stats=stats)) == 9
+        got = neighbourhood.solve(fig2, stats=stats)
+        assert len(got) == 9
+        assert neighbourhood.improvement_step(fig2, got, stats=step) is None
     counts = tracer.counts
     assert (
         counts["solve_uniform.calls"]
         == counts["blossom.calls"]
         == counts["ab_to_pm.calls"]
-        == stats["solved"]
-        == 2
+        == stats["solved"] + step["solved"]
+        == 5
     )
-    assert counts["gadget.nodes"] == 112
-    assert counts["candidates.count"] == stats["cached"] + stats["pruned"] == 2
+    assert counts["gadget.nodes"] == 220 + 52
+    assert counts["candidates.count"] == step["solved"] + step["pruned"] == 2
