@@ -393,13 +393,13 @@ def solve(
         )
         return relaxed
     rounding = _rounded(instance, relaxed)
-    wait = 0 if len({w for _u, _v, w in work.edges}) == 1 else 1  # splits before it
+    round_after = 0 if len({w for _u, _v, w in work.edges}) == 1 else 1  # splits
     # Open nodes as (-bound, solves so far, node, answer): best first, then oldest.
     open_nodes = [(-bound, 0, root, relaxed)]
     best = value = None
     splits = spent = 0
     while open_nodes and (value is None or -open_nodes[0][0] > value):
-        if rounding is not None and splits == wait:
+        if rounding is not None and splits == round_after:
             found, rounding = solved(rounding), None
             if found is not None and not is_b_matching(instance, found):
                 raise AssertionError("the rounding's answer is not a B-matching")
