@@ -1,12 +1,9 @@
 """Narrate the type walk from a first feasible matching to the optimum, one
 line per improvement step.
 
-`solve` runs this walk only as the fallback of its best-first search over
-slices of B(v): once the search has spent n node solves after its first
-incumbent, the walk starts from that incumbent and stops when it reaches
-the search's largest open bound.  This script always walks from
-`find_feasible`'s lexicographically first matching, so every instance
-shows its steps.
+`solve` does not run this walk: it finds the optimum by a best-first
+search over slices of B(v).  This script walks from `find_feasible`'s
+lexicographically first matching, so every instance shows its steps.
 
 Each line shows the parity-interval index per vertex (the matching's type),
 so the walk through neighbouring types is visible directly.

@@ -11,8 +11,8 @@ type admits a better matching.
 All four objectives run as one max-weight problem: each edge weighs its
 objective value (1 or w), negated for the min objectives.  A walk skips the
 specs it solved at earlier steps, whose optima cannot beat where it stands.
-`solve` finds the optimum by a best-first search over slices of B(v), and
-walks only when the search spends its budget.
+`solve` does not walk: it finds the optimum by a best-first search over
+slices of B(v), and the walk's step stays as an independent certificate.
 """
 
 from __future__ import annotations
@@ -144,10 +144,10 @@ def improvement_step(
 
     Each solved spec is added to `seen`, and a spec already in it counts as
     cached and is skipped unsolved.  That is exact when one set is passed
-    to every step of a walk that always moves to the returned matching, as
-    `solve` does: a spec solved at an earlier step has an optimum of at
-    most the weight that step reached, the walk's current matching weighs
-    at least that much, and only a strictly heavier matching is taken.
+    to every step of a walk that always moves to the returned matching: a
+    spec solved at an earlier step has an optimum of at most the weight
+    that step reached, the walk's current matching weighs at least that
+    much, and only a strictly heavier matching is taken.
     With the default None, nothing is skipped.  A caller-owned `stats` dict
     accumulates 'solved', 'cached' and 'pruned' counts; every candidate
     adds to exactly one of them, the unvisited ones to 'pruned'.
@@ -280,7 +280,9 @@ def find_feasible(
             return Matching(frozenset(i for i, d in enumerate(decided) if d))
         nodes += 1
         if nodes > node_budget:
-            raise SearchBudgetExceeded(f"feasibility search passed {node_budget} nodes")
+            raise SearchBudgetExceeded(
+                f"feasibility search passed {node_budget} nodes"
+            )
         mark = len(trail)
         if propagate(list(set_edge(e, include))):
             branches.append((e, mark, include))
@@ -355,18 +357,14 @@ def solve(
     incumbent: before the first split when every edge weighs the same,
     as it then usually reaches the root's bound, else after that split.
     The search ends when no open bound exceeds the incumbent, which is
-    optimal, or every node is closed without one: none exists.
-    After n further solves with an incumbent, the type walk goes on from
-    it until its value reaches the largest open bound or a step finds
-    nothing: at most |E| steps for cardinality objectives.  A caller-owned
-    `stats` dict receives 'iterations', 'solved' (every node and the
-    rounding), 'cached' and 'pruned'.
+    optimal, or every node is closed without one: none exists.  Each split
+    removes a degree from a slice, so the search ends, but its node count
+    is exponential in the worst case.  A caller-owned `stats` dict
+    receives 'solved', one per node and one for the rounding.
     """
     if stats is None:
         stats = {}
-    counts = ("solved", "cached", "pruned")
-    for key in ("iterations", *counts):
-        stats.setdefault(key, 0)
+    stats.setdefault("solved", 0)
     try:
         refuted = find_feasible(instance, node_budget=0) is None
     except SearchBudgetExceeded:
@@ -375,90 +373,62 @@ def solve(
         trace("solve: infeasible")
         return None
     work, sign = _as_max_weight(instance)
-
-    def solved(spec: UniformSpec) -> Matching | None:
-        stats["solved"] += 1
-        return solve_uniform(work, spec)
-
-    root = tuple(instance.b(v).values for v in range(instance.graph.vertex_count))
-    relaxed = solved(_spec(root))
-    if relaxed is None:
-        trace("solve: infeasible, the relaxation has a Tutte barrier")
-        return None
-    bound = matching_weight(work, relaxed)
-    if is_b_matching(instance, relaxed):
-        trace(
-            f"solve: optimal, value {sign * bound} by the relaxation's duals, "
-            f"its answer is a B-matching"
-        )
-        return relaxed
-    rounding = _rounded(instance, relaxed)
-    round_after = 0 if len({w for _u, _v, w in work.edges}) == 1 else 1  # splits
     # Open nodes as (-bound, solves so far, node, answer): best first, then oldest.
-    open_nodes = [(-bound, 0, root, relaxed)]
+    open_nodes: list = []
     best = value = None
-    splits = spent = 0
+
+    def take(found: Matching) -> None:
+        nonlocal best, value
+        weight = matching_weight(work, found)
+        if value is None or weight > value:
+            best, value = found, weight
+
+    def visit(node: tuple[tuple[int, ...], ...]) -> None:
+        stats["solved"] += 1
+        found = solve_uniform(work, _spec(node))
+        if found is not None and is_b_matching(instance, found):
+            take(found)
+        elif found is not None:
+            heappush(open_nodes, (-matching_weight(work, found), stats["solved"], node, found))
+
+    visit(tuple(instance.b(v).values for v in range(instance.graph.vertex_count)))
+    rounding = bound = None
+    if open_nodes:
+        bound = -open_nodes[0][0]
+        rounding = _rounded(instance, open_nodes[0][3])
+    round_after = 0 if len({w for _u, _v, w in work.edges}) == 1 else 1  # splits
+    splits = 0
     while open_nodes and (value is None or -open_nodes[0][0] > value):
         if rounding is not None and splits == round_after:
-            found, rounding = solved(rounding), None
-            if found is not None and not is_b_matching(instance, found):
+            stats["solved"] += 1
+            found, rounding = solve_uniform(work, rounding), None
+            if found is None:
+                continue
+            if not is_b_matching(instance, found):
                 raise AssertionError("the rounding's answer is not a B-matching")
-            weight = None if found is None else matching_weight(work, found)
-            if weight == bound:
+            if matching_weight(work, found) == bound:
                 trace(
                     f"solve: optimal, value from the rounded relaxation reached "
                     f"the relaxation bound {sign * bound}"
                 )
                 return found
-            if weight is not None and (value is None or weight > value):
-                best, value = found, weight
+            take(found)
             continue
-        if spent >= instance.graph.vertex_count:
-            break
         key, _index, node, answer = heappop(open_nodes)
         splits += 1
         deg = degrees(instance.graph, answer)
         v = next(v for v, d in enumerate(deg) if d not in instance.b(v))
         trace(f"search: bound {-sign * key}, vertex {v} splits at degree {deg[v]}")
-        for part in ((x for x in node[v] if x < deg[v]), (x for x in node[v] if x > deg[v])):
-            child = (*node[:v], tuple(part), *node[v + 1 :])
-            spent += best is not None
-            found = solved(_spec(child))
-            if found is None:
-                continue
-            weight = matching_weight(work, found)
-            if not is_b_matching(instance, found):
-                heappush(open_nodes, (-weight, stats["solved"], child, found))
-            elif value is None or weight > value:
-                best, value = found, weight
-    else:  # the search ended without spending its budget
-        if best is None:
-            trace("solve: infeasible, every node of the search has a Tutte barrier")
-            return None
-        trace(f"solve: optimal, value {sign * value}, no open node of the search bounds more")
-        return best
-
-    bound = -open_nodes[0][0]
-    trace(f"solve: the search spent {spent} solves after its first incumbent")
-    matching, seen, iteration = best, set(), 0
-    while True:
-        value = matching_weight(work, matching)
-        trace(f"solve: iteration {iteration}, value {sign * value}")
-        if value == bound:
-            trace(f"solve: optimal, value reached the search's bound {sign * bound}")
-            return matching
-        before = [stats[key] for key in counts]
-        improved = improvement_step(instance, matching, seen=seen, stats=stats)
-        done = [stats[key] - b for key, b in zip(counts, before)]
-        after = value if improved is None else matching_weight(work, improved)
+        visit((*node[:v], tuple(x for x in node[v] if x < deg[v]), *node[v + 1 :]))
+        visit((*node[:v], tuple(x for x in node[v] if x > deg[v]), *node[v + 1 :]))
+    if best is None:
+        barrier = "the relaxation has" if splits == 0 else "every node of the search has"
+        trace(f"solve: infeasible, {barrier} a Tutte barrier")
+    elif bound is None:
         trace(
-            f"improvement_step: {sum(done)} candidates, {done[0]} solved, "
-            f"{done[1]} cached, {done[2]} pruned, best value {sign * after}"
+            f"solve: optimal, value {sign * value} by the relaxation's duals, "
+            f"its answer is a B-matching"
         )
-        if improved is None:
-            trace(f"solve: optimal, final step found nothing (search bound {sign * bound})")
-            return matching
-        assert after > value
-        matching = improved
-        iteration += 1
-        stats["iterations"] = iteration
+    else:
+        trace(f"solve: optimal, value {sign * value}, no open node of the search bounds more")
+    return best
