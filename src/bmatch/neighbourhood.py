@@ -389,7 +389,8 @@ def solve(
         if found is not None and is_b_matching(instance, found):
             take(found)
         elif found is not None:
-            heappush(open_nodes, (-matching_weight(work, found), stats["solved"], node, found))
+            weight = matching_weight(work, found)
+            heappush(open_nodes, (-weight, stats["solved"], node, found))
 
     visit(tuple(instance.b(v).values for v in range(instance.graph.vertex_count)))
     rounding = bound = None
@@ -422,13 +423,16 @@ def solve(
         visit((*node[:v], tuple(x for x in node[v] if x < deg[v]), *node[v + 1 :]))
         visit((*node[:v], tuple(x for x in node[v] if x > deg[v]), *node[v + 1 :]))
     if best is None:
-        barrier = "the relaxation has" if splits == 0 else "every node of the search has"
-        trace(f"solve: infeasible, {barrier} a Tutte barrier")
+        closed = "every node of the search" if splits else "the relaxation"
+        trace(f"solve: infeasible, {closed} has a Tutte barrier")
     elif bound is None:
         trace(
             f"solve: optimal, value {sign * value} by the relaxation's duals, "
             f"its answer is a B-matching"
         )
     else:
-        trace(f"solve: optimal, value {sign * value}, no open node of the search bounds more")
+        trace(
+            f"solve: optimal, value {sign * value}, no open node of the search "
+            f"bounds more"
+        )
     return best

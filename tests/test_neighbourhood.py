@@ -248,7 +248,7 @@ def _pinned_instances():
         yield seed, planted(seed, n, n + seed % 13, objective, weights=(-4, 6))[0]
 
 
-def _pinned_runs() -> tuple[list[str], list[str], list[str]]:
+def _pinned_walks() -> tuple[list[str], list[str], list[str]]:
     """solve's answers, its solve counts and its objective values on the
     pinned instances."""
     answers, counters, values = [], [], []
@@ -290,7 +290,7 @@ def test_solve_answers_are_pinned():
     # best-first search over slices of B(v) replaced the certifying walk
     # (seeds 10, 115, 179, 211, 314, 347, 374 and 397 answer with another
     # optimum of the same value).
-    answers, _counters, _values = _pinned_runs()
+    answers, _counters, _values = _pinned_walks()
     digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
     assert digest == "94eca707c36db3cee8c490d1cf574d18d8fb88200aebcf212936bae8bd392317"
 
@@ -315,9 +315,10 @@ def test_solve_counters_are_pinned():
     # answer and prunes 3 for 4), and again when the search replaced the
     # certifying walk (42 runs: each search node counts as one solve, no
     # run walks, and the weight objectives round after the first split).
-    # Until solve lost the walk, each line also held the iterations, cached
-    # and pruned counts (digest c8e15342...a4ca, the same runs as below).
-    _answers, counters, _values = _pinned_runs()
+    # Re-recorded when solve lost the walk: each line holds the solve count
+    # alone (with the iterations, cached and pruned counts, still 0, the
+    # same runs hashed to c8e15342...a4ca).
+    _answers, counters, _values = _pinned_walks()
     digest = hashlib.sha256("\n".join(counters).encode()).hexdigest()
     assert digest == "79dcf478d04d9cf31d705817be2181e50abfe03b09ad4dd9df4a060d355837fa"
 
@@ -325,7 +326,7 @@ def test_solve_counters_are_pinned():
 def test_solve_values_are_pinned():
     # The optimum values alone, recorded before solve answered from the
     # relaxation: which certificate ends a run must not move them.
-    _answers, _counters, values = _pinned_runs()
+    _answers, _counters, values = _pinned_walks()
     digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
     assert digest == "e70d96029def4e0e27a6d46e1277d605f68c2069a7d2d3c0ae9bb0825ca52279"
 
