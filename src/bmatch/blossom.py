@@ -4,8 +4,8 @@ There is one blossom search, `_solve`: the primal-dual blossom algorithm
 specialised to perfect matchings.  Vertex duals are unconstrained in sign,
 so there is no "dual hits zero" stopping rule and every stage augments at
 least once; a dual update without bound yields a Tutte barrier instead,
-its T-vertices X.  A solve runs the search once, on the real weights, so
-the one run decides both existence and optimality.
+its T-vertices X.  A solve runs the search once, so the one run decides
+both existence and optimality.
 
 A stage augments along every vertex-disjoint path its forest finds, as
 Hopcroft and Karp do per phase.  An augmenting path lies inside the two
@@ -16,30 +16,39 @@ or a mid-stage expansion happens only before a stage's first
 augmentation, so it sees the forest it always did.  Each stage starts
 from a fresh forest.
 
-The run starts in `_jump_start`.  Each vertex's dual starts from the
-heaviest edge at it, lowered in vertex order until an edge there is
-tight, so every vertex with an edge has a tight edge.  A matching is then
-grown over the tight edges greedily in edge order and by one pass of
-length-3 augmenting paths, which leaves far fewer roots than duals that
-make only the heaviest edges tight.  That start depends on the graph
-alone, so the answer does too.  A run that ends in a barrier makes the
-solver return None only after `_check_barrier` has counted more than |X|
-odd components in G - X.
+The run starts in `_jump_start`.  Unit weights (every w in -1..1, as the
+cardinality objectives give) run doubled, W = 2w, so that each vertex's
+dual can start at exactly half the heaviest edge at it, the classic
+half-integral start (Galil 1986): a +-1 edge that is the heaviest at both
+its ends is then tight at both.  Wider weights run as they are, W = w:
+there the half-units make dual updates finer and more frequent, and cost
+more than the start saves.  Each dual is lowered in vertex order until an
+edge there is tight, so every vertex with an edge has a tight edge.  A
+matching is then grown over the tight edges greedily in edge order and by
+one pass of length-3 augmenting paths, which leaves far fewer roots than
+duals that make only the heaviest edges tight.  That start depends on the
+graph alone, so the answer does too.  A run that ends in a barrier makes
+the solver return None only after `_check_barrier` has counted more than
+|X| odd components in G - X.
 
 The input is a core.MultiGraph, whose construction has checked endpoints
 and integer weights.  Parallel edges are fine: each is its own edge index
 with its own endpoints.  Loops are not, since no perfect matching can use
 one, and the solver rejects them.
 
-All arithmetic is exact.  Vertex duals are stored doubled (P[v] = 2*y_v) so
-that every dual update is integral for integer edge weights; the only halved
-quantity is the slack of an edge between two S-blossoms, which is always even
-(all vertex duals start even, so every root has the same parity, a dual
-update moves every tree vertex by the same delta, and tight edges join
-equal parities).  Both facts are asserted at runtime.  Every perfect matching
-returned has passed `_check_optimum`, a complementary-slackness check on the
-final duals that raises instead of asserting, so it also runs under -O; the
-barrier check raises the same way.
+All arithmetic is exact.  The run's vertex duals are stored doubled,
+P[v] = 2*y_v, with slack(k) = P[u] + P[v] - 2*W(k); with W = 2w, y_v
+counts halves of the graph's own weight unit and P[v] its quarters.
+Every dual update is integral: the only halved quantity is the slack of
+an edge between two S-blossoms, which is always even (all vertex duals
+start even, so every root has the same parity, a dual update moves every
+tree vertex by the same delta, and tight edges join equal parities).
+Both facts are asserted at runtime.  Every perfect matching returned has
+passed `_check_optimum`, a complementary-slackness check of the final
+duals against the weights W the run used, which certifies w as well,
+since doubling every weight keeps the optimum; it raises instead of
+asserting, so it also runs under -O, and the barrier check raises the
+same way.
 
 The implementation favours simple invariants over asymptotic records:
 expanding a blossom mid-stage rebuilds the alternating forest instead of
@@ -91,12 +100,16 @@ def max_weight_perfect_matching(graph: MultiGraph) -> Optional[Matching]:
         endpoint[2 * k + 1] = v
         neighbend[u].append(2 * k + 1)
         neighbend[v].append(2 * k)
-    found = _solve([w for _u, _v, w in edges], endpoint, neighbend)
+    # Unit weights run doubled, for the half-integral start (module doc).
+    weight = [w for _u, _v, w in edges]
+    if -1 <= min(weight, default=0) and max(weight, default=0) <= 1:
+        weight = [2 * w for w in weight]
+    found = _solve(weight, endpoint, neighbend)
     if isinstance(found, list):
         _check_barrier(graph, found)
         return None
     mate, dual, blossomparent = found
-    _check_optimum(graph, mate, dual, blossomparent)
+    _check_optimum(graph, weight, mate, dual, blossomparent)
     return Matching(frozenset(p // 2 for p in mate))
 
 
@@ -155,8 +168,8 @@ def _solve(
 
     # P[v] = 2 * vertex dual, all even at the start so that every root has
     # the same parity (makes every S-S slack even); slots n..2n-1 hold the
-    # blossom duals Z.  slack(k) = P[u] + P[v] - 2*w(k); tight edges have
-    # slack 0.
+    # blossom duals Z.  slack(k) = P[u] + P[v] - 2*weight[k]; tight edges
+    # have slack 0.
     mate, dual = _jump_start(weight, endpoint, neighbend)
     dual += [0] * n
     exposed = [v for v in range(n) if mate[v] == -1]  # the tree roots, sorted
@@ -524,11 +537,15 @@ def _jump_start(
     edge weights `weight`, every edge of `mate` tight.
 
     y_v starts at the largest ceil(w/2) over the edges at v, so no slack
-    is negative.  Then, in vertex order, y_v drops by its least slack, to
-    the largest w - y_x over its edges vx (0 for an isolated vertex): that
-    edge becomes tight and every slack stays >= 0, so every vertex with an
-    edge has a tight edge.  Every P is even, so all roots share a parity,
-    and tight edges join equal parities.
+    is negative; on the doubled unit weights the solver passes, ceil(w/2)
+    is exactly w/2, so an edge that is the heaviest at both its ends
+    starts tight at both.  Then, in vertex order, y_v drops by its least
+    slack, to the largest w - y_x over its edges vx (0 for an isolated
+    vertex): that edge becomes tight and every slack stays >= 0, so every
+    vertex with an edge has a tight edge.  Each y is an integer in the
+    units of `weight` (half the graph's own unit when the solver doubled
+    it), so every P = 2 * y is even: all roots share a parity, and tight
+    edges join equal parities, which keeps every S-S slack even.
 
     The matching takes tight edges greedily in edge order, then grows by
     one pass in vertex order over length-3 augmenting paths of tight
@@ -544,8 +561,12 @@ def _jump_start(
         if half[v] < c:
             half[v] = c
     for v, ends in enumerate(neighbend):
-        lows = [half[endpoint[p]] - weight[p >> 1] for p in ends]
-        half[v] = -min(lows, default=0)
+        top = None  # the largest w - y_x over the edges vx
+        for p in ends:
+            d = weight[p >> 1] - half[endpoint[p]]
+            if top is None or d > top:
+                top = d
+        half[v] = 0 if top is None else top
 
     mate = [-1] * n
     for k, w in enumerate(weight):
@@ -577,17 +598,23 @@ def _jump_start(
 
 
 def _check_optimum(
-    graph: MultiGraph, mate: list[int], dual: list[int], parent: list[int]
+    graph: MultiGraph,
+    weight: list[int],
+    mate: list[int],
+    dual: list[int],
+    parent: list[int],
 ) -> None:
     """Raise AssertionError unless the duals prove `mate` (remote endpoint per
-    vertex) a maximum-weight perfect matching, by complementary slackness.
+    vertex) a maximum-weight perfect matching for the edge weights `weight`,
+    the list the run used, by complementary slackness.
 
     Blossom b >= n, with dual z = dual[b], holds the vertices whose `parent`
-    chain passes through it.  Every blossom is odd with z >= 0; every edge
-    has P[u] + P[v] + 2 * (z of the blossoms holding both ends) - 2w >= 0,
-    with equality when matched; every blossom with z > 0 is full.  Those
-    blossoms are the common prefix of the ends' top-down chains, so the
-    check costs O(m * blossom depth).
+    chain passes through it.  Every blossom is odd with z >= 0; every edge k
+    has P[u] + P[v] + 2 * (z of the blossoms holding both ends) -
+    2 * weight[k] >= 0, with equality when matched; every blossom with z > 0
+    is full.  Those blossoms are the common prefix of the ends' top-down
+    chains, empty when an end lies in no blossom, so the check costs
+    O(m * blossom depth).
     """
     n = graph.vertex_count
     edges = graph.edges
@@ -599,24 +626,27 @@ def _check_optimum(
         ):
             raise AssertionError(f"vertex {v} has inconsistent mate {p}")
     size = [0] * (2 * n)
-    chains: list[list[int]] = []
+    chains: list[list[int]] = [[]] * n  # one shared, never written, empty chain
     for v in range(n):
-        chain = []
         b = parent[v]
+        if b == -1:
+            continue
+        chain = []
         while b != -1:
             chain.append(b)
             size[b] += 1
             b = parent[b]
-        chains.append(chain[::-1])
+        chains[v] = chain[::-1]
     inside = [0] * (2 * n)
-    for k, (u, v, w) in enumerate(edges):
-        sl = dual[u] + dual[v] - 2 * w
+    for k, (u, v, _w) in enumerate(edges):
+        sl = dual[u] + dual[v] - 2 * weight[k]
         common = 0
-        for a, b in zip(chains[u], chains[v]):
-            if a != b:
-                break
-            sl += 2 * dual[a]
-            common += 1
+        if parent[u] != -1 and parent[v] != -1:
+            for a, b in zip(chains[u], chains[v]):
+                if a != b:
+                    break
+                sl += 2 * dual[a]
+                common += 1
         if sl < 0:
             raise AssertionError(f"edge {k} has negative slack {sl}")
         if mate[u] == 2 * k + 1:

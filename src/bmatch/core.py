@@ -48,8 +48,26 @@ class MultiGraph:
         n = self.vertex_count
         if n < 0:
             raise ValueError("vertex_count must be nonnegative")
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        for e in self.edges:
+        edges = tuple(map(tuple, self.edges))
+        object.__setattr__(self, "edges", edges)
+        # One tight pass first: the for target unpacks each edge, and one
+        # condition checks it.  Only a list that fails it is walked again,
+        # check by check, to name its first bad edge.
+        try:
+            for u, v, w in edges:
+                if not (
+                    isinstance(u, int)
+                    and isinstance(v, int)
+                    and isinstance(w, int)
+                    and 0 <= u < n
+                    and 0 <= v < n
+                ):
+                    break
+            else:
+                return
+        except ValueError:  # an edge of another length
+            pass
+        for e in edges:
             if len(e) != 3:
                 raise ValueError(f"edge {e!r} must be (u, v, w)")
             u, v, w = e

@@ -681,18 +681,17 @@ def _next_component(instance, m_cur, pool):
     one); any other union grows by walks that share an endpoint with it (a
     canonical path is connected through its junctions).  Pool walks share
     no edge, so a grown union's degree shift is its parent's plus the new
-    walk's, carried forward instead of recomputed over the whole union.
+    walk's, and its sorted edge list is the merge of its parent's and the
+    new walk's, both carried forward instead of recomputed over the whole
+    union.
     """
     g = instance.graph
     deg = degrees(g, m_cur)
 
-    def key(union):
-        edges = sorted(e for w in union for e in w.edges)
-        return len(edges), edges
-
     def grow(state, w):
-        """(shift, outside) of a union after adding walk w: its degree
-        shift, carried forward, and the vertices it puts outside B(v)."""
+        """(shift, outside, edges) of a union after adding walk w: its
+        degree shift, carried forward, the vertices it puts outside B(v),
+        and its sorted edge list."""
         shift, outside = dict(state[0]), set(state[1])
         for v, k in _shift(g, m_cur, w.edges).items():
             shift[v] = k = shift.get(v, 0) + k
@@ -700,17 +699,18 @@ def _next_component(instance, m_cur, pool):
                 outside.discard(v)
             else:
                 outside.add(v)
-        return shift, outside
+        # Two sorted runs, which the sort merges in linear time.
+        return shift, outside, sorted(state[2] + sorted(w.edges))
 
     by_end: dict[int, list] = {}  # the pool walks at each endpoint
     for w in pool:
         for v in set(w.endpoints):
             by_end.setdefault(v, []).append(w)
     seed = min(pool, key=lambda w: min(w.edges))
-    level = {frozenset([seed]): grow(({}, ()), seed)}
+    level = {frozenset([seed]): grow(({}, (), []), seed)}
     while level:
         grown: dict = {}
-        for union in sorted(level, key=key):
+        for union in sorted(level, key=lambda u: (len(level[u][2]), level[u][2])):
             outside = level[union][1]
             if outside:
                 ends = {min(outside)}

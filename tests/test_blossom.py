@@ -2,7 +2,7 @@ import hashlib
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -221,23 +221,23 @@ def zero_one_graphs():
         yield MultiGraph(n, tuple((u, v, rng.randint(0, 1)) for u, v in keep))
 
 
-def relaxation_gadgets():
+def relaxation_gadgets(weights=(-3, 9)):
     # The full-spoke gadgets of the relaxations `solve` solves, in both
-    # senses: weights
-    # -3..9 on the source edges, many weight-0 gadget edges.  Among the 156
-    # that have a perfect matching, the weighted solves shrink 888 blossoms
-    # that hold an inner blossom and expand 119 T-blossoms mid-stage.
+    # senses: source edges weighted from `weights`, many weight-0 gadget
+    # edges.  With the default -3..9, among the 156 that have a perfect
+    # matching, the solves shrink 888 blossoms that hold an inner blossom
+    # and expand 119 T-blossoms mid-stage.
     for seed in range(200):
         n = 4 + seed % 9
         inst = random_instance(
-            seed, n, n + seed % 11, profile=PROFILES[seed % 3], weights=(-3, 9)
+            seed, n, n + seed % 11, profile=PROFILES[seed % 3], weights=weights
         )
         graph = full_spoke_gadget(uniform_to_ab(inst.graph, relaxation(inst)))
         yield graph
         yield MultiGraph(graph.vertex_count, tuple((u, v, -w) for u, v, w in graph.edges))
 
 
-ZERO_ONE_DIGEST = "74d20fa0a5ca50c10f8f573159b35758808953e67398a4589acba5437786e541"
+ZERO_ONE_DIGEST = "60b4a07470b7d602f047d4a2725eaf57911f783326f7785b95638adfe8631e1b"
 GADGET_DIGEST = "5eea320da58dad8cc0238b79c76a02369674d5847820d05fab5370e1721e7e46"
 
 
@@ -447,13 +447,15 @@ def uniform_start_roots(g: MultiGraph) -> int:
 
 
 def test_jump_start_duals_are_feasible_even_and_tight_at_every_vertex():
+    # The solver starts unit weights doubled and wider ones as they are;
+    # the start holds on both, the real ones with odd and negative weights.
     gadgets = list(relaxation_gadgets())
     graphs = seeded_graphs() + [g for g, _v in seeded_multigraphs()] + gadgets
     seen = {"isolated": 0, "parallel": 0, "odd negative": 0}
-    for g in graphs:
+    for scale, g in product((1, 2), graphs):
         n = g.vertex_count
         endpoint, neighbend = adjacency(g)
-        weight = [w for _u, _v, w in g.edges]
+        weight = [scale * w for _u, _v, w in g.edges]
         seen["isolated"] += sum(not ends for ends in neighbend)
         seen["parallel"] += has_parallel_edges(g)
         seen["odd negative"] += sum(w < 0 and w % 2 for w in weight)
@@ -470,20 +472,54 @@ def test_jump_start_duals_are_feasible_even_and_tight_at_every_vertex():
                 assert slack[p >> 1] == 0
     assert all(seen.values()), seen
 
-    roots = uniform = 0
-    for g in gadgets:
+    uniform = sum(uniform_start_roots(g) for g in gadgets)
+    for scale in (1, 2):
+        roots = 0
+        for g in gadgets:
+            endpoint, neighbend = adjacency(g)
+            weight = [scale * w for _u, _v, w in g.edges]
+            roots += blossom._jump_start(weight, endpoint, neighbend)[0].count(-1)
+        assert roots < uniform
+
+
+def solve_start_roots(monkeypatch, graphs) -> int:
+    """The exposed vertices the start leaves, summed over the solves of
+    `graphs`, as the solver runs it."""
+    roots = []
+    real = blossom._jump_start
+
+    def recording(weight, endpoint, neighbend):
+        mate, dual = real(weight, endpoint, neighbend)
+        roots.append(mate.count(-1))
+        return mate, dual
+
+    with monkeypatch.context() as patch:
+        patch.setattr(blossom, "_jump_start", recording)
+        for g in graphs:
+            max_weight_perfect_matching(g)
+    return sum(roots)
+
+
+def test_solves_start_from_half_integral_duals(monkeypatch):
+    # Unit-weight gadgets, those of the cardinality objectives, run on 2w:
+    # the half-integral start makes each +-1 source edge tight at both
+    # ends and leaves 2194 roots, against 2984 from duals of ceil(w/2) on
+    # w.  The weighted gadgets run on w.
+    assert solve_start_roots(monkeypatch, relaxation_gadgets()) == 2268
+    assert solve_start_roots(monkeypatch, relaxation_gadgets((1, 1))) == 2194
+    undoubled = 0
+    for g in relaxation_gadgets((1, 1)):
         endpoint, neighbend = adjacency(g)
         weight = [w for _u, _v, w in g.edges]
-        mate, _dual = blossom._jump_start(weight, endpoint, neighbend)
-        roots += mate.count(-1)
-        uniform += uniform_start_roots(g)
-    assert roots < uniform
+        undoubled += blossom._jump_start(weight, endpoint, neighbend)[0].count(-1)
+    assert undoubled == 2984
 
 
 def test_every_none_has_a_checked_barrier(monkeypatch):
-    # Random graphs and real gadgets in both senses: each solve is one run
-    # on the real weights, and each None is a barrier of that run that has
-    # passed the check.
+    # Random graphs and real gadgets in both senses, weighted and of unit
+    # weights: each solve is one run, on the real weights or, for unit
+    # weights, on the doubled ones, and each None is a barrier of that run
+    # that has passed the check.
     runs = []
     checked = []
     real = blossom._solve
@@ -499,15 +535,26 @@ def test_every_none_has_a_checked_barrier(monkeypatch):
 
     monkeypatch.setattr(blossom, "_solve", recording_solve)
     monkeypatch.setattr(blossom, "_check_barrier", recording)
-    nones = {"seeded": [], "gadget": []}
-    for kind, graphs in (("seeded", seeded_graphs()), ("gadget", relaxation_gadgets())):
+    kinds = {
+        "seeded": seeded_graphs(),
+        "gadget": relaxation_gadgets(),
+        "unit gadget": relaxation_gadgets((1, 1)),
+    }
+    nones = {kind: [] for kind in kinds}
+    doubled = dict.fromkeys(kinds, 0)
+    for kind, graphs in kinds.items():
         for g in graphs:
             runs.clear()
             if max_weight_perfect_matching(g) is None:
                 nones[kind].append(g)
-            assert runs == [[w for _u, _v, w in g.edges]]
+            weight = [w for _u, _v, w in g.edges]
+            scale = 2 if all(-1 <= w <= 1 for w in weight) else 1
+            assert runs == [[scale * w for w in weight]]
+            doubled[kind] += scale == 2
+    assert doubled == {"seeded": 17, "gadget": 0, "unit gadget": 400}
     assert len(nones["seeded"]) > 20 and len(nones["gadget"]) > 200
-    assert checked == nones["seeded"] + nones["gadget"]
+    assert len(nones["unit gadget"]) > 100
+    assert checked == nones["seeded"] + nones["gadget"] + nones["unit gadget"]
 
 
 # -- the barrier check --------------------------------------------------------------
@@ -554,9 +601,10 @@ def test_barrier_check_raises_under_optimize():
 
 
 # -- the optimality check -----------------------------------------------------------
-# State is (graph, mate, dual, blossomparent) as the solver leaves it: mate[v]
-# is the remote endpoint (2k or 2k+1) of v's matched edge k, duals 0..n-1 are
-# doubled vertex duals, and ids n..2n-1 are blossoms.
+# State is (graph, weight, mate, dual, blossomparent) as the solver leaves it:
+# weight is the list the run used, mate[v] is the remote endpoint (2k or 2k+1)
+# of v's matched edge k, duals 0..n-1 are doubled vertex duals, and ids
+# n..2n-1 are blossoms.
 
 
 def triangle_with_tail():
@@ -566,25 +614,35 @@ def triangle_with_tail():
     mate = [1, 0, 7, 6]
     dual = [1, 1, 1, 1, 1, 0, 0, 0]
     blossomparent = [4, 4, 4, -1, -1, -1, -1, -1]
-    return g, mate, dual, blossomparent
+    return g, [w for _u, _v, w in g.edges], mate, dual, blossomparent
 
 
 def test_check_accepts_a_certified_optimum():
     _check_optimum(*triangle_with_tail())
 
 
+def test_check_reads_the_weights_the_run_used():
+    # The solver runs on 2w, so its duals double too; the graph's own
+    # weights are not what the duals are checked against.
+    g, weight, mate, dual, parent = triangle_with_tail()
+    doubled = [2 * w for w in weight]
+    _check_optimum(g, doubled, mate, [2 * y for y in dual], parent)
+    with pytest.raises(AssertionError, match="edge 0 has negative slack -4"):
+        _check_optimum(g, doubled, mate, dual, parent)
+
+
 def test_check_rejects_matched_edge_that_is_not_tight():
-    g, mate, dual, parent = triangle_with_tail()
+    g, weight, mate, dual, parent = triangle_with_tail()
     dual[3] = 3
     with pytest.raises(AssertionError, match="matched edge 3 is not tight"):
-        _check_optimum(g, mate, dual, parent)
+        _check_optimum(g, weight, mate, dual, parent)
 
 
 def test_check_rejects_negative_slack():
-    g, mate, dual, parent = triangle_with_tail()
+    g, weight, mate, dual, parent = triangle_with_tail()
     dual[2], dual[3] = 0, 2
     with pytest.raises(AssertionError, match="edge 1 has negative slack -1"):
-        _check_optimum(g, mate, dual, parent)
+        _check_optimum(g, weight, mate, dual, parent)
 
 
 def test_check_rejects_positive_dual_blossom_that_is_not_full():
@@ -598,20 +656,20 @@ def test_check_rejects_positive_dual_blossom_that_is_not_full():
     dual[6] = 1
     parent = [6, 6, 6] + [-1] * 9
     with pytest.raises(AssertionError, match="blossom 6 has a positive dual"):
-        _check_optimum(g, mate, dual, parent)
+        _check_optimum(g, [0] * 6, mate, dual, parent)
 
 
 def test_check_rejects_inconsistent_mate():
-    g, mate, dual, parent = triangle_with_tail()
+    g, weight, mate, dual, parent = triangle_with_tail()
     mate[3] = -1
     with pytest.raises(AssertionError, match="vertex 2 has inconsistent mate 7"):
-        _check_optimum(g, mate, dual, parent)
+        _check_optimum(g, weight, mate, dual, parent)
 
 
 def test_check_rejects_even_blossom():
     g = MultiGraph(2, ((0, 1, 0),))
     with pytest.raises(AssertionError, match="blossom 2 has dual 0 and size 2"):
-        _check_optimum(g, [1, 0], [0, 0, 0, 0], [2, 2, -1, -1])
+        _check_optimum(g, [0], [1, 0], [0, 0, 0, 0], [2, 2, -1, -1])
 
 
 def test_check_raises_under_optimize():
@@ -619,7 +677,7 @@ def test_check_raises_under_optimize():
         "from bmatch.blossom import _check_optimum\n"
         "from bmatch.core import MultiGraph\n"
         "g = MultiGraph(2, ((0, 1, 3),))\n"
-        "_check_optimum(g, [1, 0], [4, 4, 0, 0], [-1, -1, -1, -1])\n"
+        "_check_optimum(g, [3], [1, 0], [4, 4, 0, 0], [-1, -1, -1, -1])\n"
     )
     assert proc.returncode == 1
     assert (

@@ -61,7 +61,8 @@ def test_solve_text_report(capsys):
 
 def test_solve_structured_report(capsys, tmp_path):
     # An instance where solve searches: the rounded relaxation has no
-    # solution, and four node solves follow the relaxation's.
+    # solution, and three splits make six node solves after the
+    # relaxation's and its rounding's.
     path = tmp_path / "mixed131.bm"
     assert main(["gen", "--seed", "131", "--n", "8", "--m", "20",
                  "--profile", "mixed", "--output", str(path)]) == 0
@@ -72,7 +73,7 @@ def test_solve_structured_report(capsys, tmp_path):
     assert payload["size"] == 10 == len(payload["edges"])
     assert payload["weight"] == 10
     assert payload["iterations"] == 0
-    assert payload["candidates_solved"] == 6
+    assert payload["candidates_solved"] == 8
     assert isinstance(payload["wall_time_ms"], int)
 
 
@@ -95,21 +96,22 @@ def test_solve_is_deterministic_up_to_wall_time(capsys):
 # Answered straight from the relaxation: the same size as the walk's answer
 # (88), other edges among the ties, chosen again when the gadget's pool
 # became a parity chain, when the weighted blossom run began from
-# per-vertex duals, when the vertex gadget became banded and when a
-# blossom stage began to augment along every disjoint path it finds.
+# per-vertex duals, when the vertex gadget became banded, when a
+# blossom stage began to augment along every disjoint path it finds, and
+# when the weighted run began on doubled weights, from half-integral duals.
 SCALE60_REPORT = [
     "status optimal",
     "size 88",
     "weight 88",
     "edges "
-    "1 2 4 5 6 7 11 12 13 14 17 18 20 23 24 26 27 28 29 31 "
-    "32 33 34 37 38 40 43 44 45 46 49 52 53 57 58 59 61 62 63 64 "
-    "66 67 68 69 70 71 72 73 75 76 80 82 85 90 91 92 94 95 96 100 "
-    "101 104 105 106 107 108 111 113 114 115 117 118 120 124 129 130 132 133 135 136 "
-    "137 138 141 142 143 144 146 147",
+    "0 1 2 4 5 6 7 8 9 12 13 14 17 20 23 26 27 28 29 30 "
+    "31 32 33 34 37 38 40 43 44 46 49 52 53 57 58 59 61 62 63 64 "
+    "66 67 68 69 70 71 72 73 75 85 90 91 92 94 95 96 97 100 101 104 "
+    "105 106 107 108 111 113 114 115 117 118 120 124 127 129 130 132 133 135 136 137 "
+    "138 139 141 142 143 144 146 147",
     "degrees "
-    "3 1 0 4 1 5 9 1 5 1 3 1 1 2 1 7 2 2 1 1 3 1 1 6 3 1 5 0 4 2 "
-    "4 0 6 6 3 5 5 6 1 1 1 1 4 1 7 2 2 1 6 5 6 2 2 1 1 5 5 1 5 4",
+    "3 1 0 4 1 4 9 1 5 1 3 1 1 2 1 7 3 2 1 1 3 1 1 6 3 1 5 0 4 2 "
+    "4 0 6 6 3 5 5 5 1 1 1 1 4 1 7 3 2 1 6 5 6 2 2 1 1 5 5 1 5 4",
     "iterations 0",
     "candidates_solved 1",
     "wall_time_ms T",

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bmatch.core import (
     EMPTY_MATCHING,
@@ -151,6 +151,74 @@ def test_multigraph_rejects_out_of_range_endpoint():
     for edge in ((0, 5, 1), (2, 0, 1), (-1, 1, 1)):
         with pytest.raises(ValueError, match=r"endpoint outside 0\.\.1"):
             MultiGraph(2, ((0, 1, 1), edge))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((1, 2), "edge (1, 2) must be (u, v, w)"),
+        ([1, 2, 3, 4], "edge (1, 2, 3, 4) must be (u, v, w)"),
+        ((1, 2.0, 3), "edge (1, 2.0, 3) must contain integers"),
+        ((1, 2, "3"), "edge (1, 2, '3') must contain integers"),
+        ((-1, 2, 3), "edge (-1, 2, 3) has an endpoint outside 0..3"),
+        ((1, 4, 3), "edge (1, 4, 3) has an endpoint outside 0..3"),
+    ],
+    ids=["short", "long-list", "float", "str", "negative", "n"],
+)
+def test_multigraph_names_the_first_bad_edge(bad, message):
+    # A bad edge between good ones must fail the whole-list pass, and the
+    # walk after it names that edge, also before a later one that is bad in
+    # every way.
+    for later in ((), ((9, -1, 0.5, 1),)):
+        with pytest.raises(ValueError) as err:
+            MultiGraph(4, ((0, 1, 1), bad, (3, 3, -2)) + later)
+        assert str(err.value) == message
+
+
+def test_multigraph_accepts_bool_endpoints_and_list_edges():
+    g = MultiGraph(3, [[0, 1, 2], (True, 2, False), [2, 2, -1]])
+    assert g.edges == ((0, 1, 2), (1, 2, 0), (2, 2, -1))
+    assert all(type(e) is tuple for e in g.edges)
+    assert g.edges[1][0] is True
+    assert [g.degree(v) for v in range(3)] == [1, 2, 3]
+
+
+def first_bad_edge(n: int, edges) -> str | None:
+    """The message of the first bad edge, checked one edge at a time."""
+    for e in map(tuple, edges):
+        if len(e) != 3:
+            return f"edge {e!r} must be (u, v, w)"
+        if not all(isinstance(x, int) for x in e):
+            return f"edge {e!r} must contain integers"
+        if not (0 <= e[0] < n and 0 <= e[1] < n):
+            return f"edge {e!r} has an endpoint outside 0..{n - 1}"
+    return None
+
+
+ENTRY = st.one_of(
+    st.integers(-1, 4), st.booleans(), st.just(1.0), st.just("1"), st.just(None)
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 4),
+    st.lists(
+        st.one_of(
+            st.tuples(st.integers(-1, 4), st.integers(-1, 4), st.integers(-5, 5)),
+            st.lists(ENTRY, min_size=2, max_size=4),
+        ),
+        max_size=6,
+    ),
+)
+def test_multigraph_checks_as_one_edge_at_a_time(n, edges):
+    want = first_bad_edge(n, edges)
+    if want is None:
+        assert MultiGraph(n, edges).edges == tuple(map(tuple, edges))
+    else:
+        with pytest.raises(ValueError) as err:
+            MultiGraph(n, edges)
+        assert str(err.value) == want
 
 
 def test_effective_set_caps_at_degree():
