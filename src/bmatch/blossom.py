@@ -45,10 +45,11 @@ start even, so every root has the same parity, a dual update moves every
 tree vertex by the same delta, and tight edges join equal parities).
 Both facts are asserted at runtime.  Every perfect matching returned has
 passed `_check_optimum`, a complementary-slackness check of the final
-duals against the weights W the run used, which certifies w as well,
-since doubling every weight keeps the optimum; it raises instead of
-asserting, so it also runs under -O, and the barrier check raises the
-same way.
+duals against the weights W the run used.  It also requires W to be the
+graph's own weights, all of them once or all of them twice, so the
+certificate holds for w: doubling every weight keeps the optimum.  It
+raises instead of asserting, so it also runs under -O, and the barrier
+check raises the same way.
 
 The implementation favours simple invariants over asymptotic records:
 expanding a blossom mid-stage rebuilds the alternating forest instead of
@@ -606,7 +607,8 @@ def _check_optimum(
 ) -> None:
     """Raise AssertionError unless the duals prove `mate` (remote endpoint per
     vertex) a maximum-weight perfect matching for the edge weights `weight`,
-    the list the run used, by complementary slackness.
+    the list the run used, by complementary slackness.  `weight` must be
+    the graph's weights, every one once or every one twice.
 
     Blossom b >= n, with dual z = dual[b], holds the vertices whose `parent`
     chain passes through it.  Every blossom is odd with z >= 0; every edge k
@@ -626,20 +628,24 @@ def _check_optimum(
         ):
             raise AssertionError(f"vertex {v} has inconsistent mate {p}")
     size = [0] * (2 * n)
-    chains: list[list[int]] = [[]] * n  # one shared, never written, empty chain
+    chains: list[list[int]] = []
     for v in range(n):
-        b = parent[v]
-        if b == -1:
-            continue
         chain = []
+        b = parent[v]
         while b != -1:
             chain.append(b)
             size[b] += 1
             b = parent[b]
-        chains[v] = chain[::-1]
+        chains.append(chain[::-1])
     inside = [0] * (2 * n)
-    for k, (u, v, _w) in enumerate(edges):
-        sl = dual[u] + dual[v] - 2 * weight[k]
+    scale = 0  # weight[k] / w, 1 or 2, fixed by the first edge with w != 0
+    for k, (u, v, w) in enumerate(edges):
+        x = weight[k]
+        if not scale and w:
+            scale = 2 if x == 2 * w else 1
+        if x != (scale or 1) * w:
+            raise AssertionError(f"edge {k} of weight {w} runs with weight {x}")
+        sl = dual[u] + dual[v] - 2 * x
         common = 0
         if parent[u] != -1 and parent[v] != -1:
             for a, b in zip(chains[u], chains[v]):

@@ -50,30 +50,20 @@ class MultiGraph:
             raise ValueError("vertex_count must be nonnegative")
         edges = tuple(map(tuple, self.edges))
         object.__setattr__(self, "edges", edges)
-        # One tight pass first: the for target unpacks each edge, and one
-        # condition checks it.  Only a list that fails it is walked again,
-        # check by check, to name its first bad edge.
-        try:
-            for u, v, w in edges:
-                if not (
-                    isinstance(u, int)
-                    and isinstance(v, int)
-                    and isinstance(w, int)
-                    and 0 <= u < n
-                    and 0 <= v < n
-                ):
-                    break
-            else:
-                return
-        except ValueError:  # an edge of another length
-            pass
         for e in edges:
-            if len(e) != 3:
-                raise ValueError(f"edge {e!r} must be (u, v, w)")
-            u, v, w = e
-            if not (isinstance(u, int) and isinstance(v, int) and isinstance(w, int)):
-                raise ValueError(f"edge {e!r} must contain integers")
-            if not (0 <= u < n and 0 <= v < n):
+            try:
+                u, v, w = e
+            except ValueError:
+                raise ValueError(f"edge {e!r} must be (u, v, w)") from None
+            if not (
+                isinstance(u, int)
+                and isinstance(v, int)
+                and isinstance(w, int)
+                and 0 <= u < n
+                and 0 <= v < n
+            ):
+                if not (isinstance(u, int) and isinstance(v, int) and isinstance(w, int)):
+                    raise ValueError(f"edge {e!r} must contain integers")
                 raise ValueError(f"edge {e!r} has an endpoint outside 0..{n - 1}")
 
     @property

@@ -631,6 +631,32 @@ def test_check_reads_the_weights_the_run_used():
         _check_optimum(g, doubled, mate, dual, parent)
 
 
+@pytest.mark.parametrize(
+    "weight, times, message",
+    [
+        ([2, 4, 4, 2], 1, "edge 1 of weight 2 runs with weight 4"),
+        ([4, 4, 4, 1], 2, "edge 3 of weight 1 runs with weight 1"),
+        ([6, 6, 6, 3], 3, "edge 0 of weight 2 runs with weight 6"),
+        ([0, 2, 2, 1], 1, "edge 0 of weight 2 runs with weight 0"),
+    ],
+    ids=["partly-doubled", "last-not-doubled", "tripled", "zeroed"],
+)
+def test_check_ties_the_run_weights_to_the_graph(weight, times, message):
+    # Duals scaled with the weights certify the run's optimum, but a run on
+    # weights other than the graph's, all once or all twice, proves nothing
+    # about the graph.
+    g, _weight, mate, dual, parent = triangle_with_tail()
+    with pytest.raises(AssertionError, match=message):
+        _check_optimum(g, weight, mate, [times * y for y in dual], parent)
+
+
+def test_check_ties_zero_weight_edges_to_zero():
+    g = MultiGraph(2, ((0, 1, 0),))
+    _check_optimum(g, [0], [1, 0], [0, 0, 0, 0], [-1, -1, -1, -1])
+    with pytest.raises(AssertionError, match="edge 0 of weight 0 runs with weight 1"):
+        _check_optimum(g, [1], [1, 0], [1, 1, 0, 0], [-1, -1, -1, -1])
+
+
 def test_check_rejects_matched_edge_that_is_not_tight():
     g, weight, mate, dual, parent = triangle_with_tail()
     dual[3] = 3
