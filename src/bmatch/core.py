@@ -13,10 +13,32 @@ solver reason in terms of those intervals and types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 OBJECTIVES = ("max-card", "min-card", "max-weight", "min-weight")
+
+
+class cached_property:
+    """A method computed on first read and stored in the instance's
+    __dict__, where later reads find it without calling this descriptor.
+
+    This is functools.cached_property as of Python 3.12.  Before 3.12 that
+    one takes a per-instance RLock on every first read, which costs about
+    as much as the small properties cached here.  Like it, this one writes
+    past a frozen dataclass's __setattr__; two threads racing on a first
+    read both compute the value, and the one stored last stays.
+    """
+
+    def __init__(self, func: Callable[[Any], Any]):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance: Any, owner: type | None = None) -> Any:
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class ParseError(ValueError):

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterator
 
 from bmatch.core import (
     OBJECTIVES,
     BInstance,
     Matching,
-    current_type,
     degrees,
     is_b_matching,
     matching_weight,
@@ -52,30 +52,51 @@ def enumerate_b_matchings(
     taken edges sit on an explicit stack, so the edge count sets no
     recursion depth.  A branch is cut when some vertex v, at degree d with r edge
     ends still undecided, can reach no admissible degree: one lookup in
-    the table reach[v][d], the smallest value of B(v) that is at least d,
-    decides it (alive iff reach[v][d] <= d + r).  That covers a degree
-    above max B(v), one that can no longer reach min B(v), and one
-    finalized outside B(v); reaching B(v) is necessary, so the cut never
-    drops a feasible subset.
+    the table need[v][d], the distance from d up to the smallest value of
+    B(v) that is at least d, decides it (alive iff need[v][d] <= r).  That
+    covers a degree above max B(v), one that can no longer reach min B(v),
+    and one finalized outside B(v); reaching B(v) is necessary, so the cut
+    never drops a feasible subset.  Once edge i is decided, the undecided
+    ends at each of its ends are those of the edges below i, a count fixed
+    per edge index, so it is computed once before the search and never
+    updated during it.
     """
+    for _deg, chosen in _walk(instance, limit):
+        yield Matching(frozenset(chosen))
+
+
+def _walk(
+    instance: BInstance, limit: int
+) -> Iterator[tuple[list[int], list[int]]]:
+    """The search of `enumerate_b_matchings`, yielding at each feasible
+    subset its degree per vertex and its taken edges, highest index first.
+    Both lists are the search's own and change when it resumes."""
     g = instance.graph
     m = len(g.edges)
     if m > limit:
         raise TooLarge(f"{m} edges exceed the enumeration cap of {limit}")
     n = g.vertex_count
-    rem = [g.degree(v) for v in range(n)]
-    reach = []
+    need = []
     for v in range(n):
         values = instance.b(v).values
         if not values:
             return
-        # table[d] is the least x in B(v) with x >= d, for d <= d_G(v);
-        # d_G(v) + 1 exceeds every d + r, so it stands for "no such x"
+        # table[d] is the least x in B(v) with x >= d, less d, for
+        # d <= d_G(v); x = d_G(v) + 1 stands for "no such x", since it
+        # exceeds every d + r
         table: list[int] = []
-        for x in values + (rem[v] + 1,):
-            table += [x] * (x + 1 - len(table))
-        reach.append(table)
+        for x in values + (g.degree(v) + 1,):
+            table += range(x - len(table), -1, -1)
+        need.append(table)
+    # per edge: its ends, their tables, and the ends at each still
+    # undecided once it is, those of the lower edges
     ends = [(u, v) for u, v, _w in g.edges]
+    steps = []
+    below = [0] * n
+    for u, v in ends:
+        steps.append((u, v, need[u], need[v], below[u], below[v]))
+        below[u] += 1
+        below[v] += 1
 
     deg = [0] * n
     chosen: list[int] = []  # the taken edges, highest index first
@@ -83,19 +104,15 @@ def enumerate_b_matchings(
     take = False
     while True:
         if i < 0:
-            yield Matching(frozenset(chosen))
+            yield deg, chosen
         else:
-            u, v = ends[i]
-            rem[u] -= 1
-            rem[v] -= 1
+            u, v, need_u, need_v, left_u, left_v = steps[i]
             if take:
                 chosen.append(i)
                 deg[u] += 1
                 deg[v] += 1
             i -= 1
-            du = deg[u]
-            dv = deg[v]
-            if reach[u][du] <= du + rem[u] and reach[v][dv] <= dv + rem[v]:
+            if need_u[deg[u]] <= left_u and need_v[deg[v]] <= left_v:
                 take = False
                 continue
         # undo choices back to the deepest edge still to be tried as taken
@@ -103,12 +120,10 @@ def enumerate_b_matchings(
             i += 1
             if i == m:
                 return
-            u, v = ends[i]
-            rem[u] += 1
-            rem[v] += 1
             if not chosen or chosen[-1] != i:
                 break  # edge i was left out: take it next
             chosen.pop()
+            u, v = ends[i]
             deg[u] -= 1
             deg[v] -= 1
         take = True
@@ -153,20 +168,42 @@ def verify_improvement_theorem(instance: BInstance) -> Matching | None:
     that beat M are those whose best value beats M's value.  So each
     distinct key is decided once, in order of its first matching, against
     each type's best value; the first matching of the first violating key
-    is the first violating M.
+    is the first violating M.  Type and value are read from the search's
+    own degrees and taken edges, and only a violator becomes a Matching.
+    An instance with a gap longer than 1 in some B(v) raises ValueError
+    once it has a B-matching.
     """
-    first: dict[tuple[tuple[int, ...], int], Matching] = {}
+    g = instance.graph
+    weights = [w for _u, _v, w in g.edges]
+    card = instance.objective.endswith("card")
+    sign = 1 if instance.objective.startswith("max") else -1
+    # values carry the objective's sign, so a larger value is better
+    first: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
     best: dict[tuple[int, ...], int] = {}
-    for m in enumerate_b_matchings(instance):
-        value = _value(instance, m)
-        t = current_type(instance, m)
-        first.setdefault((t, value), m)
-        if t not in best or _better(instance, value, best[t]):
+    where: list[list[int]] | None = None  # per vertex, interval by degree
+    for deg, chosen in _walk(instance, EDGE_CAP):
+        if where is None:
+            # built at the first matching, so that a set with a gap longer
+            # than 1 raises only when some B-matching exists
+            where = []
+            for v in range(g.vertex_count):
+                row = [-1] * (g.degree(v) + 1)
+                for index, run in enumerate(instance.intervals(v)):
+                    for d in run:
+                        row[d] = index
+                where.append(row)
+        t = tuple(map(getitem, where, deg))
+        value = sign * (
+            len(chosen) if card else sum(map(weights.__getitem__, chosen))
+        )
+        if (t, value) not in first:
+            first[t, value] = tuple(chosen)
+        if best.get(t, value) <= value:
             best[t] = value
-    for (t, value), m in first.items():
-        better = [u for u, b in best.items() if _better(instance, b, value)]
+    for (t, value), chosen in first.items():
+        better = [u for u, b in best.items() if b > value]
         if better and not any(neighbouring_types(t, u) for u in better):
-            return m
+            return Matching(frozenset(chosen))
     return None
 
 

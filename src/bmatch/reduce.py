@@ -53,9 +53,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 
-from bmatch.core import Matching, MultiGraph
+from bmatch.core import Matching, MultiGraph, cached_property
 
 
 class BadSpec(ValueError):

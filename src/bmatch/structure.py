@@ -382,17 +382,66 @@ def _walk_decompositions(instance: BInstance, m: Matching, edges: frozenset[int]
     Every maximal decomposition pairs matched with unmatched edge ends at
     each vertex, leaving the imbalance free; enumerating the pairings
     enumerates the decompositions, one pick per vertex in sorted vertex
-    order.  Pairings that close a trail are skipped (a canonical path
-    contains no alternating cycles).  Yields tuples of AlternatingWalk.
+    order, in the order of their product.  Pairings that close a trail are
+    skipped (a canonical path contains no alternating cycles).  The picks
+    are walked depth first: a union-find over edges, undone on backtrack,
+    holds the chains that the pairs so far join, and a partial pick whose
+    pair joins two ends of one chain is dropped with every pick that
+    extends it.  Yields tuples of AlternatingWalk.
     """
     g = instance.graph
     at = _ends_at(g, edges)
+    options = [tuple(_pairings(at[v], m)) for v in sorted(at)]
+    if not options:
+        yield ()
+        return
+    parent = {e: e for e in edges}  # chains of edge ends, union by size
+    size = dict.fromkeys(edges, 1)
+
+    def root(e: int) -> int:
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
+    def undo(joined: list[tuple[int, int]]) -> None:
+        for big, small in reversed(joined):
+            parent[small] = small
+            size[big] -= size[small]
+
+    def join(pairing) -> list[tuple[int, int]] | None:
+        """Join the chains that the pairing's pairs link, as (root, child)
+        pairs; None, with nothing joined, when a pair closes a trail."""
+        joined = []
+        for (e1, _s1), (e2, _s2) in pairing:
+            big, small = root(e1), root(e2)
+            if big == small:
+                undo(joined)
+                return None
+            if size[big] < size[small]:
+                big, small = small, big
+            parent[small] = big
+            size[big] += size[small]
+            joined.append((big, small))
+        return joined
+
+    pick: list = []  # per vertex so far, its pairing and what it joined
+    stack = [iter(options[0])]
     seen = set()
-    for pick in product(*(_pairings(at[v], m) for v in sorted(at))):
-        used: set[int] = set()
-        walks = _open_walks(g, at, _link(pick), used)
-        if len(used) != len(edges):
-            continue  # a closed trail remained
+    while stack:
+        if len(pick) == len(stack):  # leave this vertex's last pairing
+            undo(pick.pop()[1])
+        for pairing in stack[-1]:
+            joined = join(pairing)
+            if joined is not None:
+                pick.append((pairing, joined))
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) < len(options):
+            stack.append(iter(options[len(stack)]))
+            continue
+        walks = _open_walks(g, at, _link(p for p, _joined in pick), set())
         key = tuple(sorted(tuple(sorted(w.endpoints)) for w in walks))
         if key not in seen:
             seen.add(key)

@@ -242,6 +242,32 @@ def test_improvement_theorem_equals_the_all_pairs_loop(monkeypatch, predicate):
     assert violated == 0 if predicate == "neighbouring" else violated >= 40
 
 
+def gap_instance(other):
+    """Three parallel edges 0-1 with B(0) = {0, 3}, a gap longer than 1,
+    and B(1) = other."""
+    g = MultiGraph(2, ((0, 1, 1), (0, 1, 2), (0, 1, 3)))
+    return BInstance(g, (DegreeSet((0, 3)), DegreeSet(other)), "max-weight")
+
+
+def test_improvement_theorem_on_a_gap_longer_than_one():
+    # The check reads intervals only once some B-matching exists: with
+    # none it answers None, with one the gap raises.
+    assert list(enumerate_b_matchings(gap_instance((1,)))) == []
+    assert verify_improvement_theorem(gap_instance((1,))) is None
+    assert len(list(enumerate_b_matchings(gap_instance((0, 1, 2, 3))))) == 2
+    with pytest.raises(ValueError, match="gap longer than 1"):
+        verify_improvement_theorem(gap_instance((0, 1, 2, 3)))
+
+
+def test_improvement_theorem_refuses_past_the_cap_before_building():
+    g = MultiGraph(2, tuple((0, 1, 1) for _ in range(EDGE_CAP + 1)))
+    inst = BInstance(g, (DegreeSet((0, 1)), DegreeSet((0, 1))))
+    with pytest.raises(TooLarge):
+        verify_improvement_theorem(inst)
+    assert "_effective" not in vars(inst) and "_intervals" not in vars(inst)
+    assert "_degrees" not in vars(g)
+
+
 def test_exchange_lemma_regression_single_cycle_difference():
     inst = exchange_regression_instance()
     m = Matching(frozenset({0, 4, 6}))

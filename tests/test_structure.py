@@ -3,7 +3,9 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -233,6 +235,68 @@ def test_alternating_cycle_beside_a_canonical_path_is_not_canonical():
     assert is_neighbouring_type(inst, m, apply(m, both))
     assert canonical_structure(inst, m, both) is None
     assert not is_canonical(inst, m, both)
+
+
+def doubled_ring_beside_an_edge(k):
+    """A ring of k doubled edges, one of each pair matched, and one
+    unmatched edge apart; B(v) = {0..4} everywhere.  The ring is balanced,
+    so every pairing of its edge ends closes it into trails."""
+    edges = [(i, (i + 1) % k, 1) for i in range(k) for _ in range(2)]
+    g = MultiGraph(k + 2, tuple(edges) + ((k, k + 1, 1),))
+    inst = BInstance(g, (DegreeSet((0, 1, 2, 3, 4)),) * (k + 2), "max-card")
+    return inst, Matching(frozenset(range(0, 2 * k, 2))), frozenset(range(2 * k + 1))
+
+
+def test_balanced_ring_is_refused_before_any_full_pick(monkeypatch):
+    # 2^14 full picks of pairings; each closes the ring, and the search
+    # drops each as a partial pick, so no walk is ever followed.
+    inst, m, edges = doubled_ring_beside_an_edge(14)
+    assert is_neighbouring_type(inst, m, apply(m, edges))
+    followed = []
+    real = structure._open_walks
+    monkeypatch.setattr(
+        structure, "_open_walks", lambda *a: followed.append(1) or real(*a)
+    )
+    started = time.perf_counter()
+    assert canonical_structure(inst, m, edges) is None
+    assert time.perf_counter() - started < 0.1
+    assert followed == []
+
+
+def product_decompositions(instance, m, edges):
+    """`_walk_decompositions` as the full product of per-vertex pairings,
+    each followed and skipped when a closed trail is left over."""
+    g = instance.graph
+    at = structure._ends_at(g, edges)
+    seen = set()
+    for pick in product(*(structure._pairings(at[v], m) for v in sorted(at))):
+        used = set()
+        walks = structure._open_walks(g, at, structure._link(pick), used)
+        if len(used) != len(edges):
+            continue
+        key = tuple(sorted(tuple(sorted(w.endpoints)) for w in walks))
+        if key not in seen:
+            seen.add(key)
+            yield tuple(walks)
+
+
+def test_walk_decompositions_equal_the_filtered_product():
+    # order is compared too: the arrangement takes the first that fits
+    rng = random.Random(3)
+    yielded = 0
+    for _ in range(400):
+        n = rng.randint(2, 5)
+        g = MultiGraph(n, tuple(
+            (rng.randrange(n), rng.randrange(n), 1) for _ in range(rng.randint(1, 9))
+        ))
+        sets = tuple(DegreeSet(tuple(range(g.degree(v) + 1))) for v in range(n))
+        inst = BInstance(g, sets, "max-card")
+        m = Matching(frozenset(e for e in range(g.edge_count) if rng.random() < 0.5))
+        edges = frozenset(e for e in range(g.edge_count) if rng.random() < 0.8)
+        got = list(structure._walk_decompositions(inst, m, edges))
+        assert got == list(product_decompositions(inst, m, edges))
+        yielded += len(got)
+    assert yielded > 400
 
 
 def test_meta_path_alone_is_canonical(fig2, fig2_m7):
