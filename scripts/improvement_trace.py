@@ -1,9 +1,10 @@
-"""Narrate the type walk from a first feasible matching to the optimum, one
-line per improvement step.
+"""Narrate the type walk from a feasible matching to the optimum, one line
+per improvement step.
 
 `solve` does not run this walk: it finds the optimum by a best-first
-search over slices of B(v).  This script walks from `find_feasible`'s
-lexicographically first matching, so every instance shows its steps.
+search over slices of B(v).  This script walks from the optimum of the
+opposite objective (`solve` on min-card for max-card, and so on), so the
+walk has steps to show wherever the two optima differ.
 
 Each line shows the parity-interval index per vertex (the matching's type),
 so the walk through neighbouring types is visible directly.
@@ -13,10 +14,11 @@ so the walk through neighbouring types is visible directly.
 """
 
 import argparse
+import dataclasses
 
 from bmatch.core import OBJECTIVES, current_type, matching_weight, parse_instance
 from bmatch.gen import PROFILES, random_instance
-from bmatch.neighbourhood import find_feasible, improvement_step
+from bmatch.neighbourhood import improvement_step, solve
 
 
 def type_label(indices: tuple[int, ...]) -> str:
@@ -44,7 +46,9 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
 
-    matching = find_feasible(instance)
+    direction, kind = instance.objective.split("-")
+    opposite = f"{'min' if direction == 'max' else 'max'}-{kind}"
+    matching = solve(dataclasses.replace(instance, objective=opposite))
     if matching is None:
         print("instance is infeasible")
         return 2

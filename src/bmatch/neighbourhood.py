@@ -13,6 +13,8 @@ objective value (1 or w), negated for the min objectives.  A walk skips the
 specs it solved at earlier steps, whose optima cannot beat where it stands.
 `solve` does not walk: it finds the optimum by a best-first search over
 slices of B(v), and the walk's step stays as an independent certificate.
+`find_feasible` runs the same search with every edge weighing 0; both
+first try propagation, which may refute the instance without a solve.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ from bmatch.reduce import UniformSpec
 from bmatch.uniform import shape_of, solve_uniform
 
 TraceFn = Callable[[str], None]
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """The feasibility search hit its node cap before reaching a verdict."""
 
 
 Moves = tuple[tuple[int, int], ...]
@@ -196,31 +194,22 @@ def improvement_step(
     return best
 
 
-def find_feasible(
-    instance: BInstance, *, node_budget: int = 1_000_000
-) -> Matching | None:
-    """Some feasible B-matching, or None if none exists.
+def _refuted(instance: BInstance) -> bool:
+    """True when propagation alone proves that no B-matching exists.
 
-    Backtracking over edges in index order, excluding before including, so
-    the result is the lexicographically first feasible selection.  A partial
-    selection survives at v iff some admissible degree lies in the window
-    [cur(v), cur(v) + undecided_ends(v)]; when the window admits only its
-    own endpoint, every undecided edge at v is forced and propagated before
-    branching (which cannot change the lexicographic answer).  Exact but
-    exponential in the worst case; `node_budget` caps the branch count and
-    overrunning it raises SearchBudgetExceeded, which is not an
-    infeasibility verdict; a budget of 0 runs the propagation alone.  The
-    search path lives on an explicit stack, so its depth (up to |E|) is not
-    bounded by the recursion limit.
+    An edge is decided when some end forces it: at v the window
+    [cur(v), cur(v) + undecided_ends(v)] of still reachable degrees must hold
+    a value of b(v), and when it holds exactly one, at an end of the window,
+    every undecided edge at v is included (upper end) or excluded (lower
+    end).  Forced edges are propagated to a fixpoint; an empty window is a
+    proof of infeasibility.  False proves nothing.
     """
     g = instance.graph
     n = g.vertex_count
-    m = g.edge_count
     sets = [instance.b(v) for v in range(n)]
     cur = [0] * n
     undecided = [g.degree(v) for v in range(n)]
-    decided: list[bool | None] = [None] * m
-    trail: list[int] = []
+    decided = [False] * g.edge_count
     # Per edge, its two ends, each adding one to its vertex's degree; a loop
     # has both at one vertex, and appears twice in its incidence list.
     ends = [(u, v) for u, v, _w in g.edges]
@@ -229,72 +218,47 @@ def find_feasible(
         incident[u].append(e)
         incident[v].append(e)
 
-    def set_edge(e: int, include: bool) -> tuple[int, int]:
-        decided[e] = include
-        trail.append(e)
-        for x in ends[e]:
-            undecided[x] -= 1
-            if include:
-                cur[x] += 1
-        return ends[e]
-
-    def undo_to(mark: int) -> None:
-        while len(trail) > mark:
-            e = trail.pop()
-            for x in ends[e]:
-                undecided[x] += 1
-                if decided[e]:
-                    cur[x] -= 1
-            decided[e] = None
-
-    def propagate(queue: list[int]) -> bool:
-        """Apply forced decisions until a fixpoint; False on a dead end."""
-        while queue:
-            v = queue.pop()
-            lo, hi = cur[v], cur[v] + undecided[v]
-            admissible = [d for d in sets[v].values if lo <= d <= hi]
-            if not admissible:
-                return False
-            if undecided[v] == 0 or len(admissible) > 1:
-                continue
-            if admissible[0] == hi:
-                forced = True
-            elif admissible[0] == lo:
-                forced = False
-            else:
-                continue
-            for e in incident[v]:
-                if decided[e] is None:
-                    queue.extend(set_edge(e, forced))
-        return True
-
-    if not propagate(list(range(n))):
-        return None
-    branches: list[tuple[int, int, bool]] = []  # (edge, trail mark, include)
-    e, include = 0, False
-    nodes = 0
-    while True:
-        while e < m and decided[e] is not None:
-            e += 1
-        if e == m:
-            return Matching(frozenset(i for i, d in enumerate(decided) if d))
-        nodes += 1
-        if nodes > node_budget:
-            raise SearchBudgetExceeded(
-                f"feasibility search passed {node_budget} nodes"
-            )
-        mark = len(trail)
-        if propagate(list(set_edge(e, include))):
-            branches.append((e, mark, include))
-            e, include = e + 1, False
+    queue = list(range(n))
+    while queue:
+        v = queue.pop()
+        lo, hi = cur[v], cur[v] + undecided[v]
+        admissible = [d for d in sets[v].values if lo <= d <= hi]
+        if not admissible:
+            return True
+        if undecided[v] == 0 or len(admissible) > 1:
             continue
-        undo_to(mark)
-        while include:
-            if not branches:
-                return None
-            e, mark, include = branches.pop()
-            undo_to(mark)
-        include = True
+        if admissible[0] == hi:
+            include = True
+        elif admissible[0] == lo:
+            include = False
+        else:
+            continue
+        for e in incident[v]:
+            if decided[e]:
+                continue
+            decided[e] = True
+            for x in ends[e]:
+                undecided[x] -= 1
+                if include:
+                    cur[x] += 1
+            queue.extend(ends[e])
+    return False
+
+
+def find_feasible(instance: BInstance) -> Matching | None:
+    """Some feasible B-matching, or None if none exists.
+
+    Propagation (`_refuted`) may say "no"; otherwise `solve`'s search runs
+    on the instance's graph with every edge weighing 0, so the first
+    B-matching it meets ends it, and every node it closes without one
+    closes by a checked Tutte barrier.  Exact, but the search's node count
+    is exponential in the worst case.
+    """
+    if _refuted(instance):
+        return None
+    g = instance.graph
+    zero = MultiGraph(g.vertex_count, tuple((u, v, 0) for u, v, _w in g.edges))
+    return _search(instance, zero, 1, lambda message: None, {"solved": 0})
 
 
 def _spec(node: tuple[tuple[int, ...], ...]) -> UniformSpec:
@@ -345,34 +309,42 @@ def solve(
 ) -> Matching | None:
     """An optimal B-matching for instance.objective, or None if none exists.
 
-    Propagation alone (`find_feasible` with no branch node) may say "no".
-    Otherwise a best-first search (Land & Doig) runs over nodes of one
-    slice of b(v) per vertex, each solved as the spec `_spec` reads; the
-    root, the relaxation, holds every b(v).  A node's checked optimum
-    bounds every B-matching in it.  A node with no solution closes by its
-    checked Tutte barrier, one whose answer is a B-matching closes with it
-    as an incumbent, and any other splits at its answer's first vertex
-    whose degree d is outside b(v), into the values below d and those
-    above.  The root's answer, rounded into B by `_rounded`, gives an
-    incumbent: before the first split when every edge weighs the same,
-    as it then usually reaches the root's bound, else after that split.
-    The search ends when no open bound exceeds the incumbent, which is
-    optimal, or every node is closed without one: none exists.  Each split
-    removes a degree from a slice, so the search ends, but its node count
-    is exponential in the worst case.  A caller-owned `stats` dict
-    receives 'solved', one per node and one for the rounding.
+    Propagation alone (`_refuted`) may say "no"; otherwise `_search` runs
+    on the graph `_as_max_weight` signs.  A caller-owned `stats` dict
+    receives 'solved', one per node of the search and one for its rounding.
     """
     if stats is None:
         stats = {}
     stats.setdefault("solved", 0)
-    try:
-        refuted = find_feasible(instance, node_budget=0) is None
-    except SearchBudgetExceeded:
-        refuted = False
-    if refuted:
+    if _refuted(instance):
         trace("solve: infeasible")
         return None
     work, sign = _as_max_weight(instance)
+    return _search(instance, work, sign, trace, stats)
+
+
+def _search(
+    instance: BInstance, work: MultiGraph, sign: int, trace: TraceFn, stats: dict
+) -> Matching | None:
+    """A B-matching of instance of largest weight in work, or None if none
+    exists; trace reports values times sign.
+
+    A best-first search (Land & Doig) runs over nodes of one slice of b(v)
+    per vertex, each solved as the spec `_spec` reads; the root, the
+    relaxation, holds every b(v).  A node's checked optimum bounds every
+    B-matching in it.  A node with no solution closes by its checked Tutte
+    barrier, one whose answer is a B-matching closes with it as an
+    incumbent, and any other splits at its answer's first vertex whose
+    degree d is outside b(v), into the values below d and those above.  The
+    root's answer, rounded into B by `_rounded`, gives an incumbent: before
+    the first split when every edge weighs the same, as it then usually
+    reaches the root's bound, else after that split.  The search ends when
+    no open bound exceeds the incumbent, which is optimal, or every node is
+    closed without one: none exists.  Each split removes a degree from a
+    slice, so the search ends, but its node count is exponential in the
+    worst case.  stats['solved'] gains one per node and one for the
+    rounding.
+    """
     # Open nodes as (-bound, solves so far, node, answer): best first, then oldest.
     open_nodes: list = []
     best = value = None

@@ -11,14 +11,16 @@ import pytest
 from bmatch.cli import build_parser, main
 from bmatch.core import (
     OBJECTIVES,
+    Matching,
     format_certificate,
     format_instance,
+    is_b_matching,
     matching_weight,
     parse_instance,
     validate,
 )
 from bmatch.gen import random_instance
-from bmatch.neighbourhood import find_feasible, solve
+from bmatch.neighbourhood import solve
 
 from conftest import FIXTURES, src_env
 
@@ -437,7 +439,8 @@ def test_decompose_structured_weights_sum_to_gap(capsys, tmp_path):
 def test_decompose_max_card_optimum_against_search_start(capsys, tmp_path):
     # A pair whose canonical sequence needs a union of several whole walks.
     instance = random_instance(50, 10, 25, profile="mixed")
-    m = find_feasible(instance)
+    m = Matching(frozenset({4, 11, 12, 13, 17, 20, 21, 22, 24}))
+    assert is_b_matching(instance, m)
     n = solve(instance)
     files = {"in.bm": format_instance(instance),
              "m.cert": format_certificate(instance.graph, m),

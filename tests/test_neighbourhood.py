@@ -21,7 +21,6 @@ from bmatch.core import (
     matching_weight,
 )
 from bmatch.neighbourhood import (
-    SearchBudgetExceeded,
     _as_max_weight,
     _bound,
     _candidate_spec,
@@ -33,6 +32,7 @@ from bmatch.neighbourhood import (
     solve,
 )
 from bmatch.gen import random_instance
+from bmatch.oracle import enumerate_b_matchings
 from bmatch.reduce import ab_to_pm, uniform_to_ab
 from bmatch.structure import (
     is_neighbouring_type,
@@ -62,30 +62,12 @@ def test_find_feasible_fig2(fig2):
     assert is_b_matching(fig2, got)
 
 
-def test_find_feasible_is_lexicographically_first(fig2):
-    got = find_feasible(fig2)
-    # excluding before including: no feasible matching is lexicographically
-    # smaller, so flipping any chosen edge to excluded (keeping the prefix)
-    # must break feasibility of every completion; spot-check the head edge
-    smallest = min(got.selected)
-    for e in range(smallest):
-        assert e not in got.selected
-
-
-def test_find_feasible_respects_budget():
-    g = MultiGraph(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)))
-    inst = BInstance(g, tuple(DegreeSet((0, 1)) for _ in range(4)), "max-card")
-    with pytest.raises(SearchBudgetExceeded):
-        find_feasible(inst, node_budget=0)
-    assert find_feasible(inst, node_budget=100) is not None
-
-
 def test_find_feasible_propagates_forced_chains():
     # every vertex demands full degree: all edges forced, zero branching
     g = MultiGraph(5, tuple((i, i + 1, 1) for i in range(4)))
     sets = (DegreeSet((1,)), DegreeSet((2,)), DegreeSet((2,)), DegreeSet((2,)), DegreeSet((1,)))
     inst = BInstance(g, sets, "max-card")
-    got = find_feasible(inst, node_budget=1)
+    got = find_feasible(inst)
     assert got is not None and got.selected == frozenset(range(4))
 
 
@@ -93,34 +75,50 @@ def test_find_feasible_detects_forced_contradiction():
     # middle vertex needs 2 but its neighbours allow at most one end each
     g = MultiGraph(3, ((0, 1, 1), (1, 2, 1)))
     inst = BInstance(g, (DegreeSet((0,)), DegreeSet((1, 2)), DegreeSet((0,))), "max-card")
-    assert find_feasible(inst, node_budget=5) is None
+    assert find_feasible(inst) is None
 
 
 def test_find_feasible_deep_search_needs_no_recursion():
-    # 1500 edges, each a branch level: the search must not grow the stack.
+    # 300 vertices and 1500 edges: the search must not grow the stack.
     g = random_instance(0, 300, 1500, profile="interval").graph
     sets = tuple(DegreeSet(tuple(range(g.degree(v) + 1))) for v in range(300))
-    got = find_feasible(BInstance(g, sets, "min-card"))
-    assert got == Matching(frozenset())
+    inst = BInstance(g, sets, "min-card")
+    assert is_b_matching(inst, find_feasible(inst))
 
 
 def test_find_feasible_answers_are_pinned():
-    # The answer or verdict at four budgets on 900 seeded instances, hashed;
-    # 49 of the 3600 searches overrun their budget.
+    # The verdict on 900 seeded instances, hashed (275 feasible); every
+    # answer is a B-matching.
     profiles = ("interval", "parity", "mixed")
-    answers = []
+    verdicts = []
     for seed in range(900):
         inst = random_instance(seed, 5 + seed % 8, 6 + seed % 17, profile=profiles[seed % 3])
-        for budget in (30, 300, 3000, 10**6):
-            try:
-                got = find_feasible(inst, node_budget=budget)
-            except SearchBudgetExceeded:
-                answers.append("budget")
-                continue
-            answers.append("none" if got is None else " ".join(map(str, sorted(got.selected))))
-    assert answers.count("budget") == 49
-    digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
-    assert digest == "9298c57f45eebeacd3e1147c34cff95c335d4f9306bf7204e949ad097527c578"
+        got = find_feasible(inst)
+        assert got is None or is_b_matching(inst, got), seed
+        verdicts.append("none" if got is None else "some")
+    assert verdicts.count("some") == 275
+    digest = hashlib.sha256("\n".join(verdicts).encode()).hexdigest()
+    assert digest == "8d211d746fd12a17280ed8b1dd5523ded4a6873a9f4948b22634d2c5d96dfd5a"
+
+
+def test_find_feasible_verdicts_match_the_oracle():
+    # 2,000 seeded tiny instances: "none" exactly when the oracle has no
+    # B-matching, and every answer is one.
+    profiles = ("interval", "parity", "mixed")
+    feasible = 0
+    for seed in range(2000):
+        inst = random_instance(seed, 2 + seed % 5, seed % 9, profile=profiles[seed % 3])
+        got = find_feasible(inst)
+        exists = next(iter(enumerate_b_matchings(inst)), None) is not None
+        assert (got is not None) == exists, seed
+        assert got is None or is_b_matching(inst, got), seed
+        feasible += exists
+    assert feasible == 1147
+
+
+def test_find_feasible_refutes_where_backtracking_overran():
+    # An edge-by-edge backtracking search passed 1M nodes here.
+    assert find_feasible(random_instance(256, 40, 100, profile="parity")) is None
 
 
 # -- candidate types ---------------------------------------------------------------
@@ -345,7 +343,7 @@ def _certified(inst: BInstance) -> tuple[Matching | None, str]:
 
 def _full_walk(inst: BInstance) -> Matching | None:
     """The type walk with no bound exit, no relaxation and no stop at its
-    bound: from the first feasible matching until a step finds nothing."""
+    bound: from `find_feasible`'s matching until a step finds nothing."""
     matching = find_feasible(inst)
     seen = set()
     while matching is not None:
@@ -592,31 +590,31 @@ def test_solve_infeasible_returns_none():
     assert solve(triangle((1,))) is None
 
 
-def _spy_on_searches(monkeypatch) -> list[int | None]:
-    """Route solve's feasibility searches through a spy; the list it
-    returns receives each call's node_budget, None for the default."""
-    budgets = []
+def _spy_on_searches(monkeypatch) -> list[BInstance]:
+    """Route calls of `find_feasible` through a spy; the list it returns
+    receives each call's instance."""
+    calls = []
     real = neighbourhood.find_feasible
 
-    def spy(instance, **kwargs):
-        budgets.append(kwargs.get("node_budget"))
-        return real(instance, **kwargs)
+    def spy(instance):
+        calls.append(instance)
+        return real(instance)
 
     monkeypatch.setattr(neighbourhood, "find_feasible", spy)
-    return budgets
+    return calls
 
 
 @pytest.mark.parametrize("seed,n,m", [(256, 40, 100), (939575606, 20, 50), (939575602, 20, 50)])
 def test_relaxation_refutes_once_the_search_backtracks(monkeypatch, seed, n, m):
-    # Seed 256 overran the default 1M-node search; the two n=20 instances
-    # took 18k and 105k nodes.  Propagation alone decides none of them, and
-    # the relaxation's barrier decides each.
-    budgets = _spy_on_searches(monkeypatch)
+    # Seed 256 overran an edge-by-edge backtracking search of 1M nodes; the
+    # two n=20 instances took it 18k and 105k nodes.  Propagation alone
+    # decides none of them, and the relaxation's barrier decides each.
+    calls = _spy_on_searches(monkeypatch)
     inst = random_instance(seed, n, m, profile="parity")
     stats, lines = {}, []
     assert solve(inst, trace=lines.append, stats=stats) is None
     assert lines[-1] == "solve: infeasible, the relaxation has a Tutte barrier"
-    assert budgets == [0]
+    assert calls == []
     assert stats == {"solved": 1}
 
 
@@ -652,12 +650,11 @@ def test_relaxation_barrier_is_checked_under_optimize():
 
 def test_relaxation_first_keeps_the_values(monkeypatch):
     # The relaxation and the search over its slices decide every instance
-    # that propagation alone does not: solve never runs the budgeted
-    # feasibility search in full.
-    budgets = _spy_on_searches(monkeypatch)
+    # that propagation alone does not: solve never calls find_feasible.
+    calls = _spy_on_searches(monkeypatch)
     for _seed, inst in _pinned_instances():
         solve(inst)
-    assert budgets == [0] * 400
+    assert calls == []
 
 
 def test_search_refutes_where_the_relaxation_has_an_answer(monkeypatch):
@@ -665,7 +662,7 @@ def test_search_refutes_where_the_relaxation_has_an_answer(monkeypatch):
     # so the relaxation has a solution and its rounding has none.  The
     # search splits U(u) at 1 into {0} and {2, 3}, and each child's barrier
     # closes it.
-    budgets = _spy_on_searches(monkeypatch)
+    calls = _spy_on_searches(monkeypatch)
     g = MultiGraph(2, ((0, 1, 1), (0, 1, 1), (0, 1, 1)))
     inst = BInstance(g, (DegreeSet((0, 2, 3)), DegreeSet((1,))), "max-card")
     lines, stats = [], {}
@@ -674,7 +671,7 @@ def test_search_refutes_where_the_relaxation_has_an_answer(monkeypatch):
         "search: bound 1, vertex 0 splits at degree 1",
         "solve: infeasible, every node of the search has a Tutte barrier",
     ]
-    assert budgets == [0]
+    assert calls == []
     assert stats == {"solved": 4}
 
 
@@ -697,15 +694,30 @@ def test_search_doubles_its_solves_with_each_gap_vertex_before_a_dead_pair():
     # The search's worst case, bounded here: every node's answer puts each
     # unsplit gadget's a at degree 2, and a is split before the dead pair,
     # so every gadget doubles the nodes and only the pair's split closes
-    # them.  The budgeted feasibility search, which branches on the pair's
-    # edges first, refutes the instance within five nodes.
+    # them.
     for k in range(1, 5):
         inst = _gadgets_then_a_dead_pair(k)
         lines, stats = [], {}
         assert solve(inst, trace=lines.append, stats=stats) is None
         assert lines[-1] == "solve: infeasible, every node of the search has a Tutte barrier"
         assert stats == {"solved": 2 ** (k + 2)}
-        assert find_feasible(inst, node_budget=5) is None
+
+
+def test_find_feasible_refutes_gadgets_before_a_dead_pair(monkeypatch):
+    # On zero weights no gadget vertex leaves b(v) in a node's answer, so
+    # the search splits only at the dead pair: four solves at every k.
+    solves = []
+    real = neighbourhood.solve_uniform
+
+    def counted(graph, spec):
+        solves.append(spec)
+        return real(graph, spec)
+
+    monkeypatch.setattr(neighbourhood, "solve_uniform", counted)
+    for k in range(1, 21):
+        solves.clear()
+        assert find_feasible(_gadgets_then_a_dead_pair(k)) is None
+        assert len(solves) == 4, k
 
 
 def test_rounding_picks_runs_next_to_the_relaxed_degrees():
@@ -897,9 +909,14 @@ def test_search_ends_where_many_vertices_sit_on_a_gap():
     assert improvement_step(inst, got) is None
 
 
+# A B-matching of fig2 with 6 of the 9 edges of its max-card optimum, so
+# the max walks from it take steps.
+FIG2_START = Matching(frozenset({1, 3, 6, 9, 11, 14}))
+
+
 def test_every_intermediate_is_feasible(fig2):
     # drive the loop by hand, checking feasibility after each step
-    m = find_feasible(fig2)
+    m = FIG2_START
     seen = 0
     while True:
         assert is_b_matching(fig2, m)
@@ -978,7 +995,7 @@ def test_candidate_verdicts_match_the_cold_verdicts(fig2):
     walks = []
     for objective in ("max-card", "min-card", "max-weight", "min-weight"):
         inst = dataclasses.replace(fig2, objective=objective)
-        walks.append((f"fig2 {objective}", inst, find_feasible(inst)))
+        walks.append((f"fig2 {objective}", inst, FIG2_START))
     for seed in range(24):
         objective = ("max-card", "min-card", "max-weight")[seed % 3]
         walks.append((seed, *planted(seed, 10, 16, objective)))

@@ -16,9 +16,9 @@ def load_script(name: str):
 def test_improvement_trace_default_walks_to_the_optimum(capsys):
     assert load_script("improvement_trace").main([]) == 0
     out = capsys.readouterr().out
-    assert "optimal after 4 steps" in out
+    assert "optimal after 5 steps" in out
     assert [line.split()[:2] for line in out.splitlines()[:-1]] == [
-        ["step", str(k)] for k in range(5)
+        ["step", str(k)] for k in range(6)
     ]
 
 

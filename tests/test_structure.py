@@ -20,7 +20,7 @@ from bmatch.core import (
     is_b_matching,
 )
 from bmatch.gen import random_instance
-from bmatch.neighbourhood import find_feasible, solve
+from bmatch.neighbourhood import solve
 from bmatch.oracle import (
     _sample_pair,
     enumerate_b_matchings,
@@ -430,11 +430,21 @@ def test_extract_grows_a_union_only_at_its_outside_vertex(monkeypatch, k):
     assert len(calls) <= 2 * k
 
 
+# Per (n, seed), a B-matching of the mixed instance with m = 2.5n: the
+# lexicographically first one.
+SEARCH_STARTS = {
+    (10, 50): (4, 11, 12, 13, 17, 20, 21, 22, 24),
+    (12, 11): (2, 11, 13, 14, 15, 16, 17, 18, 22, 25, 26, 27, 28, 29),
+    (12, 179): (8, 10, 11, 12, 13, 16, 19, 21, 23, 29),
+    (16, 57): (0, 7, 8, 13, 14, 16, 18, 21, 22, 23, 25, 26, 29, 30, 33, 36, 38, 39),
+}
+
+
 @pytest.mark.parametrize("n, seed", [(10, 50), (12, 11), (12, 179), (16, 57)])
 def test_extract_decomposes_max_card_optimum_against_search_start(n, seed):
     inst = random_instance(seed, n, round(2.5 * n), profile="mixed")
-    m = find_feasible(inst)
-    assert m is not None
+    m = Matching(frozenset(SEARCH_STARTS[n, seed]))
+    assert is_b_matching(inst, m)
     assert verify_canonical_decomposition(inst, m, solve(inst)) is None
 
 
