@@ -53,7 +53,6 @@ def main(argv: list[str] | None = None) -> int:
         print("instance is infeasible")
         return 2
 
-    seen: set = set()
     stats: dict = {}
     step = 0
     while True:
@@ -63,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
             f"weight {matching_weight(instance.graph, matching):>4}  "
             f"type {type_label(indices)}"
         )
-        better = improvement_step(instance, matching, seen=seen, stats=stats)
+        better = improvement_step(instance, matching, stats=stats)
         if better is None:
             break
         matching = better
@@ -71,8 +70,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(
         f"optimal after {step} steps "
-        f"({stats.get('solved', 0)} candidate solves, {stats.get('cached', 0)} cached, "
-        f"{stats.get('pruned', 0)} pruned)"
+        f"({stats['solved']} candidate solves, {stats['pruned']} pruned)"
     )
     return 0
 

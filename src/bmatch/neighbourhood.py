@@ -9,12 +9,11 @@ inside their current intervals.  Optimality is certified when no candidate
 type admits a better matching.
 
 All four objectives run as one max-weight problem: each edge weighs its
-objective value (1 or w), negated for the min objectives.  A walk skips the
-specs it solved at earlier steps, whose optima cannot beat where it stands.
-`solve` does not walk: it finds the optimum by a best-first search over
-slices of B(v), and the walk's step stays as an independent certificate.
-`find_feasible` runs the same search with every edge weighing 0; both
-first try propagation, which may refute the instance without a solve.
+objective value (1 or w), negated for the min objectives.  `solve` does not
+walk: it finds the optimum by a best-first search over slices of B(v), and
+the walk's step stays as an independent certificate.  `find_feasible` runs
+the same search with every edge weighing 0; both first try propagation,
+which may refute the instance without a solve.
 """
 
 from __future__ import annotations
@@ -122,7 +121,6 @@ def improvement_step(
     instance: BInstance,
     matching: Matching,
     *,
-    seen: set[UniformSpec] | None = None,
     stats: dict | None = None,
 ) -> Matching | None:
     """Best strictly-improving matching over all candidate types, or None.
@@ -140,26 +138,18 @@ def improvement_step(
     the order changes no answer.  Only a visited candidate builds its spec
     and hands it with the signed graph to `solve_uniform`.
 
-    Each solved spec is added to `seen`, and a spec already in it counts as
-    cached and is skipped unsolved.  That is exact when one set is passed
-    to every step of a walk that always moves to the returned matching: a
-    spec solved at an earlier step has an optimum of at most the weight
-    that step reached, the walk's current matching weighs at least that
-    much, and only a strictly heavier matching is taken.
-    With the default None, nothing is skipped.  A caller-owned `stats` dict
-    accumulates 'solved', 'cached' and 'pruned' counts; every candidate
-    adds to exactly one of them, the unvisited ones to 'pruned'.
+    A caller-owned `stats` dict accumulates 'solved' and 'pruned' counts;
+    every candidate adds to exactly one of them, the unvisited ones to
+    'pruned'.
     """
     work, _sign = _as_max_weight(instance)
     t = current_type(instance, matching)
     base = tuple(instance.intervals(v)[i] for v, i in enumerate(t))
     values = _pin_values(instance, work)
     base_total = sum(values[v][i] for v, i in enumerate(t))
-    if seen is None:
-        seen = set()
     if stats is None:
         stats = {}
-    for key in ("solved", "cached", "pruned"):
+    for key in ("solved", "pruned"):
         stats.setdefault(key, 0)
 
     # Keys (weight, -index) order results as the tie rule ranks them, and
@@ -179,17 +169,13 @@ def improvement_step(
             break
         visited += 1
         spec = _candidate_spec(instance, t, base, candidates[-cap[1]])
-        if spec in seen:
-            stats["cached"] += 1
-            continue
-        seen.add(spec)
         result = solve_uniform(work, spec)
-        stats["solved"] += 1
         if result is None:
             continue
         found = (matching_weight(work, result), cap[1])
         if found > best_key:
             best, best_key = result, found
+    stats["solved"] += visited
     stats["pruned"] += len(candidates) - visited
     return best
 

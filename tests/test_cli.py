@@ -233,6 +233,14 @@ def test_check_structured(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"valid": True, "problems": [], "size": 7, "weight": 7}
+    # fig2_m7 is valid but not optimal: a neighbouring type holds 9 edges.
+    code, out, _err = run(capsys, "check", "--input", FIG2, "--certificate", FIG2_M7,
+                          "--format", "structured", "--assert-optimal")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload == {
+        "valid": True, "problems": [], "size": 7, "weight": 7, "optimal": False
+    }
 
 
 # The exact check reports, pinned so that they stay byte-identical.  A liar
