@@ -78,7 +78,11 @@ def _report(fmt: str, payload: dict, lines: list[str] | None = None) -> None:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            message = f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+            raise UsageError(message) from None
 
 
 def _write(path: str | None, text: str) -> None:

@@ -11,9 +11,8 @@ type admits a better matching.
 All four objectives run as one max-weight problem: each edge weighs its
 objective value (1 or w), negated for the min objectives.  `solve` does not
 walk: it finds the optimum by a best-first search over slices of B(v), and
-the walk's step stays as an independent certificate.  `find_feasible` runs
-the same search with every edge weighing 0; both first try propagation,
-which may refute the instance without a solve.
+the walk's step stays as an independent certificate.  `find_feasible` is
+`solve` with every edge weighing 0.
 """
 
 from __future__ import annotations
@@ -123,20 +122,18 @@ def improvement_step(
     *,
     stats: dict | None = None,
 ) -> Matching | None:
-    """Best strictly-improving matching over all candidate types, or None.
+    """A matching of largest weight over all candidate types if it is
+    strictly heavier than `matching`, else None.
 
     None certifies that `matching` is optimal for instance.objective.  The
-    step runs as max-weight on the graph `_as_max_weight` signs, and the
-    best candidate is the one with the largest optimum, ties going to the
-    earliest in enumeration order, then to the solver's own determinism.
-    A candidate is its moves from the current type t.  Candidates are tried
-    in order of their `_bound`, largest first and ties by enumeration
-    index.  The step stops, unsolved, at the first candidate that cannot
-    beat the best so far: a bound below the best weight (at first, the
-    current matching's), or equal to it at a later index.  No candidate
-    from there on can either, since its optimum is at most its bound, so
-    the order changes no answer.  Only a visited candidate builds its spec
-    and hands it with the signed graph to `solve_uniform`.
+    step runs as max-weight on the graph `_as_max_weight` signs, and any
+    maximizer will do.  A candidate is its moves from the current type t.
+    The candidates whose `_bound` exceeds the current weight are tried in
+    order of bound, largest first, equal bounds in enumeration order.  The
+    step stops, unsolved, at the first bound not above the best weight so
+    far, as no candidate from there on can beat it.  Only a visited
+    candidate builds its spec and hands it with the signed graph to
+    `solve_uniform`, and its result is kept only when strictly heavier.
 
     A caller-owned `stats` dict accumulates 'solved' and 'pruned' counts;
     every candidate adds to exactly one of them, the unvisited ones to
@@ -152,29 +149,21 @@ def improvement_step(
     for key in ("solved", "pruned"):
         stats.setdefault(key, 0)
 
-    # Keys (weight, -index) order results as the tie rule ranks them, and
-    # a candidate's cap (bound, -index) is at least the key of any result
-    # it can give.  The start key (weight, 1) ranks above every result of
-    # the current weight, so only a strictly heavier matching is taken,
-    # and a bound at most the current weight is dropped before the sort.
-    current = matching_weight(work, matching)
+    best, best_weight = None, matching_weight(work, matching)
     candidates = enumerate_candidates(instance, matching)
-    bounds = (_bound(c, t, values, base_total) for c in candidates)
-    caps = sorted(((b, -i) for i, b in enumerate(bounds) if b > current), reverse=True)
-    best: Matching | None = None
-    best_key = (current, 1)
+    bounds = [_bound(c, t, values, base_total) for c in candidates]
+    kept = [i for i, b in enumerate(bounds) if b > best_weight]
     visited = 0
-    for cap in caps:
-        if cap <= best_key:
+    for i in sorted(kept, key=lambda i: -bounds[i]):  # stable: ties keep their order
+        if bounds[i] <= best_weight:
             break
         visited += 1
-        spec = _candidate_spec(instance, t, base, candidates[-cap[1]])
-        result = solve_uniform(work, spec)
+        result = solve_uniform(work, _candidate_spec(instance, t, base, candidates[i]))
         if result is None:
             continue
-        found = (matching_weight(work, result), cap[1])
-        if found > best_key:
-            best, best_key = result, found
+        weight = matching_weight(work, result)
+        if weight > best_weight:
+            best, best_weight = result, weight
     stats["solved"] += visited
     stats["pruned"] += len(candidates) - visited
     return best
@@ -234,17 +223,14 @@ def _refuted(instance: BInstance) -> bool:
 def find_feasible(instance: BInstance) -> Matching | None:
     """Some feasible B-matching, or None if none exists.
 
-    Propagation (`_refuted`) may say "no"; otherwise `solve`'s search runs
-    on the instance's graph with every edge weighing 0, so the first
-    B-matching it meets ends it, and every node it closes without one
-    closes by a checked Tutte barrier.  Exact, but the search's node count
-    is exponential in the worst case.
+    `solve` on a copy of the instance whose edges all weigh 0 under
+    max-weight: the first B-matching its search meets ends it, and every
+    node it closes without one closes by a checked Tutte barrier.  Exact,
+    but the search's node count is exponential in the worst case.
     """
-    if _refuted(instance):
-        return None
     g = instance.graph
     zero = MultiGraph(g.vertex_count, tuple((u, v, 0) for u, v, _w in g.edges))
-    return _search(instance, zero, 1, lambda message: None, {"solved": 0})
+    return solve(BInstance(zero, instance.degree_sets, "max-weight"))
 
 
 def _spec(node: tuple[tuple[int, ...], ...]) -> UniformSpec:
@@ -295,9 +281,23 @@ def solve(
 ) -> Matching | None:
     """An optimal B-matching for instance.objective, or None if none exists.
 
-    Propagation alone (`_refuted`) may say "no"; otherwise `_search` runs
-    on the graph `_as_max_weight` signs.  A caller-owned `stats` dict
-    receives 'solved', one per node of the search and one for its rounding.
+    Propagation alone (`_refuted`) may say "no".  Otherwise a best-first
+    search (Land & Doig) runs on the graph `_as_max_weight` signs, over
+    nodes of one slice of b(v) per vertex, each solved as the spec `_spec`
+    reads; the root, the relaxation, holds every b(v).  A node's checked
+    optimum bounds every B-matching in it.  A node with no solution closes
+    by its checked Tutte barrier, one whose answer is a B-matching closes
+    with it as an incumbent, and any other splits at its answer's first
+    vertex whose degree d is outside b(v), into the values below d and
+    those above.  The root's answer, rounded into B by `_rounded`, gives an
+    incumbent: before the first split when every edge weighs the same, as
+    it then usually reaches the root's bound, else after that split.  The
+    search ends when no open bound exceeds the incumbent, which is optimal,
+    or every node is closed without one: none exists.  Each split removes a
+    degree from a slice, so the search ends, but its node count is
+    exponential in the worst case.  trace reports values in the objective's
+    own sign.  A caller-owned `stats` dict receives 'solved', one per node
+    of the search and one for its rounding.
     """
     if stats is None:
         stats = {}
@@ -306,31 +306,6 @@ def solve(
         trace("solve: infeasible")
         return None
     work, sign = _as_max_weight(instance)
-    return _search(instance, work, sign, trace, stats)
-
-
-def _search(
-    instance: BInstance, work: MultiGraph, sign: int, trace: TraceFn, stats: dict
-) -> Matching | None:
-    """A B-matching of instance of largest weight in work, or None if none
-    exists; trace reports values times sign.
-
-    A best-first search (Land & Doig) runs over nodes of one slice of b(v)
-    per vertex, each solved as the spec `_spec` reads; the root, the
-    relaxation, holds every b(v).  A node's checked optimum bounds every
-    B-matching in it.  A node with no solution closes by its checked Tutte
-    barrier, one whose answer is a B-matching closes with it as an
-    incumbent, and any other splits at its answer's first vertex whose
-    degree d is outside b(v), into the values below d and those above.  The
-    root's answer, rounded into B by `_rounded`, gives an incumbent: before
-    the first split when every edge weighs the same, as it then usually
-    reaches the root's bound, else after that split.  The search ends when
-    no open bound exceeds the incumbent, which is optimal, or every node is
-    closed without one: none exists.  Each split removes a degree from a
-    slice, so the search ends, but its node count is exponential in the
-    worst case.  stats['solved'] gains one per node and one for the
-    rounding.
-    """
     # Open nodes as (-bound, solves so far, node, answer): best first, then oldest.
     open_nodes: list = []
     best = value = None

@@ -78,22 +78,21 @@ class GadgetLayout:
 @dataclass(frozen=True)
 class ABInstance:
     """Multigraph with per-vertex degree bounds a(v) <= d_F(v) <= b(v);
-    where step(v) is 2, d_F(v) must also have the parity of a(v).  An empty
-    `step` means step 1 everywhere.  Raises BadSpec unless there is one
-    bound pair and step per vertex, 0 <= a <= b, the step is 1 or 2 and
-    divides b - a, and b is at most the degree."""
+    where step(v) is 2, d_F(v) must also have the parity of a(v).  Raises
+    BadSpec unless there is one bound pair and step per vertex, 0 <= a <= b,
+    the step is 1 or 2 and divides b - a, and b is at most the degree."""
 
     graph: MultiGraph
     a: tuple[int, ...]
     b: tuple[int, ...]
-    step: tuple[int, ...] = ()
+    step: tuple[int, ...]
 
     def __post_init__(self) -> None:
         g = self.graph
         n = g.vertex_count
         object.__setattr__(self, "a", tuple(self.a))
         object.__setattr__(self, "b", tuple(self.b))
-        object.__setattr__(self, "step", tuple(self.step) or (1,) * n)
+        object.__setattr__(self, "step", tuple(self.step))
         if len(self.a) != n or len(self.b) != n or len(self.step) != n:
             raise BadSpec("need one (a, b) pair and one step per vertex")
         for v in range(n):

@@ -83,7 +83,7 @@ def random_ab_instance(rng: random.Random, n: int, m: int) -> ABInstance:
         lo = rng.randint(0, max(0, g.degree(v) // 2))
         a.append(lo)
         b.append(rng.randint(lo, g.degree(v)))
-    return ABInstance(g, tuple(a), tuple(b))
+    return ABInstance(g, tuple(a), tuple(b), (1,) * n)
 
 
 def perfect_matchings(g, cap=4000):

@@ -266,7 +266,7 @@ def full_spoke_gadget(ab, clique: bool = False) -> MultiGraph:
         (v, v, 0) for v in range(n) if ab.step[v] == 2 for _ in range(0, ab.b[v] - ab.a[v], 2)
     )
     pinned = tuple(b if step == 2 else a for a, b, step in zip(ab.a, ab.b, ab.step))
-    ab = ABInstance(MultiGraph(n, ab.graph.edges + loops), pinned, ab.b)
+    ab = ABInstance(MultiGraph(n, ab.graph.edges + loops), pinned, ab.b, (1,) * n)
     layout = ab.layout
     source = tuple(
         (2 * e, 2 * e + 1, w) for e, (_u, _v, w) in enumerate(ab.graph.edges)

@@ -465,6 +465,32 @@ def test_decompose_max_card_optimum_against_search_start(capsys, tmp_path):
     assert total == matching_weight(instance.graph, n) - matching_weight(instance.graph, m)
 
 
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("text", "cycles 1\ncycle 0 weight 2 edges 0 1 2 3\nsteps 0\n"),
+        ("structured", {"cycles": [{"edges": [0, 1, 2, 3], "weight": 2}], "steps": []}),
+    ],
+)
+def test_decompose_reports_an_alternating_cycle(capsys, tmp_path, fmt, expected):
+    # On a 4-cycle with B(v) = {1}, M = {0, 2} and N = {1, 3} differ by one
+    # alternating cycle, which takes weight 1 + 3 out and 2 + 4 in.
+    files = {
+        "in.bm": "p bm 4 4\ne 0 1 1\ne 1 2 2\ne 2 3 3\ne 3 0 4\n"
+        + "".join(f"b {v} 1\n" for v in range(4)),
+        "m.cert": "s 2 4\nm 0 2\n",
+        "n.cert": "s 2 6\nm 1 3\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, _err = run(capsys, "decompose", "--input", str(tmp_path / "in.bm"),
+                          "--format", fmt,
+                          "--matching-a", str(tmp_path / "m.cert"),
+                          "--matching-b", str(tmp_path / "n.cert"))
+    assert code == 0
+    assert (json.loads(out) if fmt == "structured" else out) == expected
+
+
 def test_decompose_rejects_invalid_certificate(capsys, tmp_path):
     bad = tmp_path / "bad.cert"
     bad.write_text("s 2 2\nm 0 1\n")
@@ -744,6 +770,23 @@ def test_missing_degree_set_exits_one(capsys, tmp_path):
 def test_missing_file_exits_one(capsys):
     code, _out, err = run(capsys, "solve", "--input", "no/such/file.bm")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--input"], ["check", "--input", FIG2, "--certificate"]],
+    ids=["instance", "certificate"],
+)
+def test_file_that_is_not_utf8_exits_one(tmp_path, argv):
+    path = tmp_path / "bad.bm"
+    path.write_bytes(b"p bm 1 0\nb 0 0\xff\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "bmatch.cli", *argv, str(path)],
+        capture_output=True, text=True, env=src_env(), timeout=30,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {path} is not UTF-8 text: invalid start byte at byte 14\n"
 
 
 def test_module_entry_point():

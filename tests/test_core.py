@@ -244,21 +244,55 @@ def test_parse_instance_default_weight_and_comments():
     assert inst.b(1).values == (0, 1, 2)
 
 
+INSTANCE_ERRORS = [
+    ("e 0 1 1\n", 1, "expected problem line 'p bm <n> <m>'"),
+    ("p bm x 1\n", 1, "vertex count 'x' is not an integer"),
+    ("p bm 2 1\nq 0 1\n", 2, "unknown line type 'q'"),
+    ("p bm 2 1\ne 0 1 1\nb 5 0\n", 3, "vertex out of range 0..1"),
+    ("p bm 2 2\ne 0 1 1\nb 0 0\nb 1 0\n", 4, "expected 2 edge lines, got 1"),
+    ("p bm 2 1\ne 0 3 1\nb 0 0\nb 1 0\n", 2, "endpoint out of range 0..1"),
+    ("", 1, "missing problem line 'p bm <n> <m>'"),
+    ("p bm 2 -1\n", 1, "counts must be nonnegative"),
+    ("p bm 2 1\ne 0\n", 2, "expected 'e <u> <v> [<w>]'"),
+    ("p bm 2 1\ne 0 1 1 1 1\n", 2, "expected 'e <u> <v> [<w>]'"),
+    ("p bm 2 1\ne 0 1 1\nb\n", 3, "expected 'b <v> <d1> ...'"),
+    ("p bm 2 1\ne 0 1 1\ne 1 0 1\n", 3, "more than 1 edge lines"),
+    ("p bm 2 1\ne 0 1 1\nb 0 0\nb 0 1\n", 4, "second degree set for vertex 0"),
+    ("p bm 2 1\ne 0 1 1\nb 0 -1 0\n", 3, "degrees must be nonnegative"),
+    ("p bm 2 1\ne 0 1 1\nb 0 1 1\n", 3, "degrees must be strictly increasing"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,line_no",
-    [
-        ("e 0 1 1\n", 1),
-        ("p bm x 1\n", 1),
-        ("p bm 2 1\nq 0 1\n", 2),
-        ("p bm 2 1\ne 0 1 1\nb 5 0\n", 3),
-        ("p bm 2 2\ne 0 1 1\nb 0 0\nb 1 0\n", 4),
-        ("p bm 2 1\ne 0 3 1\nb 0 0\nb 1 0\n", 2),
-    ],
+    "text,line_no,message",
+    INSTANCE_ERRORS,
+    ids=[f"{text}-{line_no}" for text, line_no, _message in INSTANCE_ERRORS],
 )
-def test_parse_instance_errors_carry_line_numbers(text, line_no):
+def test_parse_instance_errors_carry_line_numbers(text, line_no, message):
     with pytest.raises(ParseError) as err:
         parse_instance(text)
-    assert err.value.line_no == line_no
+    assert (err.value.line_no, err.value.message) == (line_no, message)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MultiGraph(-1, ()), "vertex_count must be nonnegative"),
+        (
+            lambda: BInstance(MultiGraph(2, ()), (DegreeSet((0,)),)),
+            "need exactly one degree set per vertex",
+        ),
+        (
+            lambda: BInstance(MultiGraph(1, ()), (DegreeSet((0,)),), "max-size"),
+            "unknown objective 'max-size'",
+        ),
+    ],
+    ids=["negative-vertex-count", "degree-set-count", "objective"],
+)
+def test_constructors_reject_bad_arguments(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_format_parse_roundtrip(fig2, fig2_text):
@@ -302,7 +336,16 @@ def test_check_certificate_flags_problems(fig2, fig2_m7):
 
 
 def test_parse_certificate_errors():
-    with pytest.raises(ParseError):
-        parse_certificate("m 0 1\n")
-    with pytest.raises(ParseError):
-        parse_certificate("s 1 1\nm x\n")
+    for text, line_no, message in [
+        ("m 0 1\n", 1, "'m' line before 's' line"),
+        ("s 1 1\nm x\n", 2, "edge index 'x' is not an integer"),
+        ("s 1 1\ns 1 1\nm 0\n", 2, "second 's' line"),
+        ("s 1\nm 0\n", 1, "expected 's <size> <weight>'"),
+        ("s 1 1\nx 0\n", 2, "unknown line type 'x'"),
+        ("# no lines\n", 1, "missing 's <size> <weight>' line"),
+        ("s 0 0\n", 1, "missing 'm' line"),
+        ("s 2 2\nm 0\nm 0\n", 1, "duplicate edge index in certificate"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_certificate(text)
+        assert (err.value.line_no, err.value.message) == (line_no, message), text

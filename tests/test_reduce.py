@@ -123,7 +123,7 @@ def test_lift_drops_gadget_edges():
 
 def test_path_with_exact_degree_one_everywhere_is_infeasible():
     g = MultiGraph(3, ((0, 1, 1), (1, 2, 1)))
-    ab = ABInstance(g, (1, 1, 1), (1, 1, 1))
+    ab = ABInstance(g, (1, 1, 1), (1, 1, 1), (1, 1, 1))
     assert list(degree_subsets(ab.graph, ab_degrees(ab))) == []
     reduced, _source_edges = ab_to_pm(ab)
     assert max_weight_perfect_matching(reduced) is None
@@ -131,7 +131,7 @@ def test_path_with_exact_degree_one_everywhere_is_infeasible():
 
 def test_single_edge_exact_matching():
     g = MultiGraph(2, ((0, 1, 9),))
-    ab = ABInstance(g, (1, 1), (1, 1))
+    ab = ABInstance(g, (1, 1), (1, 1), (1, 1))
     reduced, source_edges = ab_to_pm(ab)
     pm = max_weight_perfect_matching(reduced)
     assert pm is not None
@@ -140,7 +140,7 @@ def test_single_edge_exact_matching():
 
 def test_source_edges_keep_their_indices():
     g = MultiGraph(3, ((0, 1, 4), (1, 2, -2), (0, 2, 1)))
-    ab = ABInstance(g, (0, 0, 0), (1, 2, 1))
+    ab = ABInstance(g, (0, 0, 0), (1, 2, 1), (1, 1, 1))
     reduced, source_edges = ab_to_pm(ab)
     assert source_edges == g.edge_count
     for e in range(g.edge_count):
@@ -152,7 +152,7 @@ def test_source_edges_keep_their_indices():
 def test_gadget_layout_bounds_check():
     g = MultiGraph(2, ((0, 1, 1),))
     with pytest.raises(BadSpec, match="upper bound 2 exceeds degree 1 at vertex 0"):
-        ABInstance(g, (0, 0), (2, 1))
+        ABInstance(g, (0, 0), (2, 1), (1, 1))
 
 
 def band_width(j: int, a: int, b: int) -> int:
@@ -377,7 +377,7 @@ def test_chain_pairs_up_exactly_at_the_pad_parity(pad):
     # vertex gadget, the pool has a perfect matching iff |T| = pad mod 2.
     for c in range(1, 5):
         g = MultiGraph(c + 1, tuple((0, t, 0) for t in range(1, c + 1) for _ in range(3)))
-        ab = ABInstance(g, (pad,) + (0,) * c, (pad,) + (3,) * c)
+        ab = ABInstance(g, (pad,) + (0,) * c, (pad,) + (3,) * c, (1,) * (c + 1))
         pool = ab.layout.pool
         assert len(pool) == 2 * c + pad
         reduced, _source_edges = ab_to_pm(ab)
@@ -434,7 +434,7 @@ def test_lifted_matchings_partition_perfect_matchings():
     # one-to-one on classes: every PM lifts to a feasible matching, and every
     # feasible matching is the lift of at least one PM
     g = MultiGraph(2, ((0, 1, 1), (0, 1, 1)))
-    ab = ABInstance(g, (0, 0), (1, 1))
+    ab = ABInstance(g, (0, 0), (1, 1), (1, 1))
     reduced, source_edges = ab_to_pm(ab)
     lifted = {lift(source_edges, pm) for pm in all_perfect_matchings(reduced)}
     assert lifted == set(degree_subsets(ab.graph, ab_degrees(ab)))
